@@ -13,7 +13,6 @@ from .linalg import (
     hermiticity_defect,
     kron,
     partial_transpose,
-    trace_norm,
 )
 from .models import (
     ModelParams,
@@ -27,8 +26,6 @@ from .models import (
     caption_params,
     decay_rate_khz,
     figure_preset,
-    params_from_config,
-    params_to_caption,
 )
 from .dynamics import (
     ConvergenceError,
@@ -53,10 +50,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteDims", "dagger", "hermitian_eigvals", "hermiticity_defect",
-    "kron", "partial_transpose", "trace_norm",
+    "kron", "partial_transpose",
     "ModelParams", "Preset", "SchemeVariant", "SystemModel", "angular_mhz",
     "build_bell_model", "build_model", "build_qutrit_model", "caption_params",
-    "decay_rate_khz", "figure_preset", "params_from_config", "params_to_caption",
+    "decay_rate_khz", "figure_preset",
     "ConvergenceError", "Liouvillian", "NonUniqueSteadyStateError", "Trajectory",
     "build_liouvillian", "evolve", "steady_state", "unvec", "vec",
     "chsh_correlation", "chsh_operator", "fidelity", "negativity", "populations",

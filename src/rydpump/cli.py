@@ -34,37 +34,8 @@ EXIT_DEGENERATE = 4
 MEASURE_NAMES = ("populations", "fidelity", "chsh", "negativity")
 AXIS_NAMES = ("rabi-mhz", "microwave-rel", "delta-mhz", "urr-mhz", "gamma-khz")
 
-# Per-preset defaults for `evolve` (duration ms, samples, outputs).
-_EVOLVE_DEFAULTS = {
-    "fig2-inset": (300.0, 301, ["populations"]),
-    "fig3": (300.0, 301, ["chsh"]),
-    "fig5-inset": (200.0, 401, ["populations"]),
-}
-
-# reproduce targets: grid axes in caption units, or a time series.
-_REPRODUCE = {
-    "fig2": ("sweep", "fig2", [("urr-mhz", 1.0, 8.0, 15)], "fidelity"),
-    "fig2-inset": ("evolve", "fig2-inset", None, None),
-    "fig3": ("evolve", "fig3", None, None),
-    "fig5": ("sweep", "fig5", [("urr-mhz", 1.0, 8.0, 15)], "fidelity"),
-    "fig5-inset": ("evolve", "fig5-inset", None, None),
-    "fig6": ("sweep", "fig6-point",
-             [("urr-mhz", 1.0, 10.0, 5), ("gamma-khz", 0.25, 2.5, 5)], "negativity"),
-    "fig8a": ("sweep", "fig8a",
-              [("rabi-mhz", 0.02, 0.10, 5), ("microwave-rel", 0.002, 0.010, 5)], "fidelity"),
-    "fig8b": ("sweep", "fig8b",
-              [("urr-mhz", 1.0, 8.0, 5), ("gamma-khz", 0.5, 2.5, 5)], "fidelity"),
-    "fig8c": ("sweep", "fig8c",
-              [("rabi-mhz", 0.02, 0.10, 5), ("microwave-rel", 0.002, 0.010, 5)], "chsh"),
-    "fig8d": ("sweep", "fig8d",
-              [("urr-mhz", 1.0, 8.0, 5), ("gamma-khz", 0.5, 2.5, 5)], "chsh"),
-    "fig9a": ("sweep", "fig9a",
-              [("rabi-mhz", 0.03, 0.08, 5), ("microwave-rel", 0.0025, 0.0125, 5)], "fidelity"),
-    "fig9b": ("sweep", "fig9b",
-              [("urr-mhz", 1.0, 8.0, 5), ("gamma-khz", 0.5, 2.5, 5)], "fidelity"),
-    "fig9c": ("sweep", "fig9c",
-              [("rabi-mhz", 0.03, 0.08, 5), ("microwave-rel", 0.0025, 0.0125, 5)], "negativity"),
-}
+# reproduce targets by name: the figure whose data each one writes.
+_REPRODUCE = {f.reproduce or f.name: f for f in models.FIGURES.values()}
 
 
 def _norm_key(key: str) -> str:
@@ -85,30 +56,47 @@ _CONFIG_FLAGS = {
         ("reduce", "reduce"), ("workers", "workers"),
     ]
 }
-_CONFIG_BOOL = {"gamma_angular"}
+_CONFIG_BOOL = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
 _CONFIG_FLOAT = {"rabi_mhz", "microwave_rel", "delta_mhz", "urr_mhz", "gamma_khz", "t_max_ms"}
 _CONFIG_INT = {"samples", "workers"}
 
 # ModelParams field names are also accepted in config files, with absolute
-# caption units (/2pi MHz; gamma in kHz).
+# caption units (/2pi MHz; gamma in kHz); each maps to its caption key.
 _CONFIG_FIELDS = {
-    _norm_key(k): k
-    for k in ("rabi_optical", "rabi_microwave_1", "rabi_microwave_2",
-              "detuning", "rydberg_U", "gamma")
+    _norm_key(field): key
+    for field, key in [
+        ("rabi_optical", "rabi_mhz"), ("rabi_microwave_1", "microwave_mhz"),
+        ("rabi_microwave_2", "microwave2_mhz"), ("detuning", "delta_mhz"),
+        ("rydberg_U", "urr_mhz"), ("gamma", "gamma_khz"),
+    ]
 }
+# Caption keys settable by flag; these override the config-file field values.
+_CAPTION_FLAGS = ("rabi_mhz", "microwave_rel", "delta_mhz", "urr_mhz", "gamma_khz")
 
 
 def _load_config(path: str) -> tuple[dict, dict]:
-    """Split a config file into flag-style values and ModelParams field values."""
-    raw = models.parse_kv_file(path)
+    """Read a flat 'key = value' file ('#' comments) into flag-style values
+    and caption values given by ModelParams field name."""
     flags: dict = {}
     fields: dict = {}
-    for key, value in raw.items():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
         norm = _norm_key(key)
         if norm in _CONFIG_FLAGS:
             dest = _CONFIG_FLAGS[norm]
-            if dest in _CONFIG_BOOL:
-                flags[dest] = value.lower() in ("1", "true", "yes", "on")
+            if dest == "gamma_angular":
+                if value.lower() not in _CONFIG_BOOL:
+                    raise ValueError(
+                        f"config key {key!r} in {path} needs a boolean "
+                        f"(1/true/yes/on or 0/false/no/off), got {value!r}"
+                    )
+                flags[dest] = _CONFIG_BOOL[value.lower()]
             elif dest in _CONFIG_FLOAT:
                 flags[dest] = float(value)
             elif dest in _CONFIG_INT:
@@ -123,63 +111,42 @@ def _load_config(path: str) -> tuple[dict, dict]:
 
 
 class RunSetup:
-    """Resolved model + run options shared by the subcommands."""
+    """Resolved model + run options shared by the subcommands.
 
-    def __init__(self, args, need_initial: bool = False):
-        cfg_flags, cfg_fields = _load_config(args.config) if args.config else ({}, {})
+    opts maps argparse dest names to values; None means not given.
+    """
+
+    def __init__(self, opts: dict, need_initial: bool = False):
+        config = opts.get("config")
+        cfg_flags, cfg_fields = _load_config(config) if config else ({}, {})
 
         def pick(dest, default=None):
-            val = getattr(args, dest, None)
+            val = opts.get(dest)
             if val is not None:
                 return val
-            if dest in cfg_flags:
-                return cfg_flags[dest]
-            return default
+            return cfg_flags.get(dest, default)
 
         self.gamma_angular = bool(pick("gamma_angular", False))
         preset_name = pick("preset")
-        preset = models.figure_preset(preset_name, self.gamma_angular) if preset_name else None
-        self.preset_name = preset_name
+        fig = models.find_figure(preset_name) if preset_name else None
 
-        scheme = pick("scheme", preset.variant.scheme if preset else None)
+        scheme = pick("scheme", fig.scheme if fig else None)
         if scheme is None:
             raise ValueError("no scheme given: use --scheme or --preset")
-        target = pick("target", preset.variant.target if preset else None)
-        if target is None:
-            target = {"bell": "singlet", "qutrit": "phi"}[scheme] if scheme in ("bell", "qutrit") else None
+        default_target = {"bell": "singlet", "qutrit": "phi"}.get(scheme, "")
+        target = pick("target", fig.target if fig else default_target)
         self.variant = models.SchemeVariant(scheme=scheme, target=target.replace("-", "_"))
 
         # Caption-unit parameter dict: preset base, then config-file fields,
-        # then explicit flags.  Track which keys the user pinned explicitly
-        # so sweeps know whether Delta may follow U_rr = 2*Delta.
-        caption = {}
-        if preset_name:
-            caption = {k: v for k, v in models.preset_caption(preset_name).items()
-                       if k not in ("scheme", "target", "initial")}
-        self.explicit: set = set()
-        if "rabi_optical" in cfg_fields:
-            caption["rabi_mhz"] = cfg_fields["rabi_optical"]
-            self.explicit.add("rabi_mhz")
-        if "rabi_microwave_1" in cfg_fields:
+        # then flags.  Track which keys the user pinned explicitly so sweeps
+        # know whether Delta may follow U_rr = 2*Delta.
+        caption = dict(fig.caption) if fig else {}
+        if "microwave_mhz" in cfg_fields:
             caption.pop("microwave_rel", None)
-            caption["microwave_mhz"] = cfg_fields["rabi_microwave_1"]
-            self.explicit.add("microwave_mhz")
-        if "rabi_microwave_2" in cfg_fields:
-            caption["microwave2_mhz"] = cfg_fields["rabi_microwave_2"]
-            self.explicit.add("microwave2_mhz")
-        if "detuning" in cfg_fields:
-            caption["delta_mhz"] = cfg_fields["detuning"]
-            self.explicit.add("delta_mhz")
-        if "rydberg_U" in cfg_fields:
-            caption["urr_mhz"] = cfg_fields["rydberg_U"]
-            self.explicit.add("urr_mhz")
-        if "gamma" in cfg_fields:
-            caption["gamma_khz"] = cfg_fields["gamma"]
-            self.explicit.add("gamma_khz")
-        for dest, key in [("rabi_mhz", "rabi_mhz"), ("microwave_rel", "microwave_rel"),
-                          ("delta_mhz", "delta_mhz"), ("urr_mhz", "urr_mhz"),
-                          ("gamma_khz", "gamma_khz")]:
-            val = pick(dest)
+        caption.update(cfg_fields)
+        self.explicit: set = set(cfg_fields)
+        for key in _CAPTION_FLAGS:
+            val = pick(key)
             if val is not None:
                 if key == "microwave_rel":
                     caption.pop("microwave_mhz", None)
@@ -187,24 +154,19 @@ class RunSetup:
                 self.explicit.add(key)
         self.caption = caption
 
-        self.initial = pick("initial", preset.initial_state if preset else None)
+        self.initial = pick("initial", fig.initial if fig else None)
         if need_initial and self.initial is None:
             raise ValueError("no initial state given: use --initial or --preset")
 
         # Run options with preset-aware defaults.
-        ev_t, ev_n, ev_out = _EVOLVE_DEFAULTS.get(preset_name, (100.0, 101, None))
-        self.t_max_ms = float(pick("t_max_ms", ev_t))
-        self.samples = int(pick("samples", ev_n))
+        self.t_max_ms = float(pick("t_max_ms", fig.t_max_ms if fig else 100.0))
+        self.samples = int(pick("samples", fig.samples if fig else 101))
         outputs = pick("outputs")
         if outputs is None:
-            outputs = list(ev_out) if ev_out is not None else ["populations"]
-        elif isinstance(outputs, str):
-            outputs = [o.strip() for o in outputs.split(",") if o.strip()]
-        self.outputs = outputs
-        self.steady_outputs = (
-            ["fidelity", "chsh"] if scheme == "bell" else ["fidelity", "negativity"]
-        )
-        if pick("outputs") is not None:
+            self.outputs = [fig.output if fig else "populations"]
+            self.steady_outputs = ["fidelity", "chsh" if scheme == "bell" else "negativity"]
+        else:
+            self.outputs = [o.strip() for o in outputs.split(",") if o.strip()]
             self.steady_outputs = self.outputs
         self.method = pick("method", "nullspace")
         self.reduce = pick("reduce", "fidelity")
@@ -285,7 +247,10 @@ def write_table(out, command: str, columns, rows, fmt: str, timestamp: bool) -> 
 
 
 def cmd_evolve(args) -> int:
-    setup = RunSetup(args, need_initial=True)
+    return _evolve(RunSetup(vars(args), need_initial=True), args.out, not args.no_timestamp)
+
+
+def _evolve(setup: RunSetup, out, timestamp: bool) -> int:
     outputs = setup.validate_outputs(setup.outputs)
     if setup.t_max_ms < 0:
         raise ValueError(f"t-max-ms must be nonnegative, got {setup.t_max_ms}")
@@ -305,12 +270,12 @@ def cmd_evolve(args) -> int:
         [traj.times[k] * 1e3] + [float(traj.records[n][k]) for n, _ in cols]
         for k in range(t.size)
     ]
-    write_table(args.out, "evolve", names, rows, setup.format, not args.no_timestamp)
+    write_table(out, "evolve", names, rows, setup.format, timestamp)
     return EXIT_OK
 
 
 def cmd_steady(args) -> int:
-    setup = RunSetup(args)
+    setup = RunSetup(vars(args))
     outputs = setup.validate_outputs(setup.steady_outputs)
     model = setup.model()
     liouv = dynamics.build_liouvillian(model)
@@ -353,13 +318,16 @@ def _apply_axis(caption: dict, explicit: set, axis: str, value: float) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    setup = RunSetup(args)
-    if not args.axis:
+    return _sweep(RunSetup(vars(args)), args.axis, args.out, not args.no_timestamp)
+
+
+def _sweep(setup: RunSetup, axis_specs, out, timestamp: bool) -> int:
+    if not axis_specs:
         raise ValueError("sweep requires at least one --axis NAME MIN MAX STEPS")
-    if len(args.axis) > 2:
+    if len(axis_specs) > 2:
         raise ValueError("sweep supports at most two axes")
     axes = []
-    for spec in args.axis:
+    for spec in axis_specs:
         name, lo, hi, steps = spec[0], float(spec[1]), float(spec[2]), int(spec[3])
         if name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {name!r}; expected one of {', '.join(AXIS_NAMES)}")
@@ -399,24 +367,18 @@ def cmd_sweep(args) -> int:
     for (idx, value, err), point in zip(results, points):
         coords = [float(grids[k][point[k]]) for k in range(len(grids))]
         rows.append(coords + [value, err])
-    write_table(args.out, "sweep", names, rows, setup.format, not args.no_timestamp)
+    write_table(out, "sweep", names, rows, setup.format, timestamp)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    kind, preset, axes, reduce_name = _REPRODUCE[args.figure]
+    fig = _REPRODUCE[args.figure]
+    setup = RunSetup({"preset": fig.name, "gamma_angular": args.gamma_angular,
+                      "reduce": fig.reduce, "workers": args.workers})
     out = str(Path(args.out_dir) / f"{args.figure}.csv")
-    forward = argparse.Namespace(
-        preset=preset, config=None, scheme=None, target=None, rabi_mhz=None,
-        microwave_rel=None, delta_mhz=None, urr_mhz=None, gamma_khz=None,
-        gamma_angular=True if args.gamma_angular else None, initial=None,
-        t_max_ms=None, samples=None, outputs=None, format="csv", method=None,
-        reduce=reduce_name, workers=args.workers, out=out,
-        no_timestamp=args.no_timestamp, axis=axes,
-    )
-    if kind == "evolve":
-        return cmd_evolve(forward)
-    return cmd_sweep(forward)
+    if fig.axes:
+        return _sweep(setup, fig.axes, out, not args.no_timestamp)
+    return _evolve(setup, out, not args.no_timestamp)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:

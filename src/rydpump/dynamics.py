@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 
 from .linalg import dagger, hermiticity_defect
 from .models import SystemModel
@@ -35,6 +34,10 @@ class NonUniqueSteadyStateError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An integrator or solver failed to meet its tolerance."""
+
+
+# Relative tolerance within which two propagation steps share one propagator.
+_STEP_SNAP_RTOL = 1e-8
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -145,12 +148,13 @@ def evolve(
     *,
     observables: dict | None = None,
     store_states: bool = True,
-    method: str = "expm",
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    check: bool = True,
 ) -> Trajectory:
     """Propagate a density matrix over a time grid.
+
+    Exact matrix-exponential propagators are applied per grid step (one
+    expm per distinct step size; local error at rounding level).  Trace,
+    Hermiticity and positivity are verified at every grid point
+    (ConvergenceError on violation).
 
     Parameters
     ----------
@@ -165,15 +169,6 @@ def evolve(
     store_states : bool
         Keep the full (nt, dim, dim) state array.  With False at least one
         observable is required.
-    method : {"expm", "adaptive"}
-        "expm" applies exact matrix-exponential propagators per grid step
-        (one expm per distinct step size; local error at rounding level,
-        well inside rtol/atol).  "adaptive" integrates with an adaptive
-        Runge-Kutta scheme at (rtol, atol); practical only when
-        ||L|| * t_max is moderate.
-    check : bool
-        Verify trace, Hermiticity and positivity at every stored point
-        (raises ConvergenceError on violation).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -187,19 +182,13 @@ def evolve(
     if not store_states and not observables:
         raise ValueError("store_states=False requires at least one observable")
 
-    if method == "expm":
-        vs = _propagate_expm(L, vec(rho), t, rtol)
-    elif method == "adaptive":
-        vs = _propagate_adaptive(L, vec(rho), t, rtol, atol)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'expm' or 'adaptive'")
+    vs = _propagate_expm(L, vec(rho), t)
 
     states = np.empty((t.size, L.dim, L.dim), dtype=complex) if store_states else None
     records = {name: np.empty(t.size) for name in observables}
     for k in range(t.size):
         rho_k = unvec(vs[k], L.dim)
-        if check:
-            _check_physical(rho_k, t[k])
+        _check_physical(rho_k, t[k])
         if store_states:
             states[k] = rho_k
         for name, fn in observables.items():
@@ -207,17 +196,18 @@ def evolve(
     return Trajectory(times=t, states=states, records=records, retained_full=store_states)
 
 
-def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray, rtol: float) -> np.ndarray:
+def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Step through t with cached dense propagators expm(L*dt).
 
-    Step sizes within rtol/||L||_1 of each other share one propagator; the
-    induced local error ||L||*|dt - dt_ref| stays below rtol per step.
+    Step sizes within _STEP_SNAP_RTOL/||L||_1 of each other share one
+    propagator; the induced local error ||L||*|dt - dt_ref| stays below
+    _STEP_SNAP_RTOL per step.
     """
     out = np.empty((t.size, v0.size), dtype=complex)
     out[0] = v0
     if t.size == 1:
         return out
-    snap = rtol / max(L.norm_1, 1.0)
+    snap = _STEP_SNAP_RTOL / max(L.norm_1, 1.0)
     cache: list = []  # (dt_ref, propagator)
     v = v0
     for k, dt in enumerate(np.diff(t), start=1):
@@ -232,20 +222,6 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray, rtol: float) 
         v = prop @ v
         out[k] = v
     return out
-
-
-def _propagate_adaptive(
-    L: Liouvillian, v0: np.ndarray, t: np.ndarray, rtol: float, atol: float
-) -> np.ndarray:
-    gen = L.superop
-
-    def rhs(_t, v):
-        return gen @ v
-
-    sol = solve_ivp(rhs, (t[0], t[-1]), v0, t_eval=t, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise ConvergenceError(f"adaptive integrator failed: {sol.message}")
-    return sol.y.T.copy()
 
 
 def steady_state(

@@ -81,7 +81,3 @@ def hermitian_eigvals(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     require_hermitian(m, tol=tol, name="eigvals input")
     return np.linalg.eigvalsh(m)
 
-
-def trace_norm(m: np.ndarray, tol: float = 1e-10) -> float:
-    """Sum of |eigenvalues| of a Hermitian matrix (its trace norm)."""
-    return float(np.sum(np.abs(hermitian_eigvals(m, tol=tol))))

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -421,24 +420,6 @@ def caption_params(
     )
 
 
-def params_to_caption(params: ModelParams, gamma_angular: bool = False) -> dict:
-    """Serialize ModelParams back to caption units (inverse of caption_params)."""
-    def to_mhz(x: complex) -> float:
-        return float(np.real(x)) / (TWO_PI * 1e6)
-
-    gamma_khz = params.gamma / 1e3
-    if gamma_angular:
-        gamma_khz /= TWO_PI
-    return {
-        "rabi_mhz": to_mhz(params.rabi_optical),
-        "microwave_mhz": to_mhz(params.rabi_microwave_1),
-        "microwave2_mhz": to_mhz(params.rabi_microwave_2),
-        "delta_mhz": params.detuning / (TWO_PI * 1e6),
-        "urr_mhz": params.rydberg_U / (TWO_PI * 1e6),
-        "gamma_khz": gamma_khz,
-    }
-
-
 class Preset(NamedTuple):
     """Operating point of one benchmark figure."""
 
@@ -447,119 +428,88 @@ class Preset(NamedTuple):
     initial_state: str
 
 
-# Caption values of each benchmark operating point.  Sweep-style presets
-# (fig2, fig5, fig6, fig8*, fig9*) carry the nominal point of the figure;
-# the grid axes live in the CLI `reproduce` command.
-_PRESET_CAPTIONS = {
-    "fig2": dict(scheme="bell", target="singlet", initial="ff",
-                 rabi_mhz=0.036, microwave_rel=0.004, delta_mhz=3.435, gamma_khz=1.673),
-    "fig2-inset": dict(scheme="bell", target="singlet", initial="mix4",
-                       rabi_mhz=0.036, microwave_rel=0.004, delta_mhz=3.435, gamma_khz=1.673),
-    "fig3": dict(scheme="bell", target="singlet", initial="mix4",
-                 rabi_mhz=0.036, microwave_rel=0.004, delta_mhz=3.435, gamma_khz=1.673),
-    "fig5": dict(scheme="qutrit", target="phi", initial="mix9",
-                 rabi_mhz=0.055, microwave_rel=0.0075, delta_mhz=2.0, gamma_khz=1.0),
-    "fig5-inset": dict(scheme="qutrit", target="phi", initial="mix9",
-                       rabi_mhz=0.055, microwave_rel=0.0075, delta_mhz=2.0, gamma_khz=1.0),
-    "fig6-point": dict(scheme="qutrit", target="phi", initial="mix9",
-                       rabi_mhz=0.055, microwave_rel=0.0075, delta_mhz=4.8705, gamma_khz=1.033),
-    "fig8a": dict(scheme="bell", target="singlet", initial="ff",
-                  rabi_mhz=0.036, microwave_rel=0.004, urr_mhz=4.0, gamma_khz=1.0),
-    "fig8b": dict(scheme="bell", target="singlet", initial="ff",
-                  rabi_mhz=0.036, microwave_rel=0.004, delta_mhz=3.435, gamma_khz=1.673),
-    "fig8c": dict(scheme="bell", target="singlet", initial="ff",
-                  rabi_mhz=0.036, microwave_rel=0.004, urr_mhz=4.0, gamma_khz=1.0),
-    "fig8d": dict(scheme="bell", target="singlet", initial="ff",
-                  rabi_mhz=0.036, microwave_rel=0.004, delta_mhz=3.435, gamma_khz=1.673),
-    "fig9a": dict(scheme="qutrit", target="phi", initial="mix9",
-                  rabi_mhz=0.055, microwave_rel=0.0075, urr_mhz=6.0, gamma_khz=1.0),
-    "fig9b": dict(scheme="qutrit", target="phi", initial="mix9",
-                  rabi_mhz=0.055, microwave_rel=0.0075, urr_mhz=4.0, gamma_khz=1.0),
-    "fig9c": dict(scheme="qutrit", target="phi", initial="mix9",
-                  rabi_mhz=0.055, microwave_rel=0.0075, urr_mhz=6.0, gamma_khz=1.0),
+@dataclass(frozen=True)
+class Figure:
+    """One benchmark figure: its operating point, the defaults of an
+    `evolve` run from it, and the data `rydpump reproduce` writes for it.
+
+    caption holds caption_params keywords.  reproduce writes a steady-state
+    grid over axes ((name, lo, hi, steps) in CLI axis names) reduced to
+    the reduce measure, or, without axes, the evolve time series.
+    """
+
+    name: str
+    scheme: str
+    target: str
+    initial: str
+    caption: dict
+    t_max_ms: float = 100.0
+    samples: int = 101
+    output: str = "populations"
+    axes: tuple = ()
+    reduce: str = "fidelity"
+    reproduce: str = ""  # reproduce name when it differs from the preset name
+
+
+_FIG2 = dict(rabi_mhz=0.036, microwave_rel=0.004, delta_mhz=3.435, gamma_khz=1.673)
+_FIG5 = dict(rabi_mhz=0.055, microwave_rel=0.0075, delta_mhz=2.0, gamma_khz=1.0)
+_FIG8 = dict(rabi_mhz=0.036, microwave_rel=0.004, urr_mhz=4.0, gamma_khz=1.0)
+_FIG9 = dict(rabi_mhz=0.055, microwave_rel=0.0075, urr_mhz=6.0, gamma_khz=1.0)
+_URR_LINE = (("urr-mhz", 1.0, 8.0, 15),)
+_URR_GAMMA = (("urr-mhz", 1.0, 8.0, 5), ("gamma-khz", 0.5, 2.5, 5))
+_DRIVES_BELL = (("rabi-mhz", 0.02, 0.10, 5), ("microwave-rel", 0.002, 0.010, 5))
+_DRIVES_QUTRIT = (("rabi-mhz", 0.03, 0.08, 5), ("microwave-rel", 0.0025, 0.0125, 5))
+
+# Sweep-style figures (fig2, fig5, fig6, fig8*, fig9*) carry the nominal
+# point of the figure as their operating point.
+FIGURES = {
+    f.name: f
+    for f in (
+        Figure("fig2", "bell", "singlet", "ff", _FIG2, axes=_URR_LINE),
+        Figure("fig2-inset", "bell", "singlet", "mix4", _FIG2, t_max_ms=300.0, samples=301),
+        Figure("fig3", "bell", "singlet", "mix4", _FIG2, t_max_ms=300.0, samples=301,
+               output="chsh"),
+        Figure("fig5", "qutrit", "phi", "mix9", _FIG5, axes=_URR_LINE),
+        Figure("fig5-inset", "qutrit", "phi", "mix9", _FIG5, t_max_ms=200.0, samples=401),
+        Figure("fig6-point", "qutrit", "phi", "mix9",
+               dict(_FIG5, delta_mhz=4.8705, gamma_khz=1.033),
+               axes=(("urr-mhz", 1.0, 10.0, 5), ("gamma-khz", 0.25, 2.5, 5)),
+               reduce="negativity", reproduce="fig6"),
+        Figure("fig8a", "bell", "singlet", "ff", _FIG8, axes=_DRIVES_BELL),
+        Figure("fig8b", "bell", "singlet", "ff", _FIG2, axes=_URR_GAMMA),
+        Figure("fig8c", "bell", "singlet", "ff", _FIG8, axes=_DRIVES_BELL, reduce="chsh"),
+        Figure("fig8d", "bell", "singlet", "ff", _FIG2, axes=_URR_GAMMA, reduce="chsh"),
+        Figure("fig9a", "qutrit", "phi", "mix9", _FIG9, axes=_DRIVES_QUTRIT),
+        Figure("fig9b", "qutrit", "phi", "mix9", dict(_FIG9, urr_mhz=4.0), axes=_URR_GAMMA),
+        Figure("fig9c", "qutrit", "phi", "mix9", _FIG9, axes=_DRIVES_QUTRIT,
+               reduce="negativity"),
+    )
 }
 
-PRESET_NAMES = tuple(sorted(_PRESET_CAPTIONS))
+PRESET_NAMES = tuple(sorted(FIGURES))
 
 
-def figure_preset(name: str, gamma_angular: bool = False) -> Preset:
-    """Parameter set, scheme variant and initial state of a benchmark figure."""
+def find_figure(name: str) -> Figure:
+    """The Figure record of a preset name."""
     try:
-        spec = _PRESET_CAPTIONS[name]
+        return FIGURES[name]
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
         ) from None
-    caption = {k: v for k, v in spec.items() if k not in ("scheme", "target", "initial")}
+
+
+def figure_preset(name: str, gamma_angular: bool = False) -> Preset:
+    """Parameter set, scheme variant and initial state of a benchmark figure."""
+    fig = find_figure(name)
     return Preset(
-        params=caption_params(gamma_angular=gamma_angular, **caption),
-        variant=SchemeVariant(scheme=spec["scheme"], target=spec["target"]),
-        initial_state=spec["initial"],
+        params=caption_params(gamma_angular=gamma_angular, **fig.caption),
+        variant=SchemeVariant(scheme=fig.scheme, target=fig.target),
+        initial_state=fig.initial,
     )
 
 
 def preset_caption(name: str) -> dict:
     """Raw caption-unit values of a preset (for re-serialization checks)."""
-    if name not in _PRESET_CAPTIONS:
-        raise ValueError(
-            f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-        )
-    return dict(_PRESET_CAPTIONS[name])
-
-
-def parse_kv_file(path) -> dict:
-    """Parse a flat key-value text file: 'key = value' lines, '#' comments."""
-    out = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-# ModelParams field names accepted in config files, with their caption units.
-_FIELD_UNITS = {
-    "rabi_optical": "mhz",
-    "rabi_microwave_1": "mhz",
-    "rabi_microwave_2": "mhz",
-    "detuning": "mhz",
-    "rydberg_U": "mhz",
-    "gamma": "khz",
-}
-
-
-def params_from_config(source: Mapping | str | Path, gamma_angular: bool = False) -> ModelParams:
-    """Read ModelParams from a mapping or key-value file.
-
-    Keys are the ModelParams field names; values use caption units
-    (frequencies as /2pi MHz, gamma in kHz).  rydberg_U and detuning
-    follow U_rr = 2*Delta when only one of them is present.
-    """
-    raw = parse_kv_file(source) if not isinstance(source, Mapping) else dict(source)
-    values = {}
-    for key, val in raw.items():
-        if key not in _FIELD_UNITS:
-            raise ValueError(
-                f"unknown parameter {key!r}; expected one of {sorted(_FIELD_UNITS)}"
-            )
-        values[key] = float(val)
-    delta = values.get("detuning")
-    urr = values.get("rydberg_U")
-    if delta is None and urr is not None:
-        values["detuning"] = urr / 2.0
-    elif urr is None and delta is not None:
-        values["rydberg_U"] = 2.0 * delta
-    mw1 = values.get("rabi_microwave_1", 0.0)
-    return ModelParams(
-        rabi_optical=angular_mhz(values.get("rabi_optical", 0.0)),
-        rabi_microwave_1=angular_mhz(mw1),
-        rabi_microwave_2=angular_mhz(values.get("rabi_microwave_2", mw1)),
-        detuning=angular_mhz(values.get("detuning", 0.0)),
-        rydberg_U=angular_mhz(values.get("rydberg_U", 0.0)),
-        gamma=decay_rate_khz(values.get("gamma", 0.0), angular=gamma_angular),
-    )
+    fig = find_figure(name)
+    return dict(scheme=fig.scheme, target=fig.target, initial=fig.initial, **fig.caption)

@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydpump.cli import main
+import rydpump
+from rydpump import models
+from rydpump.cli import _REPRODUCE, AXIS_NAMES, RunSetup, main
 
 
 def run(args):
@@ -219,6 +225,7 @@ def test_config_file_and_flag_override(tmp_path):
 def test_config_field_name_keys(tmp_path):
     cfg = tmp_path / "fields.cfg"
     cfg.write_text(
+        "# Delta only: U_rr follows as 2*Delta\n"
         "scheme = bell\nrabi_optical = 0.036\nrabi_microwave_1 = 0.000144\n"
         "detuning = 3.435\ngamma = 1.673\n"
     )
@@ -227,12 +234,90 @@ def test_config_field_name_keys(tmp_path):
     header, data = read_csv(out)
     assert float(data[0][header.index("fidelity")]) == pytest.approx(0.999, abs=0.005)
 
+    # Each field-name file gives the same bytes as its twin: rydberg_U alone
+    # implies Delta = U_rr/2, and rabi_microwave_2 defaults to rabi_microwave_1.
+    twins = [
+        ("scheme = bell\nrabi_optical = 0.036\nmicrowave_rel = 0.004\n"
+         "rydberg_U = 6.87\ngamma = 1.673\n",
+         "scheme = bell\nrabi-mhz = 0.036\nmicrowave-rel = 0.004\n"
+         "urr-mhz = 6.87\ngamma-khz = 1.673\n"),
+        ("scheme = qutrit\nrabi_optical = 0.055\nrabi_microwave_1 = 0.0004125\n"
+         "detuning = 2.0\ngamma = 1.0\n",
+         "scheme = qutrit\nrabi-mhz = 0.055\nrabi_microwave_1 = 0.0004125\n"
+         "rabi_microwave_2 = 0.0004125\ndelta-mhz = 2.0\ngamma-khz = 1.0\n"),
+    ]
+    for k, (fields, flags) in enumerate(twins):
+        outs = []
+        for name, text in (("fields", fields), ("flags", flags)):
+            cfg = tmp_path / f"{name}{k}.cfg"
+            cfg.write_text(text)
+            outs.append(tmp_path / f"{name}{k}.csv")
+            assert run(["steady", "--config", str(cfg), "--out", str(outs[-1]),
+                        "--no-timestamp"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        header, data = read_csv(outs[0])
+        assert float(data[0][header.index("fidelity")]) > 0.98  # resonant pumping
+
 
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("volume = 11\n")
+    for key in ("volume", "omega"):
+        cfg.write_text(f"{key} = 11\n")
+        assert run(["steady", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_config_invalid_values(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scheme = foo\n")
     assert run(["steady", "--config", str(cfg)]) == 2
-    assert "volume" in capsys.readouterr().err
+    assert "unknown scheme 'foo'" in capsys.readouterr().err
+    cfg.write_text("preset = fig2\ngamma-angular = ture\n")
+    assert run(["steady", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "gamma-angular" in err and "ture" in err
+
+
+def test_config_boolean_spellings(tmp_path):
+    def steady(*args):
+        out = tmp_path / "out.csv"
+        assert run(["steady", *args, "--out", str(out), "--no-timestamp"]) == 0
+        return out.read_bytes()
+
+    cfg = tmp_path / "b.cfg"
+    plain, angular = steady("--preset", "fig2"), steady("--preset", "fig2", "--gamma-angular")
+    assert plain != angular
+    for word, want in (("On", angular), ("YES", angular), ("1", angular),
+                       ("off", plain), ("False", plain), ("0", plain)):
+        cfg.write_text(f"preset = fig2\ngamma_angular = {word}\n")
+        assert steady("--config", str(cfg)) == want, word
+
+
+def test_import_leaves_out_scipy_integrate():
+    src = str(Path(rydpump.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, rydpump.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
+
+
+def test_reproduce_figures_resolve():
+    # Every reproduce target resolves to a valid run without solving.
+    assert sorted(_REPRODUCE) == [
+        "fig2", "fig2-inset", "fig3", "fig5", "fig5-inset", "fig6",
+        "fig8a", "fig8b", "fig8c", "fig8d", "fig9a", "fig9b", "fig9c",
+    ]
+    for name, fig in _REPRODUCE.items():
+        assert fig.name in models.PRESET_NAMES, name
+        setup = RunSetup({"preset": fig.name, "reduce": fig.reduce})
+        model = setup.model()
+        model.initial_density(setup.initial)
+        if fig.axes:
+            assert all(axis in AXIS_NAMES for axis, *_ in fig.axes), name
+            assert setup.validate_outputs([fig.reduce]) != ["populations"], name
+        else:
+            setup.validate_outputs(setup.outputs)
 
 
 def test_reproduce_fig2(tmp_path):

@@ -6,7 +6,6 @@ from rydpump.linalg import (
     hermitian_eigvals,
     kron,
     partial_transpose,
-    trace_norm,
 )
 
 from conftest import random_density, random_hermitian, random_unitary
@@ -115,23 +114,3 @@ def test_eigvals_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigvals(m)
 
-
-def test_trace_norm_density_matrix(rng):
-    assert trace_norm(random_density(rng, 5)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_trace_norm_identity():
-    assert trace_norm(np.eye(7)) == pytest.approx(7.0, abs=1e-12)
-
-
-def test_trace_norm_singlet_partial_transpose():
-    # sum |{-1/2, 1/2, 1/2, 1/2}| = 2, so the two-qubit negativity is 1/2
-    s = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
-    pt = partial_transpose(np.outer(s, s), BipartiteDims(2, 2))
-    assert trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_trace_norm_bounds_trace(rng):
-    for _ in range(10):
-        m = random_hermitian(rng, 5)
-        assert trace_norm(m) >= abs(np.trace(m).real) - 1e-12

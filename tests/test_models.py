@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rydpump.cli import RunSetup
 from rydpump.models import (
     ModelParams,
     SchemeVariant,
@@ -13,8 +14,6 @@ from rydpump.models import (
     caption_params,
     decay_rate_khz,
     figure_preset,
-    params_from_config,
-    params_to_caption,
     preset_caption,
     PRESET_NAMES,
 )
@@ -330,24 +329,33 @@ def test_preset_caption_round_trip():
     # every preset re-serializes to its quoted caption values
     for name in PRESET_NAMES:
         spec = preset_caption(name)
-        pre = figure_preset(name)
-        caption = params_to_caption(pre.params)
-        assert caption["rabi_mhz"] == pytest.approx(spec["rabi_mhz"], rel=1e-12)
-        assert caption["gamma_khz"] == pytest.approx(spec["gamma_khz"], rel=1e-12)
+        p = figure_preset(name).params
+        mhz = angular_mhz(1.0)
+        assert p.rabi_optical / mhz == pytest.approx(spec["rabi_mhz"], rel=1e-12)
+        assert p.gamma / 1e3 == pytest.approx(spec["gamma_khz"], rel=1e-12)
         if "delta_mhz" in spec:
-            assert caption["delta_mhz"] == pytest.approx(spec["delta_mhz"], rel=1e-12)
+            assert p.detuning / mhz == pytest.approx(spec["delta_mhz"], rel=1e-12)
         if "urr_mhz" in spec:
-            assert caption["urr_mhz"] == pytest.approx(spec["urr_mhz"], rel=1e-12)
+            assert p.rydberg_U / mhz == pytest.approx(spec["urr_mhz"], rel=1e-12)
         if "microwave_rel" in spec:
-            ratio = caption["microwave_mhz"] / caption["rabi_mhz"]
+            ratio = p.rabi_microwave_1 / p.rabi_optical
             assert ratio == pytest.approx(spec["microwave_rel"], rel=1e-12)
 
 
-# --------------------------------------------------------------- config files
 
-def test_params_from_config_mapping():
-    p = params_from_config({"rabi_optical": "0.036", "rabi_microwave_1": "0.000144",
-                            "detuning": "3.435", "gamma": "1.673"})
+# --------------------------------------------------------------- config files
+# ModelParams field names in a --config file, read by the one config parser.
+
+def params_from_config(path):
+    return RunSetup({"scheme": "bell", "config": str(path)}).params()
+
+
+def test_params_from_config_mapping(tmp_path):
+    cfg = tmp_path / "model.cfg"
+    values = {"rabi_optical": "0.036", "rabi_microwave_1": "0.000144",
+              "detuning": "3.435", "gamma": "1.673"}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    p = params_from_config(cfg)
     assert p.rabi_optical == pytest.approx(angular_mhz(0.036), rel=1e-15)
     assert p.rydberg_U == pytest.approx(2 * p.detuning, rel=1e-15)
     assert p.gamma == 1673.0
@@ -360,6 +368,8 @@ def test_params_from_config_file(tmp_path):
     assert p.detuning == pytest.approx(angular_mhz(2.0), rel=1e-15)
 
 
-def test_params_from_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown parameter"):
-        params_from_config({"omega": "1.0"})
+def test_params_from_config_rejects_unknown_key(tmp_path):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("omega = 1.0\n")
+    with pytest.raises(ValueError, match="unknown config key 'omega'"):
+        params_from_config(cfg)
