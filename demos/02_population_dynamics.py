@@ -8,7 +8,7 @@ time.
 
 import numpy as np
 
-from rydpump import build_bell_model, build_liouvillian, evolve, figure_preset
+from rydpump import build_bell_model, build_liouvillian, evolve, figure_preset, populations
 
 preset = figure_preset("fig2-inset")
 model = build_bell_model(preset.params, preset.variant)
@@ -16,15 +16,12 @@ liouv = build_liouvillian(model)
 
 t = np.linspace(0.0, 0.3, 11)  # 0 .. 300 ms
 basis = model.population_basis()
-traj = evolve(liouv, model.initial_density("mix4"), t,
-              observables={name: (lambda rho, v=ket: float(np.real(np.vdot(v, rho @ v))))
-                           for name, ket in basis},
-              store_states=False)
+traj = evolve(liouv, model.initial_density("mix4"), t)
+pops = populations(traj.states, [ket for _, ket in basis])  # shape (11, 4)
 
 header = "  t [ms] " + "".join(f"{name:>9}" for name, _ in basis)
 print(header)
-for k, tk in enumerate(t):
-    row = "".join(f"{traj.records[name][k]:9.4f}" for name, _ in basis)
-    print(f"{tk * 1e3:8.0f} {row}")
+for tk, row in zip(t, pops):
+    print(f"{tk * 1e3:8.0f} " + "".join(f"{p:9.4f}" for p in row))
 
 print("\nEach population starts at 0.25; only the singlet survives.")

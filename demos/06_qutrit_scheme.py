@@ -22,11 +22,9 @@ model = build_qutrit_model(preset.params, preset.variant)
 liouv = build_liouvillian(model)
 phi = model.state("phi")
 t = np.linspace(0.0, 0.2, 9)
-traj = evolve(liouv, model.initial_density("mix9"), t,
-              observables={"phi": lambda rho: float(np.real(np.vdot(phi, rho @ phi)))},
-              store_states=False)
+traj = evolve(liouv, model.initial_density("mix9"), t)
 print("population of |phi> from the uniform 9-state mixture:")
-for tk, p in zip(t, traj.records["phi"]):
+for tk, p in zip(t, fidelity(phi, traj.states)):
     print(f"  t = {tk * 1e3:5.0f} ms   {p:.4f}")
 
 # Steady state at the favourable operating point: fidelity and negativity

@@ -182,6 +182,10 @@ class RunSetup:
         return models.build_model(self.params(), self.variant)
 
     def validate_outputs(self, outputs) -> list:
+        if not outputs:
+            raise ValueError(
+                f"--outputs names no measure; expected a comma list of {', '.join(MEASURE_NAMES)}"
+            )
         for name in outputs:
             if name not in MEASURE_NAMES:
                 raise ValueError(
@@ -192,25 +196,26 @@ class RunSetup:
         return list(outputs)
 
 
-def measure_columns(model: models.SystemModel, outputs) -> list:
-    """(column name, rho -> float) pairs for the requested measures."""
-    cols = []
+def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
+    """Column names and values[n, ncol] of the requested measures over a
+    stack of states (n, dim, dim)."""
+    names, cols = [], []
     for name in outputs:
         if name == "populations":
-            for label, ket in model.population_basis():
-                cols.append((
-                    f"pop_{label}",
-                    lambda rho, v=ket: float(measures.populations(rho, [v])[0]),
-                ))
+            basis = model.population_basis()
+            names += [f"pop_{label}" for label, _ in basis]
+            cols += list(measures.populations(states, [ket for _, ket in basis]).T)
         elif name == "fidelity":
-            target = model.state(model.variant.target_state)
-            cols.append(("fidelity", lambda rho, v=target: measures.fidelity(v, rho)))
+            names.append("fidelity")
+            cols.append(measures.fidelity(model.state(model.variant.target_state), states))
         elif name == "chsh":
+            names.append("chsh")
             flip = model.variant.target == "triplet"
-            cols.append(("chsh", lambda rho, f=flip: measures.chsh_correlation(rho, triplet_frame=f)))
+            cols.append(measures.chsh_correlation(states, triplet_frame=flip))
         elif name == "negativity":
-            cols.append(("negativity", lambda rho, d=model.dims: measures.negativity(rho, d)))
-    return cols
+            names.append("negativity")
+            cols.append(measures.negativity(states, model.dims))
+    return names, np.stack(cols, axis=-1)
 
 
 def _format_cell(value) -> str:
@@ -237,8 +242,10 @@ def write_table(out, command: str, columns, rows, fmt: str, timestamp: bool) -> 
         if timestamp:
             doc["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
         doc["columns"] = list(columns)
-        doc["rows"] = [list(r) for r in rows]
-        text = json.dumps(doc, indent=1) + "\n"
+        # JSON has no NaN or infinity: a failed value is written as null.
+        doc["rows"] = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in r]
+                       for r in rows]
+        text = json.dumps(doc, indent=1, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -263,14 +270,10 @@ def _evolve(setup: RunSetup, out, timestamp: bool) -> int:
         raise ValueError(str(exc)) from None
     liouv = dynamics.build_liouvillian(model)
     t = np.linspace(0.0, setup.t_max_ms * 1e-3, setup.samples)
-    cols = measure_columns(model, outputs)
-    traj = dynamics.evolve(liouv, rho0, t, observables=dict(cols), store_states=False)
-    names = ["time_ms"] + [n for n, _ in cols]
-    rows = [
-        [traj.times[k] * 1e3] + [float(traj.records[n][k]) for n, _ in cols]
-        for k in range(t.size)
-    ]
-    write_table(out, "evolve", names, rows, setup.format, timestamp)
+    traj = dynamics.evolve(liouv, rho0, t)
+    names, values = measure_columns(model, outputs, traj.states)
+    rows = np.column_stack([traj.times * 1e3, values]).tolist()
+    write_table(out, "evolve", ["time_ms"] + names, rows, setup.format, timestamp)
     return EXIT_OK
 
 
@@ -280,10 +283,10 @@ def cmd_steady(args) -> int:
     model = setup.model()
     liouv = dynamics.build_liouvillian(model)
     rho, info = dynamics.steady_state(liouv, method=setup.method, return_info=True)
-    cols = measure_columns(model, outputs)
-    names = [n for n, _ in cols] + ["residual", "backend"]
-    row = [fn(rho) for _, fn in cols] + [info["residual"], info["method"]]
-    write_table(args.out, "steady", names, [row], setup.format, not args.no_timestamp)
+    names, values = measure_columns(model, outputs, rho[None])
+    row = values[0].tolist() + [info["residual"], info["method"]]
+    write_table(args.out, "steady", names + ["residual", "backend"], [row], setup.format,
+                not args.no_timestamp)
     return EXIT_OK
 
 
@@ -295,8 +298,8 @@ def _sweep_task(task: dict):
         model = models.build_model(params, variant)
         liouv = dynamics.build_liouvillian(model)
         rho = dynamics.steady_state(liouv)
-        _, fn = measure_columns(model, [task["reduce"]])[0]
-        return task["index"], float(fn(rho)), ""
+        _, values = measure_columns(model, [task["reduce"]], rho[None])
+        return task["index"], float(values[0, 0]), ""
     except Exception as exc:  # per-point failures recorded, sweep continues
         return task["index"], math.nan, f"{type(exc).__name__}: {exc}"
 

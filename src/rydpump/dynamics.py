@@ -46,8 +46,9 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of vec."""
-    return np.asarray(v).reshape((dim, dim), order="F")
+    """Inverse of vec; a stack (..., dim^2) of vectors gives (..., dim, dim)."""
+    v = np.asarray(v)
+    return v.reshape(v.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
 @dataclass
@@ -101,16 +102,10 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
 
 @dataclass
 class Trajectory:
-    """Time grid plus states and/or recorded observable values.
-
-    states has shape (nt, dim, dim) when retained_full, else None and the
-    per-time observable values live in records.
-    """
+    """Time grid and the states at those times, shape (nt, dim, dim)."""
 
     times: np.ndarray
-    states: np.ndarray | None
-    records: dict
-    retained_full: bool
+    states: np.ndarray
 
 
 def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
@@ -129,32 +124,28 @@ def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarra
     return rho
 
 
-def _check_physical(rho: np.ndarray, t: float) -> None:
-    tr_err = abs(complex(np.trace(rho)) - 1.0)
-    if tr_err > 1e-6:
-        raise ConvergenceError(f"trace drifted by {tr_err:.2e} at t = {t:.6g} s")
-    defect = hermiticity_defect(rho)
-    if defect > 1e-8:
-        raise ConvergenceError(f"Hermiticity defect {defect:.2e} at t = {t:.6g} s")
-    min_eig = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2)[0])
-    if min_eig < -1e-6:
-        raise ConvergenceError(f"negative eigenvalue {min_eig:.2e} at t = {t:.6g} s")
+def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
+    """Raise ConvergenceError at the earliest unphysical state of a stack,
+    naming its first failed check: trace, Hermiticity, positivity."""
+    tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    defect = hermiticity_defect(states)
+    min_eig = np.linalg.eigvalsh((states + dagger(states)) / 2)[:, 0]
+    failed = np.argwhere(np.column_stack([tr_err > 1e-6, defect > 1e-8, min_eig < -1e-6]))
+    if failed.size == 0:
+        return
+    k, check = failed[0]
+    msg = (f"trace drifted by {tr_err[k]:.2e}", f"Hermiticity defect {defect[k]:.2e}",
+           f"negative eigenvalue {min_eig[k]:.2e}")[check]
+    raise ConvergenceError(f"{msg} at t = {t[k]:.6g} s")
 
 
-def evolve(
-    L: Liouvillian,
-    rho0: np.ndarray,
-    t_grid,
-    *,
-    observables: dict | None = None,
-    store_states: bool = True,
-) -> Trajectory:
+def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     """Propagate a density matrix over a time grid.
 
     Exact matrix-exponential propagators are applied per grid step (one
     expm per distinct step size; local error at rounding level).  Trace,
     Hermiticity and positivity are verified at every grid point
-    (ConvergenceError on violation).
+    (ConvergenceError names the earliest violation).
 
     Parameters
     ----------
@@ -163,12 +154,12 @@ def evolve(
         Valid density matrix (Hermitian, unit trace, PSD to 1e-10).
     t_grid : array_like
         Strictly increasing times in seconds, starting at 0.
-    observables : dict, optional
-        name -> callable(rho) evaluated at every grid point; results are
-        collected in Trajectory.records.
-    store_states : bool
-        Keep the full (nt, dim, dim) state array.  With False at least one
-        observable is required.
+
+    Returns
+    -------
+    Trajectory
+        The times and the states, a stack of shape (nt, dim, dim) that
+        every measure accepts as it is.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -178,22 +169,9 @@ def evolve(
     if t.size > 1 and np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     rho = _require_density(rho0, L.dim)
-    observables = dict(observables or {})
-    if not store_states and not observables:
-        raise ValueError("store_states=False requires at least one observable")
-
-    vs = _propagate_expm(L, vec(rho), t)
-
-    states = np.empty((t.size, L.dim, L.dim), dtype=complex) if store_states else None
-    records = {name: np.empty(t.size) for name in observables}
-    for k in range(t.size):
-        rho_k = unvec(vs[k], L.dim)
-        _check_physical(rho_k, t[k])
-        if store_states:
-            states[k] = rho_k
-        for name, fn in observables.items():
-            records[name][k] = fn(rho_k)
-    return Trajectory(times=t, states=states, records=records, retained_full=store_states)
+    states = unvec(_propagate_expm(L, vec(rho), t), L.dim)
+    _check_physical(states, t)
+    return Trajectory(times=t, states=states)
 
 
 def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray:

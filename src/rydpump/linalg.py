@@ -21,26 +21,29 @@ class BipartiteDims(NamedTuple):
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M^dag|, the absolute deviation from Hermiticity."""
-    return float(np.max(np.abs(m - dagger(m))))
+def hermiticity_defect(m: np.ndarray):
+    """max |M - M^dag|: a float for one matrix, an array for a stack."""
+    return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
 
 
 def require_hermitian(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> None:
-    """Raise ValueError if the Hermiticity defect exceeds tol * max|M|."""
+    """Raise ValueError if the Hermiticity defect of a matrix, or of any
+    matrix in a stack, exceeds tol * max|M|."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    scale = float(np.max(np.abs(m)))
+    scale = np.max(np.abs(m), axis=(-2, -1))
     defect = hermiticity_defect(m)
-    if defect > tol * max(scale, np.finfo(float).tiny):
+    bad = defect > tol * np.maximum(scale, np.finfo(float).tiny)
+    if np.any(bad):
+        k = np.argmax(bad)  # flat index of the first failing matrix
         raise ValueError(
-            f"{name} is not Hermitian: max|M - M^dag| = {defect:.3e} "
-            f"exceeds {tol:.1e} * max|M| = {tol * scale:.3e}"
+            f"{name} is not Hermitian: max|M - M^dag| = {defect.flat[k]:.3e} "
+            f"exceeds {tol:.1e} * max|M| = {tol * scale.flat[k]:.3e}"
         )
 
 
@@ -54,7 +57,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Transpose subsystem A of a bipartite operator.
+    """Transpose subsystem A of a bipartite operator, or of each one in a
+    stack (..., dimA*dimB, dimA*dimB).
 
     Block (i, j) of the result (blocks of size dimB x dimB) equals block
     (j, i) of the input.  Involutive, trace- and Hermiticity-preserving.
@@ -62,22 +66,20 @@ def partial_transpose(rho: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     rho = np.asarray(rho)
     da, db = int(dims[0]), int(dims[1])
     side = da * db
-    if rho.shape != (side, side):
+    if rho.shape[-2:] != (side, side):
         raise ValueError(
             f"partial_transpose: expected a {side}x{side} matrix for dims "
             f"{da}x{db}, got shape {rho.shape}"
         )
-    return (
-        rho.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(side, side)
-    )
+    return rho.reshape(rho.shape[:-2] + (da, db, da, db)).swapaxes(-4, -2).reshape(rho.shape)
 
 
 def hermitian_eigvals(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
+    """Ascending real eigenvalues of a Hermitian matrix, or of each matrix
+    in a stack (shape (..., n)).
 
-    The input must be Hermitian within ``tol`` (relative to its largest
+    Every input must be Hermitian within ``tol`` (relative to its largest
     entry); a violation raises ValueError reporting the defect.
     """
     require_hermitian(m, tol=tol, name="eigvals input")
     return np.linalg.eigvalsh(m)
-

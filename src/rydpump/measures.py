@@ -41,67 +41,76 @@ def chsh_operator(triplet_frame: bool = False) -> np.ndarray:
     )
 
 
-def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a pure target with a density matrix."""
+def _value(val: np.ndarray, rho: np.ndarray, what: str):
+    """Real part of a measure: a float for one state, an array for a stack.
+    An imaginary part beyond 1e-10 on any state raises ValueError."""
+    imag = np.max(np.abs(val.imag), initial=0.0)
+    if imag > 1e-10:
+        raise ValueError(f"{what} has imaginary part {imag:.2e}; rho not Hermitian?")
+    return float(val.real) if rho.ndim == 2 else val.real
+
+
+def fidelity(psi: np.ndarray, rho: np.ndarray):
+    """Overlap <psi|rho|psi> of a pure target with a density matrix, or
+    with each one in a stack (..., d, d)."""
     psi = np.asarray(psi, dtype=complex).ravel()
     rho = np.asarray(rho)
-    if rho.shape != (psi.size, psi.size):
+    if rho.shape[-2:] != (psi.size, psi.size):
         raise ValueError(
             f"dimension mismatch: state has {psi.size} components, rho has shape {rho.shape}"
         )
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"target state must be unit norm, got |psi| = {norm:.12g}")
-    val = complex(np.vdot(psi, rho @ psi))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"<psi|rho|psi> has imaginary part {val.imag:.2e}; rho not Hermitian?")
-    return float(val.real)
+    return _value(np.vecdot(psi, rho @ psi), rho, "<psi|rho|psi>")
 
 
-def chsh_correlation(rho: np.ndarray, triplet_frame: bool = False) -> float:
-    """Tr(O_CHSH rho) for a 9-level Bell-scheme density matrix.
+def chsh_correlation(rho: np.ndarray, triplet_frame: bool = False):
+    """Tr(O_CHSH rho) for a 9-level Bell-scheme density matrix, or for each
+    one in a stack (..., 9, 9).
 
     Values above 2 violate the Bell inequality; 2*sqrt(2) is the quantum
     maximum.  See chsh_operator for the triplet_frame switch.
     """
     rho = np.asarray(rho)
-    if rho.shape != (9, 9):
+    if rho.shape[-2:] != (9, 9):
         raise ValueError(f"CHSH correlation needs a 9x9 Bell-scheme state, got shape {rho.shape}")
-    val = complex(np.trace(chsh_operator(triplet_frame) @ rho))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"Tr(O rho) has imaginary part {val.imag:.2e}; rho not Hermitian?")
-    return float(val.real)
+    val = np.trace(chsh_operator(triplet_frame) @ rho, axis1=-2, axis2=-1)
+    return _value(val, rho, "Tr(O rho)")
 
 
-def negativity(rho: np.ndarray, dims: BipartiteDims) -> float:
-    """Entanglement negativity (||rho^T_A||_1 - 1) / 2.
+def negativity(rho: np.ndarray, dims: BipartiteDims):
+    """Entanglement negativity (||rho^T_A||_1 - 1) / 2 of a state, or of
+    each one in a stack (..., d, d).
 
     The equivalent form sum_j (|lambda_j| - lambda_j)/2 over the partial
     transpose spectrum is evaluated alongside as a permanent self-check;
     disagreement beyond 1e-10 raises RuntimeError.
     """
-    rho_pt = partial_transpose(rho, dims)
-    lam = hermitian_eigvals(rho_pt)
-    from_norm = (float(np.sum(np.abs(lam))) - 1.0) / 2.0
-    from_negatives = float(np.sum((np.abs(lam) - lam) / 2.0))
-    if abs(from_norm - from_negatives) > 1e-10:
+    lam = hermitian_eigvals(partial_transpose(rho, dims))
+    from_norm = (np.sum(np.abs(lam), axis=-1) - 1.0) / 2.0
+    from_negatives = np.sum((np.abs(lam) - lam) / 2.0, axis=-1)
+    disagree = np.abs(from_norm - from_negatives) > 1e-10
+    if np.any(disagree):
+        k = np.argmax(disagree)  # flat index of the first failing state
         raise RuntimeError(
-            f"negativity definitions disagree: trace-norm form {from_norm!r} vs "
-            f"negative-eigenvalue form {from_negatives!r} (is trace(rho) = 1?)"
+            f"negativity definitions disagree: trace-norm form {float(from_norm.flat[k])!r} vs "
+            f"negative-eigenvalue form {float(from_negatives.flat[k])!r} (is trace(rho) = 1?)"
         )
-    return from_norm
+    return float(from_norm) if lam.ndim == 1 else from_norm
 
 
 def populations(rho: np.ndarray, basis) -> np.ndarray:
-    """Diagonal expectations <b|rho|b> for a list of unit kets."""
+    """Diagonal expectations <b|rho|b> for a list of unit kets: shape
+    (len(basis),) for one state, (..., len(basis)) for a stack."""
     rho = np.asarray(rho)
-    out = np.empty(len(basis))
-    for k, b in enumerate(basis):
-        b = np.asarray(b, dtype=complex).ravel()
-        if rho.shape != (b.size, b.size):
+    kets = [np.asarray(b, dtype=complex).ravel() for b in basis]
+    for k, b in enumerate(kets):
+        if rho.shape[-2:] != (b.size, b.size):
             raise ValueError(
                 f"dimension mismatch: basis state {k} has {b.size} components, "
                 f"rho has shape {rho.shape}"
             )
-        out[k] = float(np.real(np.vdot(b, rho @ b)))
-    return out
+    kets = np.array(kets).reshape(len(kets), rho.shape[-1])
+    # matvec and vecdot repeat np.vdot(b, rho @ b) per state and ket, to the bit.
+    return np.vecdot(kets, np.matvec(rho[..., None, :, :], kets)).real

@@ -201,6 +201,30 @@ def test_json_format_mirrors_csv(tmp_path):
             assert str(got) == want
 
 
+def test_sweep_json_writes_null_for_failed_points(tmp_path):
+    # Omega = 0 leaves the ground manifold stationary: that point fails
+    out = tmp_path / "sweep.json"
+    code = run(["sweep", "--preset", "fig2", "--axis", "rabi-mhz", "0", "0.036", "2",
+                "--format", "json", "--out", str(out), "--no-timestamp"])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["columns"] == ["rabi_mhz", "fidelity", "error"]
+    (_, failed, err0), (_, fid, err1) = doc["rows"]
+    assert failed is None and "NonUniqueSteadyStateError" in err0
+    assert fid > 0.99 and err1 == ""
+
+
+@pytest.mark.parametrize("command", [["evolve", "--preset", "fig3"],
+                                     ["steady", "--preset", "fig2"]])
+def test_empty_outputs_rejected(command, capsys):
+    assert run(command + ["--outputs", ","]) == 2
+    assert "--outputs" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

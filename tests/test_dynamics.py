@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from scipy.linalg import expm
+
 from rydpump.dynamics import (
     ConvergenceError,
+    Liouvillian,
     NonUniqueSteadyStateError,
+    _check_physical,
     build_liouvillian,
     evolve,
     steady_state,
@@ -168,16 +172,39 @@ def test_evolve_expm_matches_adaptive(rng):
     assert max(trace_distance(x, y) for x, y in zip(a.states, b)) <= 1e-8
 
 
-def test_evolve_records_observables():
-    m = bell_model()
+def test_evolve_names_first_unphysical_sample():
+    # The negated generator of pure decay (Omega = omega = 0) keeps trace
+    # and Hermiticity but pumps population back into |rr>, driving the
+    # lower levels negative; the error names the first sample whose
+    # minimum eigenvalue, from an independent dense expm, is below -1e-6.
+    m = bell_model(rabi_optical=0.0, rabi_microwave_1=0.0)
     L = build_liouvillian(m)
-    s = m.state("S")
-    traj = evolve(L, m.initial_density("S"), np.linspace(0, 1e-3, 3),
-                  observables={"fid": lambda rho: fidelity(s, rho)},
-                  store_states=False)
-    assert traj.states is None and not traj.retained_full
-    assert traj.records["fid"].shape == (3,)
-    assert traj.records["fid"][0] == pytest.approx(1.0, abs=1e-12)
+    anti = Liouvillian(dim=L.dim, superop=-L.superop, gamma_scale=L.gamma_scale)
+    rho0 = m.initial_density("rr")
+    t = np.linspace(0.0, 2.5e-9, 11)
+    gen = -L.superop.toarray()
+    min_eigs = [np.linalg.eigvalsh(unvec(expm(gen * tk) @ vec(rho0), 9))[0] for tk in t]
+    first = int(np.argmax(np.array(min_eigs) < -1e-6))
+    assert 1 < first < t.size - 1
+    with pytest.raises(ConvergenceError, match="negative eigenvalue") as err:
+        evolve(anti, rho0, t)
+    assert str(err.value).endswith(f"at t = {t[first]:.6g} s")
+
+
+def test_check_physical_reports_earliest_sample_and_first_check():
+    t = np.array([0.0, 1.0, 2.0, 3.0])
+    states = np.stack([np.eye(2, dtype=complex) / 2] * 4)
+    states[2] = np.diag([1.2, -0.2])          # negative eigenvalue at t = 2
+    states[3, 0, 1] = 1e-3                     # Hermiticity defect at t = 3
+    with pytest.raises(ConvergenceError, match=r"negative eigenvalue .* at t = 2 s"):
+        _check_physical(states, t)
+    states[1] = np.diag([1.1, -0.2])          # trace and eigenvalue fail at t = 1
+    with pytest.raises(ConvergenceError, match=r"trace drifted by .* at t = 1 s"):
+        _check_physical(states, t)
+    states[1] = np.diag([0.5, 0.5])
+    states[1, 1, 0] = 2.0                      # Hermiticity and eigenvalue fail at t = 1
+    with pytest.raises(ConvergenceError, match=r"Hermiticity defect .* at t = 1 s"):
+        _check_physical(states, t)
 
 
 def test_evolve_rejects_bad_initial_states():
@@ -197,8 +224,6 @@ def test_evolve_rejects_bad_initial_states():
         evolve(L, good, np.array([1e-4, 2e-4]))
     with pytest.raises(ValueError, match="strictly increasing"):
         evolve(L, good, np.array([0.0, 1e-4, 1e-4]))
-    with pytest.raises(ValueError, match="observable"):
-        evolve(L, good, t, store_states=False)
 
 
 # ----------------------------------------------------------- steady states

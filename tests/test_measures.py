@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rydpump.linalg import BipartiteDims, kron
+from rydpump.linalg import BipartiteDims, hermitian_eigvals, kron, partial_transpose
 from rydpump.measures import (
     chsh_correlation,
     chsh_operator,
@@ -11,7 +11,9 @@ from rydpump.measures import (
     negativity,
     populations,
 )
-from rydpump.models import SchemeVariant, figure_preset, build_bell_model, build_qutrit_model
+from rydpump.models import (
+    SchemeVariant, build_bell_model, build_model, build_qutrit_model, figure_preset,
+)
 
 from conftest import random_density, random_unitary
 
@@ -180,3 +182,45 @@ def test_populations_completeness(rng):
 def test_populations_dimension_error():
     with pytest.raises(ValueError, match="dimension"):
         populations(np.eye(9) / 9, [np.ones(4) / 2])
+
+
+# ------------------------------------------------------------------ stacks
+
+@pytest.mark.parametrize("preset, target", [
+    ("fig2", "singlet"), ("fig2", "triplet"), ("fig5", "phi"), ("fig5", "phi_prime"),
+])
+def test_stacked_measures_match_per_state_loop(rng, preset, target):
+    pre = figure_preset(preset)
+    m = build_model(pre.params, SchemeVariant(pre.variant.scheme, target))
+    d, psi = m.dim, m.state(target)
+    kets = [ket for _, ket in m.population_basis()]
+    stack = np.array([random_density(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+    flat = stack.reshape(6, d, d)
+    frame = target == "triplet"
+    cases = [
+        (lambda r: fidelity(psi, r), True),
+        (lambda r: populations(r, kets), False),
+        (lambda r: negativity(r, m.dims), True),
+        (lambda r: partial_transpose(r, m.dims), False),
+        (lambda r: hermitian_eigvals(r), False),
+    ]
+    if m.variant.scheme == "bell":
+        cases.append((lambda r: chsh_correlation(r, triplet_frame=frame), True))
+    for measure, scalar in cases:
+        loop = [measure(rho) for rho in flat]
+        if scalar:
+            assert all(type(v) is float for v in loop)
+        got = measure(stack)
+        assert got.shape == (2, 3) + np.shape(loop[0])
+        assert np.max(np.abs(got.reshape(np.shape(loop)) - np.array(loop))) <= 1e-14
+
+    # one non-Hermitian member still fails every measure that checks
+    bad = flat.copy()
+    bad[4] = bad[4] + 1e-3j * np.outer(psi, psi.conj())
+    checked = [lambda r: fidelity(psi, r), lambda r: negativity(r, m.dims),
+               lambda r: hermitian_eigvals(r)]
+    if m.variant.scheme == "bell":
+        checked.append(lambda r: chsh_correlation(r, triplet_frame=frame))
+    for measure in checked:
+        with pytest.raises(ValueError, match="imaginary part|not Hermitian"):
+            measure(bad)
