@@ -22,7 +22,12 @@ model = build_bell_model(preset.params, preset.variant)
 liouv = build_liouvillian(model)
 
 rho, info = steady_state(liouv, return_info=True)
-print(f"null-space backend: residual {info['residual']:.2e}")
+print(f"null-space backend: residual {info['residual']:.2e}, "
+      f"error bound {info['error_bound']:.1e}")
+# The Liouvillian gap is the slowest relaxation rate towards the steady
+# state; 1/gap is the time scale of the preparation.
+print(f"  Liouvillian gap      = {info['gap']:.3f} 1/s"
+      f"   (relaxation time {1e3 / info['gap']:.1f} ms)")
 print(f"  fidelity <S|rho|S>   = {fidelity(model.state('S'), rho):.6f}")
 print(f"  CHSH correlation     = {chsh_correlation(rho):.4f}"
       f"   (classical bound 2, quantum maximum {2 * np.sqrt(2):.4f})")

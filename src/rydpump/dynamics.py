@@ -5,19 +5,21 @@ multiplication become Kronecker factors:
 
     vec(A rho B) = (B^T (x) A) vec(rho)
 
-and the generator of
+With the non-Hermitian effective Hamiltonian H_eff = H - (i/2) sum_k L_k^dag L_k,
+the generator of
 
-    d(rho)/dt = i[rho, H] + sum_k [ L_k rho L_k^dag
-                                    - (L_k^dag L_k rho + rho L_k^dag L_k)/2 ]
+    d(rho)/dt = -i H_eff rho + i rho H_eff^dag + sum_k L_k rho L_k^dag
 
-is assembled term by term as a sparse matrix acting on vectors of length
-dim^2.  The generator is time independent, so propagation reduces to
-powers of a single short-time propagator expm(L*dt).
+is the sparse matrix -i (I (x) H_eff) + i (conj(H_eff) (x) I) + sum_k conj(L_k) (x) L_k
+acting on vectors of length dim^2.  The generator is time independent,
+so propagation reduces to powers of a single short-time propagator
+expm(L*dt).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,20 @@ class ConvergenceError(RuntimeError):
 
 # Relative tolerance within which two propagation steps share one propagator.
 _STEP_SNAP_RTOL = 1e-8
+
+# A steady state is accepted when its error bound ||L vec(rho)||_2 / gap
+# is at most _ERROR_BOUND_MAX and its smallest eigenvalue is at least
+# _MIN_EIGENVALUE.  A residual alone does not certify it: ||L|| is set by
+# the detuning, about 1e4 times the relaxation rates.
+_ERROR_BOUND_MAX = 1e-8
+_MIN_EIGENVALUE = -1e-9
+
+# A gap at or below _GAP_FLOOR * eps * ||L||_1 is the rounding floor of a
+# computed eigenvalue: the stationary subspace is degenerate.
+_GAP_FLOOR = 1e3
+
+# e-folds after which the slowest mode has decayed below machine epsilon.
+_EPS_E_FOLDS = -math.log(np.finfo(float).eps)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -84,19 +100,15 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     """Assemble the master-equation generator of a SystemModel."""
     d = model.dim
     eye = sp.identity(d, dtype=complex, format="csr")
-    ham = sp.csr_matrix(model.hamiltonian)
-    # i[rho, H] = i (rho H - H rho)
-    gen = 1j * (sp.kron(ham.T, eye, format="csr") - sp.kron(eye, ham, format="csr"))
-    total_decay = np.zeros((d, d), dtype=complex)
-    for op in model.lindblads:
-        c = sp.csr_matrix(op)
-        cdc = (c.getH() @ c).tocsr()
-        gen = gen + sp.kron(c.conj(), c, format="csr") \
-            - 0.5 * sp.kron(eye, cdc, format="csr") \
-            - 0.5 * sp.kron(cdc.T, eye, format="csr")
-        total_decay += cdc.toarray()
-    rates = np.linalg.eigvalsh((total_decay + dagger(total_decay)) / 2)
-    gamma_scale = float(rates[-1]) if len(model.lindblads) else 0.0
+    jumps = [sp.csr_matrix(op) for op in model.lindblads]
+    decay = sum((c.getH() @ c for c in jumps), sp.csr_matrix((d, d), dtype=complex))
+    heff = sp.csr_matrix(model.hamiltonian) - 0.5j * decay
+    gen = -1j * sp.kron(eye, heff, format="csr") + 1j * sp.kron(heff.conj(), eye, format="csr")
+    for c in jumps:
+        gen = gen + sp.kron(c.conj(), c, format="csr")
+    decay = decay.toarray()
+    rates = np.linalg.eigvalsh((decay + dagger(decay)) / 2)
+    gamma_scale = float(rates[-1]) if jumps else 0.0
     return Liouvillian(dim=d, superop=gen.tocsr(), gamma_scale=gamma_scale)
 
 
@@ -207,119 +219,155 @@ def steady_state(
     *,
     method: str = "nullspace",
     rtol: float = 1e-8,
-    null_cutoff: float = 1e-10,
     max_doublings: int = 60,
     return_info: bool = False,
 ):
     """Solve L rho = 0 with unit trace.
 
+    Both backends factor L once by dense LU, with its first row (the
+    rho_00 equation) replaced by the trace functional.  The same factors
+    give the Liouvillian gap, the slowest relaxation rate -Re(lambda)
+    over the nonzero eigenvalues of L (Minganti et al., PRA 98, 042118):
+    on traceless vectors the bordered solve applies the Drazin inverse of
+    L, and its two eigenvalues mu of largest modulus (ARPACK) give
+    gap = min -Re(1/mu).  These belong to the modes of smallest |lambda|,
+    so a weakly damped mode that oscillates fast can be missed, and the
+    gap then reads high.  An exactly zero pivot, or a gap at the rounding
+    floor 1e3 * eps * ||L||_1, raises NonUniqueSteadyStateError.
+
     Backends
     --------
     "nullspace"
-        Dense SVD of the superoperator.  Detects a degenerate (non-unique)
-        steady state from a second near-null singular direction and raises
-        NonUniqueSteadyStateError.
+        The bordered solve with right-hand side e_0.
     "evolve"
-        Long-time propagation by repeated squaring of a short-time
-        propagator (step 1/gamma_scale, horizon doubled until the residual
-        criterion holds).  Converges to *a* steady state; it cannot detect
-        degeneracy on its own.
+        Propagation of I/dim by repeated squaring of expm(L/gamma_scale),
+        with the horizon doubled until exp(-gap * horizon) < eps.
 
-    Either backend returns rho with relative residual
-    ||L vec(rho)|| / (||L||_1 ||vec(rho)||) <= rtol, Hermitian, trace
-    exactly renormalized to 1; otherwise ConvergenceError reports the
-    achieved residual.  With return_info=True a dict with the backend
-    name, residual and diagnostics is returned alongside.
+    rho is returned Hermitian with trace exactly 1.  ConvergenceError is
+    raised when the relative residual ||L vec(rho)|| / (||L||_1 ||vec(rho)||)
+    exceeds rtol, when the error bound ||L vec(rho)||_2 / gap exceeds
+    1e-8, or when an eigenvalue of rho is below -1e-9.  With
+    return_info=True a dict with the backend name ("method"), "gap" (1/s),
+    "residual", "error_bound" and backend diagnostics is returned too.
     """
-    if method == "nullspace":
-        rho, info = _steady_nullspace(L, rtol, null_cutoff)
-    elif method == "evolve":
-        rho, info = _steady_evolve(L, rtol, max_doublings)
-    else:
+    if method not in ("nullspace", "evolve"):
         raise ValueError(f"unknown method {method!r}; expected 'nullspace' or 'evolve'")
+    if method == "evolve" and L.gamma_scale <= 0.0:
+        raise NonUniqueSteadyStateError(
+            "no dissipative channels: long-time propagation cannot converge"
+        )
+    lu = _bordered_lu(L)
+    gap = _liouvillian_gap(L, lu)
+    if method == "nullspace":
+        e0 = np.zeros(L.dim**2, dtype=complex)
+        e0[0] = 1.0
+        v = sla.lu_solve(lu, e0)
+        info = {"method": "nullspace"}
+    else:
+        v, info = _steady_evolve(L, gap, max_doublings)
+    info["gap"] = gap
+    rho, info = _finalize(L, v, rtol, info)
     return (rho, info) if return_info else rho
 
 
-def _residual(L: Liouvillian, v: np.ndarray) -> float:
-    scale = max(L.norm_1, np.finfo(float).tiny)
-    return float(np.linalg.norm(L.superop @ v) / (scale * np.linalg.norm(v)))
+def _bordered_lu(L: Liouvillian):
+    """LU factors of L with row 0 replaced by the trace functional."""
+    d = L.dim
+    mat = L.superop.toarray()
+    mat[0] = 0.0
+    mat[0, :: d + 1] = 1.0
+    with warnings.catch_warnings():
+        # An exactly zero pivot is reported below as non-uniqueness.
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu = sla.lu_factor(mat, overwrite_a=True)
+    zero = np.flatnonzero(np.diagonal(lu[0]) == 0.0)
+    if zero.size:
+        raise NonUniqueSteadyStateError(
+            f"non-unique steady state: {zero.size} exactly zero pivot(s) in the "
+            f"LU factors of the trace-bordered Liouvillian"
+        )
+    return lu
+
+
+def _liouvillian_gap(L: Liouvillian, lu) -> float:
+    """Smallest relaxation rate of L, from the trace-bordered LU factors."""
+    # Imported here: scipy.sparse.linalg would add to every CLI start-up.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
+    n = L.dim**2
+
+    def drazin(y):
+        # Solves L x = y - tr(y) e_0 with tr(x) = 0: on traceless y this is
+        # the Drazin inverse of L, whose eigenvalues are 1/lambda.
+        rhs = np.array(y, dtype=complex).reshape(n)
+        rhs[0] = 0.0
+        return sla.lu_solve(lu, rhs, check_finite=False)
+
+    # A fixed start vector makes the gap reproducible from run to run.
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    try:
+        mu = eigs(LinearOperator((n, n), matvec=drazin, dtype=complex), k=2, which="LM",
+                  v0=v0, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"Liouvillian gap: {exc}") from None
+    gap = float(np.min(-(1.0 / mu).real))
+    floor = _GAP_FLOOR * np.finfo(float).eps * L.norm_1
+    if gap <= floor:
+        raise NonUniqueSteadyStateError(
+            f"non-unique steady state: Liouvillian gap {gap:.3e} 1/s is at the "
+            f"rounding floor {floor:.1e} 1/s"
+        )
+    return gap
 
 
 def _finalize(L: Liouvillian, v: np.ndarray, rtol: float, info: dict):
+    """Hermitian unit-trace rho from v, certified by info["gap"]."""
     rho = unvec(v, L.dim)
     rho = (rho + dagger(rho)) / 2.0
-    tr = complex(np.trace(rho))
-    if abs(tr) < 1e-6 * np.linalg.norm(rho):
-        raise NonUniqueSteadyStateError(
-            "steady-state candidate is traceless; the stationary subspace is degenerate"
-        )
-    rho = rho / tr.real
-    res = _residual(L, vec(rho))
+    rho = rho / np.trace(rho).real
+    v = vec(rho)
+    defect = float(np.linalg.norm(L.superop @ v))
+    res = defect / float(max(L.norm_1, np.finfo(float).tiny) * np.linalg.norm(v))
+    bound = defect / info["gap"]
     info["residual"] = res
+    info["error_bound"] = bound
+    backend = info["method"]
     if res > rtol:
         raise ConvergenceError(
-            f"steady-state residual {res:.3e} exceeds tolerance {rtol:.1e} "
-            f"(backend {info['method']})"
+            f"steady-state residual {res:.3e} exceeds tolerance {rtol:.1e} (backend {backend})"
+        )
+    if bound > _ERROR_BOUND_MAX:
+        raise ConvergenceError(
+            f"steady-state error bound ||L rho|| / gap = {bound:.3e} exceeds "
+            f"{_ERROR_BOUND_MAX:.0e} (backend {backend})"
+        )
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < _MIN_EIGENVALUE:
+        raise ConvergenceError(
+            f"steady state has eigenvalue {min_eig:.3e} below {_MIN_EIGENVALUE:.0e} "
+            f"(backend {backend})"
         )
     return rho, info
 
 
-def _steady_nullspace(L: Liouvillian, rtol: float, null_cutoff: float):
-    mat = L.superop.toarray()
-    _, svals, vh = sla.svd(mat)
-    if svals[0] == 0.0:
-        raise NonUniqueSteadyStateError(
-            "non-unique steady state: zero Liouvillian, every state is stationary"
-        )
-    near_null = int(np.sum(svals <= null_cutoff * svals[0]))
-    if near_null == 0:
-        raise ConvergenceError(
-            f"no null direction found: smallest relative singular value "
-            f"{svals[-1] / svals[0]:.3e} exceeds cutoff {null_cutoff:.1e}"
-        )
-    if near_null > 1:
-        shown = ", ".join(f"{s / svals[0]:.1e}" for s in svals[-near_null:][:4])
-        if near_null > 4:
-            shown += ", ..."
-        raise NonUniqueSteadyStateError(
-            f"non-unique steady state: {near_null} singular directions below "
-            f"{null_cutoff:.1e} * sigma_max (relative values {shown})"
-        )
-    v = vh[-1].conj()
-    info = {"method": "nullspace", "second_smallest_rel": float(svals[-2] / svals[0])}
-    return _finalize(L, v, rtol, info)
-
-
-def _steady_evolve(L: Liouvillian, rtol: float, max_doublings: int):
-    if L.gamma_scale <= 0.0:
-        raise NonUniqueSteadyStateError(
-            "no dissipative channels: long-time propagation cannot converge"
-        )
+def _steady_evolve(L: Liouvillian, gap: float, max_doublings: int):
     if max_doublings < 1:
         raise ValueError(f"max_doublings must be >= 1, got {max_doublings}")
     d = L.dim
     dt = 1.0 / L.gamma_scale
+    # After k doublings the horizon is dt * (2^k - 1).
+    doublings = max(1, math.ceil(math.log2(_EPS_E_FOLDS / (gap * dt) + 1.0)))
+    if doublings > max_doublings:
+        raise ConvergenceError(
+            f"long-time propagation needs {doublings} horizon doublings to relax the "
+            f"slowest mode (gap {gap:.3e} 1/s), more than max_doublings = {max_doublings}"
+        )
     prop = sla.expm((L.superop * dt).toarray())
     v = vec(np.eye(d, dtype=complex) / d)
-    horizon = 0.0
-    res_prev = math.inf
-    res = _residual(L, v)
-    for k in range(max_doublings):
+    for k in range(doublings):
+        if k:
+            prop = prop @ prop
         v = prop @ v
-        horizon += dt * 2.0**k
         v = v / np.trace(unvec(v, d)).real  # guard against rounding drift
-        res = _residual(L, v)
-        # Once below tolerance, keep doubling to the numerical floor: stop
-        # when the residual no longer improves (or is already negligible).
-        if res <= rtol and (res <= 1e-13 or res > 0.25 * res_prev):
-            break
-        res_prev = res
-        prop = prop @ prop
-    else:
-        if res > rtol:
-            raise ConvergenceError(
-                f"long-time propagation did not converge: residual {res:.3e} after "
-                f"{max_doublings} doublings ({horizon:.3g} s of model time)"
-            )
-    info = {"method": "evolve", "doublings": k + 1, "model_time": horizon}
-    return _finalize(L, v, rtol, info)
+    info = {"method": "evolve", "doublings": doublings, "model_time": dt * (2.0**doublings - 1.0)}
+    return v, info

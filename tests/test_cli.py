@@ -44,6 +44,15 @@ def test_steady_degenerate_exit_code(capsys):
     assert "non-unique" in capsys.readouterr().err
 
 
+def test_steady_evolve_degenerate_exit_code(capsys):
+    # Long-time propagation converges to one of the stationary states; the
+    # gap certificate rejects it like the nullspace backend does.
+    code = run(["steady", "--scheme", "bell", "--rabi-mhz", "0",
+                "--microwave", "0", "--gamma-khz", "1.0", "--method", "evolve"])
+    assert code == 4
+    assert "non-unique" in capsys.readouterr().err
+
+
 def test_steady_zero_liouvillian_exit_code(capsys):
     code = run(["steady", "--scheme", "bell", "--rabi-mhz", "0", "--microwave", "0"])
     assert code == 4

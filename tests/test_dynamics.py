@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -9,6 +12,7 @@ from rydpump.dynamics import (
     Liouvillian,
     NonUniqueSteadyStateError,
     _check_physical,
+    _finalize,
     build_liouvillian,
     evolve,
     steady_state,
@@ -22,6 +26,8 @@ from rydpump.models import (
     SchemeVariant,
     SystemModel,
     build_bell_model,
+    build_model,
+    caption_params,
     figure_preset,
 )
 
@@ -39,6 +45,34 @@ def master_equation_rhs(h, lindblads, rho):
         cdc = cd @ c
         out = out + c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
     return out
+
+
+def kron_liouvillian(h, lindblads):
+    """Dense generator summed term by term from np.kron (independent oracle
+    for the sparse assembly)."""
+    eye = np.eye(h.shape[0])
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for c in lindblads:
+        cdc = c.conj().T @ c
+        gen = gen + np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
+    return gen
+
+
+def svd_steady_state(h, lindblads):
+    """Unit-trace state from the right singular vector of the smallest
+    singular value of the dense generator (oracle for the LU backend)."""
+    d = h.shape[0]
+    _, _, vh = np.linalg.svd(kron_liouvillian(h, lindblads))
+    rho = unvec(vh[-1].conj(), d)
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def dense_rates(h, lindblads):
+    """Relaxation rates -Re(lambda) of all eigenvalues, ascending, from a
+    dense eigvals (oracle for the ARPACK gap); the first is the stationary
+    eigenvalue and the second the gap."""
+    return np.sort(-np.linalg.eigvals(kron_liouvillian(h, lindblads)).real)
 
 
 def random_model(rng, dim_a=3, dim_b=3, n_lindblads=4):
@@ -83,6 +117,22 @@ def test_liouvillian_matches_dense_oracle(rng):
         want = master_equation_rhs(m.hamiltonian, m.lindblads, rho)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(L.apply(rho), got)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig6-point"])
+def test_liouvillian_matches_kron_formula(name, rng):
+    # -i(I kron H_eff) + i(conj(H_eff) kron I) + sum conj(c) kron c against the
+    # dense term-by-term formula: same entries, no stored zeros, same rates.
+    pre = figure_preset(name)
+    models = [build_model(pre.params, pre.variant), random_model(rng)]
+    for m in models:
+        L = build_liouvillian(m)
+        want = kron_liouvillian(m.hamiltonian, m.lindblads)
+        got = L.superop.toarray()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert L.superop.nnz == np.count_nonzero(want)
+        decay = sum(c.conj().T @ c for c in m.lindblads)
+        assert L.gamma_scale == pytest.approx(np.linalg.eigvalsh(decay)[-1], rel=1e-12)
 
 
 def test_liouvillian_preserves_hermiticity_and_trace(rng):
@@ -287,3 +337,80 @@ def test_steady_state_evolve_requires_dissipation():
     L = build_liouvillian(m)
     with pytest.raises(NonUniqueSteadyStateError, match="dissipative"):
         steady_state(L, method="evolve")
+
+
+def test_steady_state_matches_30_digit_solve():
+    # The trace-bordered system of the dense kron generator solved with
+    # 30-digit arithmetic: the LU state agrees to rounding level.
+    pre = figure_preset("fig2")
+    m = build_bell_model(pre.params, pre.variant)
+    mat = kron_liouvillian(m.hamiltonian, m.lindblads)
+    mat[0] = 0.0
+    mat[0, ::10] = 1.0
+    with mpmath.workdps(30):
+        x = mpmath.lu_solve(mpmath.matrix(mat.tolist()), mpmath.matrix([1] + [0] * 80))
+        ref = unvec(np.array([complex(x[i]) for i in range(81)]), 9)
+    rho = steady_state(build_liouvillian(m))
+    assert np.max(np.abs(rho - (ref + ref.conj().T) / 2)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig8a", "fig6-point"])
+def test_steady_state_matches_svd_and_gap_oracles(name):
+    pre = figure_preset(name)
+    m = build_model(pre.params, pre.variant)
+    rho, info = steady_state(build_liouvillian(m), return_info=True)
+    assert np.max(np.abs(rho - svd_steady_state(m.hamiltonian, m.lindblads))) <= 1e-9
+    assert info["gap"] == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1], rel=1e-7)
+    assert info["error_bound"] <= 1e-10
+
+
+def test_finalize_rejects_state_off_along_slowest_mode():
+    # fig6-point state plus 1 % (2-norm) along the slowest eigenmode: its
+    # relative residual (3.8e-9) passes rtol = 1e-8, but it is 1e-2 from
+    # the steady state and has an eigenvalue of -3.6e-3.
+    pre = figure_preset("fig6-point")
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    rho = steady_state(L)
+    lam, modes = np.linalg.eig(L.superop.toarray())
+    slow = np.argsort(-lam.real)[1]
+    x = unvec(modes[:, slow], L.dim)
+    x = (x + x.conj().T) / 2
+    v = vec(rho + 0.01 * np.linalg.norm(rho) * x / np.linalg.norm(x))
+    with pytest.raises(ConvergenceError, match="error bound"):
+        _finalize(L, v, 1e-8, {"method": "nullspace", "gap": -lam[slow].real})
+    # With a gap large enough to pass the bound, the negative eigenvalue fails.
+    with pytest.raises(ConvergenceError, match="eigenvalue -3.6"):
+        _finalize(L, v, 1e-8, {"method": "nullspace", "gap": 1e12})
+
+
+DEGENERATE = {
+    "zero": ("bell", dict()),
+    "decay-only": ("bell", dict(gamma_khz=1.0)),
+    "bell-Omega-0": ("bell", dict(microwave_mhz=1.44e-4, delta_mhz=3.435, gamma_khz=1.673)),
+    "qutrit-omega-0": ("qutrit", dict(rabi_mhz=0.055, delta_mhz=2.0, gamma_khz=1.0)),
+}
+
+
+@pytest.mark.parametrize("method", ["nullspace", "evolve"])
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_steady_state_degenerate_without_noise(case, method):
+    # Each of these generators has an exactly degenerate stationary
+    # subspace: an exactly zero pivot, reported without a warning.
+    scheme, caption = DEGENERATE[case]
+    target = "singlet" if scheme == "bell" else "phi"
+    L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant(scheme, target)))
+    want = "dissipative" if case == "zero" and method == "evolve" else "non-unique"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonUniqueSteadyStateError, match=want):
+            steady_state(L, method=method)
+
+
+def test_steady_state_bell_without_microwave_is_unique():
+    # omega = 0 with Omega > 0 pumps everything into |aa>: unique, with a
+    # slow but nonzero gap (2.3e-2 1/s), unlike the qutrit scheme.
+    m = bell_model(rabi_microwave_1=0.0)
+    rho, info = steady_state(build_liouvillian(m), return_info=True)
+    assert fidelity(m.state("aa"), rho) == pytest.approx(1.0, abs=1e-12)
+    assert info["gap"] == pytest.approx(2.3e-2, rel=0.01)
+    assert info["gap"] == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1], rel=1e-3)
