@@ -14,10 +14,20 @@ is the sparse matrix -i (I (x) H_eff) + i (conj(H_eff) (x) I) + sum_k conj(L_k) 
 acting on vectors of length dim^2.  The generator is time independent,
 so propagation reduces to powers of a single short-time propagator
 expm(L*dt).
+
+L maps Hermitian matrices to Hermitian matrices, so in an orthonormal
+Hermitian basis it is a real matrix (the coherence-vector form of a
+Lindblad generator).  The basis T (_hermitian_basis) takes |i><i| first,
+so the trace is the sum of the first dim coordinates, then
+(|i><j| + |j><i|)/sqrt2 and i(|j><i| - |i><j|)/sqrt2 for i < j.
+Liouvillian.real = T^dag L T holds the dense real form; evolve's expm,
+the steady-state LU and the gap work on it in real arithmetic, which
+costs about a third of the complex products.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -80,6 +90,7 @@ class Liouvillian:
     superop: sp.csr_matrix
     gamma_scale: float
     _norm_1: float | None = field(default=None, repr=False)
+    _real: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def norm_1(self) -> float:
@@ -91,9 +102,35 @@ class Liouvillian:
                 self._norm_1 = float(np.max(np.abs(self.superop).sum(axis=0)))
         return self._norm_1
 
+    @property
+    def real(self) -> np.ndarray:
+        """Dense real form T^dag L T in the Hermitian basis of _hermitian_basis."""
+        if self._real is None:
+            T = _hermitian_basis(self.dim)
+            self._real = (T.conj().T @ self.superop @ T).toarray().real
+        return self._real
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate d(rho)/dt for a dense density matrix."""
         return unvec(self.superop @ vec(rho), self.dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> sp.csc_matrix:
+    """Sparse unitary T whose columns are the vecs of an orthonormal
+    Hermitian basis: |i><i|, then (|i><j| + |j><i|)/sqrt2 and
+    i(|j><i| - |i><j|)/sqrt2 for i < j.  T maps real coordinates to the
+    vec of a Hermitian matrix, whose trace is the sum of the first d."""
+    i, j = np.triu_indices(d, k=1)
+    ij, ji = i + j * d, j + i * d  # vec positions of |i><j| and |j><i|
+    diag = np.arange(d) * (d + 1)
+    m = i.size
+    s = 1.0 / math.sqrt(2.0)
+    rows = np.concatenate([diag, ij, ji, ij, ji])
+    cols = np.concatenate([np.arange(d), np.tile(d + np.arange(m), 2),
+                           np.tile(d + m + np.arange(m), 2)])
+    vals = np.concatenate([np.ones(d), np.full(2 * m, s), np.full(m, -1j * s), np.full(m, 1j * s)])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
 def build_liouvillian(model: SystemModel) -> Liouvillian:
@@ -155,7 +192,10 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     """Propagate a density matrix over a time grid.
 
     Exact matrix-exponential propagators are applied per grid step (one
-    expm per distinct step size; local error at rounding level).  Trace,
+    expm per distinct step size; local error at rounding level).  They
+    act on the real coordinates of rho in the Hermitian basis (L.real),
+    so every state is exactly Hermitian; the stack is converted back to
+    matrices once at the end.  Trace,
     Hermiticity and positivity are verified at every grid point
     (ConvergenceError names the earliest violation).
 
@@ -187,19 +227,19 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
 
 
 def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Step through t with cached dense propagators expm(L*dt).
+    """Step through t with cached dense propagators expm(L.real*dt) on the
+    real coordinates of the Hermitian basis; return the vecs, (nt, dim^2).
 
     Step sizes within _STEP_SNAP_RTOL/||L||_1 of each other share one
     propagator; the induced local error ||L||*|dt - dt_ref| stays below
     _STEP_SNAP_RTOL per step.
     """
-    out = np.empty((t.size, v0.size), dtype=complex)
-    out[0] = v0
-    if t.size == 1:
-        return out
+    T = _hermitian_basis(L.dim)
+    x = (T.conj().T @ v0).real
+    out = np.empty((t.size, x.size))
+    out[0] = x
     snap = _STEP_SNAP_RTOL / max(L.norm_1, 1.0)
     cache: list = []  # (dt_ref, propagator)
-    v = v0
     for k, dt in enumerate(np.diff(t), start=1):
         prop = None
         for dt_ref, p in cache:
@@ -207,11 +247,13 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
                 prop = p
                 break
         if prop is None:
-            prop = sla.expm((L.superop * dt).toarray())
+            prop = sla.expm(L.real * dt)
             cache.append((dt, prop))
-        v = prop @ v
-        out[k] = v
-    return out
+        x = prop @ x
+        out[k] = x
+    # One change of basis for the whole stack; C order keeps each state
+    # contiguous, d^2 entries apart, as the measures expect.
+    return np.ascontiguousarray((T @ out.T).T)
 
 
 def steady_state(
@@ -224,8 +266,9 @@ def steady_state(
 ):
     """Solve L rho = 0 with unit trace.
 
-    Both backends factor L once by dense LU, with its first row (the
-    rho_00 equation) replaced by the trace functional.  The same factors
+    Both backends factor the real form L.real once by dense LU, with its
+    first row (the rho_00 equation) replaced by the trace functional, the
+    sum of the first dim coordinates.  The same factors
     give the Liouvillian gap, the slowest relaxation rate -Re(lambda)
     over the nonzero eigenvalues of L (Minganti et al., PRA 98, 042118):
     on traceless vectors the bordered solve applies the Drazin inverse of
@@ -238,10 +281,14 @@ def steady_state(
     Backends
     --------
     "nullspace"
-        The bordered solve with right-hand side e_0.
+        The bordered solve with right-hand side e_0, mapped back from
+        Hermitian-basis coordinates.
     "evolve"
         Propagation of I/dim by repeated squaring of expm(L/gamma_scale),
-        with the horizon doubled until exp(-gap * horizon) < eps.
+        with the horizon doubled until exp(-gap * horizon) < eps.  It
+        propagates the complex generator: the final Hermitian projection
+        then removes the anti-Hermitian half of the rounding error, which
+        the real form would leave in the state.
 
     rho is returned Hermitian with trace exactly 1.  ConvergenceError is
     raised when the relative residual ||L vec(rho)|| / (||L||_1 ||vec(rho)||)
@@ -259,9 +306,9 @@ def steady_state(
     lu = _bordered_lu(L)
     gap = _liouvillian_gap(L, lu)
     if method == "nullspace":
-        e0 = np.zeros(L.dim**2, dtype=complex)
+        e0 = np.zeros(L.dim**2)
         e0[0] = 1.0
-        v = sla.lu_solve(lu, e0)
+        v = _hermitian_basis(L.dim) @ sla.lu_solve(lu, e0)
         info = {"method": "nullspace"}
     else:
         v, info = _steady_evolve(L, gap, max_doublings)
@@ -271,11 +318,11 @@ def steady_state(
 
 
 def _bordered_lu(L: Liouvillian):
-    """LU factors of L with row 0 replaced by the trace functional."""
-    d = L.dim
-    mat = L.superop.toarray()
+    """LU factors of L.real with row 0 (the rho_00 equation) replaced by the
+    trace functional, the sum of the first dim coordinates."""
+    mat = L.real.copy()
     mat[0] = 0.0
-    mat[0, :: d + 1] = 1.0
+    mat[0, : L.dim] = 1.0
     with warnings.catch_warnings():
         # An exactly zero pivot is reported below as non-uniqueness.
         warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -290,7 +337,7 @@ def _bordered_lu(L: Liouvillian):
 
 
 def _liouvillian_gap(L: Liouvillian, lu) -> float:
-    """Smallest relaxation rate of L, from the trace-bordered LU factors."""
+    """Smallest relaxation rate of L, from the trace-bordered LU factors of L.real."""
     # Imported here: scipy.sparse.linalg would add to every CLI start-up.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
@@ -299,14 +346,14 @@ def _liouvillian_gap(L: Liouvillian, lu) -> float:
     def drazin(y):
         # Solves L x = y - tr(y) e_0 with tr(x) = 0: on traceless y this is
         # the Drazin inverse of L, whose eigenvalues are 1/lambda.
-        rhs = np.array(y, dtype=complex).reshape(n)
+        rhs = np.array(y, dtype=float).reshape(n)
         rhs[0] = 0.0
         return sla.lu_solve(lu, rhs, check_finite=False)
 
     # A fixed start vector makes the gap reproducible from run to run.
-    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        mu = eigs(LinearOperator((n, n), matvec=drazin, dtype=complex), k=2, which="LM",
+        mu = eigs(LinearOperator((n, n), matvec=drazin, dtype=float), k=2, which="LM",
                   v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"Liouvillian gap: {exc}") from None

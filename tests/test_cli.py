@@ -335,6 +335,16 @@ def test_import_leaves_out_scipy_integrate():
     assert done.stdout.strip() == "False"
 
 
+def test_import_leaves_out_scipy_sparse_linalg():
+    # The gap's ARPACK import stays inside the solve, off the start-up path.
+    src = str(Path(rydpump.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, rydpump.cli; print('scipy.sparse.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
+
+
 def test_reproduce_figures_resolve():
     # Every reproduce target resolves to a valid run without solving.
     assert sorted(_REPRODUCE) == [

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -13,6 +14,7 @@ from rydpump.dynamics import (
     NonUniqueSteadyStateError,
     _check_physical,
     _finalize,
+    _hermitian_basis,
     build_liouvillian,
     evolve,
     steady_state,
@@ -29,6 +31,7 @@ from rydpump.models import (
     build_model,
     caption_params,
     figure_preset,
+    find_figure,
 )
 
 from conftest import random_density, trace_distance
@@ -73,6 +76,55 @@ def dense_rates(h, lindblads):
     dense eigvals (oracle for the ARPACK gap); the first is the stationary
     eigenvalue and the second the gap."""
     return np.sort(-np.linalg.eigvals(kron_liouvillian(h, lindblads)).real)
+
+
+def dense_hermitian_basis(d):
+    """Columns vec(B) of |i><i|, (|i><j| + |j><i|)/sqrt2 and
+    i(|j><i| - |i><j|)/sqrt2 (i < j), built from outer products (oracle
+    for the sparse index arithmetic)."""
+    eye = np.eye(d)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    mats = [np.outer(eye[i], eye[i]) for i in range(d)]
+    mats += [(np.outer(eye[i], eye[j]) + np.outer(eye[j], eye[i])) / math.sqrt(2) for i, j in pairs]
+    mats += [1j * (np.outer(eye[j], eye[i]) - np.outer(eye[i], eye[j])) / math.sqrt(2)
+             for i, j in pairs]
+    return np.column_stack([vec(b) for b in mats])
+
+
+def complex_expm_states(L, rho0, t):
+    """States on a uniform grid t from the complex propagator
+    expm(superop*dt) applied to vec(rho0) step by step (the complex path,
+    kept as an oracle for the real-form propagation)."""
+    prop = expm((L.superop * (t[1] - t[0])).toarray())
+    out = [vec(rho0)]
+    for _ in t[1:]:
+        out.append(prop @ out[-1])
+    return unvec(np.array(out), L.dim)
+
+
+def longdouble_expm(a):
+    """expm(a) by Taylor series and scaling and squaring in np.longdouble."""
+    a = np.asarray(a, dtype=np.longdouble)
+    norm = float(np.max(np.abs(a).sum(axis=0)))
+    squarings = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0 else 0
+    a = a / np.longdouble(2) ** squarings
+    term = out = np.eye(a.shape[0], dtype=np.longdouble)
+    for k in range(1, 40):
+        term = term @ a / k
+        out = out + term
+        if np.max(np.abs(term)) <= np.finfo(np.longdouble).eps * 1e-3:
+            break
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def figure_run(name):
+    """Model, Liouvillian, initial state and time grid of a figure's evolve run."""
+    fig, pre = find_figure(name), figure_preset(name)
+    m = build_model(pre.params, pre.variant)
+    t = np.linspace(0.0, fig.t_max_ms * 1e-3, fig.samples)
+    return m, build_liouvillian(m), m.initial_density(fig.initial), t
 
 
 def random_model(rng, dim_a=3, dim_b=3, n_lindblads=4):
@@ -133,6 +185,36 @@ def test_liouvillian_matches_kron_formula(name, rng):
         assert L.superop.nnz == np.count_nonzero(want)
         decay = sum(c.conj().T @ c for c in m.lindblads)
         assert L.gamma_scale == pytest.approx(np.linalg.eigvalsh(decay)[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 9, 20])
+def test_hermitian_basis_is_unitary_onto_hermitian_matrices(d, rng):
+    T = _hermitian_basis(d)
+    assert np.array_equal(T.toarray(), dense_hermitian_basis(d))
+    assert np.max(np.diff(T.tocsc().indptr)) <= 2
+    assert np.max(np.abs((T.conj().T @ T).toarray() - np.eye(d * d))) <= 1e-15
+    x = rng.normal(size=(5, d * d))
+    rho = unvec((T @ x.T).T, d)
+    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    # The diagonal is the first d coordinates, so the trace is their sum.
+    assert np.array_equal(np.diagonal(rho, axis1=-2, axis2=-1), x[:, :d] + 0j)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig6-point", "random"])
+def test_real_form_is_liouvillian_in_hermitian_basis(name, rng):
+    if name == "random":
+        m = random_model(rng)
+    else:
+        pre = figure_preset(name)
+        m = build_model(pre.params, pre.variant)
+    L = build_liouvillian(m)
+    T = dense_hermitian_basis(m.dim)
+    want = T.conj().T @ L.superop.toarray() @ T
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(want.imag)) <= 1e-15 * scale
+    assert L.real.dtype == np.float64
+    assert np.max(np.abs(L.real - want.real)) <= 1e-15 * scale
+    assert L.real is L.real  # computed once
 
 
 def test_liouvillian_preserves_hermiticity_and_trace(rng):
@@ -220,6 +302,40 @@ def test_evolve_expm_matches_adaptive(rng):
     assert ref.success
     b = [unvec(v, 9) for v in ref.y.T]
     assert max(trace_distance(x, y) for x, y in zip(a.states, b)) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig5-inset"])
+def test_evolve_matches_complex_expm_path(name):
+    m, L, rho0, t = figure_run(name)
+    states = evolve(L, rho0, t).states
+    assert np.max(np.abs(states - complex_expm_states(L, rho0, t))) <= 2e-10
+
+
+def test_evolve_matches_longdouble_reference():
+    # The real generator, its propagator and the propagation all in
+    # extended precision at fig3 (301 samples over 300 ms).
+    m, L, rho0, t = figure_run("fig3")
+    T = dense_hermitian_basis(L.dim).astype(np.clongdouble)
+    gen = (T.conj().T @ L.superop.toarray().astype(np.clongdouble) @ T).real
+    prop = longdouble_expm(gen * (t[1] - t[0]))
+    x = (T.conj().T @ vec(rho0)).real
+    ref = [x]
+    for _ in t[1:]:
+        x = prop @ x
+        ref.append(x)
+    ref = unvec((np.array(ref) @ T.T).astype(complex), L.dim)
+    assert np.max(np.abs(evolve(L, rho0, t).states - ref)) <= 2e-10
+
+
+def test_evolve_states_are_contiguous_per_state():
+    # Each state is one contiguous block, d^2 complex entries after the
+    # previous one; the stacked measures are several times slower on a
+    # strided stack.
+    m, L, rho0, t = figure_run("fig2-inset")
+    d = L.dim
+    states = evolve(L, rho0, t[:7]).states
+    assert states.strides == (d * d * 16, 16, d * 16)
+    assert states.swapaxes(-1, -2).flags.c_contiguous
 
 
 def test_evolve_names_first_unphysical_sample():
@@ -312,6 +428,21 @@ def test_steady_state_is_fixed_point_of_evolution():
     rho = steady_state(L)
     later = evolve(L, rho, np.array([0.0, 5e-3])).states[-1]
     assert trace_distance(rho, later) <= 1e-9
+
+
+@pytest.mark.parametrize("urr_mhz, delta_mhz", [(2.0, 0.9), (3.0, 1.35)])
+def test_steady_evolve_backend_off_resonance(urr_mhz, delta_mhz):
+    # Delta 10 % below U_rr/2 at fig6-point: slow gaps (about 0.05 1/s).
+    # The evolve backend propagates the complex generator and reaches error
+    # bounds of 4.4e-9 to 5.8e-9 here.  Propagating the real form instead
+    # leaves all rounding error in the Hermitian part, which the Hermitian
+    # projection cannot remove: 8.4e-9 to 9.2e-9 here, and above the 1e-8
+    # certificate at nearby off-resonant points.
+    caption = dict(find_figure("fig6-point").caption, urr_mhz=urr_mhz, delta_mhz=delta_mhz)
+    L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant("qutrit", "phi")))
+    rho, info = steady_state(L, method="evolve", return_info=True)
+    assert info["error_bound"] <= 7e-9
+    assert np.max(np.abs(rho - steady_state(L))) <= 1e-8
 
 
 def test_steady_state_unique_for_all_presets():
