@@ -6,8 +6,9 @@ plain rate in kHz (--gamma-angular reads it as 2*pi*kHz instead).  When
 only one of --delta-mhz / --urr-mhz is given the other follows from
 U_rr = 2*Delta.
 
-Exit codes: 0 success, 2 invalid specification, 3 numerical failure,
-4 non-unique steady state.
+Exit codes: 0 success, 2 invalid specification (also a config file that
+cannot be read or an output path that cannot be written), 3 numerical
+failure, 4 non-unique steady state.
 """
 
 from __future__ import annotations
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     except dynamics.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC
 

@@ -133,20 +133,72 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
     return sp.csc_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
+def _pairs(ga: np.ndarray, gb: np.ndarray):
+    """Index pairs (e, f) with ga[e] == gb[f], ordered by e and then f,
+    for sorted group labels ga and gb."""
+    start = np.searchsorted(gb, ga)
+    size = np.searchsorted(gb, ga, side="right") - start
+    e = np.repeat(np.arange(ga.size), size)
+    f = np.arange(e.size) + np.repeat(start + size - np.cumsum(size), size)
+    return e, f
+
+
+def _decay_operator(c: np.ndarray) -> np.ndarray:
+    """sum_k c_k^dag c_k of a stack of jump operators, rounded exactly as
+    scipy.sparse rounds the sum of c^dag @ c: over the rows of each operator
+    in order, then over the operators, each product as (ar br - ai bi,
+    ar bi + ai br).  numpy's complex multiply may fuse these and round
+    otherwise."""
+    n_ops, d, _ = c.shape
+    op, row, col = np.nonzero(c)
+    # Every pair of entries in one row of one operator: conj(c[row, i]) c[row, l].
+    e, f = _pairs(op * d + row, op * d + row)
+    val = c[op, row, col]
+    a, b = val[e], val[f]
+    prod = np.empty(e.size, dtype=complex)
+    prod.real = a.real * b.real + a.imag * b.imag
+    prod.imag = a.real * b.imag - a.imag * b.real
+    per_op = np.zeros((n_ops, d, d), dtype=complex)
+    np.add.at(per_op, (op[e], col[e], col[f]), prod)  # repeated indices add in order
+    return per_op.sum(axis=0)
+
+
 def build_liouvillian(model: SystemModel) -> Liouvillian:
-    """Assemble the master-equation generator of a SystemModel."""
+    """Assemble the master-equation generator of a SystemModel.
+
+    Each term, -i(I (x) H_eff), i(conj(H_eff) (x) I) and conj(c) (x) c per
+    jump in order, is the Kronecker product of two dense dim x dim
+    operators A and B.  Every pair of nonzero entries A[ai, aj], B[bi, bj]
+    gives the COO triplet (ai*dim + bi, aj*dim + bj, A[ai, aj]*B[bi, bj]);
+    one CSR conversion sums the triplets of each entry in term order, and
+    exact zeros are dropped.  Entry for entry this is the generator that
+    sparse Kronecker products and sparse additions give, without their
+    per-call cost.
+    """
     d = model.dim
-    eye = sp.identity(d, dtype=complex, format="csr")
-    jumps = [sp.csr_matrix(op) for op in model.lindblads]
-    decay = sum((c.getH() @ c for c in jumps), sp.csr_matrix((d, d), dtype=complex))
-    heff = sp.csr_matrix(model.hamiltonian) - 0.5j * decay
-    gen = -1j * sp.kron(eye, heff, format="csr") + 1j * sp.kron(heff.conj(), eye, format="csr")
-    for c in jumps:
-        gen = gen + sp.kron(c.conj(), c, format="csr")
-    decay = decay.toarray()
+    c = np.asarray(model.lindblads, dtype=complex).reshape(-1, d, d)
+    decay = _decay_operator(c)
+    heff = np.asarray(model.hamiltonian, dtype=complex) - 0.5j * decay
+    eye = np.eye(d, dtype=complex)
+    # Term t is scale[t] * kron(left[t], right[t]).
+    left = np.concatenate([[eye, heff.conj()], c.conj()])
+    right = np.concatenate([[heff, eye], c])
+    scale = np.array([-1j, 1j] + [1.0] * len(c))
+    ta, ai, aj = np.nonzero(left)
+    tb, bi, bj = np.nonzero(right)
+    e, f = _pairs(ta, tb)
+    rows = ai[e] * d + bi[f]
+    cols = aj[e] * d + bj[f]
+    vals = left[ta, ai, aj][e] * right[tb, bi, bj][f] * scale[ta][e]
+    # A stable sort by position leaves each entry's triplets in term order
+    # and the column indices sorted, so scipy skips its own (unstable) sort
+    # and sums the triplets of an entry left to right.
+    order = np.argsort(rows * d * d + cols, kind="stable")
+    gen = sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(d * d, d * d))
+    gen.eliminate_zeros()
     rates = np.linalg.eigvalsh((decay + dagger(decay)) / 2)
-    gamma_scale = float(rates[-1]) if jumps else 0.0
-    return Liouvillian(dim=d, superop=gen.tocsr(), gamma_scale=gamma_scale)
+    gamma_scale = float(rates[-1]) if len(c) else 0.0
+    return Liouvillian(dim=d, superop=gen, gamma_scale=gamma_scale)
 
 
 @dataclass
@@ -342,13 +394,15 @@ def _liouvillian_gap(L: Liouvillian, lu) -> float:
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     n = L.dim**2
+    # LAPACK directly: lu_solve's checks cost more than an 81-entry solve.
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu[0],))
 
     def drazin(y):
         # Solves L x = y - tr(y) e_0 with tr(x) = 0: on traceless y this is
         # the Drazin inverse of L, whose eigenvalues are 1/lambda.
         rhs = np.array(y, dtype=float).reshape(n)
         rhs[0] = 0.0
-        return sla.lu_solve(lu, rhs, check_finite=False)
+        return getrs(lu[0], lu[1], rhs, overwrite_b=True)[0]
 
     # A fixed start vector makes the gap reproducible from run to run.
     v0 = np.random.default_rng(0).standard_normal(n)

@@ -201,21 +201,12 @@ _STATE_ALIASES = {
 }
 
 
-def _ket(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def _product_states(labels_a, labels_b) -> dict:
-    da, db = len(labels_a), len(labels_b)
-    out = {}
-    for i, la in enumerate(labels_a):
-        for j, lb in enumerate(labels_b):
-            out[f"{la}{lb}"] = kron(
-                _ket(da, i).reshape(-1, 1), _ket(db, j).reshape(-1, 1)
-            ).ravel()
-    return out
+    """Product kets |la lb>: the rows of the identity, in kron order, each
+    its own copy."""
+    eye = np.eye(len(labels_a) * len(labels_b), dtype=complex)
+    labels = [f"{la}{lb}" for la in labels_a for lb in labels_b]
+    return {label: row.copy() for label, row in zip(labels, eye)}
 
 
 def _check_model(model: SystemModel) -> SystemModel:

@@ -234,6 +234,21 @@ def test_empty_outputs_rejected(command, capsys):
     assert "--outputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["steady", "--config", "{tmp}/missing.cfg"],
+    ["steady", "--preset", "fig2", "--out", "{tmp}/no/such/dir/x.csv"],
+    ["reproduce", "fig3", "--out-dir", "{tmp}/no/such/dir"],
+], ids=["config", "out", "out-dir"])
+def test_file_errors_are_invalid_specifications(command, tmp_path, capsys):
+    # A file that cannot be read or written is a bad specification: exit 2
+    # with a one-line message, not a traceback.
+    code = run([arg.format(tmp=tmp_path) for arg in command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not (tmp_path / "no").exists()
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

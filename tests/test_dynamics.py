@@ -4,26 +4,30 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_solve
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from rydpump.dynamics import (
     ConvergenceError,
     Liouvillian,
     NonUniqueSteadyStateError,
+    _bordered_lu,
     _check_physical,
     _finalize,
     _hermitian_basis,
+    _liouvillian_gap,
     build_liouvillian,
     evolve,
     steady_state,
     unvec,
     vec,
 )
-from rydpump.linalg import BipartiteDims
+from rydpump.linalg import BipartiteDims, dagger
 from rydpump.measures import fidelity
 from rydpump.models import (
+    PRESET_NAMES,
     ModelParams,
     SchemeVariant,
     SystemModel,
@@ -59,6 +63,40 @@ def kron_liouvillian(h, lindblads):
         cdc = c.conj().T @ c
         gen = gen + np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
     return gen
+
+
+def sparse_kron_liouvillian(model):
+    """Superoperator and gamma_scale from sp.kron products summed by sparse
+    additions (oracle for build_liouvillian's COO triplets, which must give
+    the same entries bit for bit)."""
+    d = model.dim
+    eye = sp.identity(d, dtype=complex, format="csr")
+    jumps = [sp.csr_matrix(op) for op in model.lindblads]
+    decay = sum((c.getH() @ c for c in jumps), sp.csr_matrix((d, d), dtype=complex))
+    heff = sp.csr_matrix(model.hamiltonian) - 0.5j * decay
+    gen = -1j * sp.kron(eye, heff, format="csr") + 1j * sp.kron(heff.conj(), eye, format="csr")
+    for c in jumps:
+        gen = gen + sp.kron(c.conj(), c, format="csr")
+    decay = decay.toarray()
+    rates = np.linalg.eigvalsh((decay + dagger(decay)) / 2)
+    return gen.tocsr(), float(rates[-1]) if jumps else 0.0
+
+
+def lu_solve_gap(L):
+    """Gap from ARPACK on the Drazin operator applied by scipy's lu_solve,
+    with the v0, k and which of _liouvillian_gap (oracle for its LAPACK
+    getrs calls)."""
+    lu, n = _bordered_lu(L), L.dim**2
+
+    def drazin(y):
+        rhs = np.array(y, dtype=float).reshape(n)
+        rhs[0] = 0.0
+        return lu_solve(lu, rhs, check_finite=False)
+
+    v0 = np.random.default_rng(0).standard_normal(n)
+    mu = eigs(LinearOperator((n, n), matvec=drazin, dtype=float), k=2, which="LM",
+              v0=v0, return_eigenvectors=False)
+    return float(np.min(-(1.0 / mu).real))
 
 
 def svd_steady_state(h, lindblads):
@@ -158,6 +196,56 @@ def test_liouvillian_zero_model():
     L = build_liouvillian(m)
     assert L.superop.nnz == 0
     assert L.norm_1 == 0.0
+    assert L.gamma_scale == 0.0
+
+
+def test_liouvillian_without_jumps():
+    m = random_model(np.random.default_rng(3), n_lindblads=0)
+    m.hamiltonian[:] = 0.0
+    L = build_liouvillian(m)
+    assert (L.superop.shape, L.superop.nnz, L.gamma_scale) == ((81, 81), 0, 0.0)
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("random",))
+def test_liouvillian_matches_sparse_kron_chain(name):
+    # The COO triplets give the entries that sp.kron products and sparse
+    # additions give, bit for bit, with the same rounding of sum c^dag c.
+    if name == "random":
+        rng = np.random.default_rng(11)
+        models = [random_model(rng, n_lindblads=n) for n in (0, 1, 4, 7)]
+    else:
+        pre = figure_preset(name)
+        models = [build_model(pre.params, pre.variant)]
+    for m in models:
+        L = build_liouvillian(m)
+        want, gamma_scale = sparse_kron_liouvillian(m)
+        assert_same_csr(L.superop, want)
+        assert L.gamma_scale == gamma_scale
+
+
+def test_liouvillian_drops_terms_that_cancel():
+    # With H diagonal and one jump sqrt(g) I, the decay terms cancel exactly
+    # (-g/2 - g/2 + g) on every diagonal entry and the Hamiltonian terms
+    # cancel where the two levels agree: d of the d^2 entries are exact zeros.
+    d = 6
+    h = np.diag(np.arange(1.0, d + 1.0)).astype(complex)
+    m = SystemModel(dims=BipartiteDims(2, 3), hamiltonian=h,
+                    lindblads=(np.sqrt(0.5) * np.eye(d, dtype=complex),),
+                    basis_labels=(("x",) * 2, ("x",) * 3), named_states={},
+                    variant=BELL, params=ModelParams(1, 1, 1, 1, 1))
+    L = build_liouvillian(m)
+    dense = kron_liouvillian(m.hamiltonian, m.lindblads)
+    assert L.superop.nnz == np.count_nonzero(dense) == d * d - d
+    assert np.array_equal(L.superop.toarray(), dense)
+    assert_same_csr(L.superop, sparse_kron_liouvillian(m)[0])
 
 
 def test_liouvillian_matches_dense_oracle(rng):
@@ -493,6 +581,15 @@ def test_steady_state_matches_svd_and_gap_oracles(name):
     assert np.max(np.abs(rho - svd_steady_state(m.hamiltonian, m.lindblads))) <= 1e-9
     assert info["gap"] == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1], rel=1e-7)
     assert info["error_bound"] <= 1e-10
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_gap_matches_lu_solve_oracle(name):
+    # getrs on the LU factors gives the same Drazin products as lu_solve, so
+    # ARPACK takes the same steps and returns the same gap, bit for bit.
+    pre = figure_preset(name)
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    assert _liouvillian_gap(L, _bordered_lu(L)) == lu_solve_gap(L)
 
 
 def test_finalize_rejects_state_off_along_slowest_mode():

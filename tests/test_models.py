@@ -225,6 +225,28 @@ def test_named_states_unit_norm():
             assert abs(np.linalg.norm(ket) - 1.0) <= 1e-12, name
 
 
+@pytest.mark.parametrize("scheme", ["bell", "qutrit"])
+def test_product_states_match_kron_formula(scheme):
+    if scheme == "bell":
+        m = build_bell_model(bell_params(), BELL)
+    else:
+        m = build_qutrit_model(qutrit_params(), QUTRIT)
+    labels_a, labels_b = m.basis_labels
+    da, db = len(labels_a), len(labels_b)
+    eye_a, eye_b = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
+    products = [f"{la}{lb}" for la in labels_a for lb in labels_b]
+    for i, la in enumerate(labels_a):
+        for j, lb in enumerate(labels_b):
+            ket = m.named_states[f"{la}{lb}"]
+            assert ket.dtype == complex
+            assert np.array_equal(ket, np.kron(eye_a[i], eye_b[j]))
+    # Each ket owns its data: writing to one leaves the others unchanged.
+    before = {name: m.named_states[name].copy() for name in m.named_states}
+    m.named_states[products[0]][:] = 7.0
+    for name in products[1:] + [n for n in m.named_states if n not in products]:
+        assert np.array_equal(m.named_states[name], before[name]), name
+
+
 def test_initial_density_mixtures():
     m = build_bell_model(bell_params(), BELL)
     rho = m.initial_density("mix4")
