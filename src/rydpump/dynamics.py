@@ -21,8 +21,8 @@ Lindblad generator).  The basis T (_hermitian_basis) takes |i><i| first,
 so the trace is the sum of the first dim coordinates, then
 (|i><j| + |j><i|)/sqrt2 and i(|j><i| - |i><j|)/sqrt2 for i < j.
 Liouvillian.real = T^dag L T holds the dense real form; evolve's expm,
-the steady-state LU and the gap work on it in real arithmetic, which
-costs about a third of the complex products.
+the steady-state LU, its error certificate and the gap work on it in
+real arithmetic, which costs about a third of the complex products.
 """
 
 from __future__ import annotations
@@ -51,15 +51,25 @@ class ConvergenceError(RuntimeError):
 # Relative tolerance within which two propagation steps share one propagator.
 _STEP_SNAP_RTOL = 1e-8
 
-# A steady state is accepted when its error bound ||L vec(rho)||_2 / gap
+# A steady state is accepted when its error bound ||L^D||_2 ||L vec(rho)||_2
 # is at most _ERROR_BOUND_MAX and its smallest eigenvalue is at least
-# _MIN_EIGENVALUE.  A residual alone does not certify it: ||L|| is set by
-# the detuning, about 1e4 times the relaxation rates.
+# _MIN_EIGENVALUE.  The error rho - rho_ss is traceless, so it equals
+# L^D (L vec(rho)) exactly, L^D being the Drazin inverse; the bound holds
+# for any L, normal or not.  A residual alone does not certify a state:
+# ||L|| is set by the detuning, about 1e4 times the relaxation rates.
 _ERROR_BOUND_MAX = 1e-8
 _MIN_EIGENVALUE = -1e-9
 
-# A gap at or below _GAP_FLOOR * eps * ||L||_1 is the rounding floor of a
-# computed eigenvalue: the stationary subspace is degenerate.
+# ||L^D||_2 is estimated by power iteration, stopped once two consecutive
+# estimates agree to _DRAZIN_RTOL or after _DRAZIN_STEPS steps.  Power
+# iteration converges from below; _DRAZIN_MARGIN covers what is left.
+_DRAZIN_RTOL = 1e-3
+_DRAZIN_STEPS = 8
+_DRAZIN_MARGIN = 1.05
+
+# A rate (the gap, or 1/||L^D||_2) at or below _GAP_FLOOR * eps * ||L||_1
+# is the rounding floor of a computed eigenvalue: the stationary subspace
+# is degenerate.
 _GAP_FLOOR = 1e3
 
 # e-folds after which the slowest mode has decayed below machine epsilon.
@@ -96,18 +106,30 @@ class Liouvillian:
     def norm_1(self) -> float:
         """Exact 1-norm of the superoperator (max column abs sum)."""
         if self._norm_1 is None:
-            if self.superop.nnz == 0:
-                self._norm_1 = 0.0
-            else:
-                self._norm_1 = float(np.max(np.abs(self.superop).sum(axis=0)))
+            s = self.superop
+            sums = np.bincount(s.indices, np.abs(s.data), minlength=self.dim**2)
+            self._norm_1 = float(sums.max())
         return self._norm_1
 
     @property
     def real(self) -> np.ndarray:
-        """Dense real form T^dag L T in the Hermitian basis of _hermitian_basis."""
+        """Dense real form T^dag L T in the Hermitian basis of _hermitian_basis.
+
+        Each stored entry L[r, c] adds Re(conj(T[r, k]) L[r, c] T[c, l]) to
+        R[k, l] for the at most 2 entries of rows r and c of T.  Every such
+        factor of T is real or imaginary, so each product rounds once per
+        factor whatever the order of the complex arithmetic."""
         if self._real is None:
-            T = _hermitian_basis(self.dim)
-            self._real = (T.conj().T @ self.superop @ T).toarray().real
+            n = self.dim**2
+            s = self.superop
+            col, coef = _hermitian_rows(self.dim)
+            r = np.repeat(np.arange(n), np.diff(s.indptr))
+            c = s.indices
+            # take(axis=1) keeps the (2, nnz) results C-contiguous.
+            x = coef.take(r, axis=1).conj() * s.data
+            terms = (x[:, None] * coef.take(c, axis=1)).real
+            keys = col.take(r, axis=1)[:, None] * n + col.take(c, axis=1)
+            self._real = np.bincount(keys.ravel(), terms.ravel(), minlength=n * n).reshape(n, n)
         return self._real
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -131,6 +153,22 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
                            np.tile(d + m + np.arange(m), 2)])
     vals = np.concatenate([np.ones(d), np.full(2 * m, s), np.full(m, -1j * s), np.full(m, 1j * s)])
     return sp.csc_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_rows(d: int):
+    """The rows of _hermitian_basis(d) as read-only (2, d^2) arrays of
+    column indices and entries: row r of T is coef[0, r] at col[0, r] plus
+    coef[1, r] at col[1, r].  A diagonal position's second entry is 0."""
+    T = _hermitian_basis(d).tocsr()
+    first = T.indptr[:-1]
+    two = np.flatnonzero(np.diff(T.indptr) == 2)
+    col = np.zeros((2, d * d), dtype=np.intp)
+    coef = np.zeros((2, d * d), dtype=complex)
+    col[0], coef[0] = T.indices[first], T.data[first]
+    col[1, two], coef[1, two] = T.indices[first[two] + 1], T.data[first[two] + 1]
+    col.flags.writeable = coef.flags.writeable = False
+    return col, coef
 
 
 def _pairs(ga: np.ndarray, gb: np.ndarray):
@@ -320,15 +358,23 @@ def steady_state(
 
     Both backends factor the real form L.real once by dense LU, with its
     first row (the rho_00 equation) replaced by the trace functional, the
-    sum of the first dim coordinates.  The same factors
-    give the Liouvillian gap, the slowest relaxation rate -Re(lambda)
-    over the nonzero eigenvalues of L (Minganti et al., PRA 98, 042118):
-    on traceless vectors the bordered solve applies the Drazin inverse of
-    L, and its two eigenvalues mu of largest modulus (ARPACK) give
-    gap = min -Re(1/mu).  These belong to the modes of smallest |lambda|,
-    so a weakly damped mode that oscillates fast can be missed, and the
-    gap then reads high.  An exactly zero pivot, or a gap at the rounding
-    floor 1e3 * eps * ||L||_1, raises NonUniqueSteadyStateError.
+    sum of the first dim coordinates.  On traceless vectors the bordered
+    solve applies the Drazin inverse L^D, and the same factors certify
+    the state: its error rho - rho_ss = L^D (L vec(rho)) is at most
+    ||L^D||_2 ||L vec(rho)||_2, with ||L^D||_2 on the traceless subspace
+    estimated by power iteration (group-inverse perturbation theory,
+    Meyer, SIAM Rev. 17, 443 (1975)).  An exactly zero pivot, or
+    1/||L^D||_2 at the rounding floor 1e3 * eps * ||L||_1, raises
+    NonUniqueSteadyStateError.
+
+    The Liouvillian gap, the slowest relaxation rate -Re(lambda) over the
+    nonzero eigenvalues of L (Minganti et al., PRA 98, 042118), is
+    computed only where it is read: for the "evolve" horizon and for
+    return_info.  ARPACK takes the two eigenvalues mu of largest modulus
+    of L^D from the same factors, and gap = min -Re(1/mu).  These belong
+    to the modes of smallest |lambda|, so a weakly damped mode that
+    oscillates fast can be missed, and the gap then reads high.  A gap
+    at the rounding floor raises NonUniqueSteadyStateError too.
 
     Backends
     --------
@@ -344,10 +390,11 @@ def steady_state(
 
     rho is returned Hermitian with trace exactly 1.  ConvergenceError is
     raised when the relative residual ||L vec(rho)|| / (||L||_1 ||vec(rho)||)
-    exceeds rtol, when the error bound ||L vec(rho)||_2 / gap exceeds
+    exceeds rtol, when the error bound ||L^D||_2 ||L vec(rho)||_2 exceeds
     1e-8, or when an eigenvalue of rho is below -1e-9.  With
     return_info=True a dict with the backend name ("method"), "gap" (1/s),
-    "residual", "error_bound" and backend diagnostics is returned too.
+    "drazin_norm" (the bound on ||L^D||_2, in s), "residual",
+    "error_bound" and backend diagnostics is returned too.
     """
     if method not in ("nullspace", "evolve"):
         raise ValueError(f"unknown method {method!r}; expected 'nullspace' or 'evolve'")
@@ -356,7 +403,8 @@ def steady_state(
             "no dissipative channels: long-time propagation cannot converge"
         )
     lu = _bordered_lu(L)
-    gap = _liouvillian_gap(L, lu)
+    drazin_norm = _drazin_norm(L, lu)
+    gap = _liouvillian_gap(L, lu) if method == "evolve" or return_info else None
     if method == "nullspace":
         e0 = np.zeros(L.dim**2)
         e0[0] = 1.0
@@ -364,7 +412,9 @@ def steady_state(
         info = {"method": "nullspace"}
     else:
         v, info = _steady_evolve(L, gap, max_doublings)
-    info["gap"] = gap
+    if gap is not None:
+        info["gap"] = gap
+    info["drazin_norm"] = drazin_norm
     rho, info = _finalize(L, v, rtol, info)
     return (rho, info) if return_info else rho
 
@@ -386,6 +436,45 @@ def _bordered_lu(L: Liouvillian):
             f"LU factors of the trace-bordered Liouvillian"
         )
     return lu
+
+
+def _drazin_norm(L: Liouvillian, lu) -> float:
+    """||L^D||_2 on traceless vectors, in seconds, from the trace-bordered
+    LU factors of L.real: a power-iteration estimate times _DRAZIN_MARGIN.
+
+    The operator is P B^-1 E P: E zeroes entry 0, B^-1 is the bordered
+    solve and P projects out the trace.  Its adjoint P E B^-T P is the
+    transposed solve on the same factors.  Power iteration on their
+    product runs from a fixed seeded start vector.
+    """
+    d = L.dim
+    # LAPACK directly: lu_solve's checks cost more than an 81-entry solve.
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu[0],))
+
+    def traceless(x):
+        x[:d] -= x[:d].mean()
+        return x
+
+    x = traceless(np.random.default_rng(0).standard_normal(d * d))
+    est = 0.0
+    for _ in range(_DRAZIN_STEPS):
+        x /= np.linalg.norm(x)
+        x[0] = 0.0
+        y = traceless(getrs(lu[0], lu[1], x, overwrite_b=True)[0])
+        x = getrs(lu[0], lu[1], y, trans=1, overwrite_b=True)[0]
+        x[0] = 0.0
+        x = traceless(x)
+        prev, est = est, math.sqrt(np.linalg.norm(x))
+        if abs(est - prev) <= _DRAZIN_RTOL * est:
+            break
+    norm = _DRAZIN_MARGIN * est
+    floor = _GAP_FLOOR * np.finfo(float).eps * L.norm_1
+    if not norm * floor < 1.0:  # also catches a norm that overflowed to inf or nan
+        raise NonUniqueSteadyStateError(
+            f"non-unique steady state: ||L^D||_2 = {norm:.3e} s is at the rounding "
+            f"floor, 1/||L^D||_2 <= {floor:.1e} 1/s"
+        )
+    return norm
 
 
 def _liouvillian_gap(L: Liouvillian, lu) -> float:
@@ -422,14 +511,14 @@ def _liouvillian_gap(L: Liouvillian, lu) -> float:
 
 
 def _finalize(L: Liouvillian, v: np.ndarray, rtol: float, info: dict):
-    """Hermitian unit-trace rho from v, certified by info["gap"]."""
+    """Hermitian unit-trace rho from v, certified by info["drazin_norm"]."""
     rho = unvec(v, L.dim)
     rho = (rho + dagger(rho)) / 2.0
     rho = rho / np.trace(rho).real
     v = vec(rho)
     defect = float(np.linalg.norm(L.superop @ v))
     res = defect / float(max(L.norm_1, np.finfo(float).tiny) * np.linalg.norm(v))
-    bound = defect / info["gap"]
+    bound = info["drazin_norm"] * defect
     info["residual"] = res
     info["error_bound"] = bound
     backend = info["method"]
@@ -439,7 +528,7 @@ def _finalize(L: Liouvillian, v: np.ndarray, rtol: float, info: dict):
         )
     if bound > _ERROR_BOUND_MAX:
         raise ConvergenceError(
-            f"steady-state error bound ||L rho|| / gap = {bound:.3e} exceeds "
+            f"steady-state error bound ||L^D|| ||L rho|| = {bound:.3e} exceeds "
             f"{_ERROR_BOUND_MAX:.0e} (backend {backend})"
         )
     min_eig = float(np.linalg.eigvalsh(rho)[0])

@@ -45,8 +45,8 @@ def test_steady_degenerate_exit_code(capsys):
 
 
 def test_steady_evolve_degenerate_exit_code(capsys):
-    # Long-time propagation converges to one of the stationary states; the
-    # gap certificate rejects it like the nullspace backend does.
+    # Long-time propagation would converge to one of the stationary states;
+    # the bordered LU's zero pivot rejects the model first, as for nullspace.
     code = run(["steady", "--scheme", "bell", "--rabi-mhz", "0",
                 "--microwave", "0", "--gamma-khz", "1.0", "--method", "evolve"])
     assert code == 4
@@ -358,6 +358,23 @@ def test_import_leaves_out_scipy_sparse_linalg():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "False"
+
+
+def test_sweep_leaves_out_scipy_sparse_linalg(tmp_path):
+    # Sweep points are certified without the gap, so ARPACK is never imported.
+    src = str(Path(rydpump.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "sweep.csv"
+    code = ("import sys\nfrom rydpump.cli import main\n"
+            f"code = main(['sweep', '--preset', 'fig8a', '--axis', 'rabi-mhz', '0.02', '0.1', '2', "
+            f"'--axis', 'microwave-rel', '0.002', '0.01', '2', '--reduce', 'chsh', "
+            f"'--out', {str(out)!r}])\n"
+            "print(code, 'scipy.sparse.linalg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False"
+    _, data = read_csv(out)
+    assert len(data) == 4 and all(row[-1] == "" for row in data)
 
 
 def test_reproduce_figures_resolve():

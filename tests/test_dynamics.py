@@ -13,8 +13,11 @@ from rydpump.dynamics import (
     ConvergenceError,
     Liouvillian,
     NonUniqueSteadyStateError,
+    _DRAZIN_MARGIN,
+    _DRAZIN_RTOL,
     _bordered_lu,
     _check_physical,
+    _drazin_norm,
     _finalize,
     _hermitian_basis,
     _liouvillian_gap,
@@ -97,6 +100,31 @@ def lu_solve_gap(L):
     mu = eigs(LinearOperator((n, n), matvec=drazin, dtype=float), k=2, which="LM",
               v0=v0, return_eigenvectors=False)
     return float(np.min(-(1.0 / mu).real))
+
+
+def sparse_product_real_form(L):
+    """(T^dag superop T).real and the max column abs sum from scipy.sparse
+    products (oracle for Liouvillian.real and norm_1, which gather the same
+    products from the CSR arrays)."""
+    T = _hermitian_basis(L.dim)
+    real = (T.conj().T @ L.superop @ T).toarray().real
+    norm_1 = float(np.max(np.abs(L.superop).sum(axis=0))) if L.superop.nnz else 0.0
+    return real, norm_1
+
+
+def dense_drazin_norm(L):
+    """||P B^-1 E P||_2 from a dense inverse and SVD: B is the trace-bordered
+    real form, E zeroes entry 0 and P projects out the trace (oracle for
+    _drazin_norm's power iteration)."""
+    d, n = L.dim, L.dim**2
+    border = L.real.copy()
+    border[0] = 0.0
+    border[0, :d] = 1.0
+    proj = np.eye(n)
+    proj[:d, :d] -= 1.0 / d
+    drop0 = np.eye(n)
+    drop0[0, 0] = 0.0
+    return float(np.linalg.norm(proj @ np.linalg.inv(border) @ drop0 @ proj, 2))
 
 
 def svd_steady_state(h, lindblads):
@@ -303,6 +331,28 @@ def test_real_form_is_liouvillian_in_hermitian_basis(name, rng):
     assert L.real.dtype == np.float64
     assert np.max(np.abs(L.real - want.real)) <= 1e-15 * scale
     assert L.real is L.real  # computed once
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("random",))
+def test_real_form_and_norm_match_sparse_products(name):
+    # The bincount over CSR entries gives the sparse products' real form bit
+    # for bit at the presets; on random complex models the order of the
+    # sums may differ in the last bit.
+    if name == "random":
+        rng = np.random.default_rng(5)
+        models = [random_model(rng, n_lindblads=n) for n in (0, 1, 4, 7)]
+    else:
+        pre = figure_preset(name)
+        models = [build_model(pre.params, pre.variant)]
+    for m in models:
+        L = build_liouvillian(m)
+        real, norm_1 = sparse_product_real_form(L)
+        assert L.real.flags["C_CONTIGUOUS"]
+        if name == "random":
+            assert np.max(np.abs(L.real - real)) <= 1e-14 * np.max(np.abs(real))
+        else:
+            assert np.array_equal(L.real, real)
+        assert L.norm_1 == norm_1
 
 
 def test_liouvillian_preserves_hermiticity_and_trace(rng):
@@ -521,15 +571,17 @@ def test_steady_state_is_fixed_point_of_evolution():
 @pytest.mark.parametrize("urr_mhz, delta_mhz", [(2.0, 0.9), (3.0, 1.35)])
 def test_steady_evolve_backend_off_resonance(urr_mhz, delta_mhz):
     # Delta 10 % below U_rr/2 at fig6-point: slow gaps (about 0.05 1/s).
-    # The evolve backend propagates the complex generator and reaches error
-    # bounds of 4.4e-9 to 5.8e-9 here.  Propagating the real form instead
-    # leaves all rounding error in the Hermitian part, which the Hermitian
-    # projection cannot remove: 8.4e-9 to 9.2e-9 here, and above the 1e-8
-    # certificate at nearby off-resonant points.
+    # The evolve backend propagates the complex generator and reaches
+    # ||L vec(rho)||_2 / gap of 4.4e-9 to 5.8e-9 here.  Propagating the real
+    # form instead leaves all rounding error in the Hermitian part, which
+    # the Hermitian projection cannot remove: 8.4e-9 to 9.2e-9 here.  The
+    # certificate ||L^D||_2 ||L vec(rho)||_2 is 1.4-1.5 times the first
+    # (6.3e-9 and 7.8e-9 with BLAS on one thread).
     caption = dict(find_figure("fig6-point").caption, urr_mhz=urr_mhz, delta_mhz=delta_mhz)
     L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant("qutrit", "phi")))
     rho, info = steady_state(L, method="evolve", return_info=True)
-    assert info["error_bound"] <= 7e-9
+    assert np.linalg.norm(L.superop @ vec(rho)) / info["gap"] <= 7e-9
+    assert info["error_bound"] <= 1e-8
     assert np.max(np.abs(rho - steady_state(L))) <= 1e-8
 
 
@@ -584,6 +636,35 @@ def test_steady_state_matches_svd_and_gap_oracles(name):
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
+def test_drazin_norm_brackets_dense_oracle(name):
+    # Power iteration converges from below: the margin puts the estimate
+    # above the dense norm, and the stopping rule keeps it within 1e-3 below.
+    pre = figure_preset(name)
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    norm = _drazin_norm(L, _bordered_lu(L))
+    exact = dense_drazin_norm(L)
+    assert norm >= exact >= norm / _DRAZIN_MARGIN * (1 - _DRAZIN_RTOL)
+    rho, info = steady_state(L, return_info=True)
+    assert info["drazin_norm"] == norm
+    assert info["error_bound"] == norm * np.linalg.norm(L.superop @ vec(rho))
+
+
+def test_sweep_path_skips_the_gap(monkeypatch):
+    # Without return_info the nullspace backend never runs ARPACK.
+    import rydpump.dynamics as dyn
+
+    def no_gap(L, lu):
+        raise AssertionError("gap computed")
+
+    monkeypatch.setattr(dyn, "_liouvillian_gap", no_gap)
+    pre = figure_preset("fig8a")
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    steady_state(L)
+    with pytest.raises(AssertionError, match="gap computed"):
+        steady_state(L, return_info=True)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_gap_matches_lu_solve_oracle(name):
     # getrs on the LU factors gives the same Drazin products as lu_solve, so
     # ARPACK takes the same steps and returns the same gap, bit for bit.
@@ -605,10 +686,10 @@ def test_finalize_rejects_state_off_along_slowest_mode():
     x = (x + x.conj().T) / 2
     v = vec(rho + 0.01 * np.linalg.norm(rho) * x / np.linalg.norm(x))
     with pytest.raises(ConvergenceError, match="error bound"):
-        _finalize(L, v, 1e-8, {"method": "nullspace", "gap": -lam[slow].real})
-    # With a gap large enough to pass the bound, the negative eigenvalue fails.
+        _finalize(L, v, 1e-8, {"method": "nullspace", "drazin_norm": dense_drazin_norm(L)})
+    # With ||L^D|| small enough to pass the bound, the negative eigenvalue fails.
     with pytest.raises(ConvergenceError, match="eigenvalue -3.6"):
-        _finalize(L, v, 1e-8, {"method": "nullspace", "gap": 1e12})
+        _finalize(L, v, 1e-8, {"method": "nullspace", "drazin_norm": 1e-12})
 
 
 DEGENERATE = {
@@ -619,11 +700,7 @@ DEGENERATE = {
 }
 
 
-@pytest.mark.parametrize("method", ["nullspace", "evolve"])
-@pytest.mark.parametrize("case", sorted(DEGENERATE))
-def test_steady_state_degenerate_without_noise(case, method):
-    # Each of these generators has an exactly degenerate stationary
-    # subspace: an exactly zero pivot, reported without a warning.
+def assert_degenerate(case, method, return_info):
     scheme, caption = DEGENERATE[case]
     target = "singlet" if scheme == "bell" else "phi"
     L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant(scheme, target)))
@@ -631,7 +708,52 @@ def test_steady_state_degenerate_without_noise(case, method):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonUniqueSteadyStateError, match=want):
-            steady_state(L, method=method)
+            steady_state(L, method=method, return_info=return_info)
+
+
+@pytest.mark.parametrize("method", ["nullspace", "evolve"])
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_steady_state_degenerate_without_noise(case, method):
+    # Each of these generators has an exactly degenerate stationary
+    # subspace: an exactly zero pivot, reported without a warning.
+    assert_degenerate(case, method, return_info=False)
+
+
+@pytest.mark.parametrize("method", ["nullspace", "evolve"])
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_steady_state_degenerate_with_info(case, method):
+    # Asking for the gap as well reports the same non-uniqueness.
+    assert_degenerate(case, method, return_info=True)
+
+
+def precessing_qubit(kappa):
+    """A qubit, dims (2, 1), precessing at 2 pi x 5 MHz and decaying at
+    kappa: its coherence is a nearly undamped oscillating mode (rate
+    kappa/2, frequency 3.1e7 1/s) as kappa -> 0."""
+    w = 2 * np.pi * 5e6
+    lower = np.sqrt(kappa) * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    return SystemModel(
+        dims=BipartiteDims(2, 1), hamiltonian=np.diag([w / 2, -w / 2]).astype(complex),
+        lindblads=(lower,), basis_labels=(("e", "g"), ("x",)), named_states={},
+        variant=BELL, params=ModelParams(1, 1, 1, 1, 1),
+    )
+
+
+@pytest.mark.parametrize("return_info", [False, True])
+@pytest.mark.parametrize("method", ["nullspace", "evolve"])
+def test_steady_state_nearly_undamped_mode(method, return_info):
+    # Unique at kappa = 1e-3 (|g><g|); from 1e-6 on, the rates sit at the
+    # rounding floor 1e3 * eps * ||L||_1 (7e-6 1/s) and the state is
+    # reported as non-unique, with or without the gap.
+    ground = np.diag([0.0, 1.0]).astype(complex)
+    out = steady_state(build_liouvillian(precessing_qubit(1e-3)), method=method,
+                       return_info=return_info)
+    rho = out[0] if return_info else out
+    assert np.max(np.abs(rho - ground)) <= 1e-12
+    for kappa in (1e-6, 1e-8, 1e-10):
+        L = build_liouvillian(precessing_qubit(kappa))
+        with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
+            steady_state(L, method=method, return_info=return_info)
 
 
 def test_steady_state_bell_without_microwave_is_unique():

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydpump.dynamics import build_liouvillian, steady_state
+from rydpump.dynamics import _DRAZIN_MARGIN, _DRAZIN_RTOL, build_liouvillian, steady_state
 from rydpump.linalg import kron
 from rydpump.measures import chsh_correlation, fidelity, negativity
 from rydpump.models import SchemeVariant, build_model, caption_params
 
-from test_dynamics import dense_rates, svd_steady_state
+from test_dynamics import dense_drazin_norm, dense_rates, svd_steady_state
 
 # Caption-unit ranges of the Fig. 8 and Fig. 9 grids, at resonant pumping
 # (Delta = U_rr / 2) as on those grids.
@@ -19,6 +19,19 @@ PARAMS = st.fixed_dictionaries({
     "rabi_mhz": st.floats(0.02, 0.10),
     "microwave_rel": st.floats(0.002, 0.0125),
     "urr_mhz": st.floats(1.0, 10.0),
+    "gamma_khz": st.floats(0.25, 2.5),
+})
+
+# The same ranges with Delta up to 10 % off U_rr / 2, where slow gaps (down
+# to about 1e-3 1/s) and non-normal generators test the certificate.  The
+# SVD oracle and the evolve backend are compared on resonance only: with a
+# gap of 8e-3 1/s the SVD state is 2e-8 off, and the evolve backend's
+# ||L vec(rho)|| floor of about 1e-9 fails the 1e-8 bound.
+DETUNED = st.fixed_dictionaries({
+    "rabi_mhz": st.floats(0.02, 0.10),
+    "microwave_rel": st.floats(0.002, 0.0125),
+    "urr_mhz": st.floats(1.0, 10.0),
+    "delta_rel": st.floats(0.9, 1.1),
     "gamma_khz": st.floats(0.25, 2.5),
 })
 
@@ -30,7 +43,18 @@ SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 
 
 def _model(scheme, target, p):
-    return build_model(caption_params(**p), SchemeVariant(scheme, target))
+    caption = dict(p)
+    if "delta_rel" in caption:
+        caption["delta_mhz"] = caption["urr_mhz"] / 2 * caption.pop("delta_rel")
+    return build_model(caption_params(**caption), SchemeVariant(scheme, target))
+
+
+def _assert_drazin_norm_brackets_dense(L, info):
+    # Power iteration converges from below: the margin puts the estimate
+    # above the dense norm, and the stopping rule keeps it within 1e-3 below.
+    exact = dense_drazin_norm(L)
+    assert info["drazin_norm"] >= exact
+    assert exact >= info["drazin_norm"] / _DRAZIN_MARGIN * (1 - _DRAZIN_RTOL)
 
 
 def _flip_a_on_atom2(model):
@@ -52,6 +76,7 @@ def test_steady_state_physical_and_backends_agree(scheme, p):
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.eigvalsh(rho)[0] >= -1e-9
     assert info["error_bound"] <= 1e-8
+    _assert_drazin_norm_brackets_dense(L, info)
     # The gap comes from the modes of smallest |lambda|: it is the rate of
     # one true mode and never below the slowest one, but can miss a weakly
     # damped fast-oscillating mode that relaxes more slowly.
@@ -61,6 +86,22 @@ def test_steady_state_physical_and_backends_agree(scheme, p):
     assert np.max(np.abs(rho - svd_steady_state(m.hamiltonian, m.lindblads))) <= 1e-8
     if scheme == "bell":  # the propagation backend costs ~0.4 s per qutrit point
         assert np.max(np.abs(rho - steady_state(L, method="evolve"))) <= 1e-8
+
+
+@pytest.mark.parametrize("scheme", ["bell", "qutrit"])
+@SETTINGS
+@given(p=DETUNED)
+def test_certificate_and_gap_off_resonance(scheme, p):
+    m = _model(scheme, PARTNER[scheme][0], p)
+    L = build_liouvillian(m)
+    rho, info = steady_state(L, return_info=True)
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-9
+    assert info["error_bound"] <= 1e-8
+    _assert_drazin_norm_brackets_dense(L, info)
+    rates = dense_rates(m.hamiltonian, m.lindblads)
+    assert np.min(np.abs(rates[1:] - info["gap"])) <= 1e-6 * info["gap"]
+    assert info["gap"] >= rates[1] * (1 - 1e-6)
 
 
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])
