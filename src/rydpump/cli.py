@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -451,8 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser depends on nothing in argv, so main builds it once per process.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except dynamics.NonUniqueSteadyStateError as exc:

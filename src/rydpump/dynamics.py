@@ -72,6 +72,17 @@ _DRAZIN_MARGIN = 1.05
 # is degenerate.
 _GAP_FLOOR = 1e3
 
+# A Cholesky factorisation that runs to completion on a d x d matrix A is
+# exact for some A + dA with ||dA||_2 <= d (d + 1) u ||A + dA||_2, u = eps/2
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# Thm 10.5), and ||A + dA||_2 <= tr(A + dA), about 1 for a state that
+# passed the trace check: below 5e-14 at d = 20.  Success on
+# (rho + rho^dag)/2 + (1e-6 - margin) I, with margin the larger of
+# _CHOLESKY_MARGIN and 4 d (d + 1) eps, therefore proves a smallest
+# eigenvalue of at least -1e-6, with room for complex arithmetic and for
+# eigvalsh's own error.
+_CHOLESKY_MARGIN = 1e-12
+
 # e-folds after which the slowest mode has decayed below machine epsilon.
 _EPS_E_FOLDS = -math.log(np.finfo(float).eps)
 
@@ -265,9 +276,20 @@ def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarra
 
 def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
     """Raise ConvergenceError at the earliest unphysical state of a stack,
-    naming its first failed check: trace, Hermiticity, positivity."""
+    naming its first failed check: trace, Hermiticity, positivity.
+
+    The rule is |tr(rho) - 1| <= 1e-6, max|rho - rho^dag| <= 1e-8 and a
+    smallest eigenvalue of (rho + rho^dag)/2 of at least -1e-6.  When the
+    first two hold on every state, one batched Cholesky factorisation of
+    (rho + rho^dag)/2, shifted by just under 1e-6, decides the third:
+    success proves it, and any failure (or non-finite entry) leaves the
+    decision, and the message, to the eigenvalues.
+    """
     tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
     defect = hermiticity_defect(states)
+    # max() is nan, and the comparison False, if any entry is not finite.
+    if tr_err.max() <= 1e-6 and defect.max() <= 1e-8 and _positive_by_cholesky(states):
+        return
     min_eig = np.linalg.eigvalsh((states + dagger(states)) / 2)[:, 0]
     failed = np.argwhere(np.column_stack([tr_err > 1e-6, defect > 1e-8, min_eig < -1e-6]))
     if failed.size == 0:
@@ -278,6 +300,23 @@ def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
     raise ConvergenceError(f"{msg} at t = {t[k]:.6g} s")
 
 
+def _positive_by_cholesky(states: np.ndarray) -> bool:
+    """True if every (rho + rho^dag)/2 of the stack has its smallest
+    eigenvalue at or above -1e-6, proven by one batched Cholesky
+    factorisation of the matrices shifted by 1e-6 minus a margin for its
+    rounding; False if any factorisation fails, which proves nothing."""
+    herm = (states + dagger(states)) / 2
+    d = herm.shape[-1]
+    margin = max(_CHOLESKY_MARGIN, 4 * d * (d + 1) * np.finfo(float).eps)
+    diag = np.arange(d)
+    herm[..., diag, diag] += 1e-6 - margin
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     """Propagate a density matrix over a time grid.
 
@@ -285,9 +324,11 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     expm per distinct step size; local error at rounding level).  They
     act on the real coordinates of rho in the Hermitian basis (L.real),
     so every state is exactly Hermitian; the stack is converted back to
-    matrices once at the end.  Trace,
-    Hermiticity and positivity are verified at every grid point
-    (ConvergenceError names the earliest violation).
+    matrices once at the end.  Trace, Hermiticity and positivity are
+    verified at every grid point (ConvergenceError names the earliest
+    violation).  Positivity is certified by one batched Cholesky
+    factorisation of the stack shifted by just under 1e-6; only when a
+    check fails are the eigenvalues computed, to decide and name it.
 
     Parameters
     ----------
@@ -322,25 +363,24 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
 
     Step sizes within _STEP_SNAP_RTOL/||L||_1 of each other share one
     propagator; the induced local error ||L||*|dt - dt_ref| stays below
-    _STEP_SNAP_RTOL per step.
+    _STEP_SNAP_RTOL per step.  A step takes the propagator of the earliest
+    reference step it snaps to, and a step that snaps to none becomes a
+    reference.  Every step's propagator is chosen first, then the states
+    are stepped in place, each from the row before it.
     """
     T = _hermitian_basis(L.dim)
-    x = (T.conj().T @ v0).real
-    out = np.empty((t.size, x.size))
-    out[0] = x
+    out = np.empty((t.size, L.dim**2))
+    out[0] = (T.conj().T @ v0).real
     snap = _STEP_SNAP_RTOL / max(L.norm_1, 1.0)
-    cache: list = []  # (dt_ref, propagator)
-    for k, dt in enumerate(np.diff(t), start=1):
-        prop = None
-        for dt_ref, p in cache:
-            if abs(dt - dt_ref) <= snap:
-                prop = p
-                break
-        if prop is None:
-            prop = sla.expm(L.real * dt)
-            cache.append((dt, prop))
-        x = prop @ x
-        out[k] = x
+    dts = np.diff(t)
+    which = np.full(dts.size, -1)  # index into props of each step's propagator
+    props = []
+    while (free := np.flatnonzero(which < 0)).size:
+        ref = dts[free[0]]
+        which[free[np.abs(dts[free] - ref) <= snap]] = len(props)
+        props.append(sla.expm(L.real * ref))
+    for k, i in enumerate(which.tolist(), start=1):
+        np.matmul(props[i], out[k - 1], out=out[k])
     # One change of basis for the whole stack; C order keeps each state
     # contiguous, d^2 entries apart, as the measures expect.
     return np.ascontiguousarray((T @ out.T).T)

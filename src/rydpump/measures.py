@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ def _pauli_fa() -> tuple[np.ndarray, np.ndarray]:
     return sx, sy
 
 
+@functools.lru_cache(maxsize=None)
 def chsh_operator(triplet_frame: bool = False) -> np.ndarray:
     """Four-term Bell operator on the 9-level two-atom space.
 
@@ -31,14 +33,17 @@ def chsh_operator(triplet_frame: bool = False) -> np.ndarray:
     triplet_frame=True the atom-2 operators are conjugated by sigma_z
     (sigma_x -> -sigma_x, sigma_y -> -sigma_y), the settings under which
     the triplet attains 2*sqrt(2) instead.
+
+    The result is cached and read-only: a repeated call returns the same
+    array.
     """
     sx, sy = _pauli_fa()
     s = -1.0 if triplet_frame else 1.0
     a_plus = s * (-sy - sx) / SQRT2
     a_minus = s * (sy - sx) / SQRT2
-    return (
-        kron(sy, a_plus) + kron(sx, a_plus) + kron(sx, a_minus) - kron(sy, a_minus)
-    )
+    op = kron(sy, a_plus) + kron(sx, a_plus) + kron(sx, a_minus) - kron(sy, a_minus)
+    op.flags.writeable = False
+    return op
 
 
 def _value(val: np.ndarray, rho: np.ndarray, what: str):

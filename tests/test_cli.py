@@ -11,7 +11,7 @@ import pytest
 
 import rydpump
 from rydpump import models
-from rydpump.cli import _REPRODUCE, AXIS_NAMES, RunSetup, main
+from rydpump.cli import _REPRODUCE, AXIS_NAMES, RunSetup, _parser, main
 
 
 def run(args):
@@ -375,6 +375,44 @@ def test_sweep_leaves_out_scipy_sparse_linalg(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False"
     _, data = read_csv(out)
     assert len(data) == 4 and all(row[-1] == "" for row in data)
+
+
+def test_parser_reused_across_calls(capsys):
+    # main builds its parser once per process; a run after other runs, or
+    # after a rejected argv, prints what a fresh interpreter prints.
+    sweep = ["sweep", "--preset", "fig8a", "--axis", "rabi-mhz", "0.02", "0.1", "2",
+             "--axis", "microwave-rel", "0.002", "0.01", "2", "--reduce", "chsh",
+             "--no-timestamp"]
+    evolve = ["evolve", "--preset", "fig3", "--t-max-ms", "3", "--samples", "4",
+              "--no-timestamp"]
+    steady = ["steady", "--preset", "fig2", "--format", "json", "--no-timestamp"]
+    src = str(Path(rydpump.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = {
+        tuple(argv): subprocess.Popen([sys.executable, "-m", "rydpump.cli", *argv], env=env,
+                                      stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                      text=True)
+        for argv in (sweep, evolve, steady)
+    }
+    try:
+        outputs = []
+        for argv in (sweep, ["sweep", "--axis", "rabi-mhz", "1"], evolve, steady, sweep):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+            outputs.append((argv, code, capsys.readouterr().out))
+        want = {argv: proc.communicate(timeout=120)[0] for argv, proc in fresh.items()}
+    finally:
+        for proc in fresh.values():
+            proc.kill()
+            proc.wait()
+    assert [code for _, code, _ in outputs] == [0, 2, 0, 0, 0]
+    assert all(proc.returncode == 0 for proc in fresh.values())
+    for argv, _, out in outputs[:1] + outputs[2:]:
+        assert out == want[tuple(argv)], argv
+    assert _parser() is _parser()
+    assert len(_parser().parse_args(sweep).axis) == 2
 
 
 def test_reproduce_figures_resolve():

@@ -15,12 +15,15 @@ from rydpump.dynamics import (
     NonUniqueSteadyStateError,
     _DRAZIN_MARGIN,
     _DRAZIN_RTOL,
+    _STEP_SNAP_RTOL,
     _bordered_lu,
     _check_physical,
     _drazin_norm,
     _finalize,
     _hermitian_basis,
     _liouvillian_gap,
+    _positive_by_cholesky,
+    _propagate_expm,
     build_liouvillian,
     evolve,
     steady_state,
@@ -509,6 +512,120 @@ def test_check_physical_reports_earliest_sample_and_first_check():
     states[1, 1, 0] = 2.0                      # Hermiticity and eigenvalue fail at t = 1
     with pytest.raises(ConvergenceError, match=r"Hermiticity defect .* at t = 1 s"):
         _check_physical(states, t)
+
+
+def eigvalsh_physical_error(states, t):
+    """The eigvalsh-only physicality rule, kept as the oracle of the
+    Cholesky fast path: the message ConvergenceError carries, or None."""
+    tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    defect = np.max(np.abs(states - dagger(states)), axis=(-2, -1))
+    min_eig = np.linalg.eigvalsh((states + dagger(states)) / 2)[:, 0]
+    failed = np.argwhere(np.column_stack([tr_err > 1e-6, defect > 1e-8, min_eig < -1e-6]))
+    if failed.size == 0:
+        return None
+    k, check = failed[0]
+    msg = (f"trace drifted by {tr_err[k]:.2e}", f"Hermiticity defect {defect[k]:.2e}",
+           f"negative eigenvalue {min_eig[k]:.2e}")[check]
+    return f"{msg} at t = {t[k]:.6g} s"
+
+
+def state_with_min_eigenvalue(rng, d, lam_min):
+    """Hermitian unit-trace d x d state whose smallest eigenvalue is lam_min."""
+    rest = rng.uniform(0.5, 1.5, d - 1)
+    lam = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    rho = (u * lam) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 9, 20])
+def test_check_physical_decides_as_eigvalsh_rule(d, rng):
+    # Probe states at, just either side of, and well clear of the -1e-6
+    # threshold, placed first, in the middle or only at the last sample of
+    # a stack of clearly positive states.
+    probes = [-1e-6 - 1e-13, -1e-6 + 1e-13, -1e-6 - 1e-9, -1e-6 + 1e-9, -1e-6,
+              -1e-3, 0.0, 1e-3]
+    nt = 7
+    t = np.linspace(0.0, 6e-3, nt)
+    for lam in probes:
+        for k in (0, nt // 2, nt - 1):
+            states = np.stack([state_with_min_eigenvalue(rng, d, 0.01 / d) for _ in range(nt)])
+            states[k] = state_with_min_eigenvalue(rng, d, lam)
+            want = eigvalsh_physical_error(states, t)
+            if want is None:
+                _check_physical(states, t)
+            else:
+                with pytest.raises(ConvergenceError) as err:
+                    _check_physical(states, t)
+                assert str(err.value) == want
+            # A Cholesky success is a proof: it never passes what the rule
+            # fails.  From -1e-6 + 1e-9 up it succeeds, so the fast path decides.
+            if _positive_by_cholesky(states):
+                assert want is None
+            else:
+                assert lam < -1e-6 + 1e-9
+
+
+def test_check_physical_falls_back_for_trace_and_non_finite_states(rng):
+    t = np.linspace(0.0, 1.0, 4)
+    states = np.stack([state_with_min_eigenvalue(rng, 9, 0.001) for _ in range(4)])
+    states[3, 0, 0] += 2e-6                    # trace fails only at the last sample
+    with pytest.raises(ConvergenceError) as err:
+        _check_physical(states, t)
+    assert str(err.value) == eigvalsh_physical_error(states, t)
+    states[3, 0, 0] -= 2e-6
+    states[2, 4, 4] = np.nan                   # nan passes no comparison
+    # The eigenvalue rule decides a non-finite stack; here eigvalsh fails.
+    with pytest.raises(np.linalg.LinAlgError):
+        eigvalsh_physical_error(states, t)
+    with pytest.raises(np.linalg.LinAlgError):
+        _check_physical(states, t)
+
+
+def loop_propagate(L, v0, t):
+    """The per-step loop _propagate_expm replaced: the propagator looked up
+    at every step and the state reallocated (oracle, bit for bit)."""
+    T = _hermitian_basis(L.dim)
+    x = (T.conj().T @ v0).real
+    out = np.empty((t.size, x.size))
+    out[0] = x
+    snap = _STEP_SNAP_RTOL / max(L.norm_1, 1.0)
+    cache = []
+    for k, dt in enumerate(np.diff(t), start=1):
+        prop = None
+        for dt_ref, p in cache:
+            if abs(dt - dt_ref) <= snap:
+                prop = p
+                break
+        if prop is None:
+            prop = expm(L.real * dt)
+            cache.append((dt, prop))
+        x = prop @ x
+        out[k] = x
+    return np.ascontiguousarray((T @ out.T).T)
+
+
+def test_propagate_matches_per_step_loop():
+    m, L, rho0, t = figure_run("fig3")
+    v0 = vec(rho0)
+    snap = _STEP_SNAP_RTOL / L.norm_1
+    a, b = 1e-3, 2.5e-3
+    grids = {
+        "uniform": t,
+        "two samples": t[:2],
+        "one sample": t[:1],
+        "alternating": np.concatenate([[0.0], np.cumsum([a, b] * 20)]),
+        # within the snap of the first reference, then just beyond it, and
+        # back to a reference made earlier
+        "snapped": np.concatenate([[0.0], np.cumsum(
+            [a, a + 0.5 * snap, b, a - 0.9 * snap, a + 3 * snap, b + 0.2 * snap, a] * 5)]),
+        "all distinct": np.concatenate([[0.0], np.cumsum(a * 1.1 ** np.arange(12))]),
+    }
+    for name, grid in grids.items():
+        got = _propagate_expm(L, v0, grid)
+        want = loop_propagate(L, v0, grid)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_evolve_rejects_bad_initial_states():

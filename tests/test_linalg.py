@@ -41,6 +41,21 @@ def test_kron_associativity(rng):
     assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(left))
 
 
+@pytest.mark.parametrize("shape_a, shape_b", [((3, 3), (3, 3)), ((2, 5), (4, 1)),
+                                              ((1, 1), (3, 2)), ((1, 1), (1, 1))])
+def test_kron_bit_identical_to_numpy(shape_a, shape_b, rng):
+    def sample(shape, is_complex):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if is_complex else x
+
+    for ca, cb in [(True, True), (False, False), (False, True), (True, False)]:
+        a, b = sample(shape_a, ca), sample(shape_b, cb)
+        for x, y in [(a, b), (a.T, b), (a, b.T)]:
+            got, want = kron(x, y), np.kron(x, y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_kron_rejects_vectors():
     with pytest.raises(ValueError):
         kron(np.ones(3), np.eye(2))

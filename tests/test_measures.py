@@ -72,6 +72,16 @@ def test_chsh_operator_hermitian_and_tsirelson_norm():
         assert max(abs(eig[0]), abs(eig[-1])) == pytest.approx(SQRT8, abs=1e-12)
 
 
+def test_chsh_operator_built_once_and_read_only():
+    for frame in (False, True):
+        op = chsh_operator(frame)
+        assert chsh_operator(frame) is op
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+    assert not np.array_equal(chsh_operator(False), chsh_operator(True))
+
+
 def test_chsh_singlet_maximal_violation():
     s = bell_states()["S"]
     assert chsh_correlation(np.outer(s, s.conj())) == pytest.approx(SQRT8, abs=1e-12)
