@@ -220,38 +220,54 @@ def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
     return names, np.stack(cols, axis=-1)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17e}"
-    return str(value)
+def _csv_field(text: str) -> str:
+    """One text cell as csv.writer writes it inside a row of several cells:
+    quoted when it holds a comma, a quote or a line break."""
+    if not text:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
-def write_table(out, command: str, columns, rows, fmt: str, timestamp: bool) -> None:
-    """Emit a CSV or JSON table to a path or stdout."""
+def write_table(out, command: str, columns, values, fmt: str, timestamp: bool,
+                text=None) -> None:
+    """Emit a CSV or JSON table to a path or stdout.
+
+    values holds the numeric columns, one row per table row; text, when
+    given, holds one string per row for a trailing text column.
+    """
+    rows = np.asarray(values, dtype=float).tolist()
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(f"# rydpump {command}\n")
         if timestamp:
             now = datetime.now(timezone.utc).isoformat(timespec="seconds")
             buf.write(f"# generated: {now}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-        text = buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerow(columns)
+        # "%.17e" writes a float as f"{v:.17e}" does, nan, inf and -0.0
+        # included, and none of those cells needs quoting.
+        template = ",".join(["%.17e"] * (len(columns) - (text is not None)))
+        lines = [template % tuple(r) for r in rows]
+        if text is not None:
+            lines = [f"{line},{_csv_field(t)}" for line, t in zip(lines, text)]
+        buf.writelines(line + "\n" for line in lines)
+        payload = buf.getvalue()
     else:
         doc = {"command": command}
         if timestamp:
             doc["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
         doc["columns"] = list(columns)
         # JSON has no NaN or infinity: a failed value is written as null.
-        doc["rows"] = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in r]
-                       for r in rows]
-        text = json.dumps(doc, indent=1, allow_nan=False) + "\n"
+        doc["rows"] = [[v if math.isfinite(v) else None for v in r] for r in rows]
+        if text is not None:
+            for r, t in zip(doc["rows"], text):
+                r.append(t)
+        payload = json.dumps(doc, indent=1, allow_nan=False) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(payload)
         print(f"wrote {out}")
 
 
@@ -274,8 +290,8 @@ def _evolve(setup: RunSetup, out, timestamp: bool) -> int:
     t = np.linspace(0.0, setup.t_max_ms * 1e-3, setup.samples)
     traj = dynamics.evolve(liouv, rho0, t)
     names, values = measure_columns(model, outputs, traj.states)
-    rows = np.column_stack([traj.times * 1e3, values]).tolist()
-    write_table(out, "evolve", ["time_ms"] + names, rows, setup.format, timestamp)
+    write_table(out, "evolve", ["time_ms"] + names, np.column_stack([traj.times * 1e3, values]),
+                setup.format, timestamp)
     return EXIT_OK
 
 
@@ -284,11 +300,11 @@ def cmd_steady(args) -> int:
     outputs = setup.validate_outputs(setup.steady_outputs)
     model = setup.model()
     liouv = dynamics.build_liouvillian(model)
-    rho, info = dynamics.steady_state(liouv, method=setup.method, return_info=True)
+    rho = dynamics.steady_state(liouv, method=setup.method)
     names, values = measure_columns(model, outputs, rho[None])
-    row = values[0].tolist() + [info["residual"], info["method"]]
+    row = values[0].tolist() + [dynamics.residual(liouv, rho)[1]]
     write_table(args.out, "steady", names + ["residual", "backend"], [row], setup.format,
-                not args.no_timestamp)
+                not args.no_timestamp, text=[setup.method])
     return EXIT_OK
 
 
@@ -368,11 +384,10 @@ def _sweep(setup: RunSetup, axis_specs, out, timestamp: bool) -> int:
     results.sort(key=lambda r: r[0])
 
     names = [name.replace("-", "_") for name, _ in axes] + [reduce_name, "error"]
-    rows = []
-    for (idx, value, err), point in zip(results, points):
-        coords = [float(grids[k][point[k]]) for k in range(len(grids))]
-        rows.append(coords + [value, err])
-    write_table(out, "sweep", names, rows, setup.format, timestamp)
+    rows = [[float(grids[k][point[k]]) for k in range(len(grids))] + [value]
+            for (_, value, _), point in zip(results, points)]
+    write_table(out, "sweep", names, rows, setup.format, timestamp,
+                text=[err for _, _, err in results])
     return EXIT_OK
 
 

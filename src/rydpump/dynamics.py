@@ -83,6 +83,10 @@ _GAP_FLOOR = 1e3
 # eigvalsh's own error.
 _CHOLESKY_MARGIN = 1e-12
 
+# LAPACK's solve with the LU factors of L.real, which are always float64,
+# called directly: lu_solve's checks cost more than an 81-entry solve.
+_getrs = sla.lapack.dgetrs
+
 # e-folds after which the slowest mode has decayed below machine epsilon.
 _EPS_E_FOLDS = -math.log(np.finfo(float).eps)
 
@@ -129,18 +133,20 @@ class Liouvillian:
         Each stored entry L[r, c] adds Re(conj(T[r, k]) L[r, c] T[c, l]) to
         R[k, l] for the at most 2 entries of rows r and c of T.  Every such
         factor of T is real or imaginary, so each product rounds once per
-        factor whatever the order of the complex arithmetic."""
+        factor whatever the order of the complex arithmetic.
+
+        The factors of T and the target positions depend only on the
+        superop's indptr and indices, so they come from a plan cached per
+        pattern (_real_plan); a call computes the products of its own
+        entries and sums them with one bincount."""
         if self._real is None:
             n = self.dim**2
             s = self.superop
-            col, coef = _hermitian_rows(self.dim)
-            r = np.repeat(np.arange(n), np.diff(s.indptr))
-            c = s.indices
-            # take(axis=1) keeps the (2, nnz) results C-contiguous.
-            x = coef.take(r, axis=1).conj() * s.data
-            terms = (x[:, None] * coef.take(c, axis=1)).real
-            keys = col.take(r, axis=1)[:, None] * n + col.take(c, axis=1)
-            self._real = np.bincount(keys.ravel(), terms.ravel(), minlength=n * n).reshape(n, n)
+            keys, coef_r, coef_c = _real_plan(self.dim, s.indices.dtype.char,
+                                              s.indptr.tobytes(), s.indices.tobytes())
+            x = coef_r * s.data
+            terms = (x[:, None] * coef_c).real
+            self._real = np.bincount(keys, terms.ravel(), minlength=n * n).reshape(n, n)
         return self._real
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -192,24 +198,82 @@ def _pairs(ga: np.ndarray, gb: np.ndarray):
     return e, f
 
 
+# Plans hold index arrays that depend only on the dimensions and nonzero
+# pattern of their inputs, never on the values; a sweep reuses one pattern
+# at every point.  Each cache keeps this many patterns.
+_PLAN_CACHE_SIZE = 16
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _decay_plan(shape: tuple, mask: bytes):
+    """For jump operators c of this shape and nonzero mask: the flat
+    positions in c of the two factors of every product conj(c[row, i])
+    c[row, l] over pairs of entries in one row of one operator, and the
+    flat position (op, i, l) each product adds to, in _decay_operator's
+    order."""
+    n_ops, d, _ = shape
+    op, row, col = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(shape))
+    e, f = _pairs(op * d + row, op * d + row)
+    flat = (op * d + row) * d + col
+    return _frozen(flat[e], flat[f], (op[e] * d + col[e]) * d + col[f])
+
+
 def _decay_operator(c: np.ndarray) -> np.ndarray:
     """sum_k c_k^dag c_k of a stack of jump operators, rounded exactly as
     scipy.sparse rounds the sum of c^dag @ c: over the rows of each operator
     in order, then over the operators, each product as (ar br - ai bi,
     ar bi + ai br).  numpy's complex multiply may fuse these and round
-    otherwise."""
-    n_ops, d, _ = c.shape
-    op, row, col = np.nonzero(c)
-    # Every pair of entries in one row of one operator: conj(c[row, i]) c[row, l].
-    e, f = _pairs(op * d + row, op * d + row)
-    val = c[op, row, col]
-    a, b = val[e], val[f]
-    prod = np.empty(e.size, dtype=complex)
+    otherwise.  The pairing of entries is planned per nonzero pattern
+    (_decay_plan)."""
+    first, second, target = _decay_plan(c.shape, (c != 0).tobytes())
+    flat = c.ravel()
+    a, b = flat[first], flat[second]
+    prod = np.empty(a.size, dtype=complex)
     prod.real = a.real * b.real + a.imag * b.imag
     prod.imag = a.real * b.imag - a.imag * b.real
-    per_op = np.zeros((n_ops, d, d), dtype=complex)
-    np.add.at(per_op, (op[e], col[e], col[f]), prod)  # repeated indices add in order
+    per_op = np.zeros(c.shape, dtype=complex)
+    np.add.at(per_op.reshape(-1), target, prod)  # repeated indices add in order
     return per_op.sum(axis=0)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _generator_plan(d: int, left_mask: bytes, right_mask: bytes):
+    """Triplet plan of sum_t scale[t] * kron(left[t], right[t]) for stacks
+    of d x d factors with these nonzero masks.
+
+    Every pair of nonzero entries left[t, ai, aj], right[t, bi, bj] gives a
+    triplet at (ai*d + bi, aj*d + bj).  Sorted stably by position, each
+    entry's triplets stay in term order.  The plan lists the first triplet
+    of every entry, then the others, and holds for each the flat positions
+    of its two factors and its term scale; for the others, the entry they
+    add to; and the row and column of every entry."""
+    left = np.frombuffer(left_mask, dtype=bool).reshape(-1, d, d)
+    right = np.frombuffer(right_mask, dtype=bool).reshape(-1, d, d)
+    ta, ai, aj = np.nonzero(left)
+    tb, bi, bj = np.nonzero(right)
+    e, f = _pairs(ta, tb)
+    pos = (ai[e] * d + bi[f]) * d * d + aj[e] * d + bj[f]
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    new = np.ones(pos.size, dtype=bool)
+    new[1:] = pos[1:] != pos[:-1]
+    # The first triplet of every entry, then the rest, each in sorted order.
+    take = np.concatenate([order[new], order[~new]])
+    scale = np.array([-1j, 1j] + [1.0] * (len(left) - 2))
+    flat_l = (ta * d + ai) * d + aj
+    flat_r = (tb * d + bi) * d + bj
+    slot = np.cumsum(new)[~new] - 1
+    entry = pos[new]
+    # scipy's index dtype for a CSR matrix of this size.
+    index = np.int32 if max(d * d, entry.size) <= np.iinfo(np.int32).max else np.int64
+    return _frozen(flat_l[e[take]], flat_r[f[take]], scale[ta[e[take]]], slot,
+                   entry // (d * d), (entry % (d * d)).astype(index))
 
 
 def build_liouvillian(model: SystemModel) -> Liouvillian:
@@ -218,13 +282,21 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     Each term, -i(I (x) H_eff), i(conj(H_eff) (x) I) and conj(c) (x) c per
     jump in order, is the Kronecker product of two dense dim x dim
     operators A and B.  Every pair of nonzero entries A[ai, aj], B[bi, bj]
-    gives the COO triplet (ai*dim + bi, aj*dim + bj, A[ai, aj]*B[bi, bj]);
-    one CSR conversion sums the triplets of each entry in term order, and
+    gives the triplet (ai*dim + bi, aj*dim + bj, A[ai, aj]*B[bi, bj]); the
+    triplets of each entry are summed in term order, left to right, and
     exact zeros are dropped.  Entry for entry this is the generator that
     sparse Kronecker products and sparse additions give, without their
     per-call cost.
+
+    Which entries pair, where each triplet lands and the order of the sums
+    depend only on dim and the nonzero masks of the factors, so they are
+    planned once per pattern (_generator_plan).  A call gathers its own
+    values, multiplies them, sums each entry's triplets and drops the
+    entries that cancel exactly; every value is recomputed from H and the
+    jumps at every call.
     """
     d = model.dim
+    n = d * d
     c = np.asarray(model.lindblads, dtype=complex).reshape(-1, d, d)
     decay = _decay_operator(c)
     heff = np.asarray(model.hamiltonian, dtype=complex) - 0.5j * decay
@@ -232,22 +304,33 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     # Term t is scale[t] * kron(left[t], right[t]).
     left = np.concatenate([[eye, heff.conj()], c.conj()])
     right = np.concatenate([[heff, eye], c])
-    scale = np.array([-1j, 1j] + [1.0] * len(c))
-    ta, ai, aj = np.nonzero(left)
-    tb, bi, bj = np.nonzero(right)
-    e, f = _pairs(ta, tb)
-    rows = ai[e] * d + bi[f]
-    cols = aj[e] * d + bj[f]
-    vals = left[ta, ai, aj][e] * right[tb, bi, bj][f] * scale[ta][e]
-    # A stable sort by position leaves each entry's triplets in term order
-    # and the column indices sorted, so scipy skips its own (unstable) sort
-    # and sums the triplets of an entry left to right.
-    order = np.argsort(rows * d * d + cols, kind="stable")
-    gen = sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(d * d, d * d))
-    gen.eliminate_zeros()
+    li, ri, scale, slot, row, col = _generator_plan(
+        d, (left != 0).tobytes(), (right != 0).tobytes())
+    vals = left.ravel()[li] * right.ravel()[ri] * scale
+    data = vals[: row.size]
+    np.add.at(data, slot, vals[row.size:])  # an entry's triplets add in order
+    keep = data != 0
+    indptr = np.zeros(n + 1, dtype=col.dtype)
+    np.cumsum(np.bincount(row[keep], minlength=n), out=indptr[1:], dtype=indptr.dtype)
+    gen = sp.csr_matrix((data[keep], col[keep], indptr), shape=(n, n))
     rates = np.linalg.eigvalsh((decay + dagger(decay)) / 2)
     gamma_scale = float(rates[-1]) if len(c) else 0.0
     return Liouvillian(dim=d, superop=gen, gamma_scale=gamma_scale)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _real_plan(d: int, index: str, indptr: bytes, indices: bytes):
+    """Liouvillian.real's gathers for a CSR pattern: the bincount key of
+    every product conj(T[r, k]) L[r, c] T[c, l], and the factors
+    conj(T[r, k]) and T[c, l], each (2, nnz), of every stored entry."""
+    n = d * d
+    col, coef = _hermitian_rows(d)
+    ptr = np.frombuffer(indptr, dtype=index)
+    r = np.repeat(np.arange(n), np.diff(ptr))
+    c = np.frombuffer(indices, dtype=index)
+    # take(axis=1) keeps the (2, nnz) results C-contiguous.
+    keys = col.take(r, axis=1)[:, None] * n + col.take(c, axis=1)
+    return _frozen(keys.ravel(), coef.take(r, axis=1).conj(), coef.take(c, axis=1))
 
 
 @dataclass
@@ -478,6 +561,15 @@ def _bordered_lu(L: Liouvillian):
     return lu
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _drazin_start(d: int) -> np.ndarray:
+    """The fixed seeded, traceless start vector of _drazin_norm, read-only."""
+    x = np.random.default_rng(0).standard_normal(d * d)
+    x[:d] -= x[:d].sum() / d
+    x.flags.writeable = False
+    return x
+
+
 def _drazin_norm(L: Liouvillian, lu) -> float:
     """||L^D||_2 on traceless vectors, in seconds, from the trace-bordered
     LU factors of L.real: a power-iteration estimate times _DRAZIN_MARGIN.
@@ -485,26 +577,22 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     The operator is P B^-1 E P: E zeroes entry 0, B^-1 is the bordered
     solve and P projects out the trace.  Its adjoint P E B^-T P is the
     transposed solve on the same factors.  Power iteration on their
-    product runs from a fixed seeded start vector.
+    product runs from a fixed seeded start vector, made once per dim
+    (_drazin_start); every step is recomputed from the call's factors.
     """
     d = L.dim
-    # LAPACK directly: lu_solve's checks cost more than an 81-entry solve.
-    getrs, = sla.get_lapack_funcs(("getrs",), (lu[0],))
-
-    def traceless(x):
-        x[:d] -= x[:d].mean()
-        return x
-
-    x = traceless(np.random.default_rng(0).standard_normal(d * d))
+    lu_, piv = lu
+    x = _drazin_start(d).copy()
     est = 0.0
     for _ in range(_DRAZIN_STEPS):
-        x /= np.linalg.norm(x)
+        x /= math.sqrt(x @ x)
         x[0] = 0.0
-        y = traceless(getrs(lu[0], lu[1], x, overwrite_b=True)[0])
-        x = getrs(lu[0], lu[1], y, trans=1, overwrite_b=True)[0]
+        y = _getrs(lu_, piv, x, overwrite_b=True)[0]
+        y[:d] -= y[:d].sum() / d
+        x = _getrs(lu_, piv, y, trans=1, overwrite_b=True)[0]
         x[0] = 0.0
-        x = traceless(x)
-        prev, est = est, math.sqrt(np.linalg.norm(x))
+        x[:d] -= x[:d].sum() / d
+        prev, est = est, math.sqrt(math.sqrt(x @ x))
         if abs(est - prev) <= _DRAZIN_RTOL * est:
             break
     norm = _DRAZIN_MARGIN * est
@@ -523,15 +611,13 @@ def _liouvillian_gap(L: Liouvillian, lu) -> float:
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     n = L.dim**2
-    # LAPACK directly: lu_solve's checks cost more than an 81-entry solve.
-    getrs, = sla.get_lapack_funcs(("getrs",), (lu[0],))
 
     def drazin(y):
         # Solves L x = y - tr(y) e_0 with tr(x) = 0: on traceless y this is
         # the Drazin inverse of L, whose eigenvalues are 1/lambda.
         rhs = np.array(y, dtype=float).reshape(n)
         rhs[0] = 0.0
-        return getrs(lu[0], lu[1], rhs, overwrite_b=True)[0]
+        return _getrs(lu[0], lu[1], rhs, overwrite_b=True)[0]
 
     # A fixed start vector makes the gap reproducible from run to run.
     v0 = np.random.default_rng(0).standard_normal(n)
@@ -550,14 +636,20 @@ def _liouvillian_gap(L: Liouvillian, lu) -> float:
     return gap
 
 
+def residual(L: Liouvillian, rho: np.ndarray) -> tuple[float, float]:
+    """||L vec(rho)||_2 and the relative residual
+    ||L vec(rho)||_2 / (||L||_1 ||vec(rho)||_2) of a density matrix."""
+    v = vec(rho)
+    defect = float(np.linalg.norm(L.superop @ v))
+    return defect, defect / float(max(L.norm_1, np.finfo(float).tiny) * np.linalg.norm(v))
+
+
 def _finalize(L: Liouvillian, v: np.ndarray, rtol: float, info: dict):
     """Hermitian unit-trace rho from v, certified by info["drazin_norm"]."""
     rho = unvec(v, L.dim)
     rho = (rho + dagger(rho)) / 2.0
     rho = rho / np.trace(rho).real
-    v = vec(rho)
-    defect = float(np.linalg.norm(L.superop @ v))
-    res = defect / float(max(L.norm_1, np.finfo(float).tiny) * np.linalg.norm(v))
+    defect, res = residual(L, rho)
     bound = info["drazin_norm"] * defect
     info["residual"] = res
     info["error_bound"] = bound

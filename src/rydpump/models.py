@@ -217,9 +217,9 @@ def _check_model(model: SystemModel) -> SystemModel:
     side = model.hamiltonian.shape[0]
     if any(op.shape != (side, side) for op in model.lindblads):
         raise AssertionError("jump operator side differs from the Hamiltonian")
-    for v in model.named_states.values():
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise AssertionError("named state is not unit norm")
+    norms = np.linalg.norm(np.array(list(model.named_states.values())), axis=1)
+    if np.abs(norms - 1.0).max() > 1e-12:
+        raise AssertionError("named state is not unit norm")
     return model
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import rydpump
-from rydpump import models
-from rydpump.cli import _REPRODUCE, AXIS_NAMES, RunSetup, _parser, main
+from rydpump import dynamics, models
+from rydpump.cli import _REPRODUCE, AXIS_NAMES, RunSetup, _parser, main, write_table
 
 
 def run(args):
@@ -375,6 +376,77 @@ def test_sweep_leaves_out_scipy_sparse_linalg(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False"
     _, data = read_csv(out)
     assert len(data) == 4 and all(row[-1] == "" for row in data)
+
+
+def test_steady_leaves_out_scipy_sparse_linalg(tmp_path):
+    # steady writes the residual and the backend, neither of which needs the
+    # gap, so ARPACK is never imported.
+    src = str(Path(rydpump.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "steady.csv"
+    code = ("import sys\nfrom rydpump.cli import main\n"
+            f"code = main(['steady', '--preset', 'fig8a', '--out', {str(out)!r}])\n"
+            "print(code, 'scipy.sparse.linalg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False"
+    header, data = read_csv(out)
+    assert header[-2:] == ["residual", "backend"] and data[0][-1] == "nullspace"
+
+
+@pytest.mark.parametrize("method", ["nullspace", "evolve"])
+def test_steady_residual_is_the_certified_one(method, capsys):
+    # The residual column is the one steady_state certified, bit for bit.
+    assert run(["steady", "--preset", "fig8a", "--method", method, "--format", "json",
+                "--no-timestamp"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    pre = models.figure_preset("fig8a")
+    L = dynamics.build_liouvillian(models.build_model(pre.params, pre.variant))
+    _, info = dynamics.steady_state(L, method=method, return_info=True)
+    assert row[-2:] == [info["residual"], method]
+
+
+def csv_writer_table(command, columns, rows):
+    """The table text of write_table's former per-cell path: f"{v:.17e}" for
+    every float and str() otherwise, each row through csv.writer (oracle for
+    the single template)."""
+    buf = io.StringIO()
+    buf.write(f"# rydpump {command}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([f"{v:.17e}" if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                  1.0, -2.5e-17, 0.1, 123456789.123456789]
+ERROR_TEXTS = ["", "ConvergenceError: residual 1.2e-07 exceeds tolerance 1.0e-08",
+               "a, b", 'say "hi"', "line\nbreak", "cr\rlf", ",", '"', " lead", "trail ", "x"]
+
+
+@pytest.mark.parametrize("with_text", [False, True])
+def test_write_table_csv_matches_csv_writer(with_text, tmp_path):
+    rng = np.random.default_rng(7)
+    values = rng.choice(SPECIAL_FLOATS, size=(40, 3))
+    values[:13, 0] = SPECIAL_FLOATS
+    columns = ["x", "y", "z"]
+    rows = values.tolist()
+    text = None
+    if with_text:
+        text = [ERROR_TEXTS[k % len(ERROR_TEXTS)] for k in range(len(rows))]
+        columns = columns + ["error"]
+        rows = [r + [t] for r, t in zip(rows, text)]
+    out = tmp_path / "t.csv"
+    write_table(str(out), "sweep", columns, values, "csv", False, text=text)
+    assert out.read_bytes() == csv_writer_table("sweep", columns, rows).encode()
+    # JSON is unchanged: a non-finite value is null, text cells stay strings.
+    out = tmp_path / "t.json"
+    write_table(str(out), "sweep", columns, values, "json", False, text=text)
+    doc = {"command": "sweep", "columns": columns,
+           "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v for v in r]
+                    for r in rows]}
+    assert out.read_text() == json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
 def test_parser_reused_across_calls(capsys):

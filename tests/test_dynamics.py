@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_solve
 from scipy.sparse.linalg import LinearOperator, eigs
@@ -18,18 +21,26 @@ from rydpump.dynamics import (
     _STEP_SNAP_RTOL,
     _bordered_lu,
     _check_physical,
+    _decay_operator,
+    _decay_plan,
     _drazin_norm,
+    _drazin_start,
     _finalize,
+    _generator_plan,
     _hermitian_basis,
+    _hermitian_rows,
     _liouvillian_gap,
+    _pairs,
     _positive_by_cholesky,
     _propagate_expm,
+    _real_plan,
     build_liouvillian,
     evolve,
     steady_state,
     unvec,
     vec,
 )
+from rydpump.cli import main
 from rydpump.linalg import BipartiteDims, dagger
 from rydpump.measures import fidelity
 from rydpump.models import (
@@ -366,6 +377,216 @@ def test_liouvillian_preserves_hermiticity_and_trace(rng):
         out = unvec(L.superop @ vec(rho), 9)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
         assert abs(np.trace(out)) <= 1e-12
+
+
+# ------------------------------------------------------------ assembly plans
+
+def index_path_decay(c):
+    """sum_k c_k^dag c_k by the per-call index path: np.nonzero and _pairs
+    of the jumps at every call (oracle for _decay_operator's plan)."""
+    n_ops, d, _ = c.shape
+    op, row, col = np.nonzero(c)
+    e, f = _pairs(op * d + row, op * d + row)
+    val = c[op, row, col]
+    a, b = val[e], val[f]
+    prod = np.empty(e.size, dtype=complex)
+    prod.real = a.real * b.real + a.imag * b.imag
+    prod.imag = a.real * b.imag - a.imag * b.real
+    per_op = np.zeros((n_ops, d, d), dtype=complex)
+    np.add.at(per_op, (op[e], col[e], col[f]), prod)
+    return per_op.sum(axis=0)
+
+
+def kron_factors(model):
+    """The jump stack and the left and right Kronecker factor stacks of
+    build_liouvillian, with its term scales."""
+    d = model.dim
+    c = np.asarray(model.lindblads, dtype=complex).reshape(-1, d, d)
+    heff = np.asarray(model.hamiltonian, dtype=complex) - 0.5j * index_path_decay(c)
+    eye = np.eye(d, dtype=complex)
+    left = np.concatenate([[eye, heff.conj()], c.conj()])
+    right = np.concatenate([[heff, eye], c])
+    return c, left, right, np.array([-1j, 1j] + [1.0] * len(c))
+
+
+def index_path_liouvillian(model):
+    """Superop by the per-call index path: COO triplets from np.nonzero of
+    the factors, sorted stably by position, one csr_matrix conversion and
+    eliminate_zeros (oracle for the plan-built generator)."""
+    d = model.dim
+    _, left, right, scale = kron_factors(model)
+    ta, ai, aj = np.nonzero(left)
+    tb, bi, bj = np.nonzero(right)
+    e, f = _pairs(ta, tb)
+    rows = ai[e] * d + bi[f]
+    cols = aj[e] * d + bj[f]
+    vals = left[ta, ai, aj][e] * right[tb, bi, bj][f] * scale[ta][e]
+    order = np.argsort(rows * d * d + cols, kind="stable")
+    gen = sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(d * d, d * d))
+    gen.eliminate_zeros()
+    return gen
+
+
+def index_path_real(L):
+    """Liouvillian.real by per-call gathers from the CSR arrays (oracle for
+    its plan)."""
+    n = L.dim**2
+    s = L.superop
+    col, coef = _hermitian_rows(L.dim)
+    r = np.repeat(np.arange(n), np.diff(s.indptr))
+    x = coef.take(r, axis=1).conj() * s.data
+    terms = (x[:, None] * coef.take(s.indices, axis=1)).real
+    keys = col.take(r, axis=1)[:, None] * n + col.take(s.indices, axis=1)
+    return np.bincount(keys.ravel(), terms.ravel(), minlength=n * n).reshape(n, n)
+
+
+def assert_plans_match_index_path(m):
+    """Generator, real form and decay operator equal the per-call index
+    path byte for byte, signed zeros included."""
+    L = build_liouvillian(m)
+    want = index_path_liouvillian(m)
+    for name in ("data", "indices", "indptr"):
+        got, ref = getattr(L.superop, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    assert L.real.tobytes() == index_path_real(L).tobytes()
+    c = kron_factors(m)[0]
+    assert _decay_operator(c).tobytes() == index_path_decay(c).tobytes()
+    return L
+
+
+def zero_or(lo, hi):
+    return st.one_of(st.just(0.0), st.floats(lo, hi))
+
+
+# The Fig. 8 and Fig. 9 ranges with exact zeros of Omega, omega, gamma and
+# Delta, which change the nonzero pattern, and microwave phases of both
+# signs (including -0.0).
+PLAN_PARAMS = st.fixed_dictionaries({
+    "rabi_mhz": zero_or(0.02, 0.10),
+    "microwave_rel": st.floats(-0.0125, 0.0125),
+    "delta_mhz": zero_or(0.5, 5.0),
+    "urr_mhz": zero_or(1.0, 10.0),
+    "gamma_khz": zero_or(0.25, 2.5),
+})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(target=st.sampled_from(["singlet", "triplet", "phi", "phi_prime"]), p=PLAN_PARAMS,
+       seed=st.integers(0, 2**32 - 1))
+def test_plans_match_index_path(target, p, seed):
+    scheme = "bell" if target in ("singlet", "triplet") else "qutrit"
+    assert_plans_match_index_path(build_model(caption_params(**p), SchemeVariant(scheme, target)))
+    # A synthetic model with complex entries and a random sparsity pattern.
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n_lindblads=int(rng.integers(0, 4)))
+    m.hamiltonian[rng.random(m.hamiltonian.shape) < 0.5] = 0.0
+    m.hamiltonian[:] = (m.hamiltonian + m.hamiltonian.conj().T) / 2
+    for op in m.lindblads:
+        op[rng.random(op.shape) < 0.8] = 0.0
+    assert_plans_match_index_path(m)
+
+
+def test_plans_keep_signed_zeros():
+    # A purely imaginary Hamiltonian gives entries with a part that is -0.0
+    # in every triplet; summing from the first triplet keeps the sign, as
+    # scipy's sum of duplicates does (a sum from +0.0 would not).
+    a = np.array([[0, 1, -2, 0], [-1, 0, 0.5, 3], [2, -0.5, 0, 1], [0, -3, -1, 0]])
+    jump = np.zeros((4, 4), dtype=complex)
+    jump[0, 1] = 1j
+    m = SystemModel(dims=BipartiteDims(2, 2), hamiltonian=1j * a, lindblads=(jump,),
+                    basis_labels=(("x",) * 2, ("x",) * 2), named_states={}, variant=BELL,
+                    params=ModelParams(1, 1, 1, 1, 1))
+    parts = assert_plans_match_index_path(m).superop.data.view(float)
+    assert np.any(np.signbit(parts) & (parts == 0))
+
+
+def test_real_plan_is_keyed_by_indices_too():
+    # Superops that share indptr but not their column indices get plans of
+    # their own.
+    pre = figure_preset("fig2")
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    s, n = L.superop, L.dim**2
+    for shift in (0, 1, 0):
+        other = sp.csr_matrix((s.data, (s.indices + shift) % n, s.indptr), shape=s.shape)
+        M = Liouvillian(dim=L.dim, superop=other, gamma_scale=L.gamma_scale)
+        assert M.real.tobytes() == index_path_real(M).tobytes()
+
+
+def test_plans_serve_interleaved_models():
+    # Bell, qutrit and gamma = 0 models, each pattern its own plan, built in
+    # turn twice: every build equals the index path.
+    pre = [figure_preset(name) for name in ("fig2", "fig6-point")]
+    models = [build_model(p.params, p.variant) for p in pre]
+    models += [build_model(dataclasses.replace(p.params, gamma=0.0), p.variant) for p in pre]
+    for _ in range(2):
+        for m in models:
+            assert_plans_match_index_path(m)
+
+
+def test_plan_reuse_drops_entries_that_cancel():
+    # Two models with one nonzero pattern: H diagonal, one jump sqrt(g) I.
+    # With two equal levels in the second, its entries between those levels
+    # cancel exactly (-g/2 - g/2 + g, and -i h + i h) and are dropped,
+    # although its triplets come from the first model's plan.
+    d = 6
+    jump = (np.sqrt(0.5) * np.eye(d, dtype=complex),)
+
+    def model(levels):
+        return SystemModel(dims=BipartiteDims(2, 3), hamiltonian=np.diag(levels).astype(complex),
+                           lindblads=jump, basis_labels=(("x",) * 2, ("x",) * 3),
+                           named_states={}, variant=BELL, params=ModelParams(1, 1, 1, 1, 1))
+
+    distinct, repeated = model([1.0, 2, 3, 4, 5, 6]), model([1.0, 2, 3, 4, 5, 5])
+    first = assert_plans_match_index_path(distinct)
+    hits = _generator_plan.cache_info().hits
+    second = assert_plans_match_index_path(repeated)
+    assert _generator_plan.cache_info().hits == hits + 1
+    assert first.superop.nnz == d * d - d
+    assert second.superop.nnz == d * d - d - 2
+    dense = kron_liouvillian(repeated.hamiltonian, repeated.lindblads)
+    assert np.array_equal(second.superop.toarray(), dense)
+
+
+PLAN_CACHES = (_decay_plan, _generator_plan, _real_plan, _drazin_start)
+
+
+def test_sweep_misses_each_plan_once(capsys):
+    for cache in PLAN_CACHES:
+        cache.cache_clear()
+    assert main(["sweep", "--preset", "fig8a", "--axis", "rabi-mhz", "0.02", "0.1", "2",
+                 "--axis", "microwave-rel", "0.002", "0.01", "2", "--reduce", "chsh",
+                 "--no-timestamp"]) == 0
+    for cache in PLAN_CACHES:
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 3), cache.__name__
+        assert info.maxsize is not None
+
+
+def test_plan_arrays_are_read_only():
+    pre = figure_preset("fig2")
+    m = build_model(pre.params, pre.variant)
+    L = build_liouvillian(m)
+    c, left, right, _ = kron_factors(m)
+    s = L.superop
+    plans = [_decay_plan(c.shape, (c != 0).tobytes()),
+             _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes()),
+             _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
+             (_drazin_start(m.dim),)]
+    for plan in plans:
+        for a in plan:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+def test_returned_superop_arrays_are_its_own():
+    # Writing into one result's arrays leaves the next build unchanged.
+    pre = figure_preset("fig2")
+    m = build_model(pre.params, pre.variant)
+    first = build_liouvillian(m)
+    for name in ("data", "indices", "indptr"):
+        getattr(first.superop, name)[...] = 0
+    assert_plans_match_index_path(m)
 
 
 def test_liouvillian_gamma_scale():

@@ -1,0 +1,137 @@
+"""Byte-for-byte gate on the outputs the program writes.
+
+    python3 tools/gate_outputs.py --base REV
+
+regenerates every gated output twice, from the source of git revision REV
+and from the working tree, and compares the two byte for byte.  REV's
+source is extracted with `git archive` into a temporary directory, so the
+repository itself is not touched.  Every output comes from a fresh
+interpreter with BLAS pinned to one thread.  The gated outputs are:
+
+- the CSV of every `reproduce --no-timestamp` figure;
+- `steady` CSV and JSON, for both backends, at fig2, fig6-point, fig8a
+  and fig9c;
+- `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset;
+- the stdout of every demo.
+
+For each output that differs it prints the largest difference between
+corresponding numbers, or where the text first differs when the numbers
+do not line up.  The exit status is 0 when every output is identical and
+1 otherwise.  A full run takes a few minutes, so it is not part of the
+test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+REPRODUCE = ("fig2", "fig2-inset", "fig3", "fig5", "fig5-inset", "fig6", "fig8a", "fig8b",
+             "fig8c", "fig8d", "fig9a", "fig9b", "fig9c")
+STEADY = ("fig2", "fig6-point", "fig8a", "fig9c")
+EVOLVE = ("fig3", "fig5-inset", "fig2-inset")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
+
+
+def jobs(tree: Path) -> list:
+    """(output name, argv) of every gated output; reproduce writes its CSV
+    into the directory given as {out}, the others are read from stdout."""
+    cli = [sys.executable, "-m", "rydpump.cli"]
+    out = [(f"reproduce/{fig}.csv", cli + ["reproduce", fig, "--out-dir", "{out}", "--no-timestamp"])
+           for fig in REPRODUCE]
+    for preset in STEADY:
+        for method in ("nullspace", "evolve"):
+            for fmt in ("csv", "json"):
+                out.append((f"steady/{preset}-{method}.{fmt}",
+                            cli + ["steady", "--preset", preset, "--method", method,
+                                   "--format", fmt, "--no-timestamp"]))
+    for preset in EVOLVE:
+        for fmt in ("csv", "json"):
+            out.append((f"evolve/{preset}.{fmt}",
+                        cli + ["evolve", "--preset", preset, "--format", fmt, "--no-timestamp"]))
+    for demo in sorted((tree / "demos").glob("[0-9]*.py")):
+        out.append((f"demos/{demo.name}.stdout", [sys.executable, str(demo)]))
+    return out
+
+
+def generate(tree: Path, dest: Path) -> dict:
+    """Run every job from the source in tree; return {name: bytes}.  A job
+    that exits non-zero contributes its exit status and stderr too."""
+    env = {**os.environ, **PINNED, "PYTHONPATH": str(tree / "src")}
+    results = {}
+    outdir = dest / "reproduce"
+    outdir.mkdir(parents=True)
+    for name, argv in jobs(tree):
+        argv = [a.replace("{out}", str(outdir)) for a in argv]
+        proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=600)
+        if name.startswith("reproduce/") and proc.returncode == 0:
+            data = (outdir / Path(name).name).read_bytes()
+        else:
+            data = proc.stdout
+        if proc.returncode != 0:
+            data += f"\n[exit {proc.returncode}]\n".encode() + proc.stderr
+        results[name] = data
+        print(f"  {name}", file=sys.stderr)
+    return results
+
+
+def describe(base: bytes, new: bytes) -> str:
+    """The largest difference between corresponding numbers of two texts,
+    or the first line at which they differ."""
+    a, b = base.decode(errors="replace"), new.decode(errors="replace")
+    xa, xb = NUMBER.findall(a), NUMBER.findall(b)
+    if len(xa) == len(xb) and NUMBER.sub("#", a) == NUMBER.sub("#", b):
+        worst, where = 0.0, ("", "")
+        for u, v in zip(xa, xb):
+            if u != v:
+                fu, fv = float(u), float(v)
+                diff = abs(fu - fv) if fu == fu and fv == fv else float("inf")
+                if diff >= worst:
+                    worst, where = diff, (u, v)
+        return f"largest difference {worst:.3e} ({where[0]} -> {where[1]})"
+    la, lb = a.splitlines(), b.splitlines()
+    k = next((i for i, (u, v) in enumerate(zip(la, lb)) if u != v), min(len(la), len(lb)))
+    return (f"text differs at line {k + 1}: {la[k] if k < len(la) else '<end>'!r} -> "
+            f"{lb[k] if k < len(lb) else '<end>'!r}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="git revision to compare the working tree with")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="gate-outputs-") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        base_tree = tmp / "base"
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_tree, filter="data")
+        print(f"generating from {args.base}", file=sys.stderr)
+        base = generate(base_tree, tmp / "base-out")
+        print("generating from the working tree", file=sys.stderr)
+        new = generate(ROOT, tmp / "new-out")
+    differ = 0
+    for name in sorted(set(base) | set(new)):
+        a, b = base.get(name), new.get(name)
+        if a == b:
+            continue
+        differ += 1
+        if a is None or b is None:
+            print(f"{name}: only in {'the working tree' if a is None else args.base}")
+        else:
+            print(f"{name}: {describe(a, b)}")
+    print(f"{len(base | new) - differ} of {len(base | new)} outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
