@@ -135,8 +135,9 @@ class RunSetup:
         scheme = pick("scheme", fig.scheme if fig else None)
         if scheme is None:
             raise ValueError("no scheme given: use --scheme or --preset")
-        default_target = {"bell": "singlet", "qutrit": "phi"}.get(scheme, "")
-        target = pick("target", fig.target if fig else default_target)
+        # A scheme's first target is its default; SchemeVariant reports an unknown scheme.
+        record = models.SCHEMES.get(scheme)
+        target = pick("target", fig.target if fig else next(iter(record.targets)) if record else "")
         self.variant = models.SchemeVariant(scheme=scheme, target=target.replace("-", "_"))
 
         # Caption-unit parameter dict: preset base, then config-file fields,
@@ -166,7 +167,7 @@ class RunSetup:
         outputs = pick("outputs")
         if outputs is None:
             self.outputs = [fig.output if fig else "populations"]
-            self.steady_outputs = ["fidelity", "chsh" if scheme == "bell" else "negativity"]
+            self.steady_outputs = ["fidelity", "chsh" if record.qubits else "negativity"]
         else:
             self.outputs = [o.strip() for o in outputs.split(",") if o.strip()]
             self.steady_outputs = self.outputs
@@ -193,7 +194,7 @@ class RunSetup:
                 raise ValueError(
                     f"unknown output {name!r}; expected one of {', '.join(MEASURE_NAMES)}"
                 )
-            if name == "chsh" and self.variant.scheme != "bell":
+            if name == "chsh" and not self.variant.record.qubits:
                 raise ValueError("the chsh measure is only defined for the bell scheme")
         return list(outputs)
 
@@ -222,12 +223,14 @@ def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
 
 def _csv_field(text: str) -> str:
     """One text cell as csv.writer writes it inside a row of several cells:
-    quoted when it holds a comma, a quote or a line break."""
+    quoted when it holds a comma, a quote, a carriage return or a line
+    feed.  The writer quotes a cell holding any character of its line
+    terminator, so "\r\n" makes it quote a bare carriage return too."""
     if not text:
         return text
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow([text])
+    return buf.getvalue()[:-2]
 
 
 def write_table(out, command: str, columns, values, fmt: str, timestamp: bool,
@@ -405,8 +408,10 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("model")
     g.add_argument("--preset", help="benchmark preset (e.g. fig2, fig3, fig5-inset, fig6-point)")
     g.add_argument("--config", help="key-value config file; explicit flags override it")
-    g.add_argument("--scheme", choices=("bell", "qutrit"))
-    g.add_argument("--target", choices=("singlet", "triplet", "phi", "phi-prime", "phi_prime"))
+    g.add_argument("--scheme", choices=tuple(models.SCHEMES))
+    targets = [t for record in models.SCHEMES.values() for t in record.targets]
+    g.add_argument("--target", choices=tuple(dict.fromkeys(
+        name for t in targets for name in (t.replace("_", "-"), t))))
     g.add_argument("--rabi-mhz", type=float, help="optical Rabi frequency Omega/2pi in MHz")
     g.add_argument("--microwave-rel", type=float, help="microwave amplitude as omega/Omega")
     g.add_argument("--delta-mhz", type=float, help="detuning Delta/2pi in MHz (default U_rr/2)")

@@ -509,7 +509,11 @@ def steady_state(
         with the horizon doubled until exp(-gap * horizon) < eps.  It
         propagates the complex generator: the final Hermitian projection
         then removes the anti-Hermitian half of the rounding error, which
-        the real form would leave in the state.
+        the real form would leave in the state.  Its state bottoms out at
+        ||L vec(rho)||_2 of about 1e-9 to 5e-9, so where the slowest
+        relaxation rate is below about 0.1 1/s (||L^D||_2 above about 10 s)
+        its error bound exceeds 1e-8 and ConvergenceError is raised, while
+        "nullspace" passes.
 
     rho is returned Hermitian with trace exactly 1.  ConvergenceError is
     raised when the relative residual ||L vec(rho)|| / (||L||_1 ||vec(rho)||)

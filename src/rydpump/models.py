@@ -1,5 +1,8 @@
 """Model builders for the two dissipative Rydberg-pumping schemes.
 
+Each scheme is a record in SCHEMES; build_model derives the Hamiltonian,
+the jump operators and the named states from it.
+
 Bell scheme
     Two atoms with ground states |f>, |a> and one Rydberg state |r> each
     (basis order f, a, r).  An optical field drives |f> -> |r> with Rabi
@@ -35,6 +38,7 @@ Unit conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,16 +48,6 @@ import numpy as np
 from .linalg import BipartiteDims, hermiticity_defect, kron
 
 TWO_PI = 2.0 * math.pi
-
-BELL_LEVELS = ("f", "a", "r")
-QUTRIT_LEVELS_A = ("f", "a", "g", "rL", "rR")
-QUTRIT_LEVELS_B = ("f", "a", "g", "r")
-
-# Population bases used for time-series output: the triplet-singlet basis of
-# the Bell ground manifold and the nine-state basis spanning the qutrit-pair
-# ground manifold.
-BELL_POPULATION_BASIS = ("ff", "S", "T", "aa")
-QUTRIT_POPULATION_BASIS = ("fa", "fg", "af", "ag", "gf", "ga", "phi", "varphi", "psi")
 
 
 def angular_mhz(value_mhz: float) -> float:
@@ -76,8 +70,8 @@ class ModelParams:
 
     rabi_microwave_1 drives atom 1; rabi_microwave_2 drives atom 2 in the
     qutrit scheme (the Bell scheme uses rabi_microwave_1 for both atoms).
-    Microwave amplitudes may carry a sign or phase; the scheme variant
-    applies its own sign pattern on top (see SchemeVariant).
+    Microwave amplitudes may carry a sign or phase; the target applies its
+    own sign on top (see Scheme.targets).
     """
 
     rabi_optical: complex        # Omega
@@ -103,42 +97,94 @@ class ModelParams:
         return abs(self.rydberg_U - 2.0 * self.detuning) <= 1e-9 * max(self.detuning, 1.0)
 
 
-_VALID_TARGETS = {"bell": ("singlet", "triplet"), "qutrit": ("phi", "phi_prime")}
+@dataclass(frozen=True)
+class Scheme:
+    """One pumping scheme as data; build_model derives the system from it.
 
-# Named-state key of each preparation target.
-_TARGET_STATE = {"singlet": "S", "triplet": "T", "phi": "phi", "phi_prime": "phi_prime"}
+    Rydberg levels are the level names starting with "r" and follow the
+    ground levels.  A scheme's first target is its default.
+    """
+
+    levels: tuple            # (atom 1 levels, atom 2 levels), in basis order
+    optical: tuple           # per atom, (lower, upper) couplings at Rabi frequency Omega
+    pair_shifts: tuple       # (atom 1 level, atom 2 level) pairs shifted by U_rr
+    microwave_2: str         # ModelParams field that drives the atom-2 microwave
+    targets: dict            # target -> (named state, sign of the atom-2 microwave)
+    superpositions: dict     # named state -> ((integer weight, product label), ...)
+    population_basis: tuple  # named states spanning the ground manifold, for output
+
+    @property
+    def ground(self) -> tuple:
+        """Ground levels of each atom."""
+        return tuple(tuple(lv for lv in atom if not lv.startswith("r")) for atom in self.levels)
+
+    @property
+    def qubits(self) -> bool:
+        """True when each atom's ground manifold is a qubit {|f>, |a>}, the
+        space on which the CHSH measure is defined."""
+        return all(len(ground) == 2 for ground in self.ground)
+
+
+SCHEMES = {
+    "bell": Scheme(
+        levels=(("f", "a", "r"), ("f", "a", "r")),
+        optical=((("f", "r"),), (("f", "r"),)),
+        pair_shifts=(("r", "r"),),
+        microwave_2="rabi_microwave_1",
+        targets={"singlet": ("S", +1), "triplet": ("T", -1)},
+        superpositions={"S": ((1, "fa"), (-1, "af")), "T": ((1, "fa"), (1, "af"))},
+        # The triplet-singlet basis of the Bell ground manifold.
+        population_basis=("ff", "S", "T", "aa"),
+    ),
+    "qutrit": Scheme(
+        levels=(("f", "a", "g", "rL", "rR"), ("f", "a", "g", "r")),
+        optical=((("f", "rL"), ("a", "rR")), (("g", "r"),)),
+        pair_shifts=(("rL", "r"), ("rR", "r")),
+        microwave_2="rabi_microwave_2",
+        targets={"phi": ("phi", -1), "phi_prime": ("phi_prime", +1)},
+        superpositions={
+            "phi": ((1, "ff"), (1, "aa"), (1, "gg")),
+            "phi_prime": ((1, "ff"), (-1, "aa"), (1, "gg")),
+            "psi": ((1, "ff"), (-1, "gg")),
+            "varphi": ((1, "ff"), (-2, "aa"), (1, "gg")),
+        },
+        # Nine states spanning the qutrit-pair ground manifold.
+        population_basis=("fa", "fg", "af", "ag", "gf", "ga", "phi", "varphi", "psi"),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class SchemeVariant:
-    """Scheme selector plus microwave phase pattern.
+    """Scheme selector plus preparation target.
 
-    The target fixes the sign of the atom-2 microwave relative to atom 1:
-    + for singlet, - for triplet (a pi relative phase), - for phi, and
-    + for phi_prime.  In every case the chosen target is the dark state
-    of the resulting microwave Hamiltonian.
+    The target fixes the sign of the atom-2 microwave relative to atom 1
+    (Scheme.targets; the triplet's - is a pi relative phase).  In every
+    case the chosen target is the dark state of the resulting microwave
+    Hamiltonian.
     """
 
     scheme: str
     target: str
 
     def __post_init__(self):
-        if self.scheme not in _VALID_TARGETS:
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected 'bell' or 'qutrit'")
-        if self.target not in _VALID_TARGETS[self.scheme]:
+        if self.target not in self.record.targets:
             raise ValueError(
                 f"target {self.target!r} invalid for scheme {self.scheme!r}; "
-                f"expected one of {_VALID_TARGETS[self.scheme]}"
+                f"expected one of {tuple(self.record.targets)}"
             )
 
     @property
-    def atom2_microwave_sign(self) -> int:
-        return +1 if self.target in ("singlet", "phi_prime") else -1
+    def record(self) -> Scheme:
+        """The scheme's record in SCHEMES."""
+        return SCHEMES[self.scheme]
 
     @property
     def target_state(self) -> str:
         """Key of the target state in SystemModel.named_states."""
-        return _TARGET_STATE[self.target]
+        return self.record.targets[self.target][0]
 
 
 @dataclass(frozen=True)
@@ -162,8 +208,10 @@ class SystemModel:
         return self.dims.dimA * self.dims.dimB
 
     def state(self, name: str) -> np.ndarray:
-        """Named unit ket.  Accepts the aliases singlet/triplet/ground-ff."""
-        key = _STATE_ALIASES.get(name, name)
+        """Named unit ket.  Also accepts the scheme's target names (with '-'
+        for '_'), each naming its target state, and ground-ff."""
+        target = self.variant.record.targets.get(name.replace("-", "_"))
+        key = target[0] if target else ("ff" if name == "ground-ff" else name)
         try:
             return self.named_states[key]
         except KeyError:
@@ -180,8 +228,7 @@ class SystemModel:
         """
         if name in ("mix4", "mix9"):
             basis = self.population_basis()
-            want = 4 if name == "mix4" else 9
-            if len(basis) != want:
+            if name != f"mix{len(basis)}":
                 raise ValueError(f"initial state {name!r} not defined for this scheme")
             return sum(np.outer(v, v.conj()) for _, v in basis) / len(basis)
         v = self.state(name)
@@ -189,24 +236,7 @@ class SystemModel:
 
     def population_basis(self) -> list:
         """(name, ket) pairs of the scheme's ground-manifold basis."""
-        names = BELL_POPULATION_BASIS if self.variant.scheme == "bell" else QUTRIT_POPULATION_BASIS
-        return [(n, self.named_states[n]) for n in names]
-
-
-_STATE_ALIASES = {
-    "singlet": "S",
-    "triplet": "T",
-    "ground-ff": "ff",
-    "phi-prime": "phi_prime",
-}
-
-
-def _product_states(labels_a, labels_b) -> dict:
-    """Product kets |la lb>: the rows of the identity, in kron order, each
-    its own copy."""
-    eye = np.eye(len(labels_a) * len(labels_b), dtype=complex)
-    labels = [f"{la}{lb}" for la in labels_a for lb in labels_b]
-    return {label: row.copy() for label, row in zip(labels, eye)}
+        return [(n, self.named_states[n]) for n in self.variant.record.population_basis]
 
 
 def _check_model(model: SystemModel) -> SystemModel:
@@ -223,139 +253,98 @@ def _check_model(model: SystemModel) -> SystemModel:
     return model
 
 
-def build_bell_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
-    """Assemble the 9-level Bell-scheme system.
-
-    H = H1 (x) I2 + I1 (x) H2 + U_rr |rr><rr| with the single-atom matrix
-    (basis f, a, r)
-
-        [[0,        omega/2, Omega/2],
-         [omega*/2, 0,       0      ],
-         [Omega*/2, 0,       -Delta ]]
-
-    and four Lindblad operators sqrt(gamma/2) |f><r|, sqrt(gamma/2) |a><r|
-    on each atom.  The triplet variant flips the sign of the atom-2
-    microwave amplitude.
-    """
-    if variant.scheme != "bell":
-        raise ValueError(f"build_bell_model requires scheme 'bell', got {variant.scheme!r}")
-    omega = complex(params.rabi_microwave_1)
-    big_o = complex(params.rabi_optical)
-
-    def single_atom(om: complex) -> np.ndarray:
-        return np.array(
-            [
-                [0.0, om / 2.0, big_o / 2.0],
-                [np.conj(om) / 2.0, 0.0, 0.0],
-                [np.conj(big_o) / 2.0, 0.0, -params.detuning],
-            ],
-            dtype=complex,
-        )
-
-    eye3 = np.eye(3, dtype=complex)
-    ham = kron(single_atom(omega), eye3) + kron(eye3, single_atom(variant.atom2_microwave_sign * omega))
-    rr = 2 * 3 + 2
-    ham[rr, rr] += params.rydberg_U
-
-    amp = math.sqrt(params.gamma / 2.0)
-    lindblads = []
-    for atom in (0, 1):
-        for ground in (0, 1):  # f, a
-            jump = np.zeros((3, 3), dtype=complex)
-            jump[ground, 2] = amp
-            lindblads.append(kron(jump, eye3) if atom == 0 else kron(eye3, jump))
-
-    states = _product_states(BELL_LEVELS, BELL_LEVELS)
-    states["S"] = (states["fa"] - states["af"]) / math.sqrt(2.0)
-    states["T"] = (states["fa"] + states["af"]) / math.sqrt(2.0)
-
-    return _check_model(
-        SystemModel(
-            dims=BipartiteDims(3, 3),
-            hamiltonian=ham,
-            lindblads=tuple(lindblads),
-            basis_labels=(BELL_LEVELS, BELL_LEVELS),
-            named_states=states,
-            variant=variant,
-            params=params,
-        )
-    )
-
-
-def build_qutrit_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
-    """Assemble the 20-level qutrit-scheme system.
-
-    Atom 1 (basis f, a, g, rL, rR) carries microwave chain f<->a<->g with
-    amplitude omega_1 and optical couplings f->rL, a->rR; atom 2 (basis
-    f, a, g, r) carries the same chain with amplitude +/- omega_2 and
-    optical coupling g->r.  Both Rydberg interactions carry the same
-    strength U_rr; nine Lindblad operators sqrt(gamma/3) (ground><Rydberg)
-    describe the decay.
-    """
-    if variant.scheme != "qutrit":
-        raise ValueError(f"build_qutrit_model requires scheme 'qutrit', got {variant.scheme!r}")
-    om1 = complex(params.rabi_microwave_1)
-    om2 = variant.atom2_microwave_sign * complex(params.rabi_microwave_2)
-    big_o = complex(params.rabi_optical)
-    delta = params.detuning
-
-    h1 = np.zeros((5, 5), dtype=complex)
-    h1[0, 1] = om1 / 2.0; h1[1, 0] = np.conj(om1) / 2.0
-    h1[1, 2] = om1 / 2.0; h1[2, 1] = np.conj(om1) / 2.0
-    h1[0, 3] = big_o / 2.0; h1[3, 0] = np.conj(big_o) / 2.0
-    h1[1, 4] = big_o / 2.0; h1[4, 1] = np.conj(big_o) / 2.0
-    h1[3, 3] = -delta
-    h1[4, 4] = -delta
-
-    h2 = np.zeros((4, 4), dtype=complex)
-    h2[0, 1] = om2 / 2.0; h2[1, 0] = np.conj(om2) / 2.0
-    h2[1, 2] = om2 / 2.0; h2[2, 1] = np.conj(om2) / 2.0
-    h2[2, 3] = big_o / 2.0; h2[3, 2] = np.conj(big_o) / 2.0
-    h2[3, 3] = -delta
-
-    eye5, eye4 = np.eye(5, dtype=complex), np.eye(4, dtype=complex)
-    ham = kron(h1, eye4) + kron(eye5, h2)
-    for rydberg_1 in (3, 4):  # |rL r>, |rR r> shifted by the same U_rr
-        idx = rydberg_1 * 4 + 3
-        ham[idx, idx] += params.rydberg_U
-
-    amp = math.sqrt(params.gamma / 3.0)
-    lindblads = []
-    for rydberg_1 in (3, 4):
-        for ground in (0, 1, 2):
-            jump = np.zeros((5, 5), dtype=complex)
-            jump[ground, rydberg_1] = amp
-            lindblads.append(kron(jump, eye4))
-    for ground in (0, 1, 2):
-        jump = np.zeros((4, 4), dtype=complex)
-        jump[ground, 3] = amp
-        lindblads.append(kron(eye5, jump))
-
-    states = _product_states(QUTRIT_LEVELS_A, QUTRIT_LEVELS_B)
-    ff, aa, gg = states["ff"], states["aa"], states["gg"]
-    states["phi"] = (ff + aa + gg) / math.sqrt(3.0)
-    states["phi_prime"] = (ff - aa + gg) / math.sqrt(3.0)
-    states["psi"] = (ff - gg) / math.sqrt(2.0)
-    states["varphi"] = (ff - 2.0 * aa + gg) / math.sqrt(6.0)
-
-    return _check_model(
-        SystemModel(
-            dims=BipartiteDims(5, 4),
-            hamiltonian=ham,
-            lindblads=tuple(lindblads),
-            basis_labels=(QUTRIT_LEVELS_A, QUTRIT_LEVELS_B),
-            named_states=states,
-            variant=variant,
-            params=params,
-        )
-    )
+@functools.lru_cache(maxsize=None)
+def _plan(name: str) -> tuple:
+    """What build_model needs of a scheme that no parameter value changes,
+    all read-only: per atom its identity and the indices of its microwave
+    pairs, optical pairs, ground levels and Rydberg levels; the two-atom
+    diagonal indices that U_rr shifts; the named kets."""
+    scheme = SCHEMES[name]
+    atoms = []
+    for levels, ground, optical in zip(scheme.levels, scheme.ground, scheme.optical):
+        g = tuple(map(levels.index, ground))
+        pairs = tuple((levels.index(lower), levels.index(upper)) for lower, upper in optical)
+        atoms.append((np.eye(len(levels), dtype=complex), tuple(zip(g, g[1:])), pairs, g,
+                      tuple(i for i in range(len(levels)) if i not in g)))
+    la, lb = scheme.levels
+    shifts = tuple(la.index(a) * len(lb) + lb.index(b) for a, b in scheme.pair_shifts)
+    # Product kets |la lb> are the rows of the identity, in kron order.
+    kets = dict(zip([a + b for a in la for b in lb], np.eye(len(la) * len(lb), dtype=complex)))
+    for state, terms in scheme.superpositions.items():
+        ket = sum(w * kets[label] for w, label in terms)
+        kets[state] = ket / math.sqrt(sum(w * w for w, _ in terms))
+    for array in [atom[0] for atom in atoms] + list(kets.values()):
+        array.flags.writeable = False
+    return tuple(atoms), shifts, kets
 
 
 def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
-    """Dispatch to the builder matching variant.scheme."""
-    if variant.scheme == "bell":
-        return build_bell_model(params, variant)
-    return build_qutrit_model(params, variant)
+    """Assemble the two-atom system of variant's scheme from its record.
+
+    H = H1 (x) I2 + I1 (x) H2 + U_rr (sum of |ab><ab| over the pair shifts).
+    The single-atom H_j holds omega_j/2 on each pair of consecutive ground
+    levels and Omega/2 on each optical pair above the diagonal, their
+    conjugates below it, and -Delta on each Rydberg level; omega_2 carries
+    the target's sign.  Each Rydberg level r decays to each ground level g
+    of its atom through sqrt(gamma/n) |g><r|, n the atom's number of ground
+    levels; the jump operators come atom by atom, then by r, then by g.
+    """
+    scheme = variant.record
+    atoms, shifts, kets = _plan(variant.scheme)
+    sign = scheme.targets[variant.target][1]
+    microwaves = (complex(params.rabi_microwave_1),
+                  sign * complex(getattr(params, scheme.microwave_2)))
+    big_o = complex(params.rabi_optical)
+
+    singles = []
+    for (eye, microwave, optical, _, rydberg), om in zip(atoms, microwaves):
+        h = np.zeros(eye.shape, dtype=complex)
+        for pairs, amp in ((microwave, om), (optical, big_o)):
+            for i, j in pairs:
+                h[i, j] = amp / 2.0
+                h[j, i] = np.conj(amp) / 2.0
+        for r in rydberg:
+            h[r, r] = -params.detuning
+        singles.append(h)
+    (eye_a, *_), (eye_b, *_) = atoms
+    ham = kron(singles[0], eye_b) + kron(eye_a, singles[1])
+    for k in shifts:
+        ham[k, k] += params.rydberg_U
+
+    lindblads = []
+    for n, (eye, _, _, ground, rydberg) in enumerate(atoms):
+        amp = math.sqrt(params.gamma / len(ground))
+        for r in rydberg:
+            for g in ground:
+                jump = np.zeros(eye.shape, dtype=complex)
+                jump[g, r] = amp
+                lindblads.append(kron(jump, eye_b) if n == 0 else kron(eye_a, jump))
+
+    return _check_model(
+        SystemModel(
+            dims=BipartiteDims(len(eye_a), len(eye_b)),
+            hamiltonian=ham,
+            lindblads=tuple(lindblads),
+            basis_labels=scheme.levels,
+            named_states={state: ket.copy() for state, ket in kets.items()},
+            variant=variant,
+            params=params,
+        )
+    )
+
+
+def build_bell_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
+    """build_model for the 9-level Bell scheme; any other scheme is an error."""
+    if variant.scheme != "bell":
+        raise ValueError(f"build_bell_model requires scheme 'bell', got {variant.scheme!r}")
+    return build_model(params, variant)
+
+
+def build_qutrit_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
+    """build_model for the 20-level qutrit scheme; any other scheme is an error."""
+    if variant.scheme != "qutrit":
+        raise ValueError(f"build_qutrit_model requires scheme 'qutrit', got {variant.scheme!r}")
+    return build_model(params, variant)
 
 
 def caption_params(

@@ -409,13 +409,17 @@ def test_steady_residual_is_the_certified_one(method, capsys):
 def csv_writer_table(command, columns, rows):
     """The table text of write_table's former per-cell path: f"{v:.17e}" for
     every float and str() otherwise, each row through csv.writer (oracle for
-    the single template)."""
+    the single template).  The rows are written with the line terminator
+    "\r\n", which makes csv.writer quote a cell holding a bare "\r" too, and
+    each row then ends in "\n"."""
     buf = io.StringIO()
     buf.write(f"# rydpump {command}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    csv.writer(buf, lineterminator="\n").writerow(columns)
     for row in rows:
-        writer.writerow([f"{v:.17e}" if isinstance(v, float) else str(v) for v in row])
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(
+            [f"{v:.17e}" if isinstance(v, float) else str(v) for v in row])
+        buf.write(line.getvalue()[:-2] + "\n")
     return buf.getvalue()
 
 
@@ -440,6 +444,13 @@ def test_write_table_csv_matches_csv_writer(with_text, tmp_path):
     out = tmp_path / "t.csv"
     write_table(str(out), "sweep", columns, values, "csv", False, text=text)
     assert out.read_bytes() == csv_writer_table("sweep", columns, rows).encode()
+    # csv.reader reads every cell back, text cells with "\r" or "\n" included.
+    with open(out, newline="") as f:
+        assert next(f) == "# rydpump sweep\n"
+        table = list(csv.reader(f))
+    assert table[0] == columns and len(table) == len(rows) + 1
+    if text is not None:
+        assert [r[-1] for r in table[1:]] == text
     # JSON is unchanged: a non-finite value is null, text cells stay strings.
     out = tmp_path / "t.json"
     write_table(str(out), "sweep", columns, values, "json", False, text=text)

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydpump.cli import RunSetup
+from rydpump.dynamics import build_liouvillian
+from rydpump.linalg import BipartiteDims, kron
 from rydpump.models import (
+    SCHEMES,
     ModelParams,
     SchemeVariant,
+    SystemModel,
     angular_mhz,
     build_bell_model,
     build_model,
@@ -395,3 +401,211 @@ def test_params_from_config_rejects_unknown_key(tmp_path):
     cfg.write_text("omega = 1.0\n")
     with pytest.raises(ValueError, match="unknown config key 'omega'"):
         params_from_config(cfg)
+
+
+# ------------------------------------------------- scheme records and builder
+# The two builders that wrote each scheme out by hand, kept as the oracle of
+# the one builder that reads a scheme record.  Their bodies are unchanged
+# but for names: the level constants and the product-state helper carry an
+# ORACLE_/oracle_ prefix, the atom-2 microwave sign, once a SchemeVariant
+# property, is oracle_atom2_microwave_sign, and they return the SystemModel
+# without the package's model checks.
+
+ORACLE_BELL_LEVELS = ("f", "a", "r")
+ORACLE_QUTRIT_LEVELS_A = ("f", "a", "g", "rL", "rR")
+ORACLE_QUTRIT_LEVELS_B = ("f", "a", "g", "r")
+
+
+def oracle_atom2_microwave_sign(variant):
+    return +1 if variant.target in ("singlet", "phi_prime") else -1
+
+
+def oracle_product_states(labels_a, labels_b) -> dict:
+    eye = np.eye(len(labels_a) * len(labels_b), dtype=complex)
+    labels = [f"{la}{lb}" for la in labels_a for lb in labels_b]
+    return {label: row.copy() for label, row in zip(labels, eye)}
+
+
+def oracle_bell_model(params, variant):
+    if variant.scheme != "bell":
+        raise ValueError(f"build_bell_model requires scheme 'bell', got {variant.scheme!r}")
+    omega = complex(params.rabi_microwave_1)
+    big_o = complex(params.rabi_optical)
+
+    def single_atom(om: complex) -> np.ndarray:
+        return np.array(
+            [
+                [0.0, om / 2.0, big_o / 2.0],
+                [np.conj(om) / 2.0, 0.0, 0.0],
+                [np.conj(big_o) / 2.0, 0.0, -params.detuning],
+            ],
+            dtype=complex,
+        )
+
+    eye3 = np.eye(3, dtype=complex)
+    ham = kron(single_atom(omega), eye3) + kron(eye3, single_atom(
+        oracle_atom2_microwave_sign(variant) * omega))
+    rr = 2 * 3 + 2
+    ham[rr, rr] += params.rydberg_U
+
+    amp = math.sqrt(params.gamma / 2.0)
+    lindblads = []
+    for atom in (0, 1):
+        for ground in (0, 1):  # f, a
+            jump = np.zeros((3, 3), dtype=complex)
+            jump[ground, 2] = amp
+            lindblads.append(kron(jump, eye3) if atom == 0 else kron(eye3, jump))
+
+    states = oracle_product_states(ORACLE_BELL_LEVELS, ORACLE_BELL_LEVELS)
+    states["S"] = (states["fa"] - states["af"]) / math.sqrt(2.0)
+    states["T"] = (states["fa"] + states["af"]) / math.sqrt(2.0)
+
+    return SystemModel(
+        dims=BipartiteDims(3, 3),
+        hamiltonian=ham,
+        lindblads=tuple(lindblads),
+        basis_labels=(ORACLE_BELL_LEVELS, ORACLE_BELL_LEVELS),
+        named_states=states,
+        variant=variant,
+        params=params,
+    )
+
+
+def oracle_qutrit_model(params, variant):
+    if variant.scheme != "qutrit":
+        raise ValueError(f"build_qutrit_model requires scheme 'qutrit', got {variant.scheme!r}")
+    om1 = complex(params.rabi_microwave_1)
+    om2 = oracle_atom2_microwave_sign(variant) * complex(params.rabi_microwave_2)
+    big_o = complex(params.rabi_optical)
+    delta = params.detuning
+
+    h1 = np.zeros((5, 5), dtype=complex)
+    h1[0, 1] = om1 / 2.0; h1[1, 0] = np.conj(om1) / 2.0
+    h1[1, 2] = om1 / 2.0; h1[2, 1] = np.conj(om1) / 2.0
+    h1[0, 3] = big_o / 2.0; h1[3, 0] = np.conj(big_o) / 2.0
+    h1[1, 4] = big_o / 2.0; h1[4, 1] = np.conj(big_o) / 2.0
+    h1[3, 3] = -delta
+    h1[4, 4] = -delta
+
+    h2 = np.zeros((4, 4), dtype=complex)
+    h2[0, 1] = om2 / 2.0; h2[1, 0] = np.conj(om2) / 2.0
+    h2[1, 2] = om2 / 2.0; h2[2, 1] = np.conj(om2) / 2.0
+    h2[2, 3] = big_o / 2.0; h2[3, 2] = np.conj(big_o) / 2.0
+    h2[3, 3] = -delta
+
+    eye5, eye4 = np.eye(5, dtype=complex), np.eye(4, dtype=complex)
+    ham = kron(h1, eye4) + kron(eye5, h2)
+    for rydberg_1 in (3, 4):  # |rL r>, |rR r> shifted by the same U_rr
+        idx = rydberg_1 * 4 + 3
+        ham[idx, idx] += params.rydberg_U
+
+    amp = math.sqrt(params.gamma / 3.0)
+    lindblads = []
+    for rydberg_1 in (3, 4):
+        for ground in (0, 1, 2):
+            jump = np.zeros((5, 5), dtype=complex)
+            jump[ground, rydberg_1] = amp
+            lindblads.append(kron(jump, eye4))
+    for ground in (0, 1, 2):
+        jump = np.zeros((4, 4), dtype=complex)
+        jump[ground, 3] = amp
+        lindblads.append(kron(eye5, jump))
+
+    states = oracle_product_states(ORACLE_QUTRIT_LEVELS_A, ORACLE_QUTRIT_LEVELS_B)
+    ff, aa, gg = states["ff"], states["aa"], states["gg"]
+    states["phi"] = (ff + aa + gg) / math.sqrt(3.0)
+    states["phi_prime"] = (ff - aa + gg) / math.sqrt(3.0)
+    states["psi"] = (ff - gg) / math.sqrt(2.0)
+    states["varphi"] = (ff - 2.0 * aa + gg) / math.sqrt(6.0)
+
+    return SystemModel(
+        dims=BipartiteDims(5, 4),
+        hamiltonian=ham,
+        lindblads=tuple(lindblads),
+        basis_labels=(ORACLE_QUTRIT_LEVELS_A, ORACLE_QUTRIT_LEVELS_B),
+        named_states=states,
+        variant=variant,
+        params=params,
+    )
+
+
+ORACLE = {"bell": oracle_bell_model, "qutrit": oracle_qutrit_model}
+ALL_VARIANTS = (BELL, BELL_T, QUTRIT, QUTRIT_P)
+
+
+def assert_same_array(built, want, what):
+    assert (built.dtype, built.shape) == (want.dtype, want.shape), what
+    assert built.tobytes() == want.tobytes(), what
+
+
+def assert_matches_oracle(params, variant):
+    built, want = build_model(params, variant), ORACLE[variant.scheme](params, variant)
+    assert built.dims == want.dims
+    assert built.basis_labels == want.basis_labels
+    assert_same_array(built.hamiltonian, want.hamiltonian, "hamiltonian")
+    assert len(built.lindblads) == len(want.lindblads)
+    for k, (op, want_op) in enumerate(zip(built.lindblads, want.lindblads)):
+        assert_same_array(op, want_op, f"lindblads[{k}]")
+    assert list(built.named_states) == list(want.named_states)
+    for name, ket in built.named_states.items():
+        assert_same_array(ket, want.named_states[name], name)
+    return built
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_builder_matches_oracle_at_presets(preset):
+    # Every target of the preset's scheme, at the preset's parameters; the
+    # generator keeps its sparsity (533 entries Bell, 2970 qutrit).
+    pre = figure_preset(preset)
+    for variant in ALL_VARIANTS:
+        if variant.scheme == pre.variant.scheme:
+            model = assert_matches_oracle(pre.params, variant)
+            nnz = build_liouvillian(model).superop.nnz
+            assert nnz == {"bell": 533, "qutrit": 2970}[variant.scheme]
+
+
+# Complex drives and nonnegative rates, each sometimes exactly zero.
+DRIVE = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e9, allow_nan=False,
+                                                   allow_infinity=False))
+RATE = st.one_of(st.just(0.0), st.floats(0.0, 1e9))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(ALL_VARIANTS), rabi=DRIVE, mw1=DRIVE, mw2=DRIVE, delta=RATE,
+       urr=RATE, gamma=RATE)
+def test_builder_matches_oracle_at_random_params(variant, rabi, mw1, mw2, delta, urr, gamma):
+    params = ModelParams(rabi_optical=rabi, rabi_microwave_1=mw1, rabi_microwave_2=mw2,
+                         detuning=delta, rydberg_U=urr, gamma=gamma)
+    assert_matches_oracle(params, variant)
+
+
+def test_records_count_the_papers_structural_claim():
+    # The Bell scheme drives one optical transition per atom and has one
+    # Rydberg interaction; the qutrit scheme drives three and has two.
+    bell, qutrit = SCHEMES["bell"], SCHEMES["qutrit"]
+    assert [len(pairs) for pairs in bell.optical] == [1, 1]
+    assert len(bell.pair_shifts) == 1
+    assert [len(pairs) for pairs in qutrit.optical] == [2, 1]
+    assert len(qutrit.pair_shifts) == 2
+    assert bell.qubits and not qutrit.qubits
+    for name, variant in (("bell", BELL), ("qutrit", QUTRIT)):
+        scheme = SCHEMES[name]
+        la, lb = scheme.levels
+        # Only U_rr set: H is U_rr on every pair shift and zero elsewhere, so
+        # the one rydberg_U field sets every interaction alike.
+        p = ModelParams(rabi_optical=0.0, rabi_microwave_1=0.0, detuning=0.0, rydberg_U=3.7,
+                        gamma=0.0)
+        want = np.zeros((len(la) * len(lb),) * 2)
+        for a, b in scheme.pair_shifts:
+            k = la.index(a) * len(lb) + lb.index(b)
+            want[k, k] = 3.7
+        assert np.array_equal(build_model(p, variant).hamiltonian, want)
+        # Each branch decays at gamma / (number of ground levels of its atom):
+        # gamma/2 on each of the four Bell branches, gamma/3 on the nine qutrit ones.
+        assert [len(ground) for ground in scheme.ground] == {"bell": [2, 2], "qutrit": [3, 3]}[name]
+        p = ModelParams(rabi_optical=1.3, rabi_microwave_1=0.7, rabi_microwave_2=0.7,
+                        detuning=2.1, rydberg_U=4.2, gamma=6.0)
+        jumps = build_model(p, variant).lindblads
+        per_branch, branches = {"bell": (3.0, 4), "qutrit": (2.0, 9)}[name]
+        assert [float(np.max(np.abs(op))) ** 2 for op in jumps] == \
+            pytest.approx([per_branch] * branches, rel=1e-14)

@@ -10,8 +10,11 @@ interpreter with BLAS pinned to one thread.  The gated outputs are:
 
 - the CSV of every `reproduce --no-timestamp` figure;
 - `steady` CSV and JSON, for both backends, at fig2, fig6-point, fig8a
-  and fig9c;
-- `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset;
+  and fig9c, for the preset's target and again for the other target of
+  its scheme (triplet at fig2 and fig8a, phi-prime at fig6-point and
+  fig9c), which no figure uses;
+- `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset, and the CHSH
+  series of fig3 with target triplet (the triplet frame);
 - the stdout of every demo.
 
 For each output that differs it prints the largest difference between
@@ -38,6 +41,9 @@ PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS"
 REPRODUCE = ("fig2", "fig2-inset", "fig3", "fig5", "fig5-inset", "fig6", "fig8a", "fig8b",
              "fig8c", "fig8d", "fig9a", "fig9b", "fig9c")
 STEADY = ("fig2", "fig6-point", "fig8a", "fig9c")
+# The target of each steady preset that its figure does not use.
+OTHER_TARGET = {"fig2": "triplet", "fig8a": "triplet", "fig6-point": "phi-prime",
+                "fig9c": "phi-prime"}
 EVOLVE = ("fig3", "fig5-inset", "fig2-inset")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
@@ -49,15 +55,20 @@ def jobs(tree: Path) -> list:
     out = [(f"reproduce/{fig}.csv", cli + ["reproduce", fig, "--out-dir", "{out}", "--no-timestamp"])
            for fig in REPRODUCE]
     for preset in STEADY:
-        for method in ("nullspace", "evolve"):
-            for fmt in ("csv", "json"):
-                out.append((f"steady/{preset}-{method}.{fmt}",
-                            cli + ["steady", "--preset", preset, "--method", method,
-                                   "--format", fmt, "--no-timestamp"]))
-    for preset in EVOLVE:
+        for name, target in ((preset, []), (f"{preset}-{OTHER_TARGET[preset]}",
+                                            ["--target", OTHER_TARGET[preset]])):
+            for method in ("nullspace", "evolve"):
+                for fmt in ("csv", "json"):
+                    out.append((f"steady/{name}-{method}.{fmt}",
+                                cli + ["steady", "--preset", preset, *target, "--method", method,
+                                       "--format", fmt, "--no-timestamp"]))
+    evolve = [(preset, ["--preset", preset]) for preset in EVOLVE]
+    evolve.append(("fig3-triplet-chsh", ["--preset", "fig3", "--target", "triplet",
+                                         "--outputs", "chsh"]))
+    for name, spec in evolve:
         for fmt in ("csv", "json"):
-            out.append((f"evolve/{preset}.{fmt}",
-                        cli + ["evolve", "--preset", preset, "--format", fmt, "--no-timestamp"]))
+            out.append((f"evolve/{name}.{fmt}",
+                        cli + ["evolve", *spec, "--format", fmt, "--no-timestamp"]))
     for demo in sorted((tree / "demos").glob("[0-9]*.py")):
         out.append((f"demos/{demo.name}.stdout", [sys.executable, str(demo)]))
     return out
