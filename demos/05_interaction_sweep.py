@@ -1,24 +1,18 @@
 """How strong must the Rydberg interaction be?
 
-Sweeping U_rr (with Delta = U_rr/2 maintaining the pumping resonance and
-the detuning growing alongside) shows the steady-state fidelity climbing
-towards 1: larger detuning suppresses the off-resonant excitation of the
-singlet itself, which is the dominant error at small U_rr.
+rydpump.sweep solves for the steady state along a grid of U_rr.  The
+caption gives no Delta, so Delta = U_rr/2 follows at every point,
+keeping the pumping resonant while the detuning grows alongside.  The
+steady-state fidelity climbs towards 1: larger detuning suppresses the
+off-resonant excitation of the singlet itself, which is the dominant
+error at small U_rr.
 """
 
-import numpy as np
+from rydpump import SchemeVariant, sweep
 
-from rydpump import (
-    SchemeVariant, build_bell_model, build_liouvillian, caption_params,
-    fidelity, steady_state,
-)
-
-variant = SchemeVariant("bell", "singlet")
+caption = dict(rabi_mhz=0.036, microwave_rel=0.004, gamma_khz=1.673)
+coords, fids, _ = sweep(caption, SchemeVariant("bell", "singlet"),
+                        [("urr-mhz", 1.0, 8.0, 8)], "fidelity")
 print(" U_rr/2pi [MHz]   fidelity")
-for urr in np.linspace(1.0, 8.0, 8):
-    params = caption_params(rabi_mhz=0.036, microwave_rel=0.004,
-                            urr_mhz=float(urr), gamma_khz=1.673)
-    model = build_bell_model(params, variant)
-    rho = steady_state(build_liouvillian(model))
-    fid = fidelity(model.state("S"), rho)
+for (urr,), fid in zip(coords, fids):
     print(f"{urr:14.1f}   {fid:.6f}  {'#' * int(60 * fid)}")

@@ -3,7 +3,7 @@
 Builds the two-atom Bell scheme (9 levels) and the two-qutrit scheme
 (20 levels), assembles their Lindblad master equations, propagates or
 solves for steady states, and evaluates fidelity, CHSH correlation and
-negativity.
+negativity, at one operating point or over a parameter grid (sweep).
 """
 
 from .linalg import (
@@ -45,6 +45,7 @@ from .measures import (
     negativity,
     populations,
 )
+from .grid import sweep
 
 __version__ = "0.1.0"
 
@@ -56,6 +57,6 @@ __all__ = [
     "decay_rate_khz", "figure_preset",
     "ConvergenceError", "Liouvillian", "NonUniqueSteadyStateError", "Trajectory",
     "build_liouvillian", "evolve", "steady_state", "unvec", "vec",
-    "chsh_correlation", "chsh_operator", "fidelity", "negativity", "populations",
+    "chsh_correlation", "chsh_operator", "fidelity", "negativity", "populations", "sweep",
     "__version__",
 ]

@@ -2,9 +2,10 @@
 
 Flags use caption units: --rabi-mhz and --delta-mhz / --urr-mhz are /2pi
 MHz values, --microwave-rel is the ratio omega/Omega, --gamma-khz is a
-plain rate in kHz (--gamma-angular reads it as 2*pi*kHz instead).  When
-only one of --delta-mhz / --urr-mhz is given the other follows from
-U_rr = 2*Delta.
+plain rate in kHz (--gamma-angular reads it as 2*pi*kHz instead).  Config
+fields, flags and sweep axes override the preset by one rule (grid.override):
+the given U_rr or Delta replaces the preset's other leg, which follows from
+U_rr = 2*Delta.  sweep and reproduce compute their grids with grid.sweep.
 
 Exit codes: 0 success, 2 invalid specification (also a config file that
 cannot be read or an output path that cannot be written), 3 numerical
@@ -20,13 +21,13 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, measures, models
+from . import dynamics, models
+from .grid import AXIS_NAMES, measure_columns, override, sweep
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -34,7 +35,6 @@ EXIT_NUMERICAL = 3
 EXIT_DEGENERATE = 4
 
 MEASURE_NAMES = ("populations", "fidelity", "chsh", "negativity")
-AXIS_NAMES = ("rabi-mhz", "microwave-rel", "delta-mhz", "urr-mhz", "gamma-khz")
 
 # reproduce targets by name: the figure whose data each one writes.
 _REPRODUCE = {f.reproduce or f.name: f for f in models.FIGURES.values()}
@@ -124,9 +124,7 @@ class RunSetup:
 
         def pick(dest, default=None):
             val = opts.get(dest)
-            if val is not None:
-                return val
-            return cfg_flags.get(dest, default)
+            return val if val is not None else cfg_flags.get(dest, default)
 
         self.gamma_angular = bool(pick("gamma_angular", False))
         preset_name = pick("preset")
@@ -140,22 +138,13 @@ class RunSetup:
         target = pick("target", fig.target if fig else next(iter(record.targets)) if record else "")
         self.variant = models.SchemeVariant(scheme=scheme, target=target.replace("-", "_"))
 
-        # Caption-unit parameter dict: preset base, then config-file fields,
-        # then flags.  Track which keys the user pinned explicitly so sweeps
-        # know whether Delta may follow U_rr = 2*Delta.
-        caption = dict(fig.caption) if fig else {}
-        if "microwave_mhz" in cfg_fields:
-            caption.pop("microwave_rel", None)
-        caption.update(cfg_fields)
-        self.explicit: set = set(cfg_fields)
-        for key in _CAPTION_FLAGS:
-            val = pick(key)
-            if val is not None:
-                if key == "microwave_rel":
-                    caption.pop("microwave_mhz", None)
-                caption[key] = val
-                self.explicit.add(key)
-        self.caption = caption
+        # Caption-unit values: the preset's, overridden by the config-file
+        # fields, then by the flags.  No sweep axis drops a key in given.
+        self.given = dict(cfg_fields)
+        self.given.update((key, pick(key)) for key in _CAPTION_FLAGS if pick(key) is not None)
+        self.caption = dict(fig.caption) if fig else {}
+        for key, value in self.given.items():
+            override(self.caption, key, value, self.given)
 
         self.initial = pick("initial", fig.initial if fig else None)
         if need_initial and self.initial is None:
@@ -197,28 +186,6 @@ class RunSetup:
             if name == "chsh" and not self.variant.record.qubits:
                 raise ValueError("the chsh measure is only defined for the bell scheme")
         return list(outputs)
-
-
-def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
-    """Column names and values[n, ncol] of the requested measures over a
-    stack of states (n, dim, dim)."""
-    names, cols = [], []
-    for name in outputs:
-        if name == "populations":
-            basis = model.population_basis()
-            names += [f"pop_{label}" for label, _ in basis]
-            cols += list(measures.populations(states, [ket for _, ket in basis]).T)
-        elif name == "fidelity":
-            names.append("fidelity")
-            cols.append(measures.fidelity(model.state(model.variant.target_state), states))
-        elif name == "chsh":
-            names.append("chsh")
-            flip = model.variant.target == "triplet"
-            cols.append(measures.chsh_correlation(states, triplet_frame=flip))
-        elif name == "negativity":
-            names.append("negativity")
-            cols.append(measures.negativity(states, model.dims))
-    return names, np.stack(cols, axis=-1)
 
 
 def _csv_field(text: str) -> str:
@@ -275,10 +242,7 @@ def write_table(out, command: str, columns, values, fmt: str, timestamp: bool,
 
 
 def cmd_evolve(args) -> int:
-    return _evolve(RunSetup(vars(args), need_initial=True), args.out, not args.no_timestamp)
-
-
-def _evolve(setup: RunSetup, out, timestamp: bool) -> int:
+    setup = RunSetup(vars(args), need_initial=True)
     outputs = setup.validate_outputs(setup.outputs)
     if setup.t_max_ms < 0:
         raise ValueError(f"t-max-ms must be nonnegative, got {setup.t_max_ms}")
@@ -293,8 +257,8 @@ def _evolve(setup: RunSetup, out, timestamp: bool) -> int:
     t = np.linspace(0.0, setup.t_max_ms * 1e-3, setup.samples)
     traj = dynamics.evolve(liouv, rho0, t)
     names, values = measure_columns(model, outputs, traj.states)
-    write_table(out, "evolve", ["time_ms"] + names, np.column_stack([traj.times * 1e3, values]),
-                setup.format, timestamp)
+    write_table(args.out, "evolve", ["time_ms"] + names,
+                np.column_stack([traj.times * 1e3, values]), setup.format, not args.no_timestamp)
     return EXIT_OK
 
 
@@ -311,97 +275,25 @@ def cmd_steady(args) -> int:
     return EXIT_OK
 
 
-def _sweep_task(task: dict):
-    """Evaluate one sweep grid point (steady state + reduced measure)."""
-    try:
-        variant = models.SchemeVariant(scheme=task["scheme"], target=task["target"])
-        params = models.caption_params(gamma_angular=task["gamma_angular"], **task["caption"])
-        model = models.build_model(params, variant)
-        liouv = dynamics.build_liouvillian(model)
-        rho = dynamics.steady_state(liouv)
-        _, values = measure_columns(model, [task["reduce"]], rho[None])
-        return task["index"], float(values[0, 0]), ""
-    except Exception as exc:  # per-point failures recorded, sweep continues
-        return task["index"], math.nan, f"{type(exc).__name__}: {exc}"
-
-
-def _apply_axis(caption: dict, explicit: set, axis: str, value: float) -> dict:
-    out = dict(caption)
-    key = axis.replace("-", "_")
-    if axis == "microwave-rel":
-        out.pop("microwave_mhz", None)
-        out["microwave_rel"] = value
-    else:
-        out[key] = value
-    # Keep U_rr = 2*Delta unless the other leg was pinned explicitly.
-    if axis == "urr-mhz" and "delta_mhz" not in explicit:
-        out.pop("delta_mhz", None)
-    if axis == "delta-mhz" and "urr_mhz" not in explicit:
-        out.pop("urr_mhz", None)
-    return out
-
-
 def cmd_sweep(args) -> int:
-    return _sweep(RunSetup(vars(args)), args.axis, args.out, not args.no_timestamp)
-
-
-def _sweep(setup: RunSetup, axis_specs, out, timestamp: bool) -> int:
-    if not axis_specs:
-        raise ValueError("sweep requires at least one --axis NAME MIN MAX STEPS")
-    if len(axis_specs) > 2:
-        raise ValueError("sweep supports at most two axes")
-    axes = []
-    for spec in axis_specs:
-        name, lo, hi, steps = spec[0], float(spec[1]), float(spec[2]), int(spec[3])
-        if name not in AXIS_NAMES:
-            raise ValueError(f"unknown axis {name!r}; expected one of {', '.join(AXIS_NAMES)}")
-        if steps < 2:
-            raise ValueError(f"axis {name!r} needs steps >= 2, got {steps}")
-        axes.append((name, np.linspace(lo, hi, steps)))
+    setup = RunSetup(vars(args))
     reduce_name = setup.validate_outputs([setup.reduce])[0]
-    if reduce_name == "populations":
-        raise ValueError("sweep reduce must be a scalar measure (fidelity, chsh, negativity)")
-
-    grids = [g for _, g in axes]
-    points = [(i,) for i in range(len(grids[0]))]
-    if len(grids) == 2:
-        points = [(i, j) for i in range(len(grids[0])) for j in range(len(grids[1]))]
-    tasks = []
-    for index, idx in enumerate(points):
-        caption = dict(setup.caption)
-        explicit = set(setup.explicit)
-        for (axis_name, grid), k in zip(axes, idx):
-            caption = _apply_axis(caption, explicit, axis_name, float(grid[k]))
-            explicit.add(axis_name.replace("-", "_"))
-        tasks.append({
-            "index": index, "caption": caption, "scheme": setup.variant.scheme,
-            "target": setup.variant.target, "reduce": reduce_name,
-            "gamma_angular": setup.gamma_angular,
-        })
-
-    if setup.workers > 1:
-        with ProcessPoolExecutor(max_workers=setup.workers) as pool:
-            results = list(pool.map(_sweep_task, tasks))
-    else:
-        results = [_sweep_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-
-    names = [name.replace("-", "_") for name, _ in axes] + [reduce_name, "error"]
-    rows = [[float(grids[k][point[k]]) for k in range(len(grids))] + [value]
-            for (_, value, _), point in zip(results, points)]
-    write_table(out, "sweep", names, rows, setup.format, timestamp,
-                text=[err for _, _, err in results])
+    coords, values, errors = sweep(setup.caption, setup.variant, args.axis, reduce_name,
+                                   given=setup.given, gamma_angular=setup.gamma_angular,
+                                   workers=setup.workers)
+    names = [spec[0].replace("-", "_") for spec in args.axis] + [reduce_name, "error"]
+    write_table(args.out, "sweep", names, np.column_stack([coords, values]), setup.format,
+                not args.no_timestamp, text=errors)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
     fig = _REPRODUCE[args.figure]
-    setup = RunSetup({"preset": fig.name, "gamma_angular": args.gamma_angular,
-                      "reduce": fig.reduce, "workers": args.workers})
-    out = str(Path(args.out_dir) / f"{args.figure}.csv")
-    if fig.axes:
-        return _sweep(setup, fig.axes, out, not args.no_timestamp)
-    return _evolve(setup, out, not args.no_timestamp)
+    run = argparse.Namespace(preset=fig.name, gamma_angular=args.gamma_angular,
+                             reduce=fig.reduce, workers=args.workers, axis=fig.axes,
+                             out=str(Path(args.out_dir) / f"{args.figure}.csv"),
+                             no_timestamp=args.no_timestamp)
+    return cmd_sweep(run) if fig.axes else cmd_evolve(run)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:

@@ -51,14 +51,15 @@ class ConvergenceError(RuntimeError):
 # Relative tolerance within which two propagation steps share one propagator.
 _STEP_SNAP_RTOL = 1e-8
 
-# A steady state is accepted when its error bound ||L^D||_2 ||L vec(rho)||_2
-# is at most _ERROR_BOUND_MAX and its smallest eigenvalue is at least
-# _MIN_EIGENVALUE.  The error rho - rho_ss is traceless, so it equals
-# L^D (L vec(rho)) exactly, L^D being the Drazin inverse; the bound holds
-# for any L, normal or not.  A residual alone does not certify a state:
-# ||L|| is set by the detuning, about 1e4 times the relaxation rates.
+# A steady state is accepted when its relative residual is at most
+# _RESIDUAL_RTOL, its error bound ||L^D||_2 ||L vec(rho)||_2 at most
+# _ERROR_BOUND_MAX and its smallest eigenvalue at least _MIN_EIGENVALUE.
+# The error rho - rho_ss is traceless, so it equals L^D (L vec(rho)), L^D
+# the Drazin inverse, for any L.  A residual alone does not certify a
+# state: ||L|| is set by the detuning, about 1e4 times the relaxation rates.
 _ERROR_BOUND_MAX = 1e-8
 _MIN_EIGENVALUE = -1e-9
+_RESIDUAL_RTOL = 1e-8
 
 # ||L^D||_2 is estimated by power iteration, stopped once two consecutive
 # estimates agree to _DRAZIN_RTOL or after _DRAZIN_STEPS steps.  Power
@@ -87,8 +88,10 @@ _CHOLESKY_MARGIN = 1e-12
 # called directly: lu_solve's checks cost more than an 81-entry solve.
 _getrs = sla.lapack.dgetrs
 
-# e-folds after which the slowest mode has decayed below machine epsilon.
+# e-folds after which the slowest mode has decayed below machine epsilon;
+# the "evolve" backend doubles its horizon at most _MAX_DOUBLINGS times.
 _EPS_E_FOLDS = -math.log(np.finfo(float).eps)
+_MAX_DOUBLINGS = 60
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -473,8 +476,6 @@ def steady_state(
     L: Liouvillian,
     *,
     method: str = "nullspace",
-    rtol: float = 1e-8,
-    max_doublings: int = 60,
     return_info: bool = False,
 ):
     """Solve L rho = 0 with unit trace.
@@ -517,7 +518,7 @@ def steady_state(
 
     rho is returned Hermitian with trace exactly 1.  ConvergenceError is
     raised when the relative residual ||L vec(rho)|| / (||L||_1 ||vec(rho)||)
-    exceeds rtol, when the error bound ||L^D||_2 ||L vec(rho)||_2 exceeds
+    exceeds 1e-8, when the error bound ||L^D||_2 ||L vec(rho)||_2 exceeds
     1e-8, or when an eigenvalue of rho is below -1e-9.  With
     return_info=True a dict with the backend name ("method"), "gap" (1/s),
     "drazin_norm" (the bound on ||L^D||_2, in s), "residual",
@@ -538,11 +539,11 @@ def steady_state(
         v = _hermitian_basis(L.dim) @ sla.lu_solve(lu, e0)
         info = {"method": "nullspace"}
     else:
-        v, info = _steady_evolve(L, gap, max_doublings)
+        v, info = _steady_evolve(L, gap)
     if gap is not None:
         info["gap"] = gap
     info["drazin_norm"] = drazin_norm
-    rho, info = _finalize(L, v, rtol, info)
+    rho, info = _finalize(L, v, info)
     return (rho, info) if return_info else rho
 
 
@@ -648,7 +649,7 @@ def residual(L: Liouvillian, rho: np.ndarray) -> tuple[float, float]:
     return defect, defect / float(max(L.norm_1, np.finfo(float).tiny) * np.linalg.norm(v))
 
 
-def _finalize(L: Liouvillian, v: np.ndarray, rtol: float, info: dict):
+def _finalize(L: Liouvillian, v: np.ndarray, info: dict):
     """Hermitian unit-trace rho from v, certified by info["drazin_norm"]."""
     rho = unvec(v, L.dim)
     rho = (rho + dagger(rho)) / 2.0
@@ -658,9 +659,10 @@ def _finalize(L: Liouvillian, v: np.ndarray, rtol: float, info: dict):
     info["residual"] = res
     info["error_bound"] = bound
     backend = info["method"]
-    if res > rtol:
+    if res > _RESIDUAL_RTOL:
         raise ConvergenceError(
-            f"steady-state residual {res:.3e} exceeds tolerance {rtol:.1e} (backend {backend})"
+            f"steady-state residual {res:.3e} exceeds tolerance {_RESIDUAL_RTOL:.1e} "
+            f"(backend {backend})"
         )
     if bound > _ERROR_BOUND_MAX:
         raise ConvergenceError(
@@ -676,17 +678,15 @@ def _finalize(L: Liouvillian, v: np.ndarray, rtol: float, info: dict):
     return rho, info
 
 
-def _steady_evolve(L: Liouvillian, gap: float, max_doublings: int):
-    if max_doublings < 1:
-        raise ValueError(f"max_doublings must be >= 1, got {max_doublings}")
+def _steady_evolve(L: Liouvillian, gap: float):
     d = L.dim
     dt = 1.0 / L.gamma_scale
     # After k doublings the horizon is dt * (2^k - 1).
     doublings = max(1, math.ceil(math.log2(_EPS_E_FOLDS / (gap * dt) + 1.0)))
-    if doublings > max_doublings:
+    if doublings > _MAX_DOUBLINGS:
         raise ConvergenceError(
             f"long-time propagation needs {doublings} horizon doublings to relax the "
-            f"slowest mode (gap {gap:.3e} 1/s), more than max_doublings = {max_doublings}"
+            f"slowest mode (gap {gap:.3e} 1/s), more than max_doublings = {_MAX_DOUBLINGS}"
         )
     prop = sla.expm((L.superop * dt).toarray())
     v = vec(np.eye(d, dtype=complex) / d)

@@ -1,0 +1,117 @@
+"""Caption overrides, measure columns and steady-state parameter grids.
+
+Traced layers are called through their module attribute (models.build_model,
+dynamics.steady_state, ...), so a tracer that replaces them sees every call.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+
+import numpy as np
+
+from . import dynamics, measures, models
+
+AXIS_NAMES = ("rabi-mhz", "microwave-rel", "delta-mhz", "urr-mhz", "gamma-khz")
+_OTHER = {"microwave_rel": "microwave_mhz", "microwave_mhz": "microwave_rel",
+          "delta_mhz": "urr_mhz", "urr_mhz": "delta_mhz"}
+
+
+def override(caption: dict, key: str, value: float, given) -> None:
+    """Set caption[key] = value in place, as a config field, a flag or a
+    sweep axis does.  microwave_rel and microwave_mhz drop each other.
+    delta_mhz and urr_mhz drop each other too, unless the other is in
+    given (the keys the user gave); a dropped leg follows from U_rr = 2*Delta."""
+    caption[key] = value
+    other = _OTHER.get(key)
+    if other is not None and (key.startswith("microwave") or other not in given):
+        caption.pop(other, None)
+
+
+def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
+    """Column names and values[n, ncol] of the requested measures over a
+    stack of states (n, dim, dim)."""
+    names, cols = [], []
+    for name in outputs:
+        if name == "populations":
+            basis = model.population_basis()
+            names += [f"pop_{label}" for label, _ in basis]
+            cols += list(measures.populations(states, [ket for _, ket in basis]).T)
+        elif name == "fidelity":
+            names.append("fidelity")
+            cols.append(measures.fidelity(model.state(model.variant.target_state), states))
+        elif name == "chsh":
+            names.append("chsh")
+            # A target with a negative atom-2 microwave is read in the triplet frame.
+            flip = model.variant.record.targets[model.variant.target][1] < 0
+            cols.append(measures.chsh_correlation(states, triplet_frame=flip))
+        elif name == "negativity":
+            names.append("negativity")
+            cols.append(measures.negativity(states, model.dims))
+    return names, np.stack(cols, axis=-1)
+
+
+def _point(variant, reduce: str, gamma_angular: bool, caption: dict):
+    """(value, "") of the reduce measure of the steady state at caption,
+    or (nan, "{Type}: {message}") when the point fails."""
+    try:
+        params = models.caption_params(gamma_angular=gamma_angular, **caption)
+        model = models.build_model(params, variant)
+        # liouv outlives the measure: freed before it, its dense real form lets
+        # glibc trim the heap, doubling the page faults of a qutrit point.
+        liouv = dynamics.build_liouvillian(model)
+        rho = dynamics.steady_state(liouv)
+        return float(measure_columns(model, [reduce], rho[None])[1][0, 0]), ""
+    except Exception as exc:  # per-point failures recorded, sweep continues
+        return math.nan, f"{type(exc).__name__}: {exc}"
+
+
+def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
+          given=None, gamma_angular: bool = False, workers: int = 1):
+    """Steady-state reduce measure over a 1-D or 2-D grid of caption values.
+
+    caption holds caption_params keywords and axes one or two
+    (name, lo, hi, steps) specs, name in AXIS_NAMES.  Each point applies
+    every axis value through override, counting as given the axis keys
+    and given (by default every key of caption).  Points run in row-major
+    order, in up to `workers` processes.  Returns coords (points, axes),
+    values (points,) and one error text per point, "" unless it failed.
+    """
+    if not axes:
+        raise ValueError("sweep requires at least one --axis NAME MIN MAX STEPS")
+    if len(axes) > 2:
+        raise ValueError("sweep supports at most two axes")
+    grids = []
+    for spec in axes:
+        name, lo, hi, steps = spec[0], float(spec[1]), float(spec[2]), int(spec[3])
+        if name not in AXIS_NAMES:
+            raise ValueError(f"unknown axis {name!r}; expected one of {', '.join(AXIS_NAMES)}")
+        if steps < 2:
+            raise ValueError(f"axis {name!r} needs steps >= 2, got {steps}")
+        grids.append(np.linspace(lo, hi, steps))
+    if reduce not in ("fidelity", "chsh", "negativity"):
+        raise ValueError("sweep reduce must be a scalar measure (fidelity, chsh, negativity)")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+    keys = [spec[0].replace("-", "_") for spec in axes]
+    given = set(caption if given is None else given) | set(keys)
+    coords = np.array(list(itertools.product(*grids)))
+    captions = [dict(caption) for _ in coords]
+    for point, values in zip(captions, coords.tolist()):
+        for key, value in zip(keys, values):
+            override(point, key, value, given)
+    task = functools.partial(_point, variant, reduce, gamma_angular)
+    workers = min(workers, len(captions))
+    if workers > 1:
+        # Imported here: multiprocessing would add to every CLI start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, captions))
+    else:
+        results = list(map(task, captions))
+    values, errors = zip(*results)
+    return coords, np.array(values), list(errors)

@@ -247,9 +247,6 @@ def _check_model(model: SystemModel) -> SystemModel:
     side = model.hamiltonian.shape[0]
     if any(op.shape != (side, side) for op in model.lindblads):
         raise AssertionError("jump operator side differs from the Hamiltonian")
-    norms = np.linalg.norm(np.array(list(model.named_states.values())), axis=1)
-    if np.abs(norms - 1.0).max() > 1e-12:
-        raise AssertionError("named state is not unit norm")
     return model
 
 
@@ -258,7 +255,7 @@ def _plan(name: str) -> tuple:
     """What build_model needs of a scheme that no parameter value changes,
     all read-only: per atom its identity and the indices of its microwave
     pairs, optical pairs, ground levels and Rydberg levels; the two-atom
-    diagonal indices that U_rr shifts; the named kets."""
+    diagonal indices that U_rr shifts; the named kets, checked unit norm."""
     scheme = SCHEMES[name]
     atoms = []
     for levels, ground, optical in zip(scheme.levels, scheme.ground, scheme.optical):
@@ -273,6 +270,9 @@ def _plan(name: str) -> tuple:
     for state, terms in scheme.superpositions.items():
         ket = sum(w * kets[label] for w, label in terms)
         kets[state] = ket / math.sqrt(sum(w * w for w, _ in terms))
+    norms = np.linalg.norm(np.array(list(kets.values())), axis=1)
+    if np.abs(norms - 1.0).max() > 1e-12:
+        raise AssertionError("named state is not unit norm")
     for array in [atom[0] for atom in atoms] + list(kets.values()):
         array.flags.writeable = False
     return tuple(atoms), shifts, kets
@@ -378,17 +378,12 @@ def caption_params(
         mw1 = 0.0
     mw2 = angular_mhz(microwave2_mhz) if microwave2_mhz is not None else mw1
 
-    if delta_mhz is None and urr_mhz is None:
-        delta, urr = 0.0, 0.0
-    elif delta_mhz is None:
-        urr = angular_mhz(urr_mhz)
-        delta = urr / 2.0
-    elif urr_mhz is None:
-        delta = angular_mhz(delta_mhz)
+    delta = angular_mhz(delta_mhz) if delta_mhz is not None else None
+    urr = angular_mhz(urr_mhz) if urr_mhz is not None else None
+    if delta is None:
+        delta = 0.0 if urr is None else urr / 2.0
+    if urr is None:
         urr = 2.0 * delta
-    else:
-        delta = angular_mhz(delta_mhz)
-        urr = angular_mhz(urr_mhz)
 
     return ModelParams(
         rabi_optical=rabi,

@@ -180,6 +180,127 @@ def test_sweep_axis_validation(capsys):
                 "--reduce", "populations"]) == 2
 
 
+def test_sweep_rejects_workers_below_one(capsys):
+    for workers in ("0", "-2"):
+        assert run(["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "2", "2",
+                    "--workers", workers]) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+BELL_CAPTION = dict(rabi_mhz=0.036, microwave_rel=0.004, gamma_khz=1.673)
+BELL = models.SchemeVariant("bell", "singlet")
+
+
+def steady_value(caption, variant=BELL, measure="fidelity"):
+    """The measure of the steady state at caption, solved directly."""
+    model = models.build_model(models.caption_params(**caption), variant)
+    rho = dynamics.steady_state(dynamics.build_liouvillian(model))
+    return float(rydpump.grid.measure_columns(model, [measure], rho[None])[1][0, 0])
+
+
+def test_sweep_function_row_major_with_errors():
+    coords, values, errors = rydpump.sweep(
+        dict(BELL_CAPTION, urr_mhz=6.87), BELL,
+        [("gamma-khz", 0.0, 1.673, 2), ("rabi-mhz", 0.0, 0.036, 2)], "fidelity")
+    assert coords.tolist() == [[0.0, 0.0], [0.0, 0.036], [1.673, 0.0], [1.673, 0.036]]
+    assert all(math.isnan(v) for v in values[:3])
+    # Each failed point keeps its "{Type}: {message}" text and the sweep goes on.
+    assert all(e.startswith("NonUniqueSteadyStateError: non-unique steady state")
+               for e in errors[:3])
+    assert errors[3] == "" and values[3] == steady_value(dict(BELL_CAPTION, urr_mhz=6.87))
+
+
+def test_sweep_function_missing_leg_follows_the_swept_one():
+    # The caption gives neither Delta nor U_rr: each swept U_rr brings its
+    # resonant Delta = U_rr/2, and each swept Delta its U_rr = 2*Delta.
+    for axis, key in (("urr-mhz", "urr_mhz"), ("delta-mhz", "delta_mhz")):
+        coords, values, errors = rydpump.sweep(BELL_CAPTION, BELL, [(axis, 2.0, 4.0, 2)],
+                                               "fidelity")
+        assert errors == ["", ""]
+        for (x,), got in zip(coords, values):
+            assert got == steady_value(dict(BELL_CAPTION, **{key: x}))
+    # A leg the caption gives stays put.
+    _, values, _ = rydpump.sweep(dict(BELL_CAPTION, delta_mhz=3.0), BELL,
+                                 [("urr-mhz", 6.0, 8.0, 2)], "fidelity")
+    assert values.tolist() == [steady_value(dict(BELL_CAPTION, delta_mhz=3.0, urr_mhz=u))
+                               for u in (6.0, 8.0)]
+
+
+def test_sweep_function_workers_match_serial():
+    args = (dict(BELL_CAPTION, delta_mhz=3.435), BELL, [("urr-mhz", 2.0, 8.0, 3)], "chsh")
+    serial = rydpump.sweep(*args)
+    pooled = rydpump.sweep(*args, workers=2)
+    assert serial[0].tolist() == pooled[0].tolist()
+    assert serial[1].tolist() == pooled[1].tolist() and serial[2] == pooled[2]
+
+
+def test_sweep_starts_no_more_workers_than_points(monkeypatch):
+    # A stub executor records max_workers and runs the points in this process.
+    import concurrent.futures
+
+    started = []
+
+    class Stub:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Stub)
+    args = (BELL_CAPTION, BELL, [("urr-mhz", 2.0, 8.0, 3)], "fidelity")
+    serial = rydpump.sweep(*args)
+    for workers, want in ((64, [3]), (2, [2]), (1, [])):
+        started.clear()
+        got = rydpump.sweep(*args, workers=workers)
+        assert started == want
+        assert got[1].tolist() == serial[1].tolist()
+
+
+def test_override_rule():
+    caption = {"microwave_mhz": 1.0, "delta_mhz": 3.0}
+    rydpump.grid.override(caption, "microwave_rel", 0.004, given=())
+    rydpump.grid.override(caption, "urr_mhz", 6.0, given=())
+    assert caption == {"microwave_rel": 0.004, "urr_mhz": 6.0}
+    # The microwave spellings always replace each other; a given leg stays.
+    rydpump.grid.override(caption, "microwave_mhz", 2.0, given={"microwave_rel"})
+    rydpump.grid.override(caption, "delta_mhz", 2.0, given={"urr_mhz"})
+    assert caption == {"microwave_mhz": 2.0, "urr_mhz": 6.0, "delta_mhz": 2.0}
+
+
+def cli_values(capsys, argv, column="fidelity"):
+    """The values of one column of the table a CLI run writes to stdout."""
+    assert run(argv + ["--no-timestamp"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    rows = list(csv.reader(lines))
+    return [float(r[rows[0].index(column)]) for r in rows[1:]]
+
+
+def test_steady_one_leg_flag_follows_like_sweep(capsys):
+    # fig2 pins Delta; a U_rr flag replaces it, so Delta = U_rr/2 follows in
+    # steady exactly as it does at a sweep point.
+    steady = cli_values(capsys, ["steady", "--preset", "fig2", "--urr-mhz", "6"])
+    swept = cli_values(capsys, ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "6", "6", "2"])
+    assert steady == swept[:1] == [9.98561674816441647e-01]
+
+
+def test_steady_both_legs_given_stay_put(capsys):
+    got = cli_values(capsys, ["steady", "--preset", "fig2", "--delta-mhz", "3", "--urr-mhz", "6"])
+    assert got == [steady_value(dict(BELL_CAPTION, delta_mhz=3.0, urr_mhz=6.0))]
+
+
+def test_sweep_over_urr_keeps_explicit_delta(capsys):
+    got = cli_values(capsys, ["sweep", "--preset", "fig2", "--delta-mhz", "3",
+                     "--axis", "urr-mhz", "2", "8", "2"])
+    assert got == [steady_value(dict(BELL_CAPTION, delta_mhz=3.0, urr_mhz=u)) for u in (2, 8)]
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["evolve", "--preset", "fig2-inset", "--t-max-ms", "2", "--samples", "4",
@@ -346,6 +467,16 @@ def test_import_leaves_out_scipy_integrate():
     src = str(Path(rydpump.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, rydpump.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
+
+
+def test_import_leaves_out_multiprocessing():
+    # The sweep pool's import stays inside the pooled branch.
+    src = str(Path(rydpump.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, rydpump.cli; print('multiprocessing' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "False"

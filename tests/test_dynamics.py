@@ -1013,7 +1013,7 @@ def test_gap_matches_lu_solve_oracle(name):
 
 def test_finalize_rejects_state_off_along_slowest_mode():
     # fig6-point state plus 1 % (2-norm) along the slowest eigenmode: its
-    # relative residual (3.8e-9) passes rtol = 1e-8, but it is 1e-2 from
+    # relative residual (3.8e-9) passes the tolerance 1e-8, but it is 1e-2 from
     # the steady state and has an eigenvalue of -3.6e-3.
     pre = figure_preset("fig6-point")
     L = build_liouvillian(build_model(pre.params, pre.variant))
@@ -1024,10 +1024,10 @@ def test_finalize_rejects_state_off_along_slowest_mode():
     x = (x + x.conj().T) / 2
     v = vec(rho + 0.01 * np.linalg.norm(rho) * x / np.linalg.norm(x))
     with pytest.raises(ConvergenceError, match="error bound"):
-        _finalize(L, v, 1e-8, {"method": "nullspace", "drazin_norm": dense_drazin_norm(L)})
+        _finalize(L, v, {"method": "nullspace", "drazin_norm": dense_drazin_norm(L)})
     # With ||L^D|| small enough to pass the bound, the negative eigenvalue fails.
     with pytest.raises(ConvergenceError, match="eigenvalue -3.6"):
-        _finalize(L, v, 1e-8, {"method": "nullspace", "drazin_norm": 1e-12})
+        _finalize(L, v, {"method": "nullspace", "drazin_norm": 1e-12})
 
 
 DEGENERATE = {

@@ -11,8 +11,9 @@ from rydpump.measures import (
     negativity,
     populations,
 )
+from rydpump.grid import measure_columns
 from rydpump.models import (
-    SchemeVariant, build_bell_model, build_model, build_qutrit_model, figure_preset,
+    SCHEMES, SchemeVariant, build_bell_model, build_model, build_qutrit_model, figure_preset,
 )
 
 from conftest import random_density, random_unitary
@@ -92,6 +93,22 @@ def test_chsh_triplet_needs_flipped_frame():
     rho = np.outer(t, t.conj())
     assert chsh_correlation(rho) == pytest.approx(-SQRT8, abs=1e-12)
     assert chsh_correlation(rho, triplet_frame=True) == pytest.approx(SQRT8, abs=1e-12)
+
+
+def test_chsh_column_of_every_qubit_target_is_maximal():
+    # measure_columns reads the CHSH frame from the sign of the atom-2
+    # microwave in the scheme record, so every target state of every qubit
+    # scheme reaches the quantum maximum in its own column.
+    params = figure_preset("fig2").params
+    cases = [(name, target) for name, record in SCHEMES.items() if record.qubits
+             for target in record.targets]
+    assert ("bell", "triplet") in cases
+    for name, target in cases:
+        model = build_model(params, SchemeVariant(name, target))
+        ket = model.state(model.variant.target_state)
+        names, values = measure_columns(model, ["chsh"], np.outer(ket, ket.conj())[None])
+        assert names == ["chsh"]
+        assert abs(values[0, 0] - SQRT8) <= 1e-12, (name, target)
 
 
 def test_chsh_mixed_ground_state_vanishes():

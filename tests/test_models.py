@@ -231,6 +231,22 @@ def test_named_states_unit_norm():
             assert abs(np.linalg.norm(ket) - 1.0) <= 1e-12, name
 
 
+def test_named_states_checked_once_per_scheme(monkeypatch):
+    # The unit-norm check runs where the kets are built and cached: a record
+    # whose superposition is not normalised fails there.
+    from dataclasses import replace
+
+    from rydpump.models import _plan
+
+    bad = replace(SCHEMES["bell"], superpositions={"S": ((1, "fa"), (1, "fa"))})
+    monkeypatch.setitem(SCHEMES, "unnormalised", bad)
+    try:
+        with pytest.raises(AssertionError, match="unit norm"):
+            _plan("unnormalised")
+    finally:
+        _plan.cache_clear()
+
+
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])
 def test_product_states_match_kron_formula(scheme):
     if scheme == "bell":
