@@ -20,8 +20,9 @@ Hermitian basis it is a real matrix (the coherence-vector form of a
 Lindblad generator).  The basis T (_hermitian_basis) takes |i><i| first,
 so the trace is the sum of the first dim coordinates, then
 (|i><j| + |j><i|)/sqrt2 and i(|j><i| - |i><j|)/sqrt2 for i < j.
-Liouvillian.real = T^dag L T holds the dense real form; evolve's expm,
-the steady-state LU, its error certificate and the gap work on it in
+Liouvillian.real = T^dag L T holds the dense real form, C-ordered for
+evolve's expm; the steady-state LU assembles it Fortran-ordered and
+factors it in place.  The LU, its error certificate and the gap work in
 real arithmetic, which costs about a third of the complex products.
 """
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +84,9 @@ _GAP_FLOOR = 1e3
 # eigvalsh's own error.
 _CHOLESKY_MARGIN = 1e-12
 
-# LAPACK's solve with the LU factors of L.real, which are always float64,
-# called directly: lu_solve's checks cost more than an 81-entry solve.
+# LAPACK's LU and solve of the float64 real form, called directly: lu_factor's
+# finiteness scan and warning and lu_solve's checks cost more than a Bell solve.
+_getrf = sla.lapack.dgetrf
 _getrs = sla.lapack.dgetrs
 
 # e-folds after which the slowest mode has decayed below machine epsilon;
@@ -141,15 +142,10 @@ class Liouvillian:
         The factors of T and the target positions depend only on the
         superop's indptr and indices, so they come from a plan cached per
         pattern (_real_plan); a call computes the products of its own
-        entries and sums them with one bincount."""
+        entries and sums them with one bincount (_real_form).  The result
+        is C-ordered and cached; steady_state does not read it."""
         if self._real is None:
-            n = self.dim**2
-            s = self.superop
-            keys, coef_r, coef_c = _real_plan(self.dim, s.indices.dtype.char,
-                                              s.indptr.tobytes(), s.indices.tobytes())
-            x = coef_r * s.data
-            terms = (x[:, None] * coef_c).real
-            self._real = np.bincount(keys, terms.ravel(), minlength=n * n).reshape(n, n)
+            self._real = _real_form(self, "C")
         return self._real
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -322,9 +318,10 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _real_plan(d: int, index: str, indptr: bytes, indices: bytes):
-    """Liouvillian.real's gathers for a CSR pattern: the bincount key of
-    every product conj(T[r, k]) L[r, c] T[c, l], and the factors
+def _real_plan(d: int, order: str, index: str, indptr: bytes, indices: bytes):
+    """The real form's gathers for a CSR pattern: for every product
+    conj(T[r, k]) L[r, c] T[c, l], its bincount key, the flat position of
+    (k, l) in memory order "C" (k n + l) or "F" (l n + k); and the factors
     conj(T[r, k]) and T[c, l], each (2, nnz), of every stored entry."""
     n = d * d
     col, coef = _hermitian_rows(d)
@@ -332,8 +329,19 @@ def _real_plan(d: int, index: str, indptr: bytes, indices: bytes):
     r = np.repeat(np.arange(n), np.diff(ptr))
     c = np.frombuffer(indices, dtype=index)
     # take(axis=1) keeps the (2, nnz) results C-contiguous.
-    keys = col.take(r, axis=1)[:, None] * n + col.take(c, axis=1)
+    k, l = col.take(r, axis=1)[:, None], col.take(c, axis=1)
+    keys = k * n + l if order == "C" else l * n + k
     return _frozen(keys.ravel(), coef.take(r, axis=1).conj(), coef.take(c, axis=1))
+
+
+def _real_form(L: Liouvillian, order: str) -> np.ndarray:
+    """A new dense T^dag L T in memory order "C" or "F".  Both orders sum
+    the same products in the same sequence, so they agree bit for bit."""
+    n, s = L.dim**2, L.superop
+    keys, coef_r, coef_c = _real_plan(L.dim, order, s.indices.dtype.char, s.indptr.tobytes(),
+                                      s.indices.tobytes())
+    terms = ((coef_r * s.data)[:, None] * coef_c).real
+    return np.bincount(keys, terms.ravel(), minlength=n * n).reshape(n, n, order=order)
 
 
 @dataclass
@@ -480,11 +488,13 @@ def steady_state(
 ):
     """Solve L rho = 0 with unit trace.
 
-    Both backends factor the real form L.real once by dense LU, with its
+    Both backends factor the real form T^dag L T once by dense LU, with its
     first row (the rho_00 equation) replaced by the trace functional, the
-    sum of the first dim coordinates.  On traceless vectors the bordered
-    solve applies the Drazin inverse L^D, and the same factors certify
-    the state: its error rho - rho_ss = L^D (L vec(rho)) is at most
+    sum of the first dim coordinates.  The form is assembled into a new
+    Fortran-ordered buffer that LAPACK dgetrf factors in place; L.real,
+    C-ordered for evolve, is neither read nor filled.  On traceless vectors
+    the bordered solve applies the Drazin inverse L^D, and the same factors
+    certify the state: its error rho - rho_ss = L^D (L vec(rho)) is at most
     ||L^D||_2 ||L vec(rho)||_2, with ||L^D||_2 on the traceless subspace
     estimated by power iteration (group-inverse perturbation theory,
     Meyer, SIAM Rev. 17, 443 (1975)).  An exactly zero pivot, or
@@ -536,7 +546,7 @@ def steady_state(
     if method == "nullspace":
         e0 = np.zeros(L.dim**2)
         e0[0] = 1.0
-        v = _hermitian_basis(L.dim) @ sla.lu_solve(lu, e0)
+        v = _hermitian_basis(L.dim) @ _getrs(*lu, e0, overwrite_b=True)[0]
         info = {"method": "nullspace"}
     else:
         v, info = _steady_evolve(L, gap)
@@ -548,22 +558,24 @@ def steady_state(
 
 
 def _bordered_lu(L: Liouvillian):
-    """LU factors of L.real with row 0 (the rho_00 equation) replaced by the
-    trace functional, the sum of the first dim coordinates."""
-    mat = L.real.copy()
-    mat[0] = 0.0
-    mat[0, : L.dim] = 1.0
-    with warnings.catch_warnings():
-        # An exactly zero pivot is reported below as non-uniqueness.
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu = sla.lu_factor(mat, overwrite_a=True)
-    zero = np.flatnonzero(np.diagonal(lu[0]) == 0.0)
+    """LU factors and pivots of the real form with row 0 (the rho_00
+    equation) replaced by the trace functional, the sum of the first dim
+    coordinates.  The form is assembled Fortran-ordered and factored in
+    place, so the factors are F-contiguous and nothing is copied."""
+    if not np.isfinite(L.superop.data).all():
+        raise ValueError("the Liouvillian has a non-finite entry")
+    mat = _real_form(L, "F")
+    mat[0] = np.arange(L.dim**2) < L.dim  # the trace functional
+    lu, piv, info = _getrf(mat, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
+    zero = np.flatnonzero(np.diagonal(lu) == 0.0)
     if zero.size:
         raise NonUniqueSteadyStateError(
             f"non-unique steady state: {zero.size} exactly zero pivot(s) in the "
             f"LU factors of the trace-bordered Liouvillian"
         )
-    return lu
+    return lu, piv
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -577,7 +589,7 @@ def _drazin_start(d: int) -> np.ndarray:
 
 def _drazin_norm(L: Liouvillian, lu) -> float:
     """||L^D||_2 on traceless vectors, in seconds, from the trace-bordered
-    LU factors of L.real: a power-iteration estimate times _DRAZIN_MARGIN.
+    LU factors of the real form: power iteration's estimate times _DRAZIN_MARGIN.
 
     The operator is P B^-1 E P: E zeroes entry 0, B^-1 is the bordered
     solve and P projects out the trace.  Its adjoint P E B^-T P is the
@@ -611,7 +623,7 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
 
 
 def _liouvillian_gap(L: Liouvillian, lu) -> float:
-    """Smallest relaxation rate of L, from the trace-bordered LU factors of L.real."""
+    """Smallest relaxation rate of L, from the trace-bordered LU factors of its real form."""
     # Imported here: scipy.sparse.linalg would add to every CLI start-up.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 

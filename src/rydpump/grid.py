@@ -59,10 +59,7 @@ def _point(variant, reduce: str, gamma_angular: bool, caption: dict):
     try:
         params = models.caption_params(gamma_angular=gamma_angular, **caption)
         model = models.build_model(params, variant)
-        # liouv outlives the measure: freed before it, its dense real form lets
-        # glibc trim the heap, doubling the page faults of a qutrit point.
-        liouv = dynamics.build_liouvillian(model)
-        rho = dynamics.steady_state(liouv)
+        rho = dynamics.steady_state(dynamics.build_liouvillian(model))
         return float(measure_columns(model, [reduce], rho[None])[1][0, 0]), ""
     except Exception as exc:  # per-point failures recorded, sweep continues
         return math.nan, f"{type(exc).__name__}: {exc}"

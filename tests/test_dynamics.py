@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, lu_solve
+from scipy.linalg import expm, lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, eigs
 
 from rydpump.dynamics import (
@@ -570,7 +570,8 @@ def test_plan_arrays_are_read_only():
     s = L.superop
     plans = [_decay_plan(c.shape, (c != 0).tobytes()),
              _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes()),
-             _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
+             *(_real_plan(m.dim, order, s.indices.dtype.char, s.indptr.tobytes(),
+                          s.indices.tobytes()) for order in "CF"),
              (_drazin_start(m.dim),)]
     for plan in plans:
         for a in plan:
@@ -1011,6 +1012,67 @@ def test_gap_matches_lu_solve_oracle(name):
     assert _liouvillian_gap(L, _bordered_lu(L)) == lu_solve_gap(L)
 
 
+def bordered_real_form(L):
+    """L.real, C-ordered, with row 0 replaced by the trace functional."""
+    mat = L.real.copy()
+    mat[0] = 0.0
+    mat[0, : L.dim] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("random",))
+def test_bordered_lu_matches_lu_factor_of_real_form(name):
+    # The Fortran-ordered assembly factored in place gives lu_factor's
+    # factors and pivots of the C-ordered bordered L.real, byte for byte.
+    if name == "random":
+        rng = np.random.default_rng(5)
+        models = [random_model(rng, n_lindblads=n) for n in (0, 1, 4, 7)]
+    else:
+        pre = figure_preset(name)
+        models = [build_model(pre.params, pre.variant)]
+    for m in models:
+        L = build_liouvillian(m)
+        lu, piv = _bordered_lu(L)
+        assert L._real is None
+        want_lu, want_piv = lu_factor(bordered_real_form(L))
+        assert lu.flags["F_CONTIGUOUS"] and lu.dtype == np.float64
+        assert lu.tobytes(order="F") == want_lu.tobytes(order="F")
+        assert piv.dtype == want_piv.dtype and piv.tobytes() == want_piv.tobytes()
+
+
+@pytest.mark.parametrize("return_info", [False, True])
+@pytest.mark.parametrize("method", ["nullspace", "evolve"])
+def test_steady_state_leaves_real_form_unset(method, return_info):
+    pre = figure_preset("fig8a")
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    steady_state(L, method=method, return_info=return_info)
+    assert L._real is None
+
+
+def test_bordered_lu_raises_on_illegal_lapack_argument(monkeypatch):
+    import rydpump.dynamics as dyn
+
+    def illegal(a, overwrite_a):
+        return a, np.arange(a.shape[0], dtype=np.int32), -4
+
+    monkeypatch.setattr(dyn, "_getrf", illegal)
+    pre = figure_preset("fig8a")
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    with pytest.raises(ValueError, match="argument 4 of LAPACK dgetrf"):
+        steady_state(L)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_steady_state_rejects_non_finite_liouvillian(bad):
+    # Reported as a non-finite generator, not as ||L^D||_2 = nan (non-unique).
+    pre = figure_preset("fig8a")
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    s = L.superop.copy()
+    s.data[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        steady_state(Liouvillian(dim=L.dim, superop=s, gamma_scale=L.gamma_scale))
+
+
 def test_finalize_rejects_state_off_along_slowest_mode():
     # fig6-point state plus 1 % (2-norm) along the slowest eigenmode: its
     # relative residual (3.8e-9) passes the tolerance 1e-8, but it is 1e-2 from
@@ -1062,6 +1124,21 @@ def test_steady_state_degenerate_without_noise(case, method):
 def test_steady_state_degenerate_with_info(case, method):
     # Asking for the gap as well reports the same non-uniqueness.
     assert_degenerate(case, method, return_info=True)
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_bordered_lu_reports_exact_zero_pivots(case):
+    # dgetrf's info > 0 is not the test: every exactly zero pivot is
+    # counted, as many as lu_factor's factors hold.
+    scheme, caption = DEGENERATE[case]
+    target = "singlet" if scheme == "bell" else "phi"
+    L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant(scheme, target)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        zeros = int(np.sum(np.diagonal(lu_factor(bordered_real_form(L))[0]) == 0.0))
+    assert zeros >= 1
+    with pytest.raises(NonUniqueSteadyStateError, match=f"{zeros} exactly zero pivot"):
+        steady_state(L)
 
 
 def precessing_qubit(kappa):

@@ -13,8 +13,12 @@ interpreter with BLAS pinned to one thread.  The gated outputs are:
   and fig9c, for the preset's target and again for the other target of
   its scheme (triplet at fig2 and fig8a, phi-prime at fig6-point and
   fig9c), which no figure uses;
-- `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset, and the CHSH
-  series of fig3 with target triplet (the triplet frame);
+- `steady` CSV and JSON, for both backends, of two runs that override a
+  preset value by flag: `--preset fig2 --urr-mhz 6`, whose Delta follows
+  from U_rr = 2 Delta, and `--preset fig6-point --gamma-khz 0.5`;
+- `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset, the CHSH
+  series of fig3 with target triplet (the triplet frame), and fig3 with
+  `--urr-mhz 6`;
 - the stdout of every demo.
 
 For each output that differs it prints the largest difference between
@@ -45,6 +49,10 @@ STEADY = ("fig2", "fig6-point", "fig8a", "fig9c")
 OTHER_TARGET = {"fig2": "triplet", "fig8a": "triplet", "fig6-point": "phi-prime",
                 "fig9c": "phi-prime"}
 EVOLVE = ("fig3", "fig5-inset", "fig2-inset")
+# Runs that override a preset value by flag: one U_rr leg of a Bell preset,
+# and a qutrit point away from its preset.
+OVERRIDES = (("fig2-urr-6", ["--preset", "fig2", "--urr-mhz", "6"]),
+             ("fig6-point-gamma-0.5", ["--preset", "fig6-point", "--gamma-khz", "0.5"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
@@ -54,17 +62,21 @@ def jobs(tree: Path) -> list:
     cli = [sys.executable, "-m", "rydpump.cli"]
     out = [(f"reproduce/{fig}.csv", cli + ["reproduce", fig, "--out-dir", "{out}", "--no-timestamp"])
            for fig in REPRODUCE]
+    steady = []
     for preset in STEADY:
-        for name, target in ((preset, []), (f"{preset}-{OTHER_TARGET[preset]}",
-                                            ["--target", OTHER_TARGET[preset]])):
-            for method in ("nullspace", "evolve"):
-                for fmt in ("csv", "json"):
-                    out.append((f"steady/{name}-{method}.{fmt}",
-                                cli + ["steady", "--preset", preset, *target, "--method", method,
-                                       "--format", fmt, "--no-timestamp"]))
+        steady += [(preset, ["--preset", preset]),
+                   (f"{preset}-{OTHER_TARGET[preset]}",
+                    ["--preset", preset, "--target", OTHER_TARGET[preset]])]
+    for name, spec in steady + list(OVERRIDES):
+        for method in ("nullspace", "evolve"):
+            for fmt in ("csv", "json"):
+                out.append((f"steady/{name}-{method}.{fmt}",
+                            cli + ["steady", *spec, "--method", method, "--format", fmt,
+                                   "--no-timestamp"]))
     evolve = [(preset, ["--preset", preset]) for preset in EVOLVE]
     evolve.append(("fig3-triplet-chsh", ["--preset", "fig3", "--target", "triplet",
                                          "--outputs", "chsh"]))
+    evolve.append(("fig3-urr-6", ["--preset", "fig3", "--urr-mhz", "6"]))
     for name, spec in evolve:
         for fmt in ("csv", "json"):
             out.append((f"evolve/{name}.{fmt}",
