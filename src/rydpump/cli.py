@@ -27,14 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, models
-from .grid import AXIS_NAMES, measure_columns, override, sweep
+from .grid import AXIS_NAMES, MEASURES, check_measures, measure_columns, override, sweep
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
 EXIT_NUMERICAL = 3
 EXIT_DEGENERATE = 4
-
-MEASURE_NAMES = ("populations", "fidelity", "chsh", "negativity")
 
 # reproduce targets by name: the figure whose data each one writes.
 _REPRODUCE = {f.reproduce or f.name: f for f in models.FIGURES.values()}
@@ -44,24 +42,19 @@ def _norm_key(key: str) -> str:
     return key.strip().lower().replace("-", "").replace("_", "")
 
 
-# Long flag names accepted in config files (keys compared dash/underscore
-# insensitively), mapped to argparse dest names.
-_CONFIG_FLAGS = {
-    _norm_key(k): dest
-    for k, dest in [
-        ("preset", "preset"), ("scheme", "scheme"), ("target", "target"),
-        ("rabi-mhz", "rabi_mhz"), ("microwave-rel", "microwave_rel"),
-        ("delta-mhz", "delta_mhz"), ("urr-mhz", "urr_mhz"),
-        ("gamma-khz", "gamma_khz"), ("gamma-angular", "gamma_angular"),
-        ("initial", "initial"), ("t-max-ms", "t_max_ms"), ("samples", "samples"),
-        ("outputs", "outputs"), ("format", "format"), ("method", "method"),
-        ("reduce", "reduce"), ("workers", "workers"),
-    ]
-}
 _CONFIG_BOOL = {"1": True, "true": True, "yes": True, "on": True,
                 "0": False, "false": False, "no": False, "off": False}
-_CONFIG_FLOAT = {"rabi_mhz", "microwave_rel", "delta_mhz", "urr_mhz", "gamma_khz", "t_max_ms"}
-_CONFIG_INT = {"samples", "workers"}
+_NEEDS = {float: "a number", int: "an integer", bool: "a boolean (1/true/yes/on or 0/false/no/off)"}
+# Config keys (compared dash/underscore insensitively): the argparse dest of
+# every long flag, with the type of its value.  The caption flags are the
+# sweep axes.
+_OPTIONS = {
+    **{name.replace("-", "_"): float for name in AXIS_NAMES},
+    "preset": str, "scheme": str, "target": str, "gamma_angular": bool, "initial": str,
+    "t_max_ms": float, "samples": int, "outputs": str, "format": str, "method": str,
+    "reduce": str, "workers": int,
+}
+_OPTION_KEYS = {_norm_key(dest): dest for dest in _OPTIONS}
 
 # ModelParams field names are also accepted in config files, with absolute
 # caption units (/2pi MHz; gamma in kHz); each maps to its caption key.
@@ -73,8 +66,6 @@ _CONFIG_FIELDS = {
         ("rydberg_U", "urr_mhz"), ("gamma", "gamma_khz"),
     ]
 }
-# Caption keys settable by flag; these override the config-file field values.
-_CAPTION_FLAGS = ("rabi_mhz", "microwave_rel", "delta_mhz", "urr_mhz", "gamma_khz")
 
 
 def _load_config(path: str) -> tuple[dict, dict]:
@@ -90,25 +81,19 @@ def _load_config(path: str) -> tuple[dict, dict]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         norm = _norm_key(key)
-        if norm in _CONFIG_FLAGS:
-            dest = _CONFIG_FLAGS[norm]
-            if dest == "gamma_angular":
-                if value.lower() not in _CONFIG_BOOL:
-                    raise ValueError(
-                        f"config key {key!r} in {path} needs a boolean "
-                        f"(1/true/yes/on or 0/false/no/off), got {value!r}"
-                    )
-                flags[dest] = _CONFIG_BOOL[value.lower()]
-            elif dest in _CONFIG_FLOAT:
-                flags[dest] = float(value)
-            elif dest in _CONFIG_INT:
-                flags[dest] = int(value)
-            else:
-                flags[dest] = value
+        if norm in _OPTION_KEYS:
+            into, dest = flags, _OPTION_KEYS[norm]
+            kind = _OPTIONS[dest]
         elif norm in _CONFIG_FIELDS:
-            fields[_CONFIG_FIELDS[norm]] = float(value)
+            into, dest, kind = fields, _CONFIG_FIELDS[norm], float
         else:
             raise ValueError(f"unknown config key {key!r} in {path}")
+        try:
+            into[dest] = _CONFIG_BOOL[value.lower()] if kind is bool else kind(value)
+        except (ValueError, KeyError):
+            raise ValueError(
+                f"config key {key!r} in {path} needs {_NEEDS[kind]}, got {value!r}"
+            ) from None
     return flags, fields
 
 
@@ -126,7 +111,7 @@ class RunSetup:
             val = opts.get(dest)
             return val if val is not None else cfg_flags.get(dest, default)
 
-        self.gamma_angular = bool(pick("gamma_angular", False))
+        self.gamma_angular = pick("gamma_angular", False)
         preset_name = pick("preset")
         fig = models.find_figure(preset_name) if preset_name else None
 
@@ -141,7 +126,9 @@ class RunSetup:
         # Caption-unit values: the preset's, overridden by the config-file
         # fields, then by the flags.  No sweep axis drops a key in given.
         self.given = dict(cfg_fields)
-        self.given.update((key, pick(key)) for key in _CAPTION_FLAGS if pick(key) is not None)
+        for key in (name.replace("-", "_") for name in AXIS_NAMES):
+            if pick(key) is not None:
+                self.given[key] = pick(key)
         self.caption = dict(fig.caption) if fig else {}
         for key, value in self.given.items():
             override(self.caption, key, value, self.given)
@@ -150,19 +137,20 @@ class RunSetup:
         if need_initial and self.initial is None:
             raise ValueError("no initial state given: use --initial or --preset")
 
-        # Run options with preset-aware defaults.
-        self.t_max_ms = float(pick("t_max_ms", fig.t_max_ms if fig else 100.0))
-        self.samples = int(pick("samples", fig.samples if fig else 101))
+        # Run options default to the preset's, without one to Figure's own.
+        run = fig or models.Figure
+        self.t_max_ms = pick("t_max_ms", run.t_max_ms)
+        self.samples = pick("samples", run.samples)
         outputs = pick("outputs")
         if outputs is None:
-            self.outputs = [fig.output if fig else "populations"]
+            self.outputs = [run.output]
             self.steady_outputs = ["fidelity", "chsh" if record.qubits else "negativity"]
         else:
             self.outputs = [o.strip() for o in outputs.split(",") if o.strip()]
             self.steady_outputs = self.outputs
         self.method = pick("method", "nullspace")
-        self.reduce = pick("reduce", "fidelity")
-        self.workers = int(pick("workers", 1))
+        self.reduce = pick("reduce", models.Figure.reduce)
+        self.workers = pick("workers", 1)
         self.format = pick("format", "csv")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}; expected csv or json")
@@ -172,20 +160,6 @@ class RunSetup:
 
     def model(self) -> models.SystemModel:
         return models.build_model(self.params(), self.variant)
-
-    def validate_outputs(self, outputs) -> list:
-        if not outputs:
-            raise ValueError(
-                f"--outputs names no measure; expected a comma list of {', '.join(MEASURE_NAMES)}"
-            )
-        for name in outputs:
-            if name not in MEASURE_NAMES:
-                raise ValueError(
-                    f"unknown output {name!r}; expected one of {', '.join(MEASURE_NAMES)}"
-                )
-            if name == "chsh" and not self.variant.record.qubits:
-                raise ValueError("the chsh measure is only defined for the bell scheme")
-        return list(outputs)
 
 
 def _csv_field(text: str) -> str:
@@ -243,9 +217,11 @@ def write_table(out, command: str, columns, values, fmt: str, timestamp: bool,
 
 def cmd_evolve(args) -> int:
     setup = RunSetup(vars(args), need_initial=True)
-    outputs = setup.validate_outputs(setup.outputs)
+    check_measures(setup.variant, setup.outputs)
     if setup.t_max_ms < 0:
         raise ValueError(f"t-max-ms must be nonnegative, got {setup.t_max_ms}")
+    if not math.isfinite(setup.t_max_ms):
+        raise ValueError(f"t-max-ms must be finite, got {setup.t_max_ms}")
     if setup.t_max_ms > 0 and setup.samples < 2:
         raise ValueError(f"samples must be >= 2 when t-max-ms > 0, got {setup.samples}")
     model = setup.model()
@@ -256,7 +232,7 @@ def cmd_evolve(args) -> int:
     liouv = dynamics.build_liouvillian(model)
     t = np.linspace(0.0, setup.t_max_ms * 1e-3, setup.samples)
     traj = dynamics.evolve(liouv, rho0, t)
-    names, values = measure_columns(model, outputs, traj.states)
+    names, values = measure_columns(model, setup.outputs, traj.states)
     write_table(args.out, "evolve", ["time_ms"] + names,
                 np.column_stack([traj.times * 1e3, values]), setup.format, not args.no_timestamp)
     return EXIT_OK
@@ -264,11 +240,11 @@ def cmd_evolve(args) -> int:
 
 def cmd_steady(args) -> int:
     setup = RunSetup(vars(args))
-    outputs = setup.validate_outputs(setup.steady_outputs)
+    check_measures(setup.variant, setup.steady_outputs)
     model = setup.model()
     liouv = dynamics.build_liouvillian(model)
     rho = dynamics.steady_state(liouv, method=setup.method)
-    names, values = measure_columns(model, outputs, rho[None])
+    names, values = measure_columns(model, setup.steady_outputs, rho[None])
     row = values[0].tolist() + [dynamics.residual(liouv, rho)[1]]
     write_table(args.out, "steady", names + ["residual", "backend"], [row], setup.format,
                 not args.no_timestamp, text=[setup.method])
@@ -277,11 +253,10 @@ def cmd_steady(args) -> int:
 
 def cmd_sweep(args) -> int:
     setup = RunSetup(vars(args))
-    reduce_name = setup.validate_outputs([setup.reduce])[0]
-    coords, values, errors = sweep(setup.caption, setup.variant, args.axis, reduce_name,
+    coords, values, errors = sweep(setup.caption, setup.variant, args.axis, setup.reduce,
                                    given=setup.given, gamma_angular=setup.gamma_angular,
                                    workers=setup.workers)
-    names = [spec[0].replace("-", "_") for spec in args.axis] + [reduce_name, "error"]
+    names = [spec[0].replace("-", "_") for spec in args.axis] + [setup.reduce, "error"]
     write_table(args.out, "sweep", names, np.column_stack([coords, values]), setup.format,
                 not args.no_timestamp, text=errors)
     return EXIT_OK
@@ -332,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--t-max-ms", type=float, help="evolution time in ms")
     p.add_argument("--samples", type=int, help="number of grid points (>= 2)")
-    p.add_argument("--outputs", help="comma list: populations,fidelity,chsh,negativity")
+    p.add_argument("--outputs", help=f"comma list: {','.join(MEASURES)}")
     _add_output_args(p)
     p.set_defaults(func=cmd_evolve)
 

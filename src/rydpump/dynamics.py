@@ -430,7 +430,7 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     rho0 : ndarray
         Valid density matrix (Hermitian, unit trace, PSD to 1e-10).
     t_grid : array_like
-        Strictly increasing times in seconds, starting at 0.
+        Strictly increasing finite times in seconds, starting at 0.
 
     Returns
     -------
@@ -441,10 +441,13 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("t_grid must be a 1-D array of times")
+    if not np.isfinite(t).all():
+        raise ValueError("t_grid must hold finite times")
     if abs(t[0]) > 1e-15:
         raise ValueError(f"t_grid must start at 0, got t[0] = {t[0]!r}")
     if t.size > 1 and np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing")
+    _require_finite(L)
     rho = _require_density(rho0, L.dim)
     states = unvec(_propagate_expm(L, vec(rho), t), L.dim)
     _check_physical(states, t)
@@ -459,8 +462,10 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
     propagator; the induced local error ||L||*|dt - dt_ref| stays below
     _STEP_SNAP_RTOL per step.  A step takes the propagator of the earliest
     reference step it snaps to, and a step that snaps to none becomes a
-    reference.  Every step's propagator is chosen first, then the states
-    are stepped in place, each from the row before it.
+    reference, which takes its own propagator even if it does not snap to
+    itself (a NaN step or snap), so the loop ends.  Every step's
+    propagator is chosen first, then the states are stepped in place,
+    each from the row before it.
     """
     T = _hermitian_basis(L.dim)
     out = np.empty((t.size, L.dim**2))
@@ -472,6 +477,7 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
     while (free := np.flatnonzero(which < 0)).size:
         ref = dts[free[0]]
         which[free[np.abs(dts[free] - ref) <= snap]] = len(props)
+        which[free[0]] = len(props)
         props.append(sla.expm(L.real * ref))
     for k, i in enumerate(which.tolist(), start=1):
         np.matmul(props[i], out[k - 1], out=out[k])
@@ -557,13 +563,17 @@ def steady_state(
     return (rho, info) if return_info else rho
 
 
+def _require_finite(L: Liouvillian) -> None:
+    if not np.isfinite(L.superop.data).all():
+        raise ValueError("the Liouvillian has a non-finite entry")
+
+
 def _bordered_lu(L: Liouvillian):
     """LU factors and pivots of the real form with row 0 (the rho_00
     equation) replaced by the trace functional, the sum of the first dim
     coordinates.  The form is assembled Fortran-ordered and factored in
     place, so the factors are F-contiguous and nothing is copied."""
-    if not np.isfinite(L.superop.data).all():
-        raise ValueError("the Liouvillian has a non-finite entry")
+    _require_finite(L)
     mat = _real_form(L, "F")
     mat[0] = np.arange(L.dim**2) < L.dim  # the trace functional
     lu, piv, info = _getrf(mat, overwrite_a=True)

@@ -1,4 +1,4 @@
-"""Caption overrides, measure columns and steady-state parameter grids.
+"""Caption overrides, measure checks and columns, and steady-state parameter grids.
 
 Traced layers are called through their module attribute (models.build_model,
 dynamics.steady_state, ...), so a tracer that replaces them sees every call.
@@ -15,6 +15,8 @@ import numpy as np
 from . import dynamics, measures, models
 
 AXIS_NAMES = ("rabi-mhz", "microwave-rel", "delta-mhz", "urr-mhz", "gamma-khz")
+SCALAR_MEASURES = ("fidelity", "chsh", "negativity")
+MEASURES = ("populations", *SCALAR_MEASURES)
 _OTHER = {"microwave_rel": "microwave_mhz", "microwave_mhz": "microwave_rel",
           "delta_mhz": "urr_mhz", "urr_mhz": "delta_mhz"}
 
@@ -28,6 +30,20 @@ def override(caption: dict, key: str, value: float, given) -> None:
     other = _OTHER.get(key)
     if other is not None and (key.startswith("microwave") or other not in given):
         caption.pop(other, None)
+
+
+def check_measures(variant: models.SchemeVariant, names) -> None:
+    """Raise ValueError unless names is a non-empty list of MEASURES that
+    the variant's scheme defines (chsh needs a qubit scheme)."""
+    if not names:
+        raise ValueError(
+            f"--outputs names no measure; expected a comma list of {', '.join(MEASURES)}"
+        )
+    for name in names:
+        if name not in MEASURES:
+            raise ValueError(f"unknown output {name!r}; expected one of {', '.join(MEASURES)}")
+        if name == "chsh" and not variant.record.qubits:
+            raise ValueError("the chsh measure is only defined for the bell scheme")
 
 
 def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
@@ -70,26 +86,38 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
     """Steady-state reduce measure over a 1-D or 2-D grid of caption values.
 
     caption holds caption_params keywords and axes one or two
-    (name, lo, hi, steps) specs, name in AXIS_NAMES.  Each point applies
-    every axis value through override, counting as given the axis keys
-    and given (by default every key of caption).  Points run in row-major
-    order, in up to `workers` processes.  Returns coords (points, axes),
+    (name, lo, hi, steps) specs: name in AXIS_NAMES and not repeated, lo
+    and hi finite, steps an integer of at least 2.  reduce must pass
+    check_measures and be one of SCALAR_MEASURES; every check runs before
+    the first point.  Each point applies every axis value through
+    override, counting as given the axis keys and given (by default every
+    key of caption).  Points run in row-major order, in up to `workers`
+    processes.  Returns coords (points, axes),
     values (points,) and one error text per point, "" unless it failed.
     """
+    check_measures(variant, [reduce])
     if not axes:
         raise ValueError("sweep requires at least one --axis NAME MIN MAX STEPS")
     if len(axes) > 2:
         raise ValueError("sweep supports at most two axes")
     grids = []
     for spec in axes:
-        name, lo, hi, steps = spec[0], float(spec[1]), float(spec[2]), int(spec[3])
+        name, lo, hi = spec[0], float(spec[1]), float(spec[2])
+        try:
+            steps = int(spec[3])
+        except ValueError:
+            raise ValueError(f"axis {name!r} needs an integer STEPS, got {spec[3]!r}") from None
         if name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {name!r}; expected one of {', '.join(AXIS_NAMES)}")
         if steps < 2:
             raise ValueError(f"axis {name!r} needs steps >= 2, got {steps}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"axis {name!r} needs finite MIN and MAX, got {lo} and {hi}")
+        if name in (other[0] for other in axes[:len(grids)]):
+            raise ValueError(f"axis {name!r} is given twice")
         grids.append(np.linspace(lo, hi, steps))
-    if reduce not in ("fidelity", "chsh", "negativity"):
-        raise ValueError("sweep reduce must be a scalar measure (fidelity, chsh, negativity)")
+    if reduce not in SCALAR_MEASURES:
+        raise ValueError(f"sweep reduce must be a scalar measure ({', '.join(SCALAR_MEASURES)})")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 

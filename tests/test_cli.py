@@ -12,7 +12,8 @@ import pytest
 
 import rydpump
 from rydpump import dynamics, models
-from rydpump.cli import _REPRODUCE, AXIS_NAMES, RunSetup, _parser, main, write_table
+from rydpump.cli import _REPRODUCE, RunSetup, _parser, main, write_table
+from rydpump.grid import AXIS_NAMES, SCALAR_MEASURES, check_measures
 
 
 def run(args):
@@ -89,6 +90,12 @@ def test_evolve_invalid_samples(capsys):
                 "--t-max-ms", "1", "--samples", "1"])
     assert code == 2
     assert "samples" in capsys.readouterr().err
+
+
+def test_evolve_rejects_non_finite_t_max(capsys):
+    for t_max in ("inf", "nan"):
+        assert run(["evolve", "--preset", "fig3", f"--t-max-ms={t_max}", "--samples", "5"]) == 2
+        assert f"t-max-ms must be finite, got {t_max}" in capsys.readouterr().err
 
 
 def test_unknown_preset_lists_names(capsys):
@@ -178,6 +185,21 @@ def test_sweep_axis_validation(capsys):
     assert run(["sweep", "--preset", "fig2", "--axis", "bogus", "1", "2", "2"]) == 2
     assert run(["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "2", "2",
                 "--reduce", "populations"]) == 2
+    capsys.readouterr()
+    # Each axis is checked before any point is solved, and the error names it.
+    for axes, text in (
+            ([["urr-mhz", "1", "8", "3"], ["urr-mhz", "1", "2", "2"]], "'urr-mhz' is given twice"),
+            ([["urr-mhz", "nan", "8", "3"]], "'urr-mhz' needs finite MIN and MAX"),
+            ([["gamma-khz", "1", "inf", "3"]], "'gamma-khz' needs finite MIN and MAX"),
+            ([["urr-mhz", "1", "8", "3.5"]], "'urr-mhz' needs an integer STEPS, got '3.5'")):
+        argv = ["sweep", "--preset", "fig2"] + [a for axis in axes for a in ["--axis", *axis]]
+        assert run(argv) == 2, axes
+        assert text in capsys.readouterr().err, axes
+    # Delta and U_rr are two axes, not one given twice.
+    assert run(["sweep", "--preset", "fig2", "--axis", "delta-mhz", "1", "4", "2",
+                "--axis", "urr-mhz", "2", "8", "2", "--no-timestamp"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 4 and all(row.endswith(",") for row in rows)  # no error text
 
 
 def test_sweep_rejects_workers_below_one(capsys):
@@ -208,6 +230,19 @@ def test_sweep_function_row_major_with_errors():
     assert all(e.startswith("NonUniqueSteadyStateError: non-unique steady state")
                for e in errors[:3])
     assert errors[3] == "" and values[3] == steady_value(dict(BELL_CAPTION, urr_mhz=6.87))
+
+
+def test_sweep_function_checks_reduce_before_solving(monkeypatch):
+    # The library sweep rejects what the CLI rejects, before any point is solved.
+    solved = []
+    monkeypatch.setattr(dynamics, "steady_state", lambda *args, **kw: solved.append(args))
+    qutrit, caption = models.SchemeVariant("qutrit", "phi"), models.FIGURES["fig6-point"].caption
+    for variant, reduce, text in ((qutrit, "chsh", "only defined for the bell scheme"),
+                                  (BELL, "populations", "must be a scalar measure"),
+                                  (BELL, "bogus", "unknown output 'bogus'")):
+        with pytest.raises(ValueError, match=text):
+            rydpump.sweep(caption, variant, [("urr-mhz", 1.0, 8.0, 3)], reduce)
+    assert solved == []
 
 
 def test_sweep_function_missing_leg_follows_the_swept_one():
@@ -446,6 +481,12 @@ def test_config_invalid_values(tmp_path, capsys):
     assert run(["steady", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "gamma-angular" in err and "ture" in err
+    # Every value error names the key and the file, not only the boolean's.
+    for text, needs in (("samples = 2.5", "'samples' in {} needs an integer, got '2.5'"),
+                        ("gamma = fast", "'gamma' in {} needs a number, got 'fast'")):
+        cfg.write_text(f"preset = fig2\n{text}\n")
+        assert run(["steady", "--config", str(cfg)]) == 2
+        assert needs.format(cfg) in capsys.readouterr().err
 
 
 def test_config_boolean_spellings(tmp_path):
@@ -642,9 +683,10 @@ def test_reproduce_figures_resolve():
         model.initial_density(setup.initial)
         if fig.axes:
             assert all(axis in AXIS_NAMES for axis, *_ in fig.axes), name
-            assert setup.validate_outputs([fig.reduce]) != ["populations"], name
+            check_measures(setup.variant, [fig.reduce])
+            assert fig.reduce in SCALAR_MEASURES, name
         else:
-            setup.validate_outputs(setup.outputs)
+            check_measures(setup.variant, setup.outputs)
 
 
 def test_reproduce_fig2(tmp_path):

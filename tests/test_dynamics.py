@@ -869,6 +869,21 @@ def test_evolve_rejects_bad_initial_states():
         evolve(L, good, np.array([0.0, 1e-4, 1e-4]))
 
 
+def test_evolve_rejects_non_finite_input():
+    # Non-finite times and generator entries are rejected before the
+    # propagator loop, where a NaN step snaps to no reference step.
+    m = bell_model()
+    good = m.initial_density("ff")
+    for t in ([0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite times"):
+            evolve(build_liouvillian(m), good, np.array(t))
+    broken = build_liouvillian(m)
+    broken.superop.data[0] = np.nan
+    with pytest.raises(ValueError, match="the Liouvillian has a non-finite entry"):
+        evolve(broken, good, np.array([0.0, 1e-4]))
+    assert np.isfinite(build_liouvillian(m).superop.data).all()
+
+
 # ----------------------------------------------------------- steady states
 
 def test_steady_state_degenerate_decay_only():

@@ -6,7 +6,8 @@ regenerates every gated output twice, from the source of git revision REV
 and from the working tree, and compares the two byte for byte.  REV's
 source is extracted with `git archive` into a temporary directory, so the
 repository itself is not touched.  Every output comes from a fresh
-interpreter with BLAS pinned to one thread.  The gated outputs are:
+interpreter with BLAS pinned to one thread and an 80-column terminal.
+The gated outputs are:
 
 - the CSV of every `reproduce --no-timestamp` figure;
 - `steady` CSV and JSON, for both backends, at fig2, fig6-point, fig8a
@@ -19,7 +20,11 @@ interpreter with BLAS pinned to one thread.  The gated outputs are:
 - `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset, the CHSH
   series of fig3 with target triplet (the triplet frame), and fig3 with
   `--urr-mhz 6`;
-- the stdout of every demo.
+- the stdout of every demo;
+- the stdout of `rydpump --help` and of each subcommand's `--help`;
+- the stderr and exit status of invalid runs that the measure checks
+  reject: an unknown `--outputs` name, chsh on a qutrit preset, an empty
+  `--outputs`, and a sweep reducing to populations or to an unknown name.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -53,6 +58,13 @@ EVOLVE = ("fig3", "fig5-inset", "fig2-inset")
 # and a qutrit point away from its preset.
 OVERRIDES = (("fig2-urr-6", ["--preset", "fig2", "--urr-mhz", "6"]),
              ("fig6-point-gamma-0.5", ["--preset", "fig6-point", "--gamma-khz", "0.5"]))
+SUBCOMMANDS = ("evolve", "steady", "sweep", "reproduce")
+SWEEP = ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "8", "3"]
+INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", "bogus"]),
+           ("steady-qutrit-chsh", ["steady", "--preset", "fig6-point", "--outputs", "chsh"]),
+           ("evolve-outputs-empty", ["evolve", "--preset", "fig3", "--outputs", ","]),
+           ("sweep-reduce-populations", SWEEP + ["--reduce", "populations"]),
+           ("sweep-reduce-bogus", SWEEP + ["--reduce", "bogus"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
@@ -83,13 +95,16 @@ def jobs(tree: Path) -> list:
                         cli + ["evolve", *spec, "--format", fmt, "--no-timestamp"]))
     for demo in sorted((tree / "demos").glob("[0-9]*.py")):
         out.append((f"demos/{demo.name}.stdout", [sys.executable, str(demo)]))
+    out.append(("help/rydpump.stdout", cli + ["--help"]))
+    out += [(f"help/{sub}.stdout", cli + [sub, "--help"]) for sub in SUBCOMMANDS]
+    out += [(f"invalid/{name}.stderr", cli + argv) for name, argv in INVALID]
     return out
 
 
 def generate(tree: Path, dest: Path) -> dict:
     """Run every job from the source in tree; return {name: bytes}.  A job
     that exits non-zero contributes its exit status and stderr too."""
-    env = {**os.environ, **PINNED, "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, **PINNED, "COLUMNS": "80", "PYTHONPATH": str(tree / "src")}
     results = {}
     outdir = dest / "reproduce"
     outdir.mkdir(parents=True)
