@@ -149,7 +149,7 @@ class RunSetup:
             self.outputs = [o.strip() for o in outputs.split(",") if o.strip()]
             self.steady_outputs = self.outputs
         self.method = pick("method", "nullspace")
-        self.reduce = pick("reduce", models.Figure.reduce)
+        self.reduce = pick("reduce", run.reduce)
         self.workers = pick("workers", 1)
         self.format = pick("format", "csv")
         if self.format not in ("csv", "json"):
@@ -265,7 +265,7 @@ def cmd_sweep(args) -> int:
 def cmd_reproduce(args) -> int:
     fig = _REPRODUCE[args.figure]
     run = argparse.Namespace(preset=fig.name, gamma_angular=args.gamma_angular,
-                             reduce=fig.reduce, workers=args.workers, axis=fig.axes,
+                             workers=args.workers, axis=fig.axes,
                              out=str(Path(args.out_dir) / f"{args.figure}.csv"),
                              no_timestamp=args.no_timestamp)
     return cmd_sweep(run) if fig.axes else cmd_evolve(run)
@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--axis", nargs=4, action="append", metavar=("NAME", "MIN", "MAX", "STEPS"),
                    help=f"swept parameter ({', '.join(AXIS_NAMES)}); repeat for 2-D")
-    p.add_argument("--reduce", help="measure evaluated at each grid point (default fidelity)")
+    p.add_argument("--reduce", help="measure evaluated at each grid point (default: the "
+                   "preset's, else fidelity)")
     p.add_argument("--workers", type=int, default=None, help="parallel grid workers")
     _add_output_args(p)
     p.set_defaults(func=cmd_sweep)

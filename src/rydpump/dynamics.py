@@ -20,10 +20,11 @@ Hermitian basis it is a real matrix (the coherence-vector form of a
 Lindblad generator).  The basis T (_hermitian_basis) takes |i><i| first,
 so the trace is the sum of the first dim coordinates, then
 (|i><j| + |j><i|)/sqrt2 and i(|j><i| - |i><j|)/sqrt2 for i < j.
-Liouvillian.real = T^dag L T holds the dense real form, C-ordered for
-evolve's expm; the steady-state LU assembles it Fortran-ordered and
-factors it in place.  The LU, its error certificate and the gap work in
-real arithmetic, which costs about a third of the complex products.
+Liouvillian.real assembles the dense real form T^dag L T, Fortran-ordered:
+the steady-state LU factors it in place, and evolve's expm copies it into
+its own C-ordered scratch, so one layout serves both.  The LU, its error
+certificate and the gap work in real arithmetic, which costs about a
+third of the complex products.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ class Liouvillian:
     superop: sp.csr_matrix
     gamma_scale: float
     _norm_1: float | None = field(default=None, repr=False)
-    _real: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def norm_1(self) -> float:
@@ -132,7 +132,8 @@ class Liouvillian:
 
     @property
     def real(self) -> np.ndarray:
-        """Dense real form T^dag L T in the Hermitian basis of _hermitian_basis.
+        """A new dense real form T^dag L T in the Hermitian basis of
+        _hermitian_basis, Fortran-ordered; each read assembles it afresh.
 
         Each stored entry L[r, c] adds Re(conj(T[r, k]) L[r, c] T[c, l]) to
         R[k, l] for the at most 2 entries of rows r and c of T.  Every such
@@ -141,12 +142,13 @@ class Liouvillian:
 
         The factors of T and the target positions depend only on the
         superop's indptr and indices, so they come from a plan cached per
-        pattern (_real_plan); a call computes the products of its own
-        entries and sums them with one bincount (_real_form).  The result
-        is C-ordered and cached; steady_state does not read it."""
-        if self._real is None:
-            self._real = _real_form(self, "C")
-        return self._real
+        pattern (_real_plan); a read computes the products of its own
+        entries and sums them with one bincount."""
+        n, s = self.dim**2, self.superop
+        keys, coef_r, coef_c = _real_plan(self.dim, s.indices.dtype.char, s.indptr.tobytes(),
+                                          s.indices.tobytes())
+        terms = ((coef_r * s.data)[:, None] * coef_c).real
+        return np.bincount(keys, terms.ravel(), minlength=n * n).reshape(n, n, order="F")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate d(rho)/dt for a dense density matrix."""
@@ -318,11 +320,11 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _real_plan(d: int, order: str, index: str, indptr: bytes, indices: bytes):
+def _real_plan(d: int, index: str, indptr: bytes, indices: bytes):
     """The real form's gathers for a CSR pattern: for every product
-    conj(T[r, k]) L[r, c] T[c, l], its bincount key, the flat position of
-    (k, l) in memory order "C" (k n + l) or "F" (l n + k); and the factors
-    conj(T[r, k]) and T[c, l], each (2, nnz), of every stored entry."""
+    conj(T[r, k]) L[r, c] T[c, l], its bincount key, the Fortran-ordered
+    flat position l n + k of (k, l); and the factors conj(T[r, k]) and
+    T[c, l], each (2, nnz), of every stored entry."""
     n = d * d
     col, coef = _hermitian_rows(d)
     ptr = np.frombuffer(indptr, dtype=index)
@@ -330,18 +332,7 @@ def _real_plan(d: int, order: str, index: str, indptr: bytes, indices: bytes):
     c = np.frombuffer(indices, dtype=index)
     # take(axis=1) keeps the (2, nnz) results C-contiguous.
     k, l = col.take(r, axis=1)[:, None], col.take(c, axis=1)
-    keys = k * n + l if order == "C" else l * n + k
-    return _frozen(keys.ravel(), coef.take(r, axis=1).conj(), coef.take(c, axis=1))
-
-
-def _real_form(L: Liouvillian, order: str) -> np.ndarray:
-    """A new dense T^dag L T in memory order "C" or "F".  Both orders sum
-    the same products in the same sequence, so they agree bit for bit."""
-    n, s = L.dim**2, L.superop
-    keys, coef_r, coef_c = _real_plan(L.dim, order, s.indices.dtype.char, s.indptr.tobytes(),
-                                      s.indices.tobytes())
-    terms = ((coef_r * s.data)[:, None] * coef_c).real
-    return np.bincount(keys, terms.ravel(), minlength=n * n).reshape(n, n, order=order)
+    return _frozen((l * n + k).ravel(), coef.take(r, axis=1).conj(), coef.take(c, axis=1))
 
 
 @dataclass
@@ -474,11 +465,12 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
     dts = np.diff(t)
     which = np.full(dts.size, -1)  # index into props of each step's propagator
     props = []
+    real = L.real
     while (free := np.flatnonzero(which < 0)).size:
         ref = dts[free[0]]
         which[free[np.abs(dts[free] - ref) <= snap]] = len(props)
         which[free[0]] = len(props)
-        props.append(sla.expm(L.real * ref))
+        props.append(sla.expm(real * ref))
     for k, i in enumerate(which.tolist(), start=1):
         np.matmul(props[i], out[k - 1], out=out[k])
     # One change of basis for the whole stack; C order keeps each state
@@ -496,12 +488,11 @@ def steady_state(
 
     Both backends factor the real form T^dag L T once by dense LU, with its
     first row (the rho_00 equation) replaced by the trace functional, the
-    sum of the first dim coordinates.  The form is assembled into a new
-    Fortran-ordered buffer that LAPACK dgetrf factors in place; L.real,
-    C-ordered for evolve, is neither read nor filled.  On traceless vectors
-    the bordered solve applies the Drazin inverse L^D, and the same factors
-    certify the state: its error rho - rho_ss = L^D (L vec(rho)) is at most
-    ||L^D||_2 ||L vec(rho)||_2, with ||L^D||_2 on the traceless subspace
+    sum of the first dim coordinates.  L.real assembles it into a new
+    Fortran-ordered buffer that LAPACK dgetrf factors in place.  On traceless
+    vectors the bordered solve applies the Drazin inverse L^D, and the same
+    factors certify the state: its error rho - rho_ss = L^D (L vec(rho)) is
+    at most ||L^D||_2 ||L vec(rho)||_2, with ||L^D||_2 on the traceless subspace
     estimated by power iteration (group-inverse perturbation theory,
     Meyer, SIAM Rev. 17, 443 (1975)).  An exactly zero pivot, or
     1/||L^D||_2 at the rounding floor 1e3 * eps * ||L||_1, raises
@@ -571,10 +562,10 @@ def _require_finite(L: Liouvillian) -> None:
 def _bordered_lu(L: Liouvillian):
     """LU factors and pivots of the real form with row 0 (the rho_00
     equation) replaced by the trace functional, the sum of the first dim
-    coordinates.  The form is assembled Fortran-ordered and factored in
-    place, so the factors are F-contiguous and nothing is copied."""
+    coordinates.  L.real is a new Fortran-ordered array on every read, so
+    dgetrf overwrites it: the factors are F-contiguous and nothing is copied."""
     _require_finite(L)
-    mat = _real_form(L, "F")
+    mat = L.real
     mat[0] = np.arange(L.dim**2) < L.dim  # the trace functional
     lu, piv, info = _getrf(mat, overwrite_a=True)
     if info < 0:

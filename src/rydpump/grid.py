@@ -33,15 +33,17 @@ def override(caption: dict, key: str, value: float, given) -> None:
 
 
 def check_measures(variant: models.SchemeVariant, names) -> None:
-    """Raise ValueError unless names is a non-empty list of MEASURES that
-    the variant's scheme defines (chsh needs a qubit scheme)."""
+    """Raise ValueError unless names is a non-empty list of distinct
+    MEASURES that the variant's scheme defines (chsh needs a qubit scheme)."""
     if not names:
         raise ValueError(
             f"--outputs names no measure; expected a comma list of {', '.join(MEASURES)}"
         )
-    for name in names:
+    for i, name in enumerate(names):
         if name not in MEASURES:
             raise ValueError(f"unknown output {name!r}; expected one of {', '.join(MEASURES)}")
+        if name in names[:i]:
+            raise ValueError(f"output {name!r} is given twice")
         if name == "chsh" and not variant.record.qubits:
             raise ValueError("the chsh measure is only defined for the bell scheme")
 
@@ -105,7 +107,9 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
         name, lo, hi = spec[0], float(spec[1]), float(spec[2])
         try:
             steps = int(spec[3])
-        except ValueError:
+            if not isinstance(spec[3], str) and steps != spec[3]:
+                raise ValueError  # int() truncates a fractional number
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"axis {name!r} needs an integer STEPS, got {spec[3]!r}") from None
         if name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {name!r}; expected one of {', '.join(AXIS_NAMES)}")

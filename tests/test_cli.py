@@ -245,6 +245,29 @@ def test_sweep_function_checks_reduce_before_solving(monkeypatch):
     assert solved == []
 
 
+def test_sweep_function_needs_integral_steps(monkeypatch):
+    # A fractional STEPS is rejected before any point is solved, as the CLI
+    # rejects "3.5"; an integral one runs that many points.
+    solved = []
+    steady_state = dynamics.steady_state
+    monkeypatch.setattr(dynamics, "steady_state",
+                        lambda *args, **kw: solved.append(args) or steady_state(*args, **kw))
+    with pytest.raises(ValueError, match=r"axis 'urr-mhz' needs an integer STEPS, got 3\.5"):
+        rydpump.sweep(BELL_CAPTION, BELL, [("urr-mhz", 1.0, 8.0, 3.5)], "fidelity")
+    assert solved == []
+    coords, _, errors = rydpump.sweep(BELL_CAPTION, BELL, [("urr-mhz", 1.0, 8.0, 3)], "fidelity")
+    assert coords.ravel().tolist() == [1.0, 4.5, 8.0] and errors == ["", "", ""]
+    assert len(solved) == 3
+
+
+def test_sweep_reduces_to_the_presets_measure(capsys):
+    # Without --reduce a sweep reduces to its preset's measure.
+    for preset, measure in (("fig6-point", "negativity"), ("fig2", "fidelity")):
+        assert run(["sweep", "--preset", preset, "--axis", "urr-mhz", "1", "10", "2",
+                    "--no-timestamp"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"urr_mhz,{measure},error"
+
+
 def test_sweep_function_missing_leg_follows_the_swept_one():
     # The caption gives neither Delta nor U_rr: each swept U_rr brings its
     # resonant Delta = U_rr/2, and each swept Delta its U_rr = 2*Delta.
@@ -389,6 +412,16 @@ def test_sweep_json_writes_null_for_failed_points(tmp_path):
 def test_empty_outputs_rejected(command, capsys):
     assert run(command + ["--outputs", ","]) == 2
     assert "--outputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [
+    (["steady", "--preset", "fig2", "--outputs", "fidelity,fidelity"], "fidelity"),
+    (["evolve", "--preset", "fig3", "--outputs", "chsh,chsh"], "chsh")])
+def test_repeated_output_rejected(command, name, capsys):
+    assert run(command) == 2
+    captured = capsys.readouterr()
+    assert f"output {name!r} is given twice" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", [
@@ -678,13 +711,14 @@ def test_reproduce_figures_resolve():
     ]
     for name, fig in _REPRODUCE.items():
         assert fig.name in models.PRESET_NAMES, name
-        setup = RunSetup({"preset": fig.name, "reduce": fig.reduce})
+        setup = RunSetup({"preset": fig.name})
+        assert setup.reduce == fig.reduce, name
         model = setup.model()
         model.initial_density(setup.initial)
         if fig.axes:
             assert all(axis in AXIS_NAMES for axis, *_ in fig.axes), name
-            check_measures(setup.variant, [fig.reduce])
-            assert fig.reduce in SCALAR_MEASURES, name
+            check_measures(setup.variant, [setup.reduce])
+            assert setup.reduce in SCALAR_MEASURES, name
         else:
             check_measures(setup.variant, setup.outputs)
 

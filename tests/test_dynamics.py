@@ -344,7 +344,7 @@ def test_real_form_is_liouvillian_in_hermitian_basis(name, rng):
     assert np.max(np.abs(want.imag)) <= 1e-15 * scale
     assert L.real.dtype == np.float64
     assert np.max(np.abs(L.real - want.real)) <= 1e-15 * scale
-    assert L.real is L.real  # computed once
+    assert L.real is not L.real  # a new array on every read, which the LU overwrites
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES + ("random",))
@@ -361,7 +361,7 @@ def test_real_form_and_norm_match_sparse_products(name):
     for m in models:
         L = build_liouvillian(m)
         real, norm_1 = sparse_product_real_form(L)
-        assert L.real.flags["C_CONTIGUOUS"]
+        assert L.real.flags["F_CONTIGUOUS"]
         if name == "random":
             assert np.max(np.abs(L.real - real)) <= 1e-14 * np.max(np.abs(real))
         else:
@@ -570,8 +570,7 @@ def test_plan_arrays_are_read_only():
     s = L.superop
     plans = [_decay_plan(c.shape, (c != 0).tobytes()),
              _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes()),
-             *(_real_plan(m.dim, order, s.indices.dtype.char, s.indptr.tobytes(),
-                          s.indices.tobytes()) for order in "CF"),
+             _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
              (_drazin_start(m.dim),)]
     for plan in plans:
         for a in plan:
@@ -688,6 +687,29 @@ def test_evolve_matches_longdouble_reference():
         ref.append(x)
     ref = unvec((np.array(ref) @ T.T).astype(complex), L.dim)
     assert np.max(np.abs(evolve(L, rho0, t).states - ref)) <= 2e-10
+
+
+class COrderedLiouvillian(Liouvillian):
+    """A Liouvillian whose real form is C-ordered."""
+
+    @property
+    def real(self):
+        return np.ascontiguousarray(Liouvillian.real.fget(self))
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig5-inset"])
+def test_propagation_does_not_depend_on_real_form_layout(name):
+    # evolve reads the Fortran-ordered L.real that the LU factors: expm
+    # copies its argument into C-ordered scratch, so the propagator and
+    # every state are the bytes a C-ordered form gives.
+    m, L, rho0, t = figure_run(name)
+    dt = t[1] - t[0]
+    prop = expm(L.real * dt)
+    assert prop.flags["C_CONTIGUOUS"]
+    assert prop.tobytes() == expm(np.ascontiguousarray(L.real) * dt).tobytes()
+    c_ordered = COrderedLiouvillian(L.dim, L.superop, L.gamma_scale)
+    assert c_ordered.real.flags["C_CONTIGUOUS"]
+    assert evolve(L, rho0, t).states.tobytes() == evolve(c_ordered, rho0, t).states.tobytes()
 
 
 def test_evolve_states_are_contiguous_per_state():
@@ -1028,8 +1050,9 @@ def test_gap_matches_lu_solve_oracle(name):
 
 
 def bordered_real_form(L):
-    """L.real, C-ordered, with row 0 replaced by the trace functional."""
-    mat = L.real.copy()
+    """L.real, a new Fortran-ordered array, with row 0 replaced by the
+    trace functional."""
+    mat = L.real
     mat[0] = 0.0
     mat[0, : L.dim] = 1.0
     return mat
@@ -1037,8 +1060,8 @@ def bordered_real_form(L):
 
 @pytest.mark.parametrize("name", PRESET_NAMES + ("random",))
 def test_bordered_lu_matches_lu_factor_of_real_form(name):
-    # The Fortran-ordered assembly factored in place gives lu_factor's
-    # factors and pivots of the C-ordered bordered L.real, byte for byte.
+    # L.real factored in place gives lu_factor's factors and pivots of the
+    # bordered L.real, byte for byte.
     if name == "random":
         rng = np.random.default_rng(5)
         models = [random_model(rng, n_lindblads=n) for n in (0, 1, 4, 7)]
@@ -1048,20 +1071,10 @@ def test_bordered_lu_matches_lu_factor_of_real_form(name):
     for m in models:
         L = build_liouvillian(m)
         lu, piv = _bordered_lu(L)
-        assert L._real is None
         want_lu, want_piv = lu_factor(bordered_real_form(L))
         assert lu.flags["F_CONTIGUOUS"] and lu.dtype == np.float64
         assert lu.tobytes(order="F") == want_lu.tobytes(order="F")
         assert piv.dtype == want_piv.dtype and piv.tobytes() == want_piv.tobytes()
-
-
-@pytest.mark.parametrize("return_info", [False, True])
-@pytest.mark.parametrize("method", ["nullspace", "evolve"])
-def test_steady_state_leaves_real_form_unset(method, return_info):
-    pre = figure_preset("fig8a")
-    L = build_liouvillian(build_model(pre.params, pre.variant))
-    steady_state(L, method=method, return_info=return_info)
-    assert L._real is None
 
 
 def test_bordered_lu_raises_on_illegal_lapack_argument(monkeypatch):

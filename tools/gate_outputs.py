@@ -20,11 +20,14 @@ The gated outputs are:
 - `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset, the CHSH
   series of fig3 with target triplet (the triplet frame), and fig3 with
   `--urr-mhz 6`;
+- the CSV of a `sweep --preset fig6-point` without `--reduce`, which
+  reduces to the preset's measure;
 - the stdout of every demo;
 - the stdout of `rydpump --help` and of each subcommand's `--help`;
 - the stderr and exit status of invalid runs that the measure checks
   reject: an unknown `--outputs` name, chsh on a qutrit preset, an empty
-  `--outputs`, and a sweep reducing to populations or to an unknown name.
+  `--outputs`, a repeated `--outputs` name, and a sweep reducing to
+  populations or to an unknown name.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -60,9 +63,13 @@ OVERRIDES = (("fig2-urr-6", ["--preset", "fig2", "--urr-mhz", "6"]),
              ("fig6-point-gamma-0.5", ["--preset", "fig6-point", "--gamma-khz", "0.5"]))
 SUBCOMMANDS = ("evolve", "steady", "sweep", "reproduce")
 SWEEP = ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "8", "3"]
+# A sweep that reduces to its preset's measure, which is not fidelity.
+PRESET_SWEEP = ["sweep", "--preset", "fig6-point", "--axis", "urr-mhz", "1", "10", "2"]
 INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", "bogus"]),
            ("steady-qutrit-chsh", ["steady", "--preset", "fig6-point", "--outputs", "chsh"]),
            ("evolve-outputs-empty", ["evolve", "--preset", "fig3", "--outputs", ","]),
+           ("steady-outputs-repeated", ["steady", "--preset", "fig2", "--outputs",
+                                        "fidelity,fidelity"]),
            ("sweep-reduce-populations", SWEEP + ["--reduce", "populations"]),
            ("sweep-reduce-bogus", SWEEP + ["--reduce", "bogus"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
@@ -93,6 +100,7 @@ def jobs(tree: Path) -> list:
         for fmt in ("csv", "json"):
             out.append((f"evolve/{name}.{fmt}",
                         cli + ["evolve", *spec, "--format", fmt, "--no-timestamp"]))
+    out.append(("sweep/fig6-point-urr.csv", cli + PRESET_SWEEP + ["--no-timestamp"]))
     for demo in sorted((tree / "demos").glob("[0-9]*.py")):
         out.append((f"demos/{demo.name}.stdout", [sys.executable, str(demo)]))
     out.append(("help/rydpump.stdout", cli + ["--help"]))
