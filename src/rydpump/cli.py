@@ -52,7 +52,7 @@ _OPTIONS = {
     **{name.replace("-", "_"): float for name in AXIS_NAMES},
     "preset": str, "scheme": str, "target": str, "gamma_angular": bool, "initial": str,
     "t_max_ms": float, "samples": int, "outputs": str, "format": str, "method": str,
-    "reduce": str, "workers": int,
+    "reduce": str,
 }
 _OPTION_KEYS = {_norm_key(dest): dest for dest in _OPTIONS}
 
@@ -150,7 +150,6 @@ class RunSetup:
             self.steady_outputs = self.outputs
         self.method = pick("method", "nullspace")
         self.reduce = pick("reduce", run.reduce)
-        self.workers = pick("workers", 1)
         self.format = pick("format", "csv")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}; expected csv or json")
@@ -228,7 +227,7 @@ def cmd_evolve(args) -> int:
     try:
         rho0 = model.initial_density(setup.initial)
     except KeyError as exc:
-        raise ValueError(str(exc)) from None
+        raise ValueError(exc.args[0]) from None
     liouv = dynamics.build_liouvillian(model)
     t = np.linspace(0.0, setup.t_max_ms * 1e-3, setup.samples)
     traj = dynamics.evolve(liouv, rho0, t)
@@ -254,8 +253,7 @@ def cmd_steady(args) -> int:
 def cmd_sweep(args) -> int:
     setup = RunSetup(vars(args))
     coords, values, errors = sweep(setup.caption, setup.variant, args.axis, setup.reduce,
-                                   given=setup.given, gamma_angular=setup.gamma_angular,
-                                   workers=setup.workers)
+                                   given=setup.given, gamma_angular=setup.gamma_angular)
     names = [spec[0].replace("-", "_") for spec in args.axis] + [setup.reduce, "error"]
     write_table(args.out, "sweep", names, np.column_stack([coords, values]), setup.format,
                 not args.no_timestamp, text=errors)
@@ -264,11 +262,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_reproduce(args) -> int:
     fig = _REPRODUCE[args.figure]
-    run = argparse.Namespace(preset=fig.name, gamma_angular=args.gamma_angular,
-                             workers=args.workers, axis=fig.axes,
+    run = argparse.Namespace(preset=fig.name, gamma_angular=args.gamma_angular, axis=fig.axes,
                              out=str(Path(args.out_dir) / f"{args.figure}.csv"),
                              no_timestamp=args.no_timestamp)
     return cmd_sweep(run) if fig.axes else cmd_evolve(run)
+
+
+# Flags that reproduce shares with the other subcommands.
+_GAMMA_ANGULAR = dict(action="store_true", default=None,
+                      help="interpret --gamma-khz as an angular 2*pi*kHz rate")
+_NO_TIMESTAMP = dict(action="store_true",
+                     help="omit the timestamp line for byte-reproducible output")
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -284,16 +288,14 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--delta-mhz", type=float, help="detuning Delta/2pi in MHz (default U_rr/2)")
     g.add_argument("--urr-mhz", type=float, help="Rydberg interaction U_rr/2pi in MHz (default 2*Delta)")
     g.add_argument("--gamma-khz", type=float, help="decay rate in kHz (plain rate)")
-    g.add_argument("--gamma-angular", action="store_true", default=None,
-                   help="interpret --gamma-khz as an angular 2*pi*kHz rate")
+    g.add_argument("--gamma-angular", **_GAMMA_ANGULAR)
     g.add_argument("--initial", help="initial state id (e.g. ff, mix4, mix9, singlet, phi)")
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default: print to stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the timestamp line for byte-reproducible output")
+    p.add_argument("--no-timestamp", **_NO_TIMESTAMP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,16 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"swept parameter ({', '.join(AXIS_NAMES)}); repeat for 2-D")
     p.add_argument("--reduce", help="measure evaluated at each grid point (default: the "
                    "preset's, else fidelity)")
-    p.add_argument("--workers", type=int, default=None, help="parallel grid workers")
     _add_output_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="write the data behind one benchmark figure")
     p.add_argument("figure", choices=sorted(_REPRODUCE))
     p.add_argument("--out-dir", default=".", help="directory for <figure>.csv")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--gamma-angular", action="store_true", default=None)
-    p.add_argument("--no-timestamp", action="store_true")
+    p.add_argument("--gamma-angular", **_GAMMA_ANGULAR)
+    p.add_argument("--no-timestamp", **_NO_TIMESTAMP)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -6,7 +6,6 @@ dynamics.steady_state, ...), so a tracer that replaces them sees every call.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -84,7 +83,7 @@ def _point(variant, reduce: str, gamma_angular: bool, caption: dict):
 
 
 def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
-          given=None, gamma_angular: bool = False, workers: int = 1):
+          given=None, gamma_angular: bool = False):
     """Steady-state reduce measure over a 1-D or 2-D grid of caption values.
 
     caption holds caption_params keywords and axes one or two
@@ -93,9 +92,9 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
     check_measures and be one of SCALAR_MEASURES; every check runs before
     the first point.  Each point applies every axis value through
     override, counting as given the axis keys and given (by default every
-    key of caption).  Points run in row-major order, in up to `workers`
-    processes.  Returns coords (points, axes),
-    values (points,) and one error text per point, "" unless it failed.
+    key of caption).  Points run in row-major order.  Returns coords
+    (points, axes), values (points,) and one error text per point, "" unless
+    it failed.
     """
     check_measures(variant, [reduce])
     if not axes:
@@ -122,8 +121,6 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
         grids.append(np.linspace(lo, hi, steps))
     if reduce not in SCALAR_MEASURES:
         raise ValueError(f"sweep reduce must be a scalar measure ({', '.join(SCALAR_MEASURES)})")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
     keys = [spec[0].replace("-", "_") for spec in axes]
     given = set(caption if given is None else given) | set(keys)
@@ -132,15 +129,6 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
     for point, values in zip(captions, coords.tolist()):
         for key, value in zip(keys, values):
             override(point, key, value, given)
-    task = functools.partial(_point, variant, reduce, gamma_angular)
-    workers = min(workers, len(captions))
-    if workers > 1:
-        # Imported here: multiprocessing would add to every CLI start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, captions))
-    else:
-        results = list(map(task, captions))
-    values, errors = zip(*results)
+    values, errors = zip(*(_point(variant, reduce, gamma_angular, point)
+                           for point in captions))
     return coords, np.array(values), list(errors)

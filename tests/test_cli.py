@@ -98,6 +98,14 @@ def test_evolve_rejects_non_finite_t_max(capsys):
         assert f"t-max-ms must be finite, got {t_max}" in capsys.readouterr().err
 
 
+def test_evolve_unknown_initial_message(capsys):
+    # The message is printed as it is, not as the repr of a KeyError's text.
+    assert run(["evolve", "--preset", "fig3", "--initial", "zz"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown state 'zz'; known: "
+        "['S', 'T', 'aa', 'af', 'ar', 'fa', 'ff', 'fr', 'ra', 'rf', 'rr']\n")
+
+
 def test_unknown_preset_lists_names(capsys):
     code = run(["steady", "--preset", "fig99"])
     assert code == 2
@@ -170,15 +178,6 @@ def test_sweep_row_major_order_and_delta_coupling(tmp_path):
     assert float(data[2][2]) > float(data[0][2])
 
 
-def test_sweep_workers_match_serial(tmp_path):
-    args = ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "2", "6", "3",
-            "--no-timestamp"]
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    assert run(args + ["--out", str(a)]) == 0
-    assert run(args + ["--out", str(b), "--workers", "3"]) == 0
-    assert a.read_text() == b.read_text()
-
-
 def test_sweep_axis_validation(capsys):
     assert run(["sweep", "--preset", "fig2"]) == 2
     assert run(["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "2", "1"]) == 2
@@ -200,13 +199,6 @@ def test_sweep_axis_validation(capsys):
                 "--axis", "urr-mhz", "2", "8", "2", "--no-timestamp"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert len(rows) == 4 and all(row.endswith(",") for row in rows)  # no error text
-
-
-def test_sweep_rejects_workers_below_one(capsys):
-    for workers in ("0", "-2"):
-        assert run(["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "2", "2",
-                    "--workers", workers]) == 2
-        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
 BELL_CAPTION = dict(rabi_mhz=0.036, microwave_rel=0.004, gamma_khz=1.673)
@@ -282,43 +274,6 @@ def test_sweep_function_missing_leg_follows_the_swept_one():
                                  [("urr-mhz", 6.0, 8.0, 2)], "fidelity")
     assert values.tolist() == [steady_value(dict(BELL_CAPTION, delta_mhz=3.0, urr_mhz=u))
                                for u in (6.0, 8.0)]
-
-
-def test_sweep_function_workers_match_serial():
-    args = (dict(BELL_CAPTION, delta_mhz=3.435), BELL, [("urr-mhz", 2.0, 8.0, 3)], "chsh")
-    serial = rydpump.sweep(*args)
-    pooled = rydpump.sweep(*args, workers=2)
-    assert serial[0].tolist() == pooled[0].tolist()
-    assert serial[1].tolist() == pooled[1].tolist() and serial[2] == pooled[2]
-
-
-def test_sweep_starts_no_more_workers_than_points(monkeypatch):
-    # A stub executor records max_workers and runs the points in this process.
-    import concurrent.futures
-
-    started = []
-
-    class Stub:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Stub)
-    args = (BELL_CAPTION, BELL, [("urr-mhz", 2.0, 8.0, 3)], "fidelity")
-    serial = rydpump.sweep(*args)
-    for workers, want in ((64, [3]), (2, [2]), (1, [])):
-        started.clear()
-        got = rydpump.sweep(*args, workers=workers)
-        assert started == want
-        assert got[1].tolist() == serial[1].tolist()
 
 
 def test_override_rule():
@@ -505,6 +460,24 @@ def test_config_unknown_key(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_workers_option_is_gone(tmp_path, capsys):
+    # Sweep points run in one process: no flag or config key selects a pool.
+    sweep = ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "2", "6", "2"]
+    for argv in (sweep + ["--workers", "2"], ["reproduce", "fig2", "--workers", "2",
+                                              "--out-dir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    cfg = tmp_path / "workers.cfg"
+    cfg.write_text("workers = 2\n")
+    assert run(sweep + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key 'workers' in {cfg}\n"
+    with pytest.raises(TypeError, match="workers"):
+        rydpump.sweep(BELL_CAPTION, BELL, [("urr-mhz", 2.0, 6.0, 2)], "fidelity", workers=2)
+
+
 def test_config_invalid_values(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = foo\n")
@@ -547,7 +520,7 @@ def test_import_leaves_out_scipy_integrate():
 
 
 def test_import_leaves_out_multiprocessing():
-    # The sweep pool's import stays inside the pooled branch.
+    # Sweeps run in one process, so nothing imports multiprocessing.
     src = str(Path(rydpump.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, rydpump.cli; print('multiprocessing' in sys.modules)"

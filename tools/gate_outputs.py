@@ -27,7 +27,8 @@ The gated outputs are:
 - the stderr and exit status of invalid runs that the measure checks
   reject: an unknown `--outputs` name, chsh on a qutrit preset, an empty
   `--outputs`, a repeated `--outputs` name, and a sweep reducing to
-  populations or to an unknown name.
+  populations or to an unknown name; and of an `evolve` from an unknown
+  `--initial` state.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -71,7 +72,8 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
            ("steady-outputs-repeated", ["steady", "--preset", "fig2", "--outputs",
                                         "fidelity,fidelity"]),
            ("sweep-reduce-populations", SWEEP + ["--reduce", "populations"]),
-           ("sweep-reduce-bogus", SWEEP + ["--reduce", "bogus"]))
+           ("sweep-reduce-bogus", SWEEP + ["--reduce", "bogus"]),
+           ("evolve-initial-unknown", ["evolve", "--preset", "fig3", "--initial", "zz"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
