@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -77,22 +77,24 @@ _GAP_FLOOR = 1e3
 # A Cholesky factorisation that runs to completion on a d x d matrix A is
 # exact for some A + dA with ||dA||_2 <= d (d + 1) u ||A + dA||_2, u = eps/2
 # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-# Thm 10.5), and ||A + dA||_2 <= tr(A + dA), about 1 for a state that
-# passed the trace check: below 5e-14 at d = 20.  Success on
-# (rho + rho^dag)/2 + (1e-6 - margin) I, with margin the larger of
-# _CHOLESKY_MARGIN and 4 d (d + 1) eps, therefore proves a smallest
-# eigenvalue of at least -1e-6, with room for complex arithmetic and for
-# eigvalsh's own error.
+# Thm 10.5), and ||A + dA||_2 <= tr(A + dA), about 1 for a unit-trace
+# state: below 5e-14 at d = 20.  Success on (rho + rho^dag)/2 - (b + margin) I,
+# with margin the larger of _CHOLESKY_MARGIN and 4 d (d + 1) eps, therefore
+# proves a smallest eigenvalue of at least b (-1e-6 in evolve, -1e-9 for a
+# steady state), with room for complex arithmetic and for eigvalsh's own
+# error.
 _CHOLESKY_MARGIN = 1e-12
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 # LAPACK's LU and solve of the float64 real form, called directly: lu_factor's
 # finiteness scan and warning and lu_solve's checks cost more than a Bell solve.
 _getrf = sla.lapack.dgetrf
 _getrs = sla.lapack.dgetrs
+_potrf = sla.lapack.zpotrf
 
 # e-folds after which the slowest mode has decayed below machine epsilon;
 # the "evolve" backend doubles its horizon at most _MAX_DOUBLINGS times.
-_EPS_E_FOLDS = -math.log(np.finfo(float).eps)
+_EPS_E_FOLDS = -math.log(_EPS)
 _MAX_DOUBLINGS = 60
 
 
@@ -107,19 +109,32 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(v.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
-@dataclass
 class Liouvillian:
     """Sparse superoperator on column-stacked density matrices.
 
     gamma_scale is the largest total decay rate (spectral norm of
     sum_k L_k^dag L_k); it sets the natural sampling step of the
-    long-time steady-state backend.
+    long-time steady-state backend.  Give it, or give decay, the matrix
+    sum_k L_k^dag L_k, from which its first read computes it.
     """
 
-    dim: int
-    superop: sp.csr_matrix
-    gamma_scale: float
-    _norm_1: float | None = field(default=None, repr=False)
+    def __init__(self, dim: int, superop: sp.csr_matrix, gamma_scale: float | None = None,
+                 decay: np.ndarray | None = None):
+        if gamma_scale is None and decay is None:
+            raise TypeError("Liouvillian needs gamma_scale or decay")
+        self.dim = dim
+        self.superop = superop
+        self._gamma_scale = gamma_scale
+        self._decay = decay
+        self._norm_1 = None
+
+    @property
+    def gamma_scale(self) -> float:
+        """Largest eigenvalue of the Hermitian part of decay, on first read."""
+        if self._gamma_scale is None:
+            d = self._decay
+            self._gamma_scale = float(np.linalg.eigvalsh((d + dagger(d)) / 2)[-1])
+        return self._gamma_scale
 
     @property
     def norm_1(self) -> float:
@@ -149,10 +164,6 @@ class Liouvillian:
                                           s.indices.tobytes())
         terms = ((coef_r * s.data)[:, None] * coef_c).real
         return np.bincount(keys, terms.ravel(), minlength=n * n).reshape(n, n, order="F")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate d(rho)/dt for a dense density matrix."""
-        return unvec(self.superop @ vec(rho), self.dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,7 +264,8 @@ def _generator_plan(d: int, left_mask: bytes, right_mask: bytes):
     entry's triplets stay in term order.  The plan lists the first triplet
     of every entry, then the others, and holds for each the flat positions
     of its two factors and its term scale; for the others, the entry they
-    add to; and the row and column of every entry."""
+    add to; the row and column of every entry; and the CSR row pointer of
+    the entries, which holds while none cancels exactly."""
     left = np.frombuffer(left_mask, dtype=bool).reshape(-1, d, d)
     right = np.frombuffer(right_mask, dtype=bool).reshape(-1, d, d)
     ta, ai, aj = np.nonzero(left)
@@ -273,8 +285,16 @@ def _generator_plan(d: int, left_mask: bytes, right_mask: bytes):
     entry = pos[new]
     # scipy's index dtype for a CSR matrix of this size.
     index = np.int32 if max(d * d, entry.size) <= np.iinfo(np.int32).max else np.int64
-    return _frozen(flat_l[e[take]], flat_r[f[take]], scale[ta[e[take]]], slot,
-                   entry // (d * d), (entry % (d * d)).astype(index))
+    row = entry // (d * d)
+    return _frozen(flat_l[e[take]], flat_r[f[take]], scale[ta[e[take]]], slot, row,
+                   (entry % (d * d)).astype(index), _row_pointer(row, d * d, index))
+
+
+def _row_pointer(row: np.ndarray, n: int, index) -> np.ndarray:
+    """CSR row pointer, of dtype index, of entries in the sorted rows row."""
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:], dtype=index)
+    return indptr
 
 
 def build_liouvillian(model: SystemModel) -> Liouvillian:
@@ -294,7 +314,9 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     planned once per pattern (_generator_plan).  A call gathers its own
     values, multiplies them, sums each entry's triplets and drops the
     entries that cancel exactly; every value is recomputed from H and the
-    jumps at every call.
+    jumps at every call.  While no entry cancels, the result takes copies
+    of the plan's column indices and row pointer.  gamma_scale is left to
+    its first read, from sum_k c_k^dag c_k.
     """
     d = model.dim
     n = d * d
@@ -305,18 +327,18 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     # Term t is scale[t] * kron(left[t], right[t]).
     left = np.concatenate([[eye, heff.conj()], c.conj()])
     right = np.concatenate([[heff, eye], c])
-    li, ri, scale, slot, row, col = _generator_plan(
+    li, ri, scale, slot, row, col, indptr = _generator_plan(
         d, (left != 0).tobytes(), (right != 0).tobytes())
     vals = left.ravel()[li] * right.ravel()[ri] * scale
     data = vals[: row.size]
     np.add.at(data, slot, vals[row.size:])  # an entry's triplets add in order
     keep = data != 0
-    indptr = np.zeros(n + 1, dtype=col.dtype)
-    np.cumsum(np.bincount(row[keep], minlength=n), out=indptr[1:], dtype=indptr.dtype)
-    gen = sp.csr_matrix((data[keep], col[keep], indptr), shape=(n, n))
-    rates = np.linalg.eigvalsh((decay + dagger(decay)) / 2)
-    gamma_scale = float(rates[-1]) if len(c) else 0.0
-    return Liouvillian(dim=d, superop=gen, gamma_scale=gamma_scale)
+    if keep.all():
+        col, indptr = col.copy(), indptr.copy()
+    else:
+        data, col, indptr = data[keep], col[keep], _row_pointer(row[keep], n, col.dtype)
+    gen = sp.csr_matrix((data, col, indptr), shape=(n, n))
+    return Liouvillian(d, gen, gamma_scale=None if len(c) else 0.0, decay=decay)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -373,7 +395,8 @@ def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
     tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
     defect = hermiticity_defect(states)
     # max() is nan, and the comparison False, if any entry is not finite.
-    if tr_err.max() <= 1e-6 and defect.max() <= 1e-8 and _positive_by_cholesky(states):
+    if tr_err.max() <= 1e-6 and defect.max() <= 1e-8 and \
+            _positive_by_cholesky((states + dagger(states)) / 2, -1e-6):
         return
     min_eig = np.linalg.eigvalsh((states + dagger(states)) / 2)[:, 0]
     failed = np.argwhere(np.column_stack([tr_err > 1e-6, defect > 1e-8, min_eig < -1e-6]))
@@ -385,21 +408,30 @@ def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
     raise ConvergenceError(f"{msg} at t = {t[k]:.6g} s")
 
 
-def _positive_by_cholesky(states: np.ndarray) -> bool:
-    """True if every (rho + rho^dag)/2 of the stack has its smallest
-    eigenvalue at or above -1e-6, proven by one batched Cholesky
-    factorisation of the matrices shifted by 1e-6 minus a margin for its
-    rounding; False if any factorisation fails, which proves nothing."""
-    herm = (states + dagger(states)) / 2
+def _positive_by_cholesky(herm: np.ndarray, bound: float) -> bool:
+    """True if the Hermitian matrix herm, or every matrix of a stack, has
+    its smallest eigenvalue at or above bound (negative), proven by a
+    Cholesky factorisation of herm shifted by -bound minus a margin for its
+    rounding (_CHOLESKY_MARGIN); False if any factorisation fails or has a
+    non-finite pivot, which proves nothing.  The shift may overwrite
+    herm's diagonal.  An entry that is not finite stops the factorisation,
+    or as +inf on the diagonal leaves an infinite pivot."""
+    herm = np.ascontiguousarray(herm)
     d = herm.shape[-1]
-    margin = max(_CHOLESKY_MARGIN, 4 * d * (d + 1) * np.finfo(float).eps)
-    diag = np.arange(d)
-    herm[..., diag, diag] += 1e-6 - margin
-    try:
-        np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    # The diagonal is every (d + 1)-th entry of each contiguous matrix.
+    herm.reshape(herm.shape[:-2] + (d * d,))[..., :: d + 1] += \
+        -bound - max(_CHOLESKY_MARGIN, 4 * d * (d + 1) * _EPS)
+    if herm.ndim == 2:
+        # LAPACK directly: np.linalg.cholesky costs more than a small factorisation.
+        factor, info = _potrf(herm, lower=True, overwrite_a=True, clean=False)
+        if info:
+            return False
+    else:
+        try:
+            factor = np.linalg.cholesky(herm)
+        except np.linalg.LinAlgError:
+            return False
+    return bool(np.isfinite(factor.diagonal(0, -2, -1)).all())
 
 
 def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
@@ -541,9 +573,7 @@ def steady_state(
     drazin_norm = _drazin_norm(L, lu)
     gap = _liouvillian_gap(L, lu) if method == "evolve" or return_info else None
     if method == "nullspace":
-        e0 = np.zeros(L.dim**2)
-        e0[0] = 1.0
-        v = _hermitian_basis(L.dim) @ _getrs(*lu, e0, overwrite_b=True)[0]
+        v = _hermitian_basis(L.dim) @ _getrs(*lu, _unit_rhs(L.dim))[0]
         info = {"method": "nullspace"}
     else:
         v, info = _steady_evolve(L, gap)
@@ -566,17 +596,31 @@ def _bordered_lu(L: Liouvillian):
     dgetrf overwrites it: the factors are F-contiguous and nothing is copied."""
     _require_finite(L)
     mat = L.real
-    mat[0] = np.arange(L.dim**2) < L.dim  # the trace functional
+    mat[0] = _trace_row(L.dim)
     lu, piv, info = _getrf(mat, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
-    zero = np.flatnonzero(np.diagonal(lu) == 0.0)
-    if zero.size:
+    pivots = np.diagonal(lu)
+    if not pivots.all():
         raise NonUniqueSteadyStateError(
-            f"non-unique steady state: {zero.size} exactly zero pivot(s) in the "
-            f"LU factors of the trace-bordered Liouvillian"
+            f"non-unique steady state: {np.count_nonzero(pivots == 0.0)} exactly zero "
+            f"pivot(s) in the LU factors of the trace-bordered Liouvillian"
         )
     return lu, piv
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _trace_row(d: int) -> np.ndarray:
+    """The trace functional, the sum of the first d of d^2 coordinates, as
+    a read-only row."""
+    return _frozen((np.arange(d * d) < d).astype(float))[0]
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _unit_rhs(d: int) -> np.ndarray:
+    """e_0 of length d^2, read-only: the right-hand side of the nullspace
+    solve, which getrs copies."""
+    return _frozen(np.eye(1, d * d).ravel())[0]
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -614,7 +658,7 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
         if abs(est - prev) <= _DRAZIN_RTOL * est:
             break
     norm = _DRAZIN_MARGIN * est
-    floor = _GAP_FLOOR * np.finfo(float).eps * L.norm_1
+    floor = _GAP_FLOOR * _EPS * L.norm_1
     if not norm * floor < 1.0:  # also catches a norm that overflowed to inf or nan
         raise NonUniqueSteadyStateError(
             f"non-unique steady state: ||L^D||_2 = {norm:.3e} s is at the rounding "
@@ -645,7 +689,7 @@ def _liouvillian_gap(L: Liouvillian, lu) -> float:
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"Liouvillian gap: {exc}") from None
     gap = float(np.min(-(1.0 / mu).real))
-    floor = _GAP_FLOOR * np.finfo(float).eps * L.norm_1
+    floor = _GAP_FLOOR * _EPS * L.norm_1
     if gap <= floor:
         raise NonUniqueSteadyStateError(
             f"non-unique steady state: Liouvillian gap {gap:.3e} 1/s is at the "
@@ -659,7 +703,7 @@ def residual(L: Liouvillian, rho: np.ndarray) -> tuple[float, float]:
     ||L vec(rho)||_2 / (||L||_1 ||vec(rho)||_2) of a density matrix."""
     v = vec(rho)
     defect = float(np.linalg.norm(L.superop @ v))
-    return defect, defect / float(max(L.norm_1, np.finfo(float).tiny) * np.linalg.norm(v))
+    return defect, defect / float(max(L.norm_1, _TINY) * np.linalg.norm(v))
 
 
 def _finalize(L: Liouvillian, v: np.ndarray, info: dict):
@@ -682,6 +726,9 @@ def _finalize(L: Liouvillian, v: np.ndarray, info: dict):
             f"steady-state error bound ||L^D|| ||L rho|| = {bound:.3e} exceeds "
             f"{_ERROR_BOUND_MAX:.0e} (backend {backend})"
         )
+    if _positive_by_cholesky(rho.copy(), _MIN_EIGENVALUE):
+        return rho, info
+    # Only a failed proof pays for the eigenvalues, which decide and name it.
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < _MIN_EIGENVALUE:
         raise ConvergenceError(

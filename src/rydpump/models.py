@@ -48,6 +48,7 @@ import numpy as np
 from .linalg import BipartiteDims, hermiticity_defect, kron
 
 TWO_PI = 2.0 * math.pi
+_TINY = np.finfo(float).tiny
 
 
 def angular_mhz(value_mhz: float) -> float:
@@ -90,11 +91,6 @@ class ModelParams:
             v = complex(getattr(self, name))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-
-    @property
-    def is_resonant_pumping(self) -> bool:
-        """True when U_rr = 2*Delta within 1e-9 relative (resonant pumping)."""
-        return abs(self.rydberg_U - 2.0 * self.detuning) <= 1e-9 * max(self.detuning, 1.0)
 
 
 @dataclass(frozen=True)
@@ -241,7 +237,7 @@ class SystemModel:
 
 def _check_model(model: SystemModel) -> SystemModel:
     defect = hermiticity_defect(model.hamiltonian)
-    scale = max(float(np.max(np.abs(model.hamiltonian))), np.finfo(float).tiny)
+    scale = max(float(np.max(np.abs(model.hamiltonian))), _TINY)
     if defect > 1e-12 * scale:
         raise AssertionError(f"assembled Hamiltonian not Hermitian (defect {defect:.2e})")
     side = model.hamiltonian.shape[0]
@@ -255,7 +251,10 @@ def _plan(name: str) -> tuple:
     """What build_model needs of a scheme that no parameter value changes,
     all read-only: per atom its identity and the indices of its microwave
     pairs, optical pairs, ground levels and Rydberg levels; the two-atom
-    diagonal indices that U_rr shifts; the named kets, checked unit norm."""
+    diagonal indices that U_rr shifts; the jump operators' shape, the flat
+    positions of their nonzero entries in one (k, d, d) stack and the atom
+    of each; the names of the named kets and the kets, one per row,
+    checked unit norm."""
     scheme = SCHEMES[name]
     atoms = []
     for levels, ground, optical in zip(scheme.levels, scheme.ground, scheme.optical):
@@ -264,18 +263,32 @@ def _plan(name: str) -> tuple:
         atoms.append((np.eye(len(levels), dtype=complex), tuple(zip(g, g[1:])), pairs, g,
                       tuple(i for i in range(len(levels)) if i not in g)))
     la, lb = scheme.levels
+    side = len(la) * len(lb)
     shifts = tuple(la.index(a) * len(lb) + lb.index(b) for a, b in scheme.pair_shifts)
+    # Each jump |g><r| of one atom, in build_model's order, as a unit
+    # Kronecker product with the other atom's identity.
+    (eye_a, *_), (eye_b, *_) = atoms
+    units, owner = [], []
+    for n, (eye, _, _, ground, rydberg) in enumerate(atoms):
+        for r in rydberg:
+            for g in ground:
+                jump = np.zeros(eye.shape)
+                jump[g, r] = 1.0
+                units.append(kron(jump, eye_b) if n == 0 else kron(eye_a, jump))
+                owner.append(n)
+    flat = np.flatnonzero(np.array(units))
+    jumps = ((len(units), side, side), flat, np.array(owner, dtype=np.intp)[flat // side**2])
     # Product kets |la lb> are the rows of the identity, in kron order.
-    kets = dict(zip([a + b for a in la for b in lb], np.eye(len(la) * len(lb), dtype=complex)))
+    kets = dict(zip([a + b for a in la for b in lb], np.eye(side, dtype=complex)))
     for state, terms in scheme.superpositions.items():
         ket = sum(w * kets[label] for w, label in terms)
         kets[state] = ket / math.sqrt(sum(w * w for w, _ in terms))
-    norms = np.linalg.norm(np.array(list(kets.values())), axis=1)
-    if np.abs(norms - 1.0).max() > 1e-12:
+    names, rows = tuple(kets), np.array(list(kets.values()))
+    if np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() > 1e-12:
         raise AssertionError("named state is not unit norm")
-    for array in [atom[0] for atom in atoms] + list(kets.values()):
+    for array in [atom[0] for atom in atoms] + list(jumps[1:]) + [rows]:
         array.flags.writeable = False
-    return tuple(atoms), shifts, kets
+    return tuple(atoms), shifts, jumps, (names, rows)
 
 
 def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
@@ -290,7 +303,7 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     levels; the jump operators come atom by atom, then by r, then by g.
     """
     scheme = variant.record
-    atoms, shifts, kets = _plan(variant.scheme)
+    atoms, shifts, (shape, flat, owner), (names, kets) = _plan(variant.scheme)
     sign = scheme.targets[variant.target][1]
     microwaves = (complex(params.rabi_microwave_1),
                   sign * complex(getattr(params, scheme.microwave_2)))
@@ -311,22 +324,18 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     for k in shifts:
         ham[k, k] += params.rydberg_U
 
-    lindblads = []
-    for n, (eye, _, _, ground, rydberg) in enumerate(atoms):
-        amp = math.sqrt(params.gamma / len(ground))
-        for r in rydberg:
-            for g in ground:
-                jump = np.zeros(eye.shape, dtype=complex)
-                jump[g, r] = amp
-                lindblads.append(kron(jump, eye_b) if n == 0 else kron(eye_a, jump))
+    # One scatter fills every jump, each entry sqrt(gamma/n) of its atom.
+    jumps = np.zeros(shape, dtype=complex)
+    amps = np.array([math.sqrt(params.gamma / len(ground)) for _, _, _, ground, _ in atoms])
+    jumps.put(flat, amps.take(owner))
 
     return _check_model(
         SystemModel(
             dims=BipartiteDims(len(eye_a), len(eye_b)),
             hamiltonian=ham,
-            lindblads=tuple(lindblads),
+            lindblads=tuple(jumps),
             basis_labels=scheme.levels,
-            named_states={state: ket.copy() for state, ket in kets.items()},
+            named_states=dict(zip(names, kets.copy())),
             variant=variant,
             params=params,
         )

@@ -34,12 +34,16 @@ from rydpump.dynamics import (
     _positive_by_cholesky,
     _propagate_expm,
     _real_plan,
+    _trace_row,
+    _unit_rhs,
     build_liouvillian,
     evolve,
     steady_state,
     unvec,
     vec,
 )
+import rydpump
+from rydpump import dynamics
 from rydpump.cli import main
 from rydpump.linalg import BipartiteDims, dagger
 from rydpump.measures import fidelity
@@ -298,7 +302,6 @@ def test_liouvillian_matches_dense_oracle(rng):
         got = unvec(L.superop @ vec(rho), 9)
         want = master_equation_rhs(m.hamiltonian, m.lindblads, rho)
         assert np.max(np.abs(got - want)) <= 1e-12
-        assert np.array_equal(L.apply(rho), got)
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig6-point"])
@@ -547,7 +550,7 @@ def test_plan_reuse_drops_entries_that_cancel():
     assert np.array_equal(second.superop.toarray(), dense)
 
 
-PLAN_CACHES = (_decay_plan, _generator_plan, _real_plan, _drazin_start)
+PLAN_CACHES = (_decay_plan, _generator_plan, _real_plan, _drazin_start, _trace_row, _unit_rhs)
 
 
 def test_sweep_misses_each_plan_once(capsys):
@@ -571,7 +574,7 @@ def test_plan_arrays_are_read_only():
     plans = [_decay_plan(c.shape, (c != 0).tobytes()),
              _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes()),
              _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
-             (_drazin_start(m.dim),)]
+             (_drazin_start(m.dim), _trace_row(m.dim), _unit_rhs(m.dim))]
     for plan in plans:
         for a in plan:
             assert not a.flags.writeable
@@ -594,6 +597,46 @@ def test_liouvillian_gamma_scale():
     L = build_liouvillian(m)
     # |rr> decays at gamma from each atom
     assert L.gamma_scale == pytest.approx(2 * 1673.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_gamma_scale_is_computed_on_first_read(name):
+    pre = figure_preset(name)
+    m = build_model(pre.params, pre.variant)
+    L = build_liouvillian(m)
+    assert L._gamma_scale is None
+    decay = sum(c.conj().T @ c for c in m.lindblads)
+    assert L.gamma_scale == float(np.linalg.eigvalsh((decay + dagger(decay)) / 2)[-1])
+    assert L._gamma_scale == L.gamma_scale
+
+
+def test_liouvillian_keeps_a_given_gamma_scale():
+    L = build_liouvillian(bell_model())
+    given = [Liouvillian(L.dim, L.superop, 7.5),
+             Liouvillian(dim=L.dim, superop=L.superop, gamma_scale=7.5),
+             Liouvillian(L.dim, L.superop, 7.5, np.eye(L.dim)),
+             COrderedLiouvillian(L.dim, L.superop, 7.5)]
+    for M in given:
+        assert M.gamma_scale == 7.5
+    with pytest.raises(TypeError, match="gamma_scale or decay"):
+        Liouvillian(L.dim, L.superop)
+
+
+def test_sweep_never_computes_gamma_scale(monkeypatch):
+    built = []
+
+    def recording(model):
+        built.append(build_liouvillian(model))
+        return built[-1]
+
+    monkeypatch.setattr(dynamics, "build_liouvillian", recording)
+    pre = figure_preset("fig8a")
+    _, values, errors = rydpump.sweep(find_figure("fig8a").caption, pre.variant,
+                                      [("rabi-mhz", 0.02, 0.1, 2), ("microwave-rel", 0.002, 0.01, 2)],
+                                      "chsh")
+    assert errors == [""] * 4 and np.isfinite(values).all()
+    assert len(built) == 4
+    assert all(L._gamma_scale is None for L in built)
 
 
 # ----------------------------------------------------------------- evolve
@@ -804,7 +847,7 @@ def test_check_physical_decides_as_eigvalsh_rule(d, rng):
                 assert str(err.value) == want
             # A Cholesky success is a proof: it never passes what the rule
             # fails.  From -1e-6 + 1e-9 up it succeeds, so the fast path decides.
-            if _positive_by_cholesky(states):
+            if _positive_by_cholesky((states + dagger(states)) / 2, -1e-6):
                 assert want is None
             else:
                 assert lam < -1e-6 + 1e-9
@@ -824,6 +867,52 @@ def test_check_physical_falls_back_for_trace_and_non_finite_states(rng):
         eigvalsh_physical_error(states, t)
     with pytest.raises(np.linalg.LinAlgError):
         _check_physical(states, t)
+
+
+def zero_liouvillian(d):
+    """A generator that every state solves: residual and error bound are 0,
+    so only the positivity check can reject a state in _finalize."""
+    return Liouvillian(d, sp.csr_matrix((d * d, d * d), dtype=complex), 0.0)
+
+
+@pytest.mark.parametrize("d", [9, 20])
+@pytest.mark.parametrize("bound", [-1e-9, -1e-6])
+def test_positivity_helper_proves_each_bound(bound, d, rng):
+    # One helper serves both rules: -1e-9 for a steady state (_finalize) and
+    # -1e-6 along a trajectory (_check_physical).  At half the bound the
+    # shifted Cholesky proves the state positive enough; at twice the bound
+    # it proves nothing, and the eigenvalues reject the state with the
+    # message they always gave.
+    passing = state_with_min_eigenvalue(rng, d, bound / 2)
+    failing = state_with_min_eigenvalue(rng, d, 2 * bound)
+    assert _positive_by_cholesky(passing.copy(), bound)
+    assert not _positive_by_cholesky(failing.copy(), bound)
+    if bound == -1e-9:
+        def check(rho):
+            _finalize(zero_liouvillian(d), vec(rho), {"method": "nullspace", "drazin_norm": 1.0})
+        want = "steady state has eigenvalue -2.000e-09 below -1e-09 (backend nullspace)"
+    else:
+        def check(rho):
+            _check_physical(rho[None], np.zeros(1))
+        want = "negative eigenvalue -2.00e-06 at t = 0 s"
+    check(passing)
+    with pytest.raises(ConvergenceError) as err:
+        check(failing)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("i, j, bad", [(3, 1, np.nan), (4, 4, np.inf), (5, 2, np.inf)])
+def test_positivity_helper_proves_nothing_for_non_finite_entries(i, j, bad, rng):
+    # A NaN or an off-diagonal inf stops the factorisation; +inf on the
+    # diagonal lets it finish with an infinite pivot.  Either way the helper
+    # proves nothing and the eigenvalues decide, here by failing.
+    rho = state_with_min_eigenvalue(rng, 9, 0.01)
+    rho[i, j] = bad
+    rho[j, i] = np.conj(bad)
+    assert not _positive_by_cholesky(rho.copy(), -1e-9)
+    assert not _positive_by_cholesky(np.stack([rho, rho]), -1e-6)
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        _finalize(zero_liouvillian(9), vec(rho), {"method": "nullspace", "drazin_norm": 1.0})
 
 
 def loop_propagate(L, v0, t):

@@ -75,7 +75,6 @@ def test_bell_resonant_pumping_cancellation():
     p = bell_params(detuning=2.1, rydberg_U=4.2)
     h = build_bell_model(p, BELL).hamiltonian
     assert h[8, 8] == 0.0  # -2*Delta + U_rr
-    assert p.is_resonant_pumping
 
 
 def test_bell_hermitian_with_complex_drives():
@@ -625,3 +624,20 @@ def test_records_count_the_papers_structural_claim():
         per_branch, branches = {"bell": (3.0, 4), "qutrit": (2.0, 9)}[name]
         assert [float(np.max(np.abs(op))) ** 2 for op in jumps] == \
             pytest.approx([per_branch] * branches, rel=1e-14)
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig6-point"])
+def test_model_plan_is_read_only_and_models_own_their_arrays(preset):
+    # The per-scheme plan holds the identities, the jump scatter positions
+    # and the named kets, all read-only; a built model's jumps and kets are
+    # its own, so writing into them leaves the next build unchanged.
+    from rydpump.models import _plan
+
+    pre = figure_preset(preset)
+    atoms, _, (_, flat, owner), (_, kets) = _plan(pre.variant.scheme)
+    for array in [atom[0] for atom in atoms] + [flat, owner, kets]:
+        assert not array.flags.writeable
+    first = build_model(pre.params, pre.variant)
+    for array in list(first.lindblads) + list(first.named_states.values()):
+        array[...] = 7.0
+    assert_matches_oracle(pre.params, pre.variant)
