@@ -29,6 +29,7 @@ third of the complex products.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -315,8 +316,10 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     values, multiplies them, sums each entry's triplets and drops the
     entries that cancel exactly; every value is recomputed from H and the
     jumps at every call.  While no entry cancels, the result takes copies
-    of the plan's column indices and row pointer.  gamma_scale is left to
-    its first read, from sum_k c_k^dag c_k.
+    of the plan's column indices and row pointer.  The CSR matrix is a
+    shallow copy of an empty one (_empty_csr) given these arrays, so scipy
+    does not check them again.  gamma_scale is left to its first read,
+    from sum_k c_k^dag c_k.
     """
     d = model.dim
     n = d * d
@@ -337,8 +340,18 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
         col, indptr = col.copy(), indptr.copy()
     else:
         data, col, indptr = data[keep], col[keep], _row_pointer(row[keep], n, col.dtype)
-    gen = sp.csr_matrix((data, col, indptr), shape=(n, n))
+    gen = copy.copy(_empty_csr(n))
+    gen.data, gen.indices, gen.indptr = data, col, indptr
     return Liouvillian(d, gen, gamma_scale=None if len(c) else 0.0, decay=decay)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _empty_csr(n: int) -> sp.csr_matrix:
+    """An empty n x n complex CSR matrix, never handed out: build_liouvillian
+    takes a shallow copy and gives it its own data, indices and indptr, which
+    the plan already made valid, canonical and of scipy's index dtype.  The
+    constructor would re-derive that dtype and scan both index arrays."""
+    return sp.csr_matrix((n, n), dtype=complex)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -625,9 +638,10 @@ def _unit_rhs(d: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _drazin_start(d: int) -> np.ndarray:
-    """The fixed seeded, traceless start vector of _drazin_norm, read-only."""
+    """The fixed seeded, traceless unit start vector of _drazin_norm, read-only."""
     x = np.random.default_rng(0).standard_normal(d * d)
     x[:d] -= x[:d].sum() / d
+    x /= math.sqrt(x @ x)
     x.flags.writeable = False
     return x
 
@@ -641,22 +655,28 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     transposed solve on the same factors.  Power iteration on their
     product runs from a fixed seeded start vector, made once per dim
     (_drazin_start); every step is recomputed from the call's factors.
+    Row 0 of B is the trace functional, so B^-1 E x is traceless up to
+    rounding and the P between the solves is left out.  A step solves
+    in place in one vector: E, the two solves, E and P, and the norm, by
+    which the next step's vector is scaled.
     """
     d = L.dim
     lu_, piv = lu
     x = _drazin_start(d).copy()
+    head = x[:d]
     est = 0.0
     for _ in range(_DRAZIN_STEPS):
-        x /= math.sqrt(x @ x)
         x[0] = 0.0
-        y = _getrs(lu_, piv, x, overwrite_b=True)[0]
-        y[:d] -= y[:d].sum() / d
-        x = _getrs(lu_, piv, y, trans=1, overwrite_b=True)[0]
+        # x is contiguous float64, so overwrite_b solves into x itself.
+        _getrs(lu_, piv, x, overwrite_b=True)
+        _getrs(lu_, piv, x, trans=1, overwrite_b=True)
         x[0] = 0.0
-        x[:d] -= x[:d].sum() / d
-        prev, est = est, math.sqrt(math.sqrt(x @ x))
+        head -= head.sum() / d
+        sq = x @ x
+        prev, est = est, math.sqrt(math.sqrt(sq))
         if abs(est - prev) <= _DRAZIN_RTOL * est:
             break
+        x /= math.sqrt(sq)
     norm = _DRAZIN_MARGIN * est
     floor = _GAP_FLOOR * _EPS * L.norm_1
     if not norm * floor < 1.0:  # also catches a norm that overflowed to inf or nan

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from rydpump.dynamics import (
     NonUniqueSteadyStateError,
     _DRAZIN_MARGIN,
     _DRAZIN_RTOL,
+    _DRAZIN_STEPS,
     _STEP_SNAP_RTOL,
     _bordered_lu,
     _check_physical,
@@ -25,6 +27,7 @@ from rydpump.dynamics import (
     _decay_plan,
     _drazin_norm,
     _drazin_start,
+    _empty_csr,
     _finalize,
     _generator_plan,
     _hermitian_basis,
@@ -277,16 +280,21 @@ def test_liouvillian_matches_sparse_kron_chain(name):
         assert L.gamma_scale == gamma_scale
 
 
+def cancelling_model(levels=(1.0, 2, 3, 4, 5, 6)):
+    """H = diag(levels) on a 2 x 3 system and one jump sqrt(1/2) I: the
+    decay terms cancel exactly (-g/2 - g/2 + g) on every diagonal entry of
+    the generator, and the Hamiltonian terms wherever two levels agree."""
+    d = len(levels)
+    return SystemModel(dims=BipartiteDims(2, 3), hamiltonian=np.diag(levels).astype(complex),
+                       lindblads=(np.sqrt(0.5) * np.eye(d, dtype=complex),),
+                       basis_labels=(("x",) * 2, ("x",) * 3), named_states={},
+                       variant=BELL, params=ModelParams(1, 1, 1, 1, 1))
+
+
 def test_liouvillian_drops_terms_that_cancel():
-    # With H diagonal and one jump sqrt(g) I, the decay terms cancel exactly
-    # (-g/2 - g/2 + g) on every diagonal entry and the Hamiltonian terms
-    # cancel where the two levels agree: d of the d^2 entries are exact zeros.
+    # With distinct levels, d of the d^2 entries are exact zeros.
     d = 6
-    h = np.diag(np.arange(1.0, d + 1.0)).astype(complex)
-    m = SystemModel(dims=BipartiteDims(2, 3), hamiltonian=h,
-                    lindblads=(np.sqrt(0.5) * np.eye(d, dtype=complex),),
-                    basis_labels=(("x",) * 2, ("x",) * 3), named_states={},
-                    variant=BELL, params=ModelParams(1, 1, 1, 1, 1))
+    m = cancelling_model()
     L = build_liouvillian(m)
     dense = kron_liouvillian(m.hamiltonian, m.lindblads)
     assert L.superop.nnz == np.count_nonzero(dense) == d * d - d
@@ -443,10 +451,29 @@ def index_path_real(L):
     return np.bincount(keys.ravel(), terms.ravel(), minlength=n * n).reshape(n, n)
 
 
+def assert_canonical_csr(s):
+    """s is a valid CSR matrix in canonical form, with int32 indices, and
+    equals the matrix that scipy's validating constructor makes of its
+    arrays, entry for entry."""
+    assert type(s) is sp.csr_matrix and s.dtype == complex
+    n = s.shape[0]
+    s.check_format(full_check=True)
+    assert s.indices.dtype == s.indptr.dtype == np.int32
+    rows = np.repeat(np.arange(n), np.diff(s.indptr))
+    assert np.all(np.diff(rows * n + s.indices) > 0)  # sorted and unique in each row
+    assert s.has_sorted_indices and s.has_canonical_format
+    want = sp.csr_matrix((s.data.copy(), s.indices.copy(), s.indptr.copy()), shape=s.shape)
+    assert want.has_sorted_indices and want.has_canonical_format
+    assert_same_csr(s, want)
+    assert (s != want).nnz == 0
+
+
 def assert_plans_match_index_path(m):
     """Generator, real form and decay operator equal the per-call index
-    path byte for byte, signed zeros included."""
+    path byte for byte, signed zeros included; the generator is a valid
+    canonical CSR matrix."""
     L = build_liouvillian(m)
+    assert_canonical_csr(L.superop)
     want = index_path_liouvillian(m)
     for name in ("data", "indices", "indptr"):
         got, ref = getattr(L.superop, name), getattr(want, name)
@@ -532,14 +559,7 @@ def test_plan_reuse_drops_entries_that_cancel():
     # cancel exactly (-g/2 - g/2 + g, and -i h + i h) and are dropped,
     # although its triplets come from the first model's plan.
     d = 6
-    jump = (np.sqrt(0.5) * np.eye(d, dtype=complex),)
-
-    def model(levels):
-        return SystemModel(dims=BipartiteDims(2, 3), hamiltonian=np.diag(levels).astype(complex),
-                           lindblads=jump, basis_labels=(("x",) * 2, ("x",) * 3),
-                           named_states={}, variant=BELL, params=ModelParams(1, 1, 1, 1, 1))
-
-    distinct, repeated = model([1.0, 2, 3, 4, 5, 6]), model([1.0, 2, 3, 4, 5, 5])
+    distinct, repeated = cancelling_model(), cancelling_model((1.0, 2, 3, 4, 5, 5))
     first = assert_plans_match_index_path(distinct)
     hits = _generator_plan.cache_info().hits
     second = assert_plans_match_index_path(repeated)
@@ -550,7 +570,8 @@ def test_plan_reuse_drops_entries_that_cancel():
     assert np.array_equal(second.superop.toarray(), dense)
 
 
-PLAN_CACHES = (_decay_plan, _generator_plan, _real_plan, _drazin_start, _trace_row, _unit_rhs)
+PLAN_CACHES = (_decay_plan, _generator_plan, _real_plan, _drazin_start, _trace_row, _unit_rhs,
+               _empty_csr)
 
 
 def test_sweep_misses_each_plan_once(capsys):
@@ -580,6 +601,38 @@ def test_plan_arrays_are_read_only():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("cancelling",))
+def test_superop_is_canonical_csr(name):
+    if name == "cancelling":
+        m = cancelling_model()
+    else:
+        pre = figure_preset(name)
+        m = build_model(pre.params, pre.variant)
+    assert_canonical_csr(build_liouvillian(m).superop)
+
+
+@pytest.mark.parametrize("levels", [(1.0, 2, 3, 4, 5, 6), (1.0, 2, 3, 4, 5, 5)])
+def test_superops_of_one_plan_share_no_writable_array(levels):
+    # Two builds from one plan, with no entry cancelling and with entries
+    # dropped: their arrays are writable and shared with neither each other,
+    # the plan nor the empty matrix they are copied from, which stays empty.
+    m = cancelling_model(levels)
+    first, second = build_liouvillian(m).superop, build_liouvillian(m).superop
+    _, left, right, _ = kron_factors(m)
+    plan = _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes())
+    template = _empty_csr(m.dim**2)
+    fixed = list(plan) + [template.data, template.indices, template.indptr]
+    arrays = [(s, name, getattr(s, name)) for s in (first, second)
+              for name in ("data", "indices", "indptr")]
+    for s, name, a in arrays:
+        assert a.flags.writeable, name
+        for t, other, b in arrays:
+            assert s is t or not np.shares_memory(a, b), (name, other)
+        for b in fixed:
+            assert not np.shares_memory(a, b), name
+    assert template.nnz == 0 and template.shape == first.shape
 
 
 def test_returned_superop_arrays_are_its_own():
@@ -1112,6 +1165,47 @@ def test_drazin_norm_brackets_dense_oracle(name):
     rho, info = steady_state(L, return_info=True)
     assert info["drazin_norm"] == norm
     assert info["error_bound"] == norm * np.linalg.norm(L.superop @ vec(rho))
+
+
+def loop_drazin_norm(L, lu):
+    """The power loop _drazin_norm replaced: a fresh vector from each
+    solve, the trace projected out after both, and the vector scaled at the
+    top of each step.  Returns its estimate times the margin and its number
+    of steps (oracle for the in-place loop, equal to it up to rounding)."""
+    d = L.dim
+    x = np.random.default_rng(0).standard_normal(d * d)
+    x[:d] -= x[:d].sum() / d
+    est = 0.0
+    for step in range(1, _DRAZIN_STEPS + 1):
+        x /= math.sqrt(x @ x)
+        x[0] = 0.0
+        y = lu_solve(lu, x, check_finite=False)
+        y[:d] -= y[:d].sum() / d
+        x = lu_solve(lu, y, trans=1, check_finite=False)
+        x[0] = 0.0
+        x[:d] -= x[:d].sum() / d
+        prev, est = est, math.sqrt(math.sqrt(x @ x))
+        if abs(est - prev) <= _DRAZIN_RTOL * est:
+            break
+    return _DRAZIN_MARGIN * est, step
+
+
+def assert_drazin_norm_matches_loop(L, rel=1e-12):
+    """_drazin_norm is within rel of loop_drazin_norm, after as many steps:
+    pairs of a solve and a transposed solve on the same factors."""
+    lu = _bordered_lu(L)
+    want, steps = loop_drazin_norm(L, lu)
+    with mock.patch.object(dynamics, "_getrs", wraps=dynamics._getrs) as getrs:
+        got = _drazin_norm(L, lu)
+    assert [c.kwargs.get("trans", 0) for c in getrs.call_args_list] == [0, 1] * steps
+    assert all(c.args[0] is lu[0] and c.args[1] is lu[1] for c in getrs.call_args_list)
+    assert got == pytest.approx(want, rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_drazin_norm_matches_power_loop_oracle(name):
+    pre = figure_preset(name)
+    assert_drazin_norm_matches_loop(build_liouvillian(build_model(pre.params, pre.variant)))
 
 
 def test_sweep_path_skips_the_gap(monkeypatch):

@@ -11,7 +11,8 @@ from rydpump.linalg import kron
 from rydpump.measures import chsh_correlation, fidelity, negativity
 from rydpump.models import SchemeVariant, build_model, caption_params
 
-from test_dynamics import dense_drazin_norm, dense_rates, svd_steady_state
+from test_dynamics import (assert_drazin_norm_matches_loop, dense_drazin_norm, dense_rates,
+                           svd_steady_state)
 
 # Caption-unit ranges of the Fig. 8 and Fig. 9 grids, at resonant pumping
 # (Delta = U_rr / 2) as on those grids.
@@ -102,6 +103,24 @@ def test_certificate_and_gap_off_resonance(scheme, p):
     rates = dense_rates(m.hamiltonian, m.lindblads)
     assert np.min(np.abs(rates[1:] - info["gap"])) <= 1e-6 * info["gap"]
     assert info["gap"] >= rates[1] * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("scheme", ["bell", "qutrit"])
+@SETTINGS
+@given(p=PARAMS)
+def test_drazin_norm_matches_power_loop_oracle(scheme, p):
+    assert_drazin_norm_matches_loop(build_liouvillian(_model(scheme, PARTNER[scheme][0], p)))
+
+
+@pytest.mark.parametrize("scheme", ["bell", "qutrit"])
+@SETTINGS
+@given(p=DETUNED)
+def test_drazin_norm_matches_power_loop_oracle_off_resonance(scheme, p):
+    # Off resonance ||L||_1 ||L^D||_2 reaches about 3e9, and the two loops'
+    # rounding differs by up to 1.3e-12; a relative change of 1e-16 in the
+    # oracle's start vector alone moves its estimate by up to 6e-12 there.
+    assert_drazin_norm_matches_loop(build_liouvillian(_model(scheme, PARTNER[scheme][0], p)),
+                                    rel=1e-11)
 
 
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])

@@ -22,6 +22,10 @@ The gated outputs are:
   `--urr-mhz 6`;
 - the CSV of a `sweep --preset fig6-point` without `--reduce`, which
   reduces to the preset's measure;
+- the CSV of two CHSH sweeps at fig8a whose grids start at a degenerate
+  point, gamma = 0 and Omega = 0, where the steady state is not unique:
+  they pin the `error` column, and at gamma = 0 a generator with entries
+  that cancel exactly;
 - the stdout of every demo;
 - the stdout of `rydpump --help` and of each subcommand's `--help`;
 - the stderr and exit status of invalid runs that the measure checks
@@ -66,6 +70,10 @@ SUBCOMMANDS = ("evolve", "steady", "sweep", "reproduce")
 SWEEP = ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "8", "3"]
 # A sweep that reduces to its preset's measure, which is not fidelity.
 PRESET_SWEEP = ["sweep", "--preset", "fig6-point", "--axis", "urr-mhz", "1", "10", "2"]
+# CHSH sweeps whose first point is degenerate (no decay, no optical drive),
+# so they write the error column too.
+DEGENERATE_SWEEPS = (("fig8a-gamma-chsh", ["gamma-khz", "0", "1", "3"]),
+                     ("fig8a-rabi-chsh", ["rabi-mhz", "0", "0.1", "3"]))
 INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", "bogus"]),
            ("steady-qutrit-chsh", ["steady", "--preset", "fig6-point", "--outputs", "chsh"]),
            ("evolve-outputs-empty", ["evolve", "--preset", "fig3", "--outputs", ","]),
@@ -103,6 +111,9 @@ def jobs(tree: Path) -> list:
             out.append((f"evolve/{name}.{fmt}",
                         cli + ["evolve", *spec, "--format", fmt, "--no-timestamp"]))
     out.append(("sweep/fig6-point-urr.csv", cli + PRESET_SWEEP + ["--no-timestamp"]))
+    out += [(f"sweep/{name}.csv", cli + ["sweep", "--preset", "fig8a", "--axis", *axis,
+                                         "--reduce", "chsh", "--no-timestamp"])
+            for name, axis in DEGENERATE_SWEEPS]
     for demo in sorted((tree / "demos").glob("[0-9]*.py")):
         out.append((f"demos/{demo.name}.stdout", [sys.executable, str(demo)]))
     out.append(("help/rydpump.stdout", cli + ["--help"]))
