@@ -544,13 +544,10 @@ def steady_state(
     NonUniqueSteadyStateError.
 
     The Liouvillian gap, the slowest relaxation rate -Re(lambda) over the
-    nonzero eigenvalues of L (Minganti et al., PRA 98, 042118), is
-    computed only where it is read: for the "evolve" horizon and for
-    return_info.  ARPACK takes the two eigenvalues mu of largest modulus
-    of L^D from the same factors, and gap = min -Re(1/mu).  These belong
-    to the modes of smallest |lambda|, so a weakly damped mode that
-    oscillates fast can be missed, and the gap then reads high.  A gap
-    at the rounding floor raises NonUniqueSteadyStateError too.
+    nonzero eigenvalues of L (Minganti et al., PRA 98, 042118), comes from
+    the dense eigenvalues of the real form (about 1.4 ms at dim 9, 50 ms at
+    dim 20), so it is computed only for the "evolve" horizon and for
+    return_info.  A gap at the rounding floor raises NonUniqueSteadyStateError too.
 
     Backends
     --------
@@ -584,7 +581,7 @@ def steady_state(
         )
     lu = _bordered_lu(L)
     drazin_norm = _drazin_norm(L, lu)
-    gap = _liouvillian_gap(L, lu) if method == "evolve" or return_info else None
+    gap = _liouvillian_gap(L) if method == "evolve" or return_info else None
     if method == "nullspace":
         v = _hermitian_basis(L.dim) @ _getrs(*lu, _unit_rhs(L.dim))[0]
         info = {"method": "nullspace"}
@@ -687,28 +684,10 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     return norm
 
 
-def _liouvillian_gap(L: Liouvillian, lu) -> float:
-    """Smallest relaxation rate of L, from the trace-bordered LU factors of its real form."""
-    # Imported here: scipy.sparse.linalg would add to every CLI start-up.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
-    n = L.dim**2
-
-    def drazin(y):
-        # Solves L x = y - tr(y) e_0 with tr(x) = 0: on traceless y this is
-        # the Drazin inverse of L, whose eigenvalues are 1/lambda.
-        rhs = np.array(y, dtype=float).reshape(n)
-        rhs[0] = 0.0
-        return _getrs(lu[0], lu[1], rhs, overwrite_b=True)[0]
-
-    # A fixed start vector makes the gap reproducible from run to run.
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        mu = eigs(LinearOperator((n, n), matvec=drazin, dtype=float), k=2, which="LM",
-                  v0=v0, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"Liouvillian gap: {exc}") from None
-    gap = float(np.min(-(1.0 / mu).real))
+def _liouvillian_gap(L: Liouvillian) -> float:
+    """Least -Re(lambda) over the dense eigenvalues of L.real but the one nearest 0."""
+    lam = np.linalg.eigvals(L.real)
+    gap = float(np.min(-np.delete(lam, np.argmin(np.abs(lam))).real))
     floor = _GAP_FLOOR * _EPS * L.norm_1
     if gap <= floor:
         raise NonUniqueSteadyStateError(

@@ -530,7 +530,7 @@ def test_import_leaves_out_multiprocessing():
 
 
 def test_import_leaves_out_scipy_sparse_linalg():
-    # The gap's ARPACK import stays inside the solve, off the start-up path.
+    # scipy.sparse.linalg would add to every CLI start-up; nothing uses it.
     src = str(Path(rydpump.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, rydpump.cli; print('scipy.sparse.linalg' in sys.modules)"
@@ -540,7 +540,7 @@ def test_import_leaves_out_scipy_sparse_linalg():
 
 
 def test_sweep_leaves_out_scipy_sparse_linalg(tmp_path):
-    # Sweep points are certified without the gap, so ARPACK is never imported.
+    # Sweep points are certified without the gap or scipy.sparse.linalg.
     src = str(Path(rydpump.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = tmp_path / "sweep.csv"
@@ -556,20 +556,22 @@ def test_sweep_leaves_out_scipy_sparse_linalg(tmp_path):
     assert len(data) == 4 and all(row[-1] == "" for row in data)
 
 
-def test_steady_leaves_out_scipy_sparse_linalg(tmp_path):
-    # steady writes the residual and the backend, neither of which needs the
-    # gap, so ARPACK is never imported.
+@pytest.mark.parametrize("method", ["nullspace", "evolve"])
+def test_steady_leaves_out_scipy_sparse_linalg(tmp_path, method):
+    # The evolve horizon reads the gap, which comes from dense eigenvalues,
+    # so neither backend imports scipy.sparse.linalg.
     src = str(Path(rydpump.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = tmp_path / "steady.csv"
     code = ("import sys\nfrom rydpump.cli import main\n"
-            f"code = main(['steady', '--preset', 'fig8a', '--out', {str(out)!r}])\n"
+            f"code = main(['steady', '--preset', 'fig8a', '--method', {method!r}, "
+            f"'--out', {str(out)!r}])\n"
             "print(code, 'scipy.sparse.linalg' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "0 False"
     header, data = read_csv(out)
-    assert header[-2:] == ["residual", "backend"] and data[0][-1] == "nullspace"
+    assert header[-2:] == ["residual", "backend"] and data[0][-1] == method
 
 
 @pytest.mark.parametrize("method", ["nullspace", "evolve"])

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, eigs
 
 from rydpump.dynamics import (
     ConvergenceError,
@@ -32,7 +31,6 @@ from rydpump.dynamics import (
     _generator_plan,
     _hermitian_basis,
     _hermitian_rows,
-    _liouvillian_gap,
     _pairs,
     _positive_by_cholesky,
     _propagate_expm,
@@ -106,23 +104,6 @@ def sparse_kron_liouvillian(model):
     return gen.tocsr(), float(rates[-1]) if jumps else 0.0
 
 
-def lu_solve_gap(L):
-    """Gap from ARPACK on the Drazin operator applied by scipy's lu_solve,
-    with the v0, k and which of _liouvillian_gap (oracle for its LAPACK
-    getrs calls)."""
-    lu, n = _bordered_lu(L), L.dim**2
-
-    def drazin(y):
-        rhs = np.array(y, dtype=float).reshape(n)
-        rhs[0] = 0.0
-        return lu_solve(lu, rhs, check_finite=False)
-
-    v0 = np.random.default_rng(0).standard_normal(n)
-    mu = eigs(LinearOperator((n, n), matvec=drazin, dtype=float), k=2, which="LM",
-              v0=v0, return_eigenvectors=False)
-    return float(np.min(-(1.0 / mu).real))
-
-
 def sparse_product_real_form(L):
     """(T^dag superop T).real and the max column abs sum from scipy.sparse
     products (oracle for Liouvillian.real and norm_1, which gather the same
@@ -160,8 +141,9 @@ def svd_steady_state(h, lindblads):
 
 def dense_rates(h, lindblads):
     """Relaxation rates -Re(lambda) of all eigenvalues, ascending, from a
-    dense eigvals (oracle for the ARPACK gap); the first is the stationary
-    eigenvalue and the second the gap."""
+    dense eigvals of the complex vec generator (oracle for the gap, which
+    comes from the real form); the first is the stationary eigenvalue and
+    the second the gap."""
     return np.sort(-np.linalg.eigvals(kron_liouvillian(h, lindblads)).real)
 
 
@@ -1143,7 +1125,7 @@ def test_steady_state_matches_30_digit_solve():
     assert np.max(np.abs(rho - (ref + ref.conj().T) / 2)) <= 1e-13
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig8a", "fig6-point"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_steady_state_matches_svd_and_gap_oracles(name):
     pre = figure_preset(name)
     m = build_model(pre.params, pre.variant)
@@ -1209,10 +1191,10 @@ def test_drazin_norm_matches_power_loop_oracle(name):
 
 
 def test_sweep_path_skips_the_gap(monkeypatch):
-    # Without return_info the nullspace backend never runs ARPACK.
+    # Without return_info the nullspace backend never computes the gap.
     import rydpump.dynamics as dyn
 
-    def no_gap(L, lu):
+    def no_gap(L):
         raise AssertionError("gap computed")
 
     monkeypatch.setattr(dyn, "_liouvillian_gap", no_gap)
@@ -1221,15 +1203,6 @@ def test_sweep_path_skips_the_gap(monkeypatch):
     steady_state(L)
     with pytest.raises(AssertionError, match="gap computed"):
         steady_state(L, return_info=True)
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_gap_matches_lu_solve_oracle(name):
-    # getrs on the LU factors gives the same Drazin products as lu_solve, so
-    # ARPACK takes the same steps and returns the same gap, bit for bit.
-    pre = figure_preset(name)
-    L = build_liouvillian(build_model(pre.params, pre.variant))
-    assert _liouvillian_gap(L, _bordered_lu(L)) == lu_solve_gap(L)
 
 
 def bordered_real_form(L):

@@ -3,7 +3,7 @@ physical parameters, inside the ranges the robustness figures scan."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydpump.dynamics import _DRAZIN_MARGIN, _DRAZIN_RTOL, build_liouvillian, steady_state
@@ -69,6 +69,9 @@ def _flip_a_on_atom2(model):
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])
 @SETTINGS
 @given(p=PARAMS)
+# A weakly damped mode oscillating at about 487 1/s relaxes at 15.573 1/s
+# here, more slowly than the Bell modes of smallest |lambda| (15.617 1/s).
+@example(p={"rabi_mhz": 0.0625, "microwave_rel": 0.0078125, "urr_mhz": 1.0, "gamma_khz": 1.0})
 def test_steady_state_physical_and_backends_agree(scheme, p):
     m = _model(scheme, PARTNER[scheme][0], p)
     L = build_liouvillian(m)
@@ -78,12 +81,8 @@ def test_steady_state_physical_and_backends_agree(scheme, p):
     assert np.linalg.eigvalsh(rho)[0] >= -1e-9
     assert info["error_bound"] <= 1e-8
     _assert_drazin_norm_brackets_dense(L, info)
-    # The gap comes from the modes of smallest |lambda|: it is the rate of
-    # one true mode and never below the slowest one, but can miss a weakly
-    # damped fast-oscillating mode that relaxes more slowly.
     rates = dense_rates(m.hamiltonian, m.lindblads)
-    assert np.min(np.abs(rates[1:] - info["gap"])) <= 1e-6 * info["gap"]
-    assert info["gap"] >= rates[1] * (1 - 1e-6)
+    assert abs(info["gap"] - rates[1]) <= 1e-6 * rates[1]
     assert np.max(np.abs(rho - svd_steady_state(m.hamiltonian, m.lindblads))) <= 1e-8
     if scheme == "bell":  # the propagation backend costs ~0.4 s per qutrit point
         assert np.max(np.abs(rho - steady_state(L, method="evolve"))) <= 1e-8
@@ -101,8 +100,7 @@ def test_certificate_and_gap_off_resonance(scheme, p):
     assert info["error_bound"] <= 1e-8
     _assert_drazin_norm_brackets_dense(L, info)
     rates = dense_rates(m.hamiltonian, m.lindblads)
-    assert np.min(np.abs(rates[1:] - info["gap"])) <= 1e-6 * info["gap"]
-    assert info["gap"] >= rates[1] * (1 - 1e-6)
+    assert abs(info["gap"] - rates[1]) <= 1e-6 * rates[1]
 
 
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])

@@ -17,6 +17,10 @@ The gated outputs are:
 - `steady` CSV and JSON, for both backends, of two runs that override a
   preset value by flag: `--preset fig2 --urr-mhz 6`, whose Delta follows
   from U_rr = 2 Delta, and `--preset fig6-point --gamma-khz 0.5`;
+- `steady` CSV and JSON, for both backends, at a Bell point off fig8a
+  (Omega/2pi = 0.0625 MHz, omega/Omega = 0.0078125, U_rr/2pi = 1 MHz,
+  gamma = 1 kHz) whose slowest mode is weakly damped and oscillates fast,
+  so it is not among the modes of smallest |lambda|;
 - `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset, the CHSH
   series of fig3 with target triplet (the triplet frame), and fig3 with
   `--urr-mhz 6`;
@@ -66,6 +70,10 @@ EVOLVE = ("fig3", "fig5-inset", "fig2-inset")
 # and a qutrit point away from its preset.
 OVERRIDES = (("fig2-urr-6", ["--preset", "fig2", "--urr-mhz", "6"]),
              ("fig6-point-gamma-0.5", ["--preset", "fig6-point", "--gamma-khz", "0.5"]))
+# A Bell point whose slowest mode (-15.573 +- 487i 1/s) is not among the
+# modes of smallest |lambda|: its evolve output pins the horizon the gap sets.
+SLOW_MODE = ("fig8a-slow-mode", ["--preset", "fig8a", "--rabi-mhz", "0.0625", "--microwave-rel",
+                                 "0.0078125", "--urr-mhz", "1", "--gamma-khz", "1"])
 SUBCOMMANDS = ("evolve", "steady", "sweep", "reproduce")
 SWEEP = ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "8", "3"]
 # A sweep that reduces to its preset's measure, which is not fidelity.
@@ -96,7 +104,7 @@ def jobs(tree: Path) -> list:
         steady += [(preset, ["--preset", preset]),
                    (f"{preset}-{OTHER_TARGET[preset]}",
                     ["--preset", preset, "--target", OTHER_TARGET[preset]])]
-    for name, spec in steady + list(OVERRIDES):
+    for name, spec in steady + list(OVERRIDES) + [SLOW_MODE]:
         for method in ("nullspace", "evolve"):
             for fmt in ("csv", "json"):
                 out.append((f"steady/{name}-{method}.{fmt}",
