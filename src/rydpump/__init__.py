@@ -34,6 +34,7 @@ from .dynamics import (
     Trajectory,
     build_liouvillian,
     evolve,
+    liouvillian_gap,
     steady_state,
     unvec,
     vec,
@@ -56,7 +57,7 @@ __all__ = [
     "build_bell_model", "build_model", "build_qutrit_model", "caption_params",
     "decay_rate_khz", "figure_preset",
     "ConvergenceError", "Liouvillian", "NonUniqueSteadyStateError", "Trajectory",
-    "build_liouvillian", "evolve", "steady_state", "unvec", "vec",
+    "build_liouvillian", "evolve", "liouvillian_gap", "steady_state", "unvec", "vec",
     "chsh_correlation", "chsh_operator", "fidelity", "negativity", "populations", "sweep",
     "__version__",
 ]

@@ -242,9 +242,9 @@ def cmd_steady(args) -> int:
     check_measures(setup.variant, setup.steady_outputs)
     model = setup.model()
     liouv = dynamics.build_liouvillian(model)
-    rho = dynamics.steady_state(liouv, method=setup.method)
+    rho, info = dynamics.steady_state(liouv, method=setup.method, return_info=True)
     names, values = measure_columns(model, setup.steady_outputs, rho[None])
-    row = values[0].tolist() + [dynamics.residual(liouv, rho)[1]]
+    row = values[0].tolist() + [info["residual"]]
     write_table(args.out, "steady", names + ["residual", "backend"], [row], setup.format,
                 not args.no_timestamp, text=[setup.method])
     return EXIT_OK

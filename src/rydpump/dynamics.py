@@ -110,41 +110,31 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(v.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
+@dataclass(eq=False)
 class Liouvillian:
-    """Sparse superoperator on column-stacked density matrices.
+    """Sparse superoperator on column-stacked density matrices, with decay,
+    the matrix sum_k L_k^dag L_k of its jump operators.
 
-    gamma_scale is the largest total decay rate (spectral norm of
-    sum_k L_k^dag L_k); it sets the natural sampling step of the
-    long-time steady-state backend.  Give it, or give decay, the matrix
-    sum_k L_k^dag L_k, from which its first read computes it.
+    gamma_scale, the largest total decay rate (spectral norm of decay),
+    sets the natural sampling step of the long-time steady-state backend;
+    it and norm_1 are computed on first read and kept.
     """
 
-    def __init__(self, dim: int, superop: sp.csr_matrix, gamma_scale: float | None = None,
-                 decay: np.ndarray | None = None):
-        if gamma_scale is None and decay is None:
-            raise TypeError("Liouvillian needs gamma_scale or decay")
-        self.dim = dim
-        self.superop = superop
-        self._gamma_scale = gamma_scale
-        self._decay = decay
-        self._norm_1 = None
+    dim: int
+    superop: sp.csr_matrix
+    decay: np.ndarray
 
-    @property
+    @functools.cached_property
     def gamma_scale(self) -> float:
-        """Largest eigenvalue of the Hermitian part of decay, on first read."""
-        if self._gamma_scale is None:
-            d = self._decay
-            self._gamma_scale = float(np.linalg.eigvalsh((d + dagger(d)) / 2)[-1])
-        return self._gamma_scale
+        """Largest eigenvalue of the Hermitian part of decay."""
+        d = self.decay
+        return float(np.linalg.eigvalsh((d + dagger(d)) / 2)[-1])
 
-    @property
+    @functools.cached_property
     def norm_1(self) -> float:
         """Exact 1-norm of the superoperator (max column abs sum)."""
-        if self._norm_1 is None:
-            s = self.superop
-            sums = np.bincount(s.indices, np.abs(s.data), minlength=self.dim**2)
-            self._norm_1 = float(sums.max())
-        return self._norm_1
+        s = self.superop
+        return float(np.bincount(s.indices, np.abs(s.data), minlength=self.dim**2).max())
 
     @property
     def real(self) -> np.ndarray:
@@ -319,7 +309,7 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     of the plan's column indices and row pointer.  The CSR matrix is a
     shallow copy of an empty one (_empty_csr) given these arrays, so scipy
     does not check them again.  gamma_scale is left to its first read,
-    from sum_k c_k^dag c_k.
+    from decay = sum_k c_k^dag c_k.
     """
     d = model.dim
     n = d * d
@@ -342,7 +332,7 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
         data, col, indptr = data[keep], col[keep], _row_pointer(row[keep], n, col.dtype)
     gen = copy.copy(_empty_csr(n))
     gen.data, gen.indices, gen.indptr = data, col, indptr
-    return Liouvillian(d, gen, gamma_scale=None if len(c) else 0.0, decay=decay)
+    return Liouvillian(d, gen, decay)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -396,14 +386,15 @@ def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarra
 
 def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
     """Raise ConvergenceError at the earliest unphysical state of a stack,
-    naming its first failed check: trace, Hermiticity, positivity.
+    naming its first failed check: finiteness, trace, Hermiticity, positivity.
 
-    The rule is |tr(rho) - 1| <= 1e-6, max|rho - rho^dag| <= 1e-8 and a
-    smallest eigenvalue of (rho + rho^dag)/2 of at least -1e-6.  When the
-    first two hold on every state, one batched Cholesky factorisation of
-    (rho + rho^dag)/2, shifted by just under 1e-6, decides the third:
-    success proves it, and any failure (or non-finite entry) leaves the
-    decision, and the message, to the eigenvalues.
+    The rule is finite entries, |tr(rho) - 1| <= 1e-6, max|rho - rho^dag|
+    <= 1e-8 and a smallest eigenvalue of (rho + rho^dag)/2 of at least
+    -1e-6.  When the middle two hold on every state, one batched Cholesky
+    factorisation of (rho + rho^dag)/2, shifted by just under 1e-6, decides
+    the last: success proves it, and any failure (or non-finite entry)
+    leaves the decision, and the message, to the eigenvalues of the finite
+    states.
     """
     tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
     defect = hermiticity_defect(states)
@@ -411,13 +402,17 @@ def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
     if tr_err.max() <= 1e-6 and defect.max() <= 1e-8 and \
             _positive_by_cholesky((states + dagger(states)) / 2, -1e-6):
         return
-    min_eig = np.linalg.eigvalsh((states + dagger(states)) / 2)[:, 0]
-    failed = np.argwhere(np.column_stack([tr_err > 1e-6, defect > 1e-8, min_eig < -1e-6]))
+    finite = np.isfinite(states).all(axis=(-2, -1))
+    min_eig = np.zeros(len(states))
+    herm = states[finite]
+    min_eig[finite] = np.linalg.eigvalsh((herm + dagger(herm)) / 2)[:, 0]
+    failed = np.argwhere(np.column_stack([~finite, tr_err > 1e-6, defect > 1e-8,
+                                          min_eig < -1e-6]))
     if failed.size == 0:
         return
     k, check = failed[0]
-    msg = (f"trace drifted by {tr_err[k]:.2e}", f"Hermiticity defect {defect[k]:.2e}",
-           f"negative eigenvalue {min_eig[k]:.2e}")[check]
+    msg = ("non-finite state", f"trace drifted by {tr_err[k]:.2e}",
+           f"Hermiticity defect {defect[k]:.2e}", f"negative eigenvalue {min_eig[k]:.2e}")[check]
     raise ConvergenceError(f"{msg} at t = {t[k]:.6g} s")
 
 
@@ -543,12 +538,6 @@ def steady_state(
     1/||L^D||_2 at the rounding floor 1e3 * eps * ||L||_1, raises
     NonUniqueSteadyStateError.
 
-    The Liouvillian gap, the slowest relaxation rate -Re(lambda) over the
-    nonzero eigenvalues of L (Minganti et al., PRA 98, 042118), comes from
-    the dense eigenvalues of the real form (about 1.4 ms at dim 9, 50 ms at
-    dim 20), so it is computed only for the "evolve" horizon and for
-    return_info.  A gap at the rounding floor raises NonUniqueSteadyStateError too.
-
     Backends
     --------
     "nullspace"
@@ -556,22 +545,23 @@ def steady_state(
         Hermitian-basis coordinates.
     "evolve"
         Propagation of I/dim by repeated squaring of expm(L/gamma_scale),
-        with the horizon doubled until exp(-gap * horizon) < eps.  It
-        propagates the complex generator: the final Hermitian projection
-        then removes the anti-Hermitian half of the rounding error, which
-        the real form would leave in the state.  Its state bottoms out at
-        ||L vec(rho)||_2 of about 1e-9 to 5e-9, so where the slowest
-        relaxation rate is below about 0.1 1/s (||L^D||_2 above about 10 s)
-        its error bound exceeds 1e-8 and ConvergenceError is raised, while
-        "nullspace" passes.
+        with the horizon doubled until exp(-gap * horizon) < eps, gap from
+        liouvillian_gap.  It propagates the complex generator: the final
+        Hermitian projection then removes the anti-Hermitian half of the
+        rounding error, which the real form would leave in the state.  Its
+        state bottoms out at ||L vec(rho)||_2 of about 1e-9 to 5e-9, so
+        where the slowest relaxation rate is below about 0.1 1/s
+        (||L^D||_2 above about 10 s) its error bound exceeds 1e-8 and
+        ConvergenceError is raised, while "nullspace" passes.
 
     rho is returned Hermitian with trace exactly 1.  ConvergenceError is
     raised when the relative residual ||L vec(rho)|| / (||L||_1 ||vec(rho)||)
     exceeds 1e-8, when the error bound ||L^D||_2 ||L vec(rho)||_2 exceeds
     1e-8, or when an eigenvalue of rho is below -1e-9.  With
-    return_info=True a dict with the backend name ("method"), "gap" (1/s),
-    "drazin_norm" (the bound on ||L^D||_2, in s), "residual",
-    "error_bound" and backend diagnostics is returned too.
+    return_info=True a dict is returned too: the backend name ("method"),
+    "drazin_norm" (the bound on ||L^D||_2, in s), "residual" and
+    "error_bound", and for "evolve" also "gap" (1/s), "doublings" and
+    "model_time" (s).
     """
     if method not in ("nullspace", "evolve"):
         raise ValueError(f"unknown method {method!r}; expected 'nullspace' or 'evolve'")
@@ -581,14 +571,13 @@ def steady_state(
         )
     lu = _bordered_lu(L)
     drazin_norm = _drazin_norm(L, lu)
-    gap = _liouvillian_gap(L) if method == "evolve" or return_info else None
     if method == "nullspace":
-        v = _hermitian_basis(L.dim) @ _getrs(*lu, _unit_rhs(L.dim))[0]
+        e0 = np.zeros(L.dim**2)
+        e0[0] = 1.0
+        v = _hermitian_basis(L.dim) @ _getrs(*lu, e0, overwrite_b=True)[0]
         info = {"method": "nullspace"}
     else:
-        v, info = _steady_evolve(L, gap)
-    if gap is not None:
-        info["gap"] = gap
+        v, info = _steady_evolve(L)
     info["drazin_norm"] = drazin_norm
     rho, info = _finalize(L, v, info)
     return (rho, info) if return_info else rho
@@ -606,7 +595,7 @@ def _bordered_lu(L: Liouvillian):
     dgetrf overwrites it: the factors are F-contiguous and nothing is copied."""
     _require_finite(L)
     mat = L.real
-    mat[0] = _trace_row(L.dim)
+    mat[0] = np.arange(L.dim**2) < L.dim  # the trace functional
     lu, piv, info = _getrf(mat, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
@@ -617,20 +606,6 @@ def _bordered_lu(L: Liouvillian):
             f"pivot(s) in the LU factors of the trace-bordered Liouvillian"
         )
     return lu, piv
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _trace_row(d: int) -> np.ndarray:
-    """The trace functional, the sum of the first d of d^2 coordinates, as
-    a read-only row."""
-    return _frozen((np.arange(d * d) < d).astype(float))[0]
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _unit_rhs(d: int) -> np.ndarray:
-    """e_0 of length d^2, read-only: the right-hand side of the nullspace
-    solve, which getrs copies."""
-    return _frozen(np.eye(1, d * d).ravel())[0]
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -684,8 +659,19 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     return norm
 
 
-def _liouvillian_gap(L: Liouvillian) -> float:
-    """Least -Re(lambda) over the dense eigenvalues of L.real but the one nearest 0."""
+def liouvillian_gap(L: Liouvillian) -> float:
+    """The Liouvillian gap in 1/s: the slowest relaxation rate, the least
+    -Re(lambda) over the eigenvalues of L but the one nearest 0, the steady
+    state's (Minganti et al., PRA 98, 042118 (2018)); 1/gap is the
+    preparation time scale.
+
+    It comes from the dense eigenvalues of the real form L.real, about
+    1.4 ms at dim 9 and 50 ms at dim 20, so only the "evolve" steady-state
+    backend computes it, for its horizon.  A non-finite generator raises
+    ValueError, and a gap at the rounding floor 1e3 * eps * ||L||_1
+    NonUniqueSteadyStateError.
+    """
+    _require_finite(L)
     lam = np.linalg.eigvals(L.real)
     gap = float(np.min(-np.delete(lam, np.argmin(np.abs(lam))).real))
     floor = _GAP_FLOOR * _EPS * L.norm_1
@@ -737,8 +723,9 @@ def _finalize(L: Liouvillian, v: np.ndarray, info: dict):
     return rho, info
 
 
-def _steady_evolve(L: Liouvillian, gap: float):
+def _steady_evolve(L: Liouvillian):
     d = L.dim
+    gap = liouvillian_gap(L)
     dt = 1.0 / L.gamma_scale
     # After k doublings the horizon is dt * (2^k - 1).
     doublings = max(1, math.ceil(math.log2(_EPS_E_FOLDS / (gap * dt) + 1.0)))
@@ -754,5 +741,6 @@ def _steady_evolve(L: Liouvillian, gap: float):
             prop = prop @ prop
         v = prop @ v
         v = v / np.trace(unvec(v, d)).real  # guard against rounding drift
-    info = {"method": "evolve", "doublings": doublings, "model_time": dt * (2.0**doublings - 1.0)}
+    info = {"method": "evolve", "gap": gap, "doublings": doublings,
+            "model_time": dt * (2.0**doublings - 1.0)}
     return v, info

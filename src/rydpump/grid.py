@@ -103,15 +103,21 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
         raise ValueError("sweep supports at most two axes")
     grids = []
     for spec in axes:
-        name, lo, hi = spec[0], float(spec[1]), float(spec[2])
+        name = spec[0]
+        if name not in AXIS_NAMES:
+            raise ValueError(f"unknown axis {name!r}; expected one of {', '.join(AXIS_NAMES)}")
+        try:
+            lo, hi = float(spec[1]), float(spec[2])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"axis {name!r} needs numeric MIN and MAX, got {spec[1]!r} and {spec[2]!r}"
+            ) from None
         try:
             steps = int(spec[3])
             if not isinstance(spec[3], str) and steps != spec[3]:
                 raise ValueError  # int() truncates a fractional number
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"axis {name!r} needs an integer STEPS, got {spec[3]!r}") from None
-        if name not in AXIS_NAMES:
-            raise ValueError(f"unknown axis {name!r}; expected one of {', '.join(AXIS_NAMES)}")
         if steps < 2:
             raise ValueError(f"axis {name!r} needs steps >= 2, got {steps}")
         if not (math.isfinite(lo) and math.isfinite(hi)):

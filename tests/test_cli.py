@@ -98,6 +98,16 @@ def test_evolve_rejects_non_finite_t_max(capsys):
         assert f"t-max-ms must be finite, got {t_max}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", ["fig3", "fig5-inset"])
+def test_evolve_overflow_is_a_numerical_failure(preset, capsys):
+    # Over 1e23 ms the propagators overflow: the first non-finite state is
+    # a numerical failure (exit 3), not an invalid specification.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["evolve", "--preset", preset, "--t-max-ms", "1e23", "--samples", "3"])
+    assert code == 3
+    assert capsys.readouterr().err.endswith("error: non-finite state at t = 5e+19 s\n")
+
+
 def test_evolve_unknown_initial_message(capsys):
     # The message is printed as it is, not as the repr of a KeyError's text.
     assert run(["evolve", "--preset", "fig3", "--initial", "zz"]) == 2
@@ -190,7 +200,11 @@ def test_sweep_axis_validation(capsys):
             ([["urr-mhz", "1", "8", "3"], ["urr-mhz", "1", "2", "2"]], "'urr-mhz' is given twice"),
             ([["urr-mhz", "nan", "8", "3"]], "'urr-mhz' needs finite MIN and MAX"),
             ([["gamma-khz", "1", "inf", "3"]], "'gamma-khz' needs finite MIN and MAX"),
-            ([["urr-mhz", "1", "8", "3.5"]], "'urr-mhz' needs an integer STEPS, got '3.5'")):
+            ([["urr-mhz", "1", "8", "3.5"]], "'urr-mhz' needs an integer STEPS, got '3.5'"),
+            ([["urr-mhz", "abc", "8", "3"]],
+             "'urr-mhz' needs numeric MIN and MAX, got 'abc' and '8'"),
+            ([["gamma-khz", "1", "2", "2"], ["rabi-mhz", "0.1", "x", "2"]],
+             "'rabi-mhz' needs numeric MIN and MAX, got '0.1' and 'x'")):
         argv = ["sweep", "--preset", "fig2"] + [a for axis in axes for a in ["--axis", *axis]]
         assert run(argv) == 2, axes
         assert text in capsys.readouterr().err, axes
@@ -250,6 +264,21 @@ def test_sweep_function_needs_integral_steps(monkeypatch):
     coords, _, errors = rydpump.sweep(BELL_CAPTION, BELL, [("urr-mhz", 1.0, 8.0, 3)], "fidelity")
     assert coords.ravel().tolist() == [1.0, 4.5, 8.0] and errors == ["", "", ""]
     assert len(solved) == 3
+
+
+def test_sweep_function_names_the_axis_of_a_non_numeric_bound(monkeypatch):
+    # MIN and MAX are converted after the axis name is checked, and an
+    # error names the axis; no point is solved.
+    solved = []
+    monkeypatch.setattr(dynamics, "steady_state", lambda *args, **kw: solved.append(args))
+    for spec, text in ((("urr-mhz", "abc", 8, 3), r"axis 'urr-mhz' needs numeric MIN and MAX, "
+                                                  r"got 'abc' and 8"),
+                       (("gamma-khz", 1.0, None, 3), r"axis 'gamma-khz' needs numeric MIN and "
+                                                     r"MAX, got 1\.0 and None"),
+                       (("bogus", "abc", 8, 3), r"unknown axis 'bogus'")):
+        with pytest.raises(ValueError, match=text):
+            rydpump.sweep(BELL_CAPTION, BELL, [spec], "fidelity")
+    assert solved == []
 
 
 def test_sweep_reduces_to_the_presets_measure(capsys):
@@ -584,6 +613,19 @@ def test_steady_residual_is_the_certified_one(method, capsys):
     L = dynamics.build_liouvillian(models.build_model(pre.params, pre.variant))
     _, info = dynamics.steady_state(L, method=method, return_info=True)
     assert row[-2:] == [info["residual"], method]
+
+
+def test_steady_computes_the_residual_once(monkeypatch):
+    # steady prints the residual that steady_state certified; the only
+    # call to dynamics.residual is _finalize's.
+    calls = []
+    residual = dynamics.residual
+    monkeypatch.setattr(dynamics, "residual",
+                        lambda *args: calls.append(args) or residual(*args))
+    for method in ("nullspace", "evolve"):
+        assert run(["steady", "--preset", "fig8a", "--method", method, "--no-timestamp"]) == 0
+        assert len(calls) == 1, method
+        calls.clear()
 
 
 def csv_writer_table(command, columns, rows):

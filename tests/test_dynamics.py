@@ -35,10 +35,9 @@ from rydpump.dynamics import (
     _positive_by_cholesky,
     _propagate_expm,
     _real_plan,
-    _trace_row,
-    _unit_rhs,
     build_liouvillian,
     evolve,
+    liouvillian_gap,
     steady_state,
     unvec,
     vec,
@@ -520,7 +519,7 @@ def test_real_plan_is_keyed_by_indices_too():
     s, n = L.superop, L.dim**2
     for shift in (0, 1, 0):
         other = sp.csr_matrix((s.data, (s.indices + shift) % n, s.indptr), shape=s.shape)
-        M = Liouvillian(dim=L.dim, superop=other, gamma_scale=L.gamma_scale)
+        M = Liouvillian(dim=L.dim, superop=other, decay=L.decay)
         assert M.real.tobytes() == index_path_real(M).tobytes()
 
 
@@ -552,8 +551,7 @@ def test_plan_reuse_drops_entries_that_cancel():
     assert np.array_equal(second.superop.toarray(), dense)
 
 
-PLAN_CACHES = (_decay_plan, _generator_plan, _real_plan, _drazin_start, _trace_row, _unit_rhs,
-               _empty_csr)
+PLAN_CACHES = (_decay_plan, _generator_plan, _real_plan, _drazin_start, _empty_csr)
 
 
 def test_sweep_misses_each_plan_once(capsys):
@@ -577,7 +575,7 @@ def test_plan_arrays_are_read_only():
     plans = [_decay_plan(c.shape, (c != 0).tobytes()),
              _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes()),
              _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
-             (_drazin_start(m.dim), _trace_row(m.dim), _unit_rhs(m.dim))]
+             (_drazin_start(m.dim),)]
     for plan in plans:
         for a in plan:
             assert not a.flags.writeable
@@ -639,22 +637,10 @@ def test_gamma_scale_is_computed_on_first_read(name):
     pre = figure_preset(name)
     m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
-    assert L._gamma_scale is None
+    assert "gamma_scale" not in vars(L)
     decay = sum(c.conj().T @ c for c in m.lindblads)
     assert L.gamma_scale == float(np.linalg.eigvalsh((decay + dagger(decay)) / 2)[-1])
-    assert L._gamma_scale == L.gamma_scale
-
-
-def test_liouvillian_keeps_a_given_gamma_scale():
-    L = build_liouvillian(bell_model())
-    given = [Liouvillian(L.dim, L.superop, 7.5),
-             Liouvillian(dim=L.dim, superop=L.superop, gamma_scale=7.5),
-             Liouvillian(L.dim, L.superop, 7.5, np.eye(L.dim)),
-             COrderedLiouvillian(L.dim, L.superop, 7.5)]
-    for M in given:
-        assert M.gamma_scale == 7.5
-    with pytest.raises(TypeError, match="gamma_scale or decay"):
-        Liouvillian(L.dim, L.superop)
+    assert vars(L)["gamma_scale"] == L.gamma_scale
 
 
 def test_sweep_never_computes_gamma_scale(monkeypatch):
@@ -671,7 +657,7 @@ def test_sweep_never_computes_gamma_scale(monkeypatch):
                                       "chsh")
     assert errors == [""] * 4 and np.isfinite(values).all()
     assert len(built) == 4
-    assert all(L._gamma_scale is None for L in built)
+    assert all("gamma_scale" not in vars(L) for L in built)
 
 
 # ----------------------------------------------------------------- evolve
@@ -785,7 +771,7 @@ def test_propagation_does_not_depend_on_real_form_layout(name):
     prop = expm(L.real * dt)
     assert prop.flags["C_CONTIGUOUS"]
     assert prop.tobytes() == expm(np.ascontiguousarray(L.real) * dt).tobytes()
-    c_ordered = COrderedLiouvillian(L.dim, L.superop, L.gamma_scale)
+    c_ordered = COrderedLiouvillian(L.dim, L.superop, L.decay)
     assert c_ordered.real.flags["C_CONTIGUOUS"]
     assert evolve(L, rho0, t).states.tobytes() == evolve(c_ordered, rho0, t).states.tobytes()
 
@@ -808,7 +794,7 @@ def test_evolve_names_first_unphysical_sample():
     # minimum eigenvalue, from an independent dense expm, is below -1e-6.
     m = bell_model(rabi_optical=0.0, rabi_microwave_1=0.0)
     L = build_liouvillian(m)
-    anti = Liouvillian(dim=L.dim, superop=-L.superop, gamma_scale=L.gamma_scale)
+    anti = Liouvillian(dim=L.dim, superop=-L.superop, decay=L.decay)
     rho0 = m.initial_density("rr")
     t = np.linspace(0.0, 2.5e-9, 11)
     gen = -L.superop.toarray()
@@ -897,17 +883,37 @@ def test_check_physical_falls_back_for_trace_and_non_finite_states(rng):
     assert str(err.value) == eigvalsh_physical_error(states, t)
     states[3, 0, 0] -= 2e-6
     states[2, 4, 4] = np.nan                   # nan passes no comparison
-    # The eigenvalue rule decides a non-finite stack; here eigvalsh fails.
+    # The eigenvalue rule alone fails on a non-finite stack: eigvalsh does
+    # not converge.  A non-finite state is named before its other checks,
+    # and the eigenvalues of the finite states decide the rest.
     with pytest.raises(np.linalg.LinAlgError):
         eigvalsh_physical_error(states, t)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(ConvergenceError) as err:
         _check_physical(states, t)
+    assert str(err.value) == f"non-finite state at t = {t[2]:.6g} s"
+    states[1, 0, 0] += 2e-6                    # an earlier trace failure is named first
+    with pytest.raises(ConvergenceError) as err:
+        _check_physical(states, t)
+    assert str(err.value) == eigvalsh_physical_error(states[:2], t[:2])
+    states[1, 0, 0] -= 2e-6
+    states[3, 1, 2] = np.inf                   # the earliest of two non-finite states
+    with pytest.raises(ConvergenceError, match=r"^non-finite state at t = 0\.666667 s$"):
+        _check_physical(states, t)
+
+
+def test_evolve_names_a_state_that_overflows():
+    # Over 1e20 s the propagators of fig3 overflow: the first non-finite
+    # state is named, with no eigenvalue computed on it.
+    m, L, rho0, _ = figure_run("fig3")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConvergenceError, match=r"^non-finite state at t = 5e\+19 s$"):
+        evolve(L, rho0, np.linspace(0.0, 1e20, 3))
 
 
 def zero_liouvillian(d):
     """A generator that every state solves: residual and error bound are 0,
     so only the positivity check can reject a state in _finalize."""
-    return Liouvillian(d, sp.csr_matrix((d * d, d * d), dtype=complex), 0.0)
+    return Liouvillian(d, sp.csr_matrix((d * d, d * d), dtype=complex), np.zeros((d, d)))
 
 
 @pytest.mark.parametrize("d", [9, 20])
@@ -1129,9 +1135,11 @@ def test_steady_state_matches_30_digit_solve():
 def test_steady_state_matches_svd_and_gap_oracles(name):
     pre = figure_preset(name)
     m = build_model(pre.params, pre.variant)
-    rho, info = steady_state(build_liouvillian(m), return_info=True)
+    L = build_liouvillian(m)
+    rho, info = steady_state(L, return_info=True)
     assert np.max(np.abs(rho - svd_steady_state(m.hamiltonian, m.lindblads))) <= 1e-9
-    assert info["gap"] == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1], rel=1e-7)
+    assert liouvillian_gap(L) == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1],
+                                               rel=1e-7)
     assert info["error_bound"] <= 1e-10
 
 
@@ -1191,18 +1199,27 @@ def test_drazin_norm_matches_power_loop_oracle(name):
 
 
 def test_sweep_path_skips_the_gap(monkeypatch):
-    # Without return_info the nullspace backend never computes the gap.
-    import rydpump.dynamics as dyn
+    # The nullspace backend never computes the gap, with or without
+    # return_info; the evolve backend computes it once, for its horizon,
+    # and reports it.
+    calls = []
 
-    def no_gap(L):
-        raise AssertionError("gap computed")
+    def recording(L):
+        calls.append(L)
+        return liouvillian_gap(L)
 
-    monkeypatch.setattr(dyn, "_liouvillian_gap", no_gap)
+    monkeypatch.setattr(dynamics, "liouvillian_gap", recording)
     pre = figure_preset("fig8a")
     L = build_liouvillian(build_model(pre.params, pre.variant))
     steady_state(L)
-    with pytest.raises(AssertionError, match="gap computed"):
-        steady_state(L, return_info=True)
+    _, info = steady_state(L, return_info=True)
+    assert calls == []
+    assert set(info) == {"method", "drazin_norm", "residual", "error_bound"}
+    _, info = steady_state(L, method="evolve", return_info=True)
+    assert calls == [L]
+    assert info["gap"] == liouvillian_gap(L)
+    assert set(info) == {"method", "gap", "doublings", "model_time", "drazin_norm", "residual",
+                         "error_bound"}
 
 
 def bordered_real_form(L):
@@ -1253,8 +1270,11 @@ def test_steady_state_rejects_non_finite_liouvillian(bad):
     L = build_liouvillian(build_model(pre.params, pre.variant))
     s = L.superop.copy()
     s.data[3] = bad
+    M = Liouvillian(dim=L.dim, superop=s, decay=L.decay)
     with pytest.raises(ValueError, match="non-finite"):
-        steady_state(Liouvillian(dim=L.dim, superop=s, gamma_scale=L.gamma_scale))
+        steady_state(M)
+    with pytest.raises(ValueError, match="non-finite"):
+        liouvillian_gap(M)
 
 
 def test_finalize_rejects_state_off_along_slowest_mode():
@@ -1306,8 +1326,21 @@ def test_steady_state_degenerate_without_noise(case, method):
 @pytest.mark.parametrize("method", ["nullspace", "evolve"])
 @pytest.mark.parametrize("case", sorted(DEGENERATE))
 def test_steady_state_degenerate_with_info(case, method):
-    # Asking for the gap as well reports the same non-uniqueness.
+    # Asking for the diagnostics as well reports the same non-uniqueness.
     assert_degenerate(case, method, return_info=True)
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_liouvillian_gap_reports_degenerate(case):
+    # Read on its own, the gap of a degenerate generator sits at the
+    # rounding floor: NonUniqueSteadyStateError, without a warning.
+    scheme, caption = DEGENERATE[case]
+    target = "singlet" if scheme == "bell" else "phi"
+    L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant(scheme, target)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonUniqueSteadyStateError, match="rounding floor"):
+            liouvillian_gap(L)
 
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE))
@@ -1343,7 +1376,7 @@ def precessing_qubit(kappa):
 def test_steady_state_nearly_undamped_mode(method, return_info):
     # Unique at kappa = 1e-3 (|g><g|); from 1e-6 on, the rates sit at the
     # rounding floor 1e3 * eps * ||L||_1 (7e-6 1/s) and the state is
-    # reported as non-unique, with or without the gap.
+    # reported as non-unique, with or without return_info, as is the gap.
     ground = np.diag([0.0, 1.0]).astype(complex)
     out = steady_state(build_liouvillian(precessing_qubit(1e-3)), method=method,
                        return_info=return_info)
@@ -1353,13 +1386,17 @@ def test_steady_state_nearly_undamped_mode(method, return_info):
         L = build_liouvillian(precessing_qubit(kappa))
         with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
             steady_state(L, method=method, return_info=return_info)
+        with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
+            liouvillian_gap(L)
 
 
 def test_steady_state_bell_without_microwave_is_unique():
     # omega = 0 with Omega > 0 pumps everything into |aa>: unique, with a
     # slow but nonzero gap (2.3e-2 1/s), unlike the qutrit scheme.
     m = bell_model(rabi_microwave_1=0.0)
-    rho, info = steady_state(build_liouvillian(m), return_info=True)
+    L = build_liouvillian(m)
+    rho = steady_state(L)
     assert fidelity(m.state("aa"), rho) == pytest.approx(1.0, abs=1e-12)
-    assert info["gap"] == pytest.approx(2.3e-2, rel=0.01)
-    assert info["gap"] == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1], rel=1e-3)
+    gap = liouvillian_gap(L)
+    assert gap == pytest.approx(2.3e-2, rel=0.01)
+    assert gap == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1], rel=1e-3)

@@ -35,8 +35,10 @@ The gated outputs are:
 - the stderr and exit status of invalid runs that the measure checks
   reject: an unknown `--outputs` name, chsh on a qutrit preset, an empty
   `--outputs`, a repeated `--outputs` name, and a sweep reducing to
-  populations or to an unknown name; and of an `evolve` from an unknown
-  `--initial` state.
+  populations or to an unknown name; of an `evolve` from an unknown
+  `--initial` state; of an `evolve` at fig3 over 1e23 ms, whose
+  propagators overflow to non-finite states; and of a sweep axis whose
+  MIN is not a number.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -89,7 +91,11 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
                                         "fidelity,fidelity"]),
            ("sweep-reduce-populations", SWEEP + ["--reduce", "populations"]),
            ("sweep-reduce-bogus", SWEEP + ["--reduce", "bogus"]),
-           ("evolve-initial-unknown", ["evolve", "--preset", "fig3", "--initial", "zz"]))
+           ("evolve-initial-unknown", ["evolve", "--preset", "fig3", "--initial", "zz"]),
+           ("evolve-overflow", ["evolve", "--preset", "fig3", "--t-max-ms", "1e23",
+                                "--samples", "3"]),
+           ("sweep-axis-not-a-number", ["sweep", "--preset", "fig2", "--axis", "urr-mhz",
+                                        "abc", "8", "3"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
