@@ -223,6 +223,8 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"t-max-ms must be finite, got {setup.t_max_ms}")
     if setup.t_max_ms > 0 and setup.samples < 2:
         raise ValueError(f"samples must be >= 2 when t-max-ms > 0, got {setup.samples}")
+    if setup.t_max_ms == 0 and setup.samples != 1:
+        raise ValueError(f"samples must be 1 when t-max-ms is 0, got {setup.samples}")
     model = setup.model()
     try:
         rho0 = model.initial_density(setup.initial)

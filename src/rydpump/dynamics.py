@@ -17,9 +17,10 @@ expm(L*dt).
 
 L maps Hermitian matrices to Hermitian matrices, so in an orthonormal
 Hermitian basis it is a real matrix (the coherence-vector form of a
-Lindblad generator).  The basis T (_hermitian_basis) takes |i><i| first,
-so the trace is the sum of the first dim coordinates, then
-(|i><j| + |j><i|)/sqrt2 and i(|j><i| - |i><j|)/sqrt2 for i < j.
+Lindblad generator).  The basis T takes |i><i| first, so the trace is the
+sum of the first dim coordinates, then (|i><j| + |j><i|)/sqrt2 and
+i(|j><i| - |i><j|)/sqrt2 for i < j; it is kept once, as its two-entry rows
+(_hermitian_rows), which every change of basis gathers from.
 Liouvillian.real assembles the dense real form T^dag L T, Fortran-ordered:
 the steady-state LU factors it in place, and evolve's expm copies it into
 its own C-ordered scratch, so one layout serves both.  The LU, its error
@@ -62,6 +63,8 @@ _STEP_SNAP_RTOL = 1e-8
 _ERROR_BOUND_MAX = 1e-8
 _MIN_EIGENVALUE = -1e-9
 _RESIDUAL_RTOL = 1e-8
+# An initial state is Hermitian, of unit trace and PSD to _DENSITY_TOL.
+_DENSITY_TOL = 1e-10
 
 # ||L^D||_2 is estimated by power iteration, stopped once two consecutive
 # estimates agree to _DRAZIN_RTOL or after _DRAZIN_STEPS steps.  Power
@@ -138,8 +141,8 @@ class Liouvillian:
 
     @property
     def real(self) -> np.ndarray:
-        """A new dense real form T^dag L T in the Hermitian basis of
-        _hermitian_basis, Fortran-ordered; each read assembles it afresh.
+        """A new dense real form T^dag L T, T from _hermitian_rows,
+        Fortran-ordered; each read assembles it afresh.
 
         Each stored entry L[r, c] adds Re(conj(T[r, k]) L[r, c] T[c, l]) to
         R[k, l] for the at most 2 entries of rows r and c of T.  Every such
@@ -158,37 +161,35 @@ class Liouvillian:
 
 
 @functools.lru_cache(maxsize=None)
-def _hermitian_basis(d: int) -> sp.csc_matrix:
-    """Sparse unitary T whose columns are the vecs of an orthonormal
-    Hermitian basis: |i><i|, then (|i><j| + |j><i|)/sqrt2 and
-    i(|j><i| - |i><j|)/sqrt2 for i < j.  T maps real coordinates to the
-    vec of a Hermitian matrix, whose trace is the sum of the first d."""
+def _hermitian_rows(d: int):
+    """The unitary T, whose columns are the vecs of the Hermitian basis, as
+    read-only (2, d^2) arrays: row r of T is coef[0, r] at col[0, r] plus
+    coef[1, r] at col[1, r] > col[0, r] (a diagonal row: 0 at column 0)."""
     i, j = np.triu_indices(d, k=1)
     ij, ji = i + j * d, j + i * d  # vec positions of |i><j| and |j><i|
-    diag = np.arange(d) * (d + 1)
-    m = i.size
+    pair = d + np.arange(i.size)
     s = 1.0 / math.sqrt(2.0)
-    rows = np.concatenate([diag, ij, ji, ij, ji])
-    cols = np.concatenate([np.arange(d), np.tile(d + np.arange(m), 2),
-                           np.tile(d + m + np.arange(m), 2)])
-    vals = np.concatenate([np.ones(d), np.full(2 * m, s), np.full(m, -1j * s), np.full(m, 1j * s)])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    col, coef = np.zeros((2, d * d), dtype=np.intp), np.zeros((2, d * d), dtype=complex)
+    col[0, ::d + 1], coef[0, ::d + 1] = np.arange(d), 1.0
+    col[:, ij] = col[:, ji] = pair, pair + i.size
+    coef[:, ij], coef[:, ji] = [[s], [-1j * s]], [[s], [1j * s]]
+    return _frozen(col, coef)
 
 
-@functools.lru_cache(maxsize=None)
-def _hermitian_rows(d: int):
-    """The rows of _hermitian_basis(d) as read-only (2, d^2) arrays of
-    column indices and entries: row r of T is coef[0, r] at col[0, r] plus
-    coef[1, r] at col[1, r].  A diagonal position's second entry is 0."""
-    T = _hermitian_basis(d).tocsr()
-    first = T.indptr[:-1]
-    two = np.flatnonzero(np.diff(T.indptr) == 2)
-    col = np.zeros((2, d * d), dtype=np.intp)
-    coef = np.zeros((2, d * d), dtype=complex)
-    col[0], coef[0] = T.indices[first], T.data[first]
-    col[1, two], coef[1, two] = T.indices[first[two] + 1], T.data[first[two] + 1]
-    col.flags.writeable = coef.flags.writeable = False
-    return col, coef
+def _from_coords(x: np.ndarray, d: int) -> np.ndarray:
+    """T x for real coordinates x, (..., d^2), summed over T's columns in order."""
+    col, coef = _hermitian_rows(d)
+    # take(axis=-1) keeps a stack C-ordered; fancy indexing would not.
+    y = coef[0] * x.take(col[0], axis=-1)
+    y += 0.0  # a sparse product's sums start at +0, so no entry ends at -0
+    y += coef[1] * x.take(col[1], axis=-1)
+    return y
+
+
+def _to_coords(v: np.ndarray, d: int) -> np.ndarray:
+    """Re T^dag v, each sum from 0 over T's rows in order, by one bincount."""
+    col, coef = _hermitian_rows(d)
+    return np.bincount(col.ravel(), (coef.conj() * v).real.ravel(), minlength=d * d)
 
 
 def _pairs(ga: np.ndarray, gb: np.ndarray):
@@ -346,10 +347,10 @@ def _empty_csr(n: int) -> sp.csr_matrix:
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _real_plan(d: int, index: str, indptr: bytes, indices: bytes):
-    """The real form's gathers for a CSR pattern: for every product
-    conj(T[r, k]) L[r, c] T[c, l], its bincount key, the Fortran-ordered
-    flat position l n + k of (k, l); and the factors conj(T[r, k]) and
-    T[c, l], each (2, nnz), of every stored entry."""
+    """The real form's gathers for a CSR pattern and T's rows: for every
+    product conj(T[r, k]) L[r, c] T[c, l], its bincount key, the Fortran-
+    ordered flat position l n + k of (k, l); and the factors conj(T[r, k])
+    and T[c, l], each (2, nnz), of every stored entry."""
     n = d * d
     col, coef = _hermitian_rows(d)
     ptr = np.frombuffer(indptr, dtype=index)
@@ -368,18 +369,20 @@ class Trajectory:
     states: np.ndarray
 
 
-def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
+def _require_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError("initial state has a non-finite entry")
     if rho.shape != (dim, dim):
         raise ValueError(f"initial state must be {dim}x{dim}, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
-    if defect > tol:
+    if defect > _DENSITY_TOL:
         raise ValueError(f"initial state is not Hermitian: max|rho - rho^dag| = {defect:.2e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > _DENSITY_TOL:
         raise ValueError(f"initial state must have unit trace, got trace = {tr:.12g}")
     min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -tol:
+    if min_eig < -_DENSITY_TOL:
         raise ValueError(f"initial state is not positive semidefinite: min eigenvalue = {min_eig:.2e}")
     return rho
 
@@ -459,7 +462,7 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     ----------
     L : Liouvillian
     rho0 : ndarray
-        Valid density matrix (Hermitian, unit trace, PSD to 1e-10).
+        Valid density matrix (finite, Hermitian, unit trace, PSD to 1e-10).
     t_grid : array_like
         Strictly increasing finite times in seconds, starting at 0.
 
@@ -498,32 +501,27 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
     propagator is chosen first, then the states are stepped in place,
     each from the row before it.
     """
-    T = _hermitian_basis(L.dim)
     out = np.empty((t.size, L.dim**2))
-    out[0] = (T.conj().T @ v0).real
+    out[0] = _to_coords(v0, L.dim)
     snap = _STEP_SNAP_RTOL / max(L.norm_1, 1.0)
     dts = np.diff(t)
     which = np.full(dts.size, -1)  # index into props of each step's propagator
     props = []
     real = L.real
-    while (free := np.flatnonzero(which < 0)).size:
-        ref = dts[free[0]]
-        which[free[np.abs(dts[free] - ref) <= snap]] = len(props)
-        which[free[0]] = len(props)
-        props.append(sla.expm(real * ref))
-    for k, i in enumerate(which.tolist(), start=1):
-        np.matmul(props[i], out[k - 1], out=out[k])
-    # One change of basis for the whole stack; C order keeps each state
-    # contiguous, d^2 entries apart, as the measures expect.
-    return np.ascontiguousarray((T @ out.T).T)
+    # _check_physical names a state that overflowed; expm need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (free := np.flatnonzero(which < 0)).size:
+            ref = dts[free[0]]
+            which[free[np.abs(dts[free] - ref) <= snap]] = len(props)
+            which[free[0]] = len(props)
+            props.append(sla.expm(real * ref))
+        for k, i in enumerate(which.tolist(), start=1):
+            np.matmul(props[i], out[k - 1], out=out[k])
+        # One change of basis for the stack, each state contiguous for the measures.
+        return _from_coords(out, L.dim)
 
 
-def steady_state(
-    L: Liouvillian,
-    *,
-    method: str = "nullspace",
-    return_info: bool = False,
-):
+def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool = False):
     """Solve L rho = 0 with unit trace.
 
     Both backends factor the real form T^dag L T once by dense LU, with its
@@ -574,7 +572,7 @@ def steady_state(
     if method == "nullspace":
         e0 = np.zeros(L.dim**2)
         e0[0] = 1.0
-        v = _hermitian_basis(L.dim) @ _getrs(*lu, e0, overwrite_b=True)[0]
+        v = _from_coords(_getrs(*lu, e0, overwrite_b=True)[0], L.dim)
         info = {"method": "nullspace"}
     else:
         v, info = _steady_evolve(L)

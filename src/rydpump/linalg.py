@@ -11,6 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# hermitian_eigvals accepts a matrix whose Hermiticity defect is at most
+# _HERMITIAN_RTOL times its largest entry.
+_HERMITIAN_RTOL = 1e-10
+
 
 class BipartiteDims(NamedTuple):
     """Single-atom level counts of a two-atom system (atom 1 is the left
@@ -28,23 +32,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray):
     """max |M - M^dag|: a float for one matrix, an array for a stack."""
     return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
-
-
-def require_hermitian(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> None:
-    """Raise ValueError if the Hermiticity defect of a matrix, or of any
-    matrix in a stack, exceeds tol * max|M|."""
-    m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    scale = np.max(np.abs(m), axis=(-2, -1))
-    defect = hermiticity_defect(m)
-    bad = defect > tol * np.maximum(scale, np.finfo(float).tiny)
-    if np.any(bad):
-        k = np.argmax(bad)  # flat index of the first failing matrix
-        raise ValueError(
-            f"{name} is not Hermitian: max|M - M^dag| = {defect.flat[k]:.3e} "
-            f"exceeds {tol:.1e} * max|M| = {tol * scale.flat[k]:.3e}"
-        )
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,12 +65,24 @@ def partial_transpose(rho: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return rho.reshape(rho.shape[:-2] + (da, db, da, db)).swapaxes(-4, -2).reshape(rho.shape)
 
 
-def hermitian_eigvals(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix, or of each matrix
     in a stack (shape (..., n)).
 
-    Every input must be Hermitian within ``tol`` (relative to its largest
-    entry); a violation raises ValueError reporting the defect.
+    Every input must be square and Hermitian within _HERMITIAN_RTOL
+    (relative to its largest entry); a violation raises ValueError
+    reporting the defect of the first failing matrix.
     """
-    require_hermitian(m, tol=tol, name="eigvals input")
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"eigvals input must be square, got shape {m.shape}")
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    defect = hermiticity_defect(m)
+    bad = defect > _HERMITIAN_RTOL * np.maximum(scale, np.finfo(float).tiny)
+    if np.any(bad):
+        k = np.argmax(bad)  # flat index of the first failing matrix
+        raise ValueError(
+            f"eigvals input is not Hermitian: max|M - M^dag| = {defect.flat[k]:.3e} "
+            f"exceeds {_HERMITIAN_RTOL:.1e} * max|M| = {_HERMITIAN_RTOL * scale.flat[k]:.3e}"
+        )
     return np.linalg.eigvalsh(m)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,11 +102,28 @@ def test_evolve_rejects_non_finite_t_max(capsys):
 @pytest.mark.parametrize("preset", ["fig3", "fig5-inset"])
 def test_evolve_overflow_is_a_numerical_failure(preset, capsys):
     # Over 1e23 ms the propagators overflow: the first non-finite state is
-    # a numerical failure (exit 3), not an invalid specification.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a numerical failure (exit 3), not an invalid specification, and its
+    # one error line is all that is written, with no floating-point warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run(["evolve", "--preset", preset, "--t-max-ms", "1e23", "--samples", "3"])
     assert code == 3
-    assert capsys.readouterr().err.endswith("error: non-finite state at t = 5e+19 s\n")
+    assert capsys.readouterr().err == "error: non-finite state at t = 5e+19 s\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "5"])
+def test_evolve_needs_one_sample_at_time_zero(samples, capsys):
+    # A zero-length grid has exactly one sample; the error names the flag.
+    assert run(["evolve", "--preset", "fig3", "--samples", samples, "--t-max-ms", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: samples must be 1 when t-max-ms is 0, got {samples}\n")
+
+
+def test_evolve_one_sample_at_time_zero(capsys):
+    assert run(["evolve", "--preset", "fig3", "--samples", "1", "--t-max-ms", "0",
+                "--outputs", "populations", "--no-timestamp"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[2].startswith("0.00000000000000000e+00,")
 
 
 def test_evolve_unknown_initial_message(capsys):

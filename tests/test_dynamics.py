@@ -28,13 +28,14 @@ from rydpump.dynamics import (
     _drazin_start,
     _empty_csr,
     _finalize,
+    _from_coords,
     _generator_plan,
-    _hermitian_basis,
     _hermitian_rows,
     _pairs,
     _positive_by_cholesky,
     _propagate_expm,
     _real_plan,
+    _to_coords,
     build_liouvillian,
     evolve,
     liouvillian_gap,
@@ -105,9 +106,10 @@ def sparse_kron_liouvillian(model):
 
 def sparse_product_real_form(L):
     """(T^dag superop T).real and the max column abs sum from scipy.sparse
-    products (oracle for Liouvillian.real and norm_1, which gather the same
-    products from the CSR arrays)."""
-    T = _hermitian_basis(L.dim)
+    products, T the sparse form of the outer-product basis (oracle for
+    Liouvillian.real and norm_1, which gather the same products from the
+    CSR arrays and T's rows)."""
+    T = sparse_hermitian_basis(L.dim)
     real = (T.conj().T @ L.superop @ T).toarray().real
     norm_1 = float(np.max(np.abs(L.superop).sum(axis=0))) if L.superop.nnz else 0.0
     return real, norm_1
@@ -157,6 +159,13 @@ def dense_hermitian_basis(d):
     mats += [1j * (np.outer(eye[j], eye[i]) - np.outer(eye[i], eye[j])) / math.sqrt(2)
              for i, j in pairs]
     return np.column_stack([vec(b) for b in mats])
+
+
+def sparse_hermitian_basis(d):
+    """dense_hermitian_basis(d) as a scipy CSC matrix, whose products sum
+    each entry from 0 over the stored entries in order (oracle for the
+    gathers from T's rows)."""
+    return sp.csc_matrix(dense_hermitian_basis(d))
 
 
 def complex_expm_states(L, rho0, t):
@@ -311,15 +320,48 @@ def test_liouvillian_matches_kron_formula(name, rng):
 
 @pytest.mark.parametrize("d", [2, 9, 20])
 def test_hermitian_basis_is_unitary_onto_hermitian_matrices(d, rng):
-    T = _hermitian_basis(d)
-    assert np.array_equal(T.toarray(), dense_hermitian_basis(d))
-    assert np.max(np.diff(T.tocsc().indptr)) <= 2
-    assert np.max(np.abs((T.conj().T @ T).toarray() - np.eye(d * d))) <= 1e-15
+    # T's rows, scattered into a dense matrix, are the outer-product basis:
+    # at most two entries per row, the first in the lower column.
+    col, coef = _hermitian_rows(d)
+    assert col.shape == coef.shape == (2, d * d)
+    assert np.all((col[0] < col[1]) | (coef[1] == 0))
+    T = np.zeros((d * d, d * d), dtype=complex)
+    np.add.at(T, (np.arange(d * d), col), coef)
+    want = dense_hermitian_basis(d)
+    assert np.array_equal(T, want)
+    assert np.max(np.count_nonzero(want, axis=1)) <= 2
+    assert np.max(np.abs(T.conj().T @ T - np.eye(d * d))) <= 1e-15
     x = rng.normal(size=(5, d * d))
-    rho = unvec((T @ x.T).T, d)
+    rho = unvec(_from_coords(x, d), d)
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
     # The diagonal is the first d coordinates, so the trace is their sum.
     assert np.array_equal(np.diagonal(rho, axis1=-2, axis2=-1), x[:, :d] + 0j)
+
+
+@pytest.mark.parametrize("d", [2, 9, 20])
+def test_coordinate_maps_match_sparse_products(d, rng):
+    # T x, for one vector and for a stack, and Re T^dag v gather from T's
+    # rows the bytes of the sparse products, signed zeros included: a
+    # sparse product sums each entry from +0, so -0 never survives.
+    T = sparse_hermitian_basis(d)
+    n = d * d
+
+    def with_zeros(a):
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        return a
+
+    x = with_zeros(rng.normal(size=(7, n)))
+    assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+    got = _from_coords(x[0], d)
+    assert got.tobytes() == (T @ x[0]).tobytes()
+    stack = _from_coords(x, d)
+    assert stack.flags.c_contiguous
+    assert stack.tobytes() == (T @ x.T).T.tobytes()
+    vs = np.empty((2, n), dtype=complex)
+    vs.real, vs.imag = with_zeros(rng.normal(size=(2, n))), with_zeros(rng.normal(size=(2, n)))
+    for v in (*vs, stack[1]):
+        assert _to_coords(v, d).tobytes() == (T.conj().T @ v).real.tobytes()
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig6-point", "random"])
@@ -575,7 +617,7 @@ def test_plan_arrays_are_read_only():
     plans = [_decay_plan(c.shape, (c != 0).tobytes()),
              _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes()),
              _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
-             (_drazin_start(m.dim),)]
+             (_drazin_start(m.dim),), _hermitian_rows(m.dim)]
     for plan in plans:
         for a in plan:
             assert not a.flags.writeable
@@ -959,7 +1001,7 @@ def test_positivity_helper_proves_nothing_for_non_finite_entries(i, j, bad, rng)
 def loop_propagate(L, v0, t):
     """The per-step loop _propagate_expm replaced: the propagator looked up
     at every step and the state reallocated (oracle, bit for bit)."""
-    T = _hermitian_basis(L.dim)
+    T = sparse_hermitian_basis(L.dim)
     x = (T.conj().T @ v0).real
     out = np.empty((t.size, x.size))
     out[0] = x
@@ -1034,6 +1076,21 @@ def test_evolve_rejects_non_finite_input():
     with pytest.raises(ValueError, match="the Liouvillian has a non-finite entry"):
         evolve(broken, good, np.array([0.0, 1e-4]))
     assert np.isfinite(build_liouvillian(m).superop.data).all()
+
+
+@pytest.mark.parametrize("value, entries", [(np.nan, [(0, 0)]), (np.inf, [(1, 2), (2, 1)])],
+                         ids=["nan", "inf-pair"])
+def test_evolve_rejects_non_finite_initial_state(value, entries):
+    # A NaN on the diagonal, or an inf pair that keeps rho Hermitian, is bad
+    # input, reported before any check or eigensolve could warn or fail.
+    m, L, rho0, t = figure_run("fig3")
+    bad = rho0.astype(complex)
+    for i, j in entries:
+        bad[i, j] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^initial state has a non-finite entry$"):
+            evolve(L, bad, t)
 
 
 # ----------------------------------------------------------- steady states

@@ -37,8 +37,9 @@ The gated outputs are:
   `--outputs`, a repeated `--outputs` name, and a sweep reducing to
   populations or to an unknown name; of an `evolve` from an unknown
   `--initial` state; of an `evolve` at fig3 over 1e23 ms, whose
-  propagators overflow to non-finite states; and of a sweep axis whose
-  MIN is not a number.
+  propagators overflow to non-finite states; of a sweep axis whose MIN
+  is not a number; and of three `evolve` runs at `--t-max-ms 0` whose
+  `--samples` is 0, -3 or 5 (a zero-length grid has exactly one sample).
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -95,7 +96,13 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
            ("evolve-overflow", ["evolve", "--preset", "fig3", "--t-max-ms", "1e23",
                                 "--samples", "3"]),
            ("sweep-axis-not-a-number", ["sweep", "--preset", "fig2", "--axis", "urr-mhz",
-                                        "abc", "8", "3"]))
+                                        "abc", "8", "3"]),
+           ("evolve-samples-zero", ["evolve", "--preset", "fig3", "--samples", "0",
+                                    "--t-max-ms", "0"]),
+           ("evolve-samples-negative", ["evolve", "--preset", "fig3", "--samples", "-3",
+                                        "--t-max-ms", "0"]),
+           ("evolve-samples-at-time-zero", ["evolve", "--preset", "fig3", "--samples", "5",
+                                            "--t-max-ms", "0"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
