@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="integrate the master equation over a time grid")
     _add_model_args(p)
     p.add_argument("--t-max-ms", type=float, help="evolution time in ms")
-    p.add_argument("--samples", type=int, help="number of grid points (>= 2)")
+    p.add_argument("--samples", type=int, help="number of grid points (>= 2, or 1 at --t-max-ms 0)")
     p.add_argument("--outputs", help=f"comma list: {','.join(MEASURES)}")
     _add_output_args(p)
     p.set_defaults(func=cmd_evolve)

@@ -82,7 +82,7 @@ _GAP_FLOOR = 1e3
 # exact for some A + dA with ||dA||_2 <= d (d + 1) u ||A + dA||_2, u = eps/2
 # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 # Thm 10.5), and ||A + dA||_2 <= tr(A + dA), about 1 for a unit-trace
-# state: below 5e-14 at d = 20.  Success on (rho + rho^dag)/2 - (b + margin) I,
+# state: below 5e-14 at d = 20.  Success on rho - (b + margin) I, rho Hermitian,
 # with margin the larger of _CHOLESKY_MARGIN and 4 d (d + 1) eps, therefore
 # proves a smallest eigenvalue of at least b (-1e-6 in evolve, -1e-9 for a
 # steady state), with room for complex arithmetic and for eigvalsh's own
@@ -389,33 +389,29 @@ def _require_density(rho: np.ndarray, dim: int) -> np.ndarray:
 
 def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
     """Raise ConvergenceError at the earliest unphysical state of a stack,
-    naming its first failed check: finiteness, trace, Hermiticity, positivity.
+    naming its first failed check: finiteness, trace, positivity.
 
-    The rule is finite entries, |tr(rho) - 1| <= 1e-6, max|rho - rho^dag|
-    <= 1e-8 and a smallest eigenvalue of (rho + rho^dag)/2 of at least
-    -1e-6.  When the middle two hold on every state, one batched Cholesky
-    factorisation of (rho + rho^dag)/2, shifted by just under 1e-6, decides
-    the last: success proves it, and any failure (or non-finite entry)
-    leaves the decision, and the message, to the eigenvalues of the finite
-    states.
+    The states are Hermitian by construction, T x of real coordinates.  The
+    rule is finite entries, |tr(rho) - 1| <= 1e-6 and a smallest eigenvalue
+    of at least -1e-6.  When the trace holds on every state, one batched
+    Cholesky factorisation of a copy of the stack, shifted by just under
+    1e-6, decides the last: success proves it, and any failure (or
+    non-finite entry) leaves the decision, and the message, to the
+    eigenvalues of the finite states.
     """
     tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
-    defect = hermiticity_defect(states)
     # max() is nan, and the comparison False, if any entry is not finite.
-    if tr_err.max() <= 1e-6 and defect.max() <= 1e-8 and \
-            _positive_by_cholesky((states + dagger(states)) / 2, -1e-6):
+    if tr_err.max() <= 1e-6 and _positive_by_cholesky(states.copy(), -1e-6):
         return
     finite = np.isfinite(states).all(axis=(-2, -1))
     min_eig = np.zeros(len(states))
-    herm = states[finite]
-    min_eig[finite] = np.linalg.eigvalsh((herm + dagger(herm)) / 2)[:, 0]
-    failed = np.argwhere(np.column_stack([~finite, tr_err > 1e-6, defect > 1e-8,
-                                          min_eig < -1e-6]))
+    min_eig[finite] = np.linalg.eigvalsh(states[finite])[:, 0]
+    failed = np.argwhere(np.column_stack([~finite, tr_err > 1e-6, min_eig < -1e-6]))
     if failed.size == 0:
         return
     k, check = failed[0]
     msg = ("non-finite state", f"trace drifted by {tr_err[k]:.2e}",
-           f"Hermiticity defect {defect[k]:.2e}", f"negative eigenvalue {min_eig[k]:.2e}")[check]
+           f"negative eigenvalue {min_eig[k]:.2e}")[check]
     raise ConvergenceError(f"{msg} at t = {t[k]:.6g} s")
 
 
@@ -424,9 +420,10 @@ def _positive_by_cholesky(herm: np.ndarray, bound: float) -> bool:
     its smallest eigenvalue at or above bound (negative), proven by a
     Cholesky factorisation of herm shifted by -bound minus a margin for its
     rounding (_CHOLESKY_MARGIN); False if any factorisation fails or has a
-    non-finite pivot, which proves nothing.  The shift may overwrite
-    herm's diagonal.  An entry that is not finite stops the factorisation,
-    or as +inf on the diagonal leaves an infinite pivot."""
+    non-finite pivot, which proves nothing.  Callers pass a copy, Hermitian
+    by construction: only its lower triangle is read, and the shift may
+    overwrite its diagonal.  An entry that is not finite stops the
+    factorisation, or as +inf on the diagonal leaves an infinite pivot."""
     herm = np.ascontiguousarray(herm)
     d = herm.shape[-1]
     # The diagonal is every (d + 1)-th entry of each contiguous matrix.
@@ -451,10 +448,10 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     Exact matrix-exponential propagators are applied per grid step (one
     expm per distinct step size; local error at rounding level).  They
     act on the real coordinates of rho in the Hermitian basis (L.real),
-    so every state is exactly Hermitian; the stack is converted back to
-    matrices once at the end.  Trace, Hermiticity and positivity are
-    verified at every grid point (ConvergenceError names the earliest
-    violation).  Positivity is certified by one batched Cholesky
+    so every state is exactly Hermitian by construction; the stack is
+    converted back to matrices once at the end.  Finiteness, trace and
+    positivity are checked at every grid point (ConvergenceError names the
+    earliest violation).  Positivity is certified by one batched Cholesky
     factorisation of the stack shifted by just under 1e-6; only when a
     check fails are the eigenvalues computed, to decide and name it.
 
@@ -544,18 +541,19 @@ def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool
     "evolve"
         Propagation of I/dim by repeated squaring of expm(L/gamma_scale),
         with the horizon doubled until exp(-gap * horizon) < eps, gap from
-        liouvillian_gap.  It propagates the complex generator: the final
-        Hermitian projection then removes the anti-Hermitian half of the
-        rounding error, which the real form would leave in the state.  Its
-        state bottoms out at ||L vec(rho)||_2 of about 1e-9 to 5e-9, so
-        where the slowest relaxation rate is below about 0.1 1/s
-        (||L^D||_2 above about 10 s) its error bound exceeds 1e-8 and
-        ConvergenceError is raised, while "nullspace" passes.
+        liouvillian_gap.  It propagates the complex generator, so it ends
+        with the projection (rho + rho^dag)/2.  Its state bottoms out at
+        ||L vec(rho)||_2 of about 1e-9 to 5e-9, so where the slowest
+        relaxation rate is below about 0.1 1/s (||L^D||_2 above about
+        10 s) its error bound exceeds 1e-8 and ConvergenceError is raised,
+        while "nullspace" passes.
 
-    rho is returned Hermitian with trace exactly 1.  ConvergenceError is
-    raised when the relative residual ||L vec(rho)|| / (||L||_1 ||vec(rho)||)
-    exceeds 1e-8, when the error bound ||L^D||_2 ||L vec(rho)||_2 exceeds
-    1e-8, or when an eigenvalue of rho is below -1e-9.  With
+    rho is returned C-ordered, Hermitian by construction and with trace
+    exactly 1; it is checked for residual, error bound and positivity, and
+    the generator for finiteness.  ConvergenceError is raised when
+    the relative residual ||L vec(rho)|| / (||L||_1 ||vec(rho)||) exceeds
+    1e-8, when the error bound ||L^D||_2 ||L vec(rho)||_2 exceeds 1e-8, or
+    when an eigenvalue of rho is below -1e-9.  With
     return_info=True a dict is returned too: the backend name ("method"),
     "drazin_norm" (the bound on ||L^D||_2, in s), "residual" and
     "error_bound", and for "evolve" also "gap" (1/s), "doublings" and
@@ -690,10 +688,10 @@ def residual(L: Liouvillian, rho: np.ndarray) -> tuple[float, float]:
 
 
 def _finalize(L: Liouvillian, v: np.ndarray, info: dict):
-    """Hermitian unit-trace rho from v, certified by info["drazin_norm"]."""
-    rho = unvec(v, L.dim)
-    rho = (rho + dagger(rho)) / 2.0
-    rho = rho / np.trace(rho).real
+    """C-ordered unit-trace rho from the vec v of a Hermitian matrix,
+    certified by info["drazin_norm"]."""
+    rho = unvec(v, L.dim).copy()
+    rho /= np.trace(rho).real
     defect, res = residual(L, rho)
     bound = info["drazin_norm"] * defect
     info["residual"] = res
@@ -739,6 +737,8 @@ def _steady_evolve(L: Liouvillian):
             prop = prop @ prop
         v = prop @ v
         v = v / np.trace(unvec(v, d)).real  # guard against rounding drift
+    rho = unvec(v, d)  # the complex propagation leaves anti-Hermitian rounding
+    v = vec((rho + dagger(rho)) / 2.0)
     info = {"method": "evolve", "gap": gap, "doublings": doublings,
             "model_time": dt * (2.0**doublings - 1.0)}
     return v, info

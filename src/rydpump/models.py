@@ -45,10 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import BipartiteDims, hermiticity_defect, kron
+from .linalg import BipartiteDims, kron
 
 TWO_PI = 2.0 * math.pi
-_TINY = np.finfo(float).tiny
 
 
 def angular_mhz(value_mhz: float) -> float:
@@ -235,17 +234,6 @@ class SystemModel:
         return [(n, self.named_states[n]) for n in self.variant.record.population_basis]
 
 
-def _check_model(model: SystemModel) -> SystemModel:
-    defect = hermiticity_defect(model.hamiltonian)
-    scale = max(float(np.max(np.abs(model.hamiltonian))), _TINY)
-    if defect > 1e-12 * scale:
-        raise AssertionError(f"assembled Hamiltonian not Hermitian (defect {defect:.2e})")
-    side = model.hamiltonian.shape[0]
-    if any(op.shape != (side, side) for op in model.lindblads):
-        raise AssertionError("jump operator side differs from the Hamiltonian")
-    return model
-
-
 @functools.lru_cache(maxsize=None)
 def _plan(name: str) -> tuple:
     """What build_model needs of a scheme that no parameter value changes,
@@ -301,6 +289,7 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     the target's sign.  Each Rydberg level r decays to each ground level g
     of its atom through sqrt(gamma/n) |g><r|, n the atom's number of ground
     levels; the jump operators come atom by atom, then by r, then by g.
+    H is exactly Hermitian and every jump has its side by construction.
     """
     scheme = variant.record
     atoms, shifts, (shape, flat, owner), (names, kets) = _plan(variant.scheme)
@@ -329,16 +318,14 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     amps = np.array([math.sqrt(params.gamma / len(ground)) for _, _, _, ground, _ in atoms])
     jumps.put(flat, amps.take(owner))
 
-    return _check_model(
-        SystemModel(
-            dims=BipartiteDims(len(eye_a), len(eye_b)),
-            hamiltonian=ham,
-            lindblads=tuple(jumps),
-            basis_labels=scheme.levels,
-            named_states=dict(zip(names, kets.copy())),
-            variant=variant,
-            params=params,
-        )
+    return SystemModel(
+        dims=BipartiteDims(len(eye_a), len(eye_b)),
+        hamiltonian=ham,
+        lindblads=tuple(jumps),
+        basis_labels=scheme.levels,
+        named_states=dict(zip(names, kets.copy())),
+        variant=variant,
+        params=params,
     )
 
 

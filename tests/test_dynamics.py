@@ -39,6 +39,7 @@ from rydpump.dynamics import (
     build_liouvillian,
     evolve,
     liouvillian_gap,
+    residual,
     steady_state,
     unvec,
     vec,
@@ -852,30 +853,25 @@ def test_check_physical_reports_earliest_sample_and_first_check():
     t = np.array([0.0, 1.0, 2.0, 3.0])
     states = np.stack([np.eye(2, dtype=complex) / 2] * 4)
     states[2] = np.diag([1.2, -0.2])          # negative eigenvalue at t = 2
-    states[3, 0, 1] = 1e-3                     # Hermiticity defect at t = 3
+    states[3] = np.diag([1.1, 0.0])           # trace drift at t = 3
     with pytest.raises(ConvergenceError, match=r"negative eigenvalue .* at t = 2 s"):
         _check_physical(states, t)
     states[1] = np.diag([1.1, -0.2])          # trace and eigenvalue fail at t = 1
     with pytest.raises(ConvergenceError, match=r"trace drifted by .* at t = 1 s"):
         _check_physical(states, t)
-    states[1] = np.diag([0.5, 0.5])
-    states[1, 1, 0] = 2.0                      # Hermiticity and eigenvalue fail at t = 1
-    with pytest.raises(ConvergenceError, match=r"Hermiticity defect .* at t = 1 s"):
-        _check_physical(states, t)
 
 
 def eigvalsh_physical_error(states, t):
-    """The eigvalsh-only physicality rule, kept as the oracle of the
-    Cholesky fast path: the message ConvergenceError carries, or None."""
+    """The eigvalsh-only physicality rule on Hermitian states, kept as the
+    oracle of the Cholesky fast path: the message ConvergenceError carries,
+    or None."""
     tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
-    defect = np.max(np.abs(states - dagger(states)), axis=(-2, -1))
-    min_eig = np.linalg.eigvalsh((states + dagger(states)) / 2)[:, 0]
-    failed = np.argwhere(np.column_stack([tr_err > 1e-6, defect > 1e-8, min_eig < -1e-6]))
+    min_eig = np.linalg.eigvalsh(states)[:, 0]
+    failed = np.argwhere(np.column_stack([tr_err > 1e-6, min_eig < -1e-6]))
     if failed.size == 0:
         return None
     k, check = failed[0]
-    msg = (f"trace drifted by {tr_err[k]:.2e}", f"Hermiticity defect {defect[k]:.2e}",
-           f"negative eigenvalue {min_eig[k]:.2e}")[check]
+    msg = (f"trace drifted by {tr_err[k]:.2e}", f"negative eigenvalue {min_eig[k]:.2e}")[check]
     return f"{msg} at t = {t[k]:.6g} s"
 
 
@@ -910,7 +906,7 @@ def test_check_physical_decides_as_eigvalsh_rule(d, rng):
                 assert str(err.value) == want
             # A Cholesky success is a proof: it never passes what the rule
             # fails.  From -1e-6 + 1e-9 up it succeeds, so the fast path decides.
-            if _positive_by_cholesky((states + dagger(states)) / 2, -1e-6):
+            if _positive_by_cholesky(states.copy(), -1e-6):
                 assert want is None
             else:
                 assert lam < -1e-6 + 1e-9
@@ -1042,6 +1038,38 @@ def test_propagate_matches_per_step_loop():
         want = loop_propagate(L, v0, grid)
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+def test_steps_beyond_the_snap_take_their_own_propagators():
+    # At fig3 the snap is 4.5e-16 s.  Steps of 1 ms and 1 ms + 1e-12 s differ
+    # by 2000 snaps but by 1e-9 relative: each takes its own expm.
+    _, L, rho0, _ = figure_run("fig3")
+    a, delta = 1e-3, 1e-12
+    assert _STEP_SNAP_RTOL / L.norm_1 < delta < 1e-3 / L.norm_1
+    with mock.patch.object(dynamics.sla, "expm", wraps=expm) as spy:
+        evolve(L, rho0, np.array([0.0, a, 2 * a + delta]))
+    assert spy.call_count == 2
+
+
+def test_evolve_rejects_initial_state_one_micro_off():
+    # 1e-6 off unit trace, or Hermitian, or PSD is far outside the 1e-10
+    # tolerance of an initial state.
+    m = bell_model()
+    L = build_liouvillian(m)
+    t = np.array([0.0, 1e-4])
+    good = m.initial_density("mix4")
+    bad = good.copy()
+    bad[0, 0] += 1e-6
+    with pytest.raises(ValueError, match="unit trace"):
+        evolve(L, bad, t)
+    bad = good.copy()
+    bad[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve(L, bad, t)
+    bad = good.copy()
+    bad[8, 8], bad[0, 0] = -1e-6, bad[0, 0] + 1e-6
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        evolve(L, bad, t)
 
 
 def test_evolve_rejects_bad_initial_states():
@@ -1351,6 +1379,39 @@ def test_finalize_rejects_state_off_along_slowest_mode():
     # With ||L^D|| small enough to pass the bound, the negative eigenvalue fails.
     with pytest.raises(ConvergenceError, match="eigenvalue -3.6"):
         _finalize(L, v, {"method": "nullspace", "drazin_norm": 1e-12})
+
+
+def steady_and_mode(name, pick):
+    """Liouvillian, steady state, its info and a unit Hermitian mode of the
+    generator at a preset; pick chooses the mode from the eigenvalues."""
+    pre = figure_preset(name)
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    rho, info = steady_state(L, return_info=True)
+    lam, modes = np.linalg.eig(L.superop.toarray())
+    x = unvec(modes[:, pick(lam)], L.dim)
+    x = (x + x.conj().T) / 2
+    return L, rho, info, x / np.linalg.norm(x)
+
+
+def test_finalize_rejects_error_bound_between_gate_and_percent():
+    # fig2 state plus 1e-5 of the slowest mode: relative residual 1.3e-11,
+    # certificate 1.1e-5, between the 1e-8 gate and 1e-2.
+    L, rho, info, x = steady_and_mode("fig2", lambda lam: np.argsort(-lam.real)[1])
+    v = vec(rho + 1e-5 * x)
+    defect, res = residual(L, unvec(v, L.dim))
+    assert res < 1e-10 and 1e-6 < info["drazin_norm"] * defect < 1e-4
+    with pytest.raises(ConvergenceError, match="error bound"):
+        _finalize(L, v, {"method": "nullspace", "drazin_norm": info["drazin_norm"]})
+
+
+def test_finalize_rejects_residual_between_gate_and_percent():
+    # fig2 state plus 1e-5 of the mode of largest |lambda|: relative
+    # residual 9.8e-6, between the 1e-8 gate and 1e-2.
+    L, rho, info, x = steady_and_mode("fig2", lambda lam: np.argmax(np.abs(lam)))
+    v = vec(rho + 1e-5 * x)
+    assert 1e-6 < residual(L, unvec(v, L.dim))[1] < 1e-4
+    with pytest.raises(ConvergenceError, match="steady-state residual"):
+        _finalize(L, v, {"method": "nullspace", "drazin_norm": info["drazin_norm"]})
 
 
 DEGENERATE = {
