@@ -129,9 +129,8 @@ class Liouvillian:
 
     @functools.cached_property
     def gamma_scale(self) -> float:
-        """Largest eigenvalue of the Hermitian part of decay."""
-        d = self.decay
-        return float(np.linalg.eigvalsh((d + dagger(d)) / 2)[-1])
+        """Largest eigenvalue of decay, which is Hermitian as built."""
+        return float(np.linalg.eigvalsh(self.decay)[-1])
 
     @functools.cached_property
     def norm_1(self) -> float:
@@ -141,7 +140,7 @@ class Liouvillian:
 
     @property
     def real(self) -> np.ndarray:
-        """A new dense real form T^dag L T, T from _hermitian_rows,
+        """A new dense float64 real form T^dag L T, T from _hermitian_rows,
         Fortran-ordered; each read assembles it afresh.
 
         Each stored entry L[r, c] adds Re(conj(T[r, k]) L[r, c] T[c, l]) to
@@ -157,7 +156,9 @@ class Liouvillian:
         keys, coef_r, coef_c = _real_plan(self.dim, s.indices.dtype.char, s.indptr.tobytes(),
                                           s.indices.tobytes())
         terms = ((coef_r * s.data)[:, None] * coef_c).real
-        return np.bincount(keys, terms.ravel(), minlength=n * n).reshape(n, n, order="F")
+        # bincount of no entries gives integers; the form is float64 for every L.
+        return np.bincount(keys, terms.ravel(), minlength=n * n).astype(float, copy=False) \
+            .reshape(n, n, order="F")
 
 
 @functools.lru_cache(maxsize=None)
@@ -497,21 +498,28 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
     itself (a NaN step or snap), so the loop ends.  Every step's
     propagator is chosen first, then the states are stepped in place,
     each from the row before it.
+
+    While expm runs, the call holds no array of its own of n^2 or nt * n
+    entries (n = dim^2) beyond the propagators already made: each expm gets
+    a freshly scaled real form, and the stack is allocated after the last
+    propagator.  expm's own workspace of about 5 n^2 entries then sets the
+    call's peak.  Holding both across expm at fig5-inset raised that peak
+    by 2.6 MB, and glibc then gave about 11 MB back to the OS after each
+    call and faulted it in again on the next.
     """
-    out = np.empty((t.size, L.dim**2))
-    out[0] = _to_coords(v0, L.dim)
     snap = _STEP_SNAP_RTOL / max(L.norm_1, 1.0)
     dts = np.diff(t)
     which = np.full(dts.size, -1)  # index into props of each step's propagator
     props = []
-    real = L.real
     # _check_physical names a state that overflowed; expm need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         while (free := np.flatnonzero(which < 0)).size:
             ref = dts[free[0]]
             which[free[np.abs(dts[free] - ref) <= snap]] = len(props)
             which[free[0]] = len(props)
-            props.append(sla.expm(real * ref))
+            props.append(sla.expm(L.real * ref))
+        out = np.empty((t.size, L.dim**2))
+        out[0] = _to_coords(v0, L.dim)
         for k, i in enumerate(which.tolist(), start=1):
             np.matmul(props[i], out[k - 1], out=out[k])
         # One change of basis for the stack, each state contiguous for the measures.

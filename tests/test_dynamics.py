@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -231,12 +232,26 @@ def bell_model(**caption):
 # ------------------------------------------------------------ liouvillian
 
 def test_liouvillian_zero_model():
+    # A generator with no stored entries: its real form is still a float64,
+    # Fortran-ordered zero matrix, the steady state is not unique and every
+    # state of a time series is the initial one.
     m = bell_model(rabi_optical=0.0, rabi_microwave_1=0.0, detuning=0.0,
                    rydberg_U=0.0, gamma=0.0)
     L = build_liouvillian(m)
     assert L.superop.nnz == 0
     assert L.norm_1 == 0.0
     assert L.gamma_scale == 0.0
+    real = L.real
+    assert real.dtype == np.float64 and real.flags.f_contiguous and real.flags.writeable
+    assert real.shape == (81, 81) and not real.any()
+    with pytest.raises(NonUniqueSteadyStateError, match="exactly zero pivot"):
+        steady_state(L)
+    with pytest.raises(NonUniqueSteadyStateError, match="no dissipative channels"):
+        steady_state(L, method="evolve")
+    rho0 = m.initial_density("singlet")
+    states = evolve(L, rho0, np.linspace(0.0, 5e-3, 6)).states
+    assert (states == states[0]).all()
+    assert np.max(np.abs(states[0] - rho0)) <= 1e-15
 
 
 def test_liouvillian_without_jumps():
@@ -1049,6 +1064,33 @@ def test_steps_beyond_the_snap_take_their_own_propagators():
     with mock.patch.object(dynamics.sla, "expm", wraps=expm) as spy:
         evolve(L, rho0, np.array([0.0, a, 2 * a + delta]))
     assert spy.call_count == 2
+
+
+def traced_peak(f) -> int:
+    """The largest total of traced allocations live at once during f()."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid", ["one step", "two steps"])
+def test_evolve_holds_nothing_across_expm(grid):
+    # At fig5-inset (n = 400) expm's own workspace sets evolve's traced peak:
+    # neither the real form nor the 401 x n coordinate stack is live while an
+    # expm runs.  With a second step size, the first propagator (8 n^2 bytes)
+    # is held across the second expm, and nothing more.
+    _, L, rho0, t = figure_run("fig5-inset")
+    n = L.dim**2
+    held = 0
+    if grid == "two steps":
+        t = np.concatenate([t[:201], t[200] + 2 * (t[201:] - t[200])])
+        held = 8 * n * n
+    evolve(L, rho0, t)  # the cached plans and properties, once
+    alone = max(traced_peak(lambda: expm(L.real * dt)) for dt in np.unique(np.diff(t)[[0, -1]]))
+    assert traced_peak(lambda: evolve(L, rho0, t)) <= alone + held + 0.1e6
 
 
 def test_evolve_rejects_initial_state_one_micro_off():

@@ -606,8 +606,9 @@ PHASE = st.floats(-math.pi, math.pi)
 @example(variant=QUTRIT_P, rabi_mhz=0.055, rel1=0.0075, rel2=0.005, phases=(-0.3, 2.9, 1.7),
          urr_mhz=4.0, gamma_khz=1.0)
 def test_hermitian_by_construction(variant, rabi_mhz, rel1, rel2, phases, urr_mhz, gamma_khz):
-    # Nothing in the package checks Hermiticity at run time: H, the evolve
-    # states and both steady states are exactly Hermitian as built.
+    # Nothing in the package checks Hermiticity at run time: H, the decay
+    # matrix sum c^dag c, the evolve states and both steady states are
+    # exactly Hermitian as built.
     rabi = angular_mhz(rabi_mhz)
     p = ModelParams(rabi_optical=rabi * np.exp(1j * phases[0]),
                     rabi_microwave_1=rel1 * rabi * np.exp(1j * phases[1]),
@@ -619,6 +620,7 @@ def test_hermitian_by_construction(variant, rabi_mhz, rel1, rel2, phases, urr_mh
     assert np.array_equal(h, dagger(h))
     assert all(c.shape == h.shape for c in m.lindblads)
     L = build_liouvillian(m)
+    assert np.array_equal(L.decay, dagger(L.decay))
     states = evolve(L, m.initial_density("mix4" if m.dim == 9 else "mix9"),
                     np.linspace(0.0, 2e-3, 5)).states
     assert np.array_equal(states, dagger(states))
