@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .linalg import dagger, hermiticity_defect
+from .linalg import blocks, dagger, hermiticity_defect
 from .models import SystemModel
 
 
@@ -177,14 +177,31 @@ def _hermitian_rows(d: int):
     return _frozen(col, coef)
 
 
-def _from_coords(x: np.ndarray, d: int) -> np.ndarray:
-    """T x for real coordinates x, (..., d^2), summed over T's columns in order."""
-    col, coef = _hermitian_rows(d)
-    # take(axis=-1) keeps a stack C-ordered; fancy indexing would not.
-    y = coef[0] * x.take(col[0], axis=-1)
-    y += 0.0  # a sparse product's sums start at +0, so no entry ends at -0
-    y += coef[1] * x.take(col[1], axis=-1)
-    return y
+def _from_coords(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write T x, for real coordinates x (..., d^2), into out, a C-contiguous
+    complex array of the same shape, and return out.
+
+    Row r of T is a real coef[0, r] at col[0, r] plus an imaginary
+    coef[1, r] at col[1, r], so Re and Im of (T x)_r are one product each:
+    a gather into the float view of out, a scale and an add of +0 make
+    them with no temporary.  For finite x these are the bytes of the
+    sparse product, which rounds each product once and sums from +0."""
+    at, scale = _interleaved_rows(x.shape[-1])
+    flat = out.view(float)
+    # mode="clip" writes into out directly; "raise" would buffer (at is in range).
+    np.take(x, at, axis=-1, out=flat, mode="clip")
+    flat *= scale
+    flat += 0.0  # no entry ends at -0
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _interleaved_rows(n: int):
+    """For the float view of T x, x of length n = d^2, read-only: entry 2r
+    is scale[2r] x[at[2r]] (coef[0, r] real) and entry 2r + 1 is
+    scale[2r + 1] x[at[2r + 1]] (coef[1, r] imaginary)."""
+    col, coef = _hermitian_rows(math.isqrt(n))
+    return _frozen(col.T.ravel(), np.column_stack([coef[0].real, coef[1].imag]).ravel())
 
 
 def _to_coords(v: np.ndarray, d: int) -> np.ndarray:
@@ -394,26 +411,29 @@ def _check_physical(states: np.ndarray, t: np.ndarray) -> None:
 
     The states are Hermitian by construction, T x of real coordinates.  The
     rule is finite entries, |tr(rho) - 1| <= 1e-6 and a smallest eigenvalue
-    of at least -1e-6.  When the trace holds on every state, one batched
-    Cholesky factorisation of a copy of the stack, shifted by just under
+    of at least -1e-6.  The blocks of the stack (linalg.blocks) are checked
+    in order.  When the trace holds on every state of a block, one batched
+    Cholesky factorisation of a copy of the block, shifted by just under
     1e-6, decides the last: success proves it, and any failure (or
     non-finite entry) leaves the decision, and the message, to the
-    eigenvalues of the finite states.
+    eigenvalues of the block's finite states.  No state's checks depend on
+    its block, so the error names the whole stack's earliest failure.
     """
-    tr_err = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
-    # max() is nan, and the comparison False, if any entry is not finite.
-    if tr_err.max() <= 1e-6 and _positive_by_cholesky(states.copy(), -1e-6):
-        return
-    finite = np.isfinite(states).all(axis=(-2, -1))
-    min_eig = np.zeros(len(states))
-    min_eig[finite] = np.linalg.eigvalsh(states[finite])[:, 0]
-    failed = np.argwhere(np.column_stack([~finite, tr_err > 1e-6, min_eig < -1e-6]))
-    if failed.size == 0:
-        return
-    k, check = failed[0]
-    msg = ("non-finite state", f"trace drifted by {tr_err[k]:.2e}",
-           f"negative eigenvalue {min_eig[k]:.2e}")[check]
-    raise ConvergenceError(f"{msg} at t = {t[k]:.6g} s")
+    for part in blocks(len(states), math.prod(states.shape[1:]) * states.itemsize):
+        block = states[part]
+        tr_err = np.abs(np.trace(block, axis1=-2, axis2=-1) - 1.0)
+        # max() is nan, and the comparison False, if any entry is not finite.
+        if tr_err.max() <= 1e-6 and _positive_by_cholesky(block.copy(), -1e-6):
+            continue
+        finite = np.isfinite(block).all(axis=(-2, -1))
+        min_eig = np.zeros(len(block))
+        min_eig[finite] = np.linalg.eigvalsh(block[finite])[:, 0]
+        failed = np.argwhere(np.column_stack([~finite, tr_err > 1e-6, min_eig < -1e-6]))
+        if failed.size:
+            k, check = failed[0]
+            msg = ("non-finite state", f"trace drifted by {tr_err[k]:.2e}",
+                   f"negative eigenvalue {min_eig[k]:.2e}")[check]
+            raise ConvergenceError(f"{msg} at t = {t[part][k]:.6g} s")
 
 
 def _positive_by_cholesky(herm: np.ndarray, bound: float) -> bool:
@@ -449,12 +469,15 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> Trajectory:
     Exact matrix-exponential propagators are applied per grid step (one
     expm per distinct step size; local error at rounding level).  They
     act on the real coordinates of rho in the Hermitian basis (L.real),
-    so every state is exactly Hermitian by construction; the stack is
-    converted back to matrices once at the end.  Finiteness, trace and
-    positivity are checked at every grid point (ConvergenceError names the
-    earliest violation).  Positivity is certified by one batched Cholesky
-    factorisation of the stack shifted by just under 1e-6; only when a
-    check fails are the eigenvalues computed, to decide and name it.
+    so every state is exactly Hermitian by construction.  The coordinates
+    are stepped and converted to matrices one block of samples at a time
+    (linalg.blocks, 120 KiB of states), straight into the returned stack.
+    Finiteness, trace and positivity are checked at every grid point
+    (ConvergenceError names the earliest violation).  Positivity is
+    certified by one batched Cholesky factorisation per block, shifted by
+    just under 1e-6; only when a check fails are the eigenvalues computed,
+    to decide and name it.  Past expm the call holds the stack plus one
+    block, so a long run peaks at about its own stack.
 
     Parameters
     ----------
@@ -496,8 +519,7 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
     reference step it snaps to, and a step that snaps to none becomes a
     reference, which takes its own propagator even if it does not snap to
     itself (a NaN step or snap), so the loop ends.  Every step's
-    propagator is chosen first, then the states are stepped in place,
-    each from the row before it.
+    propagator is chosen first.
 
     While expm runs, the call holds no array of its own of n^2 or nt * n
     entries (n = dim^2) beyond the propagators already made: each expm gets
@@ -506,6 +528,12 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
     call's peak.  Holding both across expm at fig5-inset raised that peak
     by 2.6 MB, and glibc then gave about 11 MB back to the OS after each
     call and faulted it in again on the next.
+
+    The returned complex stack of vecs is then the only array of nt rows.
+    The steps go in blocks of its rows (linalg.blocks): a block's
+    coordinates are stepped in place in one buffer, each row from the one
+    before it, and _from_coords writes them into the block's rows of the
+    stack.  A state's arithmetic does not depend on its block.
     """
     snap = _STEP_SNAP_RTOL / max(L.norm_1, 1.0)
     dts = np.diff(t)
@@ -518,12 +546,20 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
             which[free[np.abs(dts[free] - ref) <= snap]] = len(props)
             which[free[0]] = len(props)
             props.append(sla.expm(L.real * ref))
-        out = np.empty((t.size, L.dim**2))
-        out[0] = _to_coords(v0, L.dim)
-        for k, i in enumerate(which.tolist(), start=1):
-            np.matmul(props[i], out[k - 1], out=out[k])
-        # One change of basis for the stack, each state contiguous for the measures.
-        return _from_coords(out, L.dim)
+        vecs = np.empty((t.size, L.dim**2), dtype=complex)
+        parts = blocks(t.size - 1, vecs[0].nbytes)  # the steps, into samples 1, 2, ...
+        # Row 0 holds the sample before the block, rows 1, 2, ... its samples.
+        x = np.empty((parts[0].stop + 1 if parts else 1, L.dim**2))
+        x[0] = _to_coords(v0, L.dim)
+        _from_coords(x[:1], vecs[:1])
+        steps = which.tolist()
+        for part in parts:
+            m = part.stop - part.start
+            for k, i in enumerate(steps[part], start=1):
+                np.matmul(props[i], x[k - 1], out=x[k])
+            _from_coords(x[1:m + 1], vecs[part.start + 1:part.stop + 1])
+            x[0] = x[m]
+        return vecs
 
 
 def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool = False):
@@ -578,7 +614,7 @@ def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool
     if method == "nullspace":
         e0 = np.zeros(L.dim**2)
         e0[0] = 1.0
-        v = _from_coords(_getrs(*lu, e0, overwrite_b=True)[0], L.dim)
+        v = _from_coords(_getrs(*lu, e0, overwrite_b=True)[0], np.empty(e0.size, dtype=complex))
         info = {"method": "nullspace"}
     else:
         v, info = _steady_evolve(L)

@@ -7,6 +7,7 @@ only Liouvillian superoperators (see :mod:`rydpump.dynamics`) are sparse.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -14,6 +15,15 @@ import numpy as np
 # hermitian_eigvals accepts a matrix whose Hermiticity defect is at most
 # _HERMITIAN_RTOL times its largest entry.
 _HERMITIAN_RTOL = 1e-10
+
+# Work over a stack of matrices goes in blocks of this many bytes of
+# matrices (at least one matrix), so that no temporary grows with the stack.
+# A block's temporaries stay below glibc's initial mmap threshold, 128 KiB
+# with malloc's header, so they come from memory the allocator keeps
+# between calls.  Blocks twice as large fault pages in again on every
+# repeated Bell evolve; blocks half as large add per-block calls that show
+# in the qutrit evolve's check.
+_BLOCK_BYTES = 120 << 10
 
 
 class BipartiteDims(NamedTuple):
@@ -55,14 +65,21 @@ def partial_transpose(rho: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     (j, i) of the input.  Involutive, trace- and Hermiticity-preserving.
     """
     rho = np.asarray(rho)
+    da, db = check_bipartite(rho.shape, dims)
+    return rho.reshape(rho.shape[:-2] + (da, db, da, db)).swapaxes(-4, -2).reshape(rho.shape)
+
+
+def check_bipartite(shape: tuple, dims: BipartiteDims) -> tuple[int, int]:
+    """(dimA, dimB) of dims; ValueError unless an operator, or a stack of
+    operators, of this shape acts on their product space."""
     da, db = int(dims[0]), int(dims[1])
     side = da * db
-    if rho.shape[-2:] != (side, side):
+    if shape[-2:] != (side, side):
         raise ValueError(
             f"partial_transpose: expected a {side}x{side} matrix for dims "
-            f"{da}x{db}, got shape {rho.shape}"
+            f"{da}x{db}, got shape {shape}"
         )
-    return rho.reshape(rho.shape[:-2] + (da, db, da, db)).swapaxes(-4, -2).reshape(rho.shape)
+    return da, db
 
 
 def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
@@ -86,3 +103,35 @@ def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
             f"exceeds {_HERMITIAN_RTOL:.1e} * max|M| = {_HERMITIAN_RTOL * scale.flat[k]:.3e}"
         )
     return np.linalg.eigvalsh(m)
+
+
+def blocks(count: int, item_bytes: int) -> list:
+    """Slices that cover range(count) in order, each of at most
+    _BLOCK_BYTES // item_bytes items, and of at least one."""
+    size = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def over_blocks(f, stack: np.ndarray):
+    """f(stack) for a function f that maps a stack (k, n, n) of matrices to
+    one result per matrix, (k, ...), evaluated block by block (blocks) over
+    the flattened leading axes of stack (..., n, n).
+
+    A single matrix, and a stack that fits in one block, go to f as they
+    are.  Otherwise the results are written into one array, so the call
+    holds the result and one block's temporaries of f.  Each matrix's
+    result does not depend on the block it is in, and the blocks run in
+    order: f raises for the earliest matrix that it rejects, as on the
+    whole stack."""
+    stack = np.asarray(stack)
+    count = math.prod(stack.shape[:-2])  # 1 for a single matrix
+    if count <= 1 or stack.nbytes <= _BLOCK_BYTES:
+        return f(stack)
+    parts = blocks(count, stack.nbytes // count)
+    flat = stack.reshape((-1,) + stack.shape[-2:])
+    first = f(flat[parts[0]])
+    out = np.empty((count,) + first.shape[1:], dtype=first.dtype)
+    out[parts[0]] = first
+    for part in parts[1:]:
+        out[part] = f(flat[part])
+    return out.reshape(stack.shape[:-2] + first.shape[1:])

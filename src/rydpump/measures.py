@@ -1,4 +1,14 @@
-"""Figures of merit: fidelity, CHSH correlation, negativity, populations."""
+"""Figures of merit: fidelity, CHSH correlation, negativity, populations.
+
+Each measure takes one state (d, d) or a stack (..., d, d).  CHSH,
+negativity and populations evaluate a stack over blocks of its leading
+axes (linalg.over_blocks; linalg._BLOCK_BYTES, 120 KiB, of states per
+block), so a call holds its result and one block's temporaries: the
+stack plus one block, never a temporary the size of the stack.  A
+state's value does not depend on the block it is in, and a stack that
+fits in one block, such as the single state of a sweep point, is
+evaluated as it is.  Fidelity's temporary is 1/d of the stack.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +17,8 @@ import math
 
 import numpy as np
 
-from .linalg import BipartiteDims, hermitian_eigvals, kron, partial_transpose
+from .linalg import (BipartiteDims, check_bipartite, hermitian_eigvals, kron, over_blocks,
+                     partial_transpose)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,7 +91,8 @@ def chsh_correlation(rho: np.ndarray, triplet_frame: bool = False):
     rho = np.asarray(rho)
     if rho.shape[-2:] != (9, 9):
         raise ValueError(f"CHSH correlation needs a 9x9 Bell-scheme state, got shape {rho.shape}")
-    val = np.trace(chsh_operator(triplet_frame) @ rho, axis1=-2, axis2=-1)
+    op = chsh_operator(triplet_frame)
+    val = over_blocks(lambda r: np.trace(op @ r, axis1=-2, axis2=-1), rho)
     return _value(val, rho, "Tr(O rho)")
 
 
@@ -92,6 +104,13 @@ def negativity(rho: np.ndarray, dims: BipartiteDims):
     transpose spectrum is evaluated alongside as a permanent self-check;
     disagreement beyond 1e-10 raises RuntimeError.
     """
+    rho = np.asarray(rho)
+    check_bipartite(rho.shape, dims)  # names the whole stack's shape, not a block's
+    from_norm = over_blocks(lambda r: _negativity(r, dims), rho)
+    return float(from_norm) if from_norm.ndim == 0 else from_norm
+
+
+def _negativity(rho: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     lam = hermitian_eigvals(partial_transpose(rho, dims))
     from_norm = (np.sum(np.abs(lam), axis=-1) - 1.0) / 2.0
     from_negatives = np.sum((np.abs(lam) - lam) / 2.0, axis=-1)
@@ -102,7 +121,7 @@ def negativity(rho: np.ndarray, dims: BipartiteDims):
             f"negativity definitions disagree: trace-norm form {float(from_norm.flat[k])!r} vs "
             f"negative-eigenvalue form {float(from_negatives.flat[k])!r} (is trace(rho) = 1?)"
         )
-    return float(from_norm) if lam.ndim == 1 else from_norm
+    return from_norm
 
 
 def populations(rho: np.ndarray, basis) -> np.ndarray:
@@ -118,4 +137,4 @@ def populations(rho: np.ndarray, basis) -> np.ndarray:
             )
     kets = np.array(kets).reshape(len(kets), rho.shape[-1])
     # matvec and vecdot repeat np.vdot(b, rho @ b) per state and ket, to the bit.
-    return np.vecdot(kets, np.matvec(rho[..., None, :, :], kets)).real
+    return over_blocks(lambda r: np.vecdot(kets, np.matvec(r[..., None, :, :], kets)).real, rho)

@@ -46,7 +46,7 @@ from rydpump.dynamics import (
     vec,
 )
 import rydpump
-from rydpump import dynamics
+from rydpump import dynamics, linalg
 from rydpump.cli import main
 from rydpump.linalg import BipartiteDims, dagger
 from rydpump.measures import fidelity
@@ -348,7 +348,7 @@ def test_hermitian_basis_is_unitary_onto_hermitian_matrices(d, rng):
     assert np.max(np.count_nonzero(want, axis=1)) <= 2
     assert np.max(np.abs(T.conj().T @ T - np.eye(d * d))) <= 1e-15
     x = rng.normal(size=(5, d * d))
-    rho = unvec(_from_coords(x, d), d)
+    rho = unvec(_from_coords(x, np.empty(x.shape, dtype=complex)), d)
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
     # The diagonal is the first d coordinates, so the trace is their sum.
     assert np.array_equal(np.diagonal(rho, axis1=-2, axis2=-1), x[:, :d] + 0j)
@@ -369,9 +369,9 @@ def test_coordinate_maps_match_sparse_products(d, rng):
 
     x = with_zeros(rng.normal(size=(7, n)))
     assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
-    got = _from_coords(x[0], d)
+    got = _from_coords(x[0], np.empty(n, dtype=complex))
     assert got.tobytes() == (T @ x[0]).tobytes()
-    stack = _from_coords(x, d)
+    stack = _from_coords(x, np.empty((7, n), dtype=complex))
     assert stack.flags.c_contiguous
     assert stack.tobytes() == (T @ x.T).T.tobytes()
     vs = np.empty((2, n), dtype=complex)
@@ -952,6 +952,54 @@ def test_check_physical_falls_back_for_trace_and_non_finite_states(rng):
     states[3, 1, 2] = np.inf                   # the earliest of two non-finite states
     with pytest.raises(ConvergenceError, match=r"^non-finite state at t = 0\.666667 s$"):
         _check_physical(states, t)
+
+
+def test_check_physical_across_blocks_decides_as_eigvalsh_rule(rng):
+    # A stack of 3B + 5 states, B per block, is checked block by block: the
+    # error names the earliest failing sample of the whole stack and its
+    # first failed check, and a block whose Cholesky proof fails while its
+    # eigenvalues pass does not raise, nor stop the later blocks' checks.
+    d = 9
+    B = linalg._BLOCK_BYTES // (d * d * 16)
+    nt = 3 * B + 5
+    t = np.linspace(0.0, 1.0, nt)
+    clean = np.stack([state_with_min_eigenvalue(rng, d, 0.01 / d) for _ in range(nt)])
+
+    def check(states, want):
+        if want is None:
+            _check_physical(states, t)
+        else:
+            with pytest.raises(ConvergenceError) as err:
+                _check_physical(states, t)
+            assert str(err.value) == want
+
+    # The earliest failure lies in a later block, before another failure.
+    states = clean.copy()
+    states[2 * B + 3] = state_with_min_eigenvalue(rng, d, -1e-3)
+    states[3 * B + 1, 0, 0] += 2e-6
+    check(states, eigvalsh_physical_error(states, t))
+    assert "negative eigenvalue" in eigvalsh_physical_error(states, t)
+
+    # A non-finite state in one block, a trace drift in an earlier one, and
+    # the other way round.  The states are Hermitian, as evolve's are: the
+    # proof reads only the lower triangle.
+    states = clean.copy()
+    states[B + 4, 2, 3] = states[B + 4, 3, 2] = np.nan
+    states[3, 0, 0] += 2e-6
+    check(states, eigvalsh_physical_error(states[:B], t[:B]))
+    states[3, 0, 0] -= 2e-6
+    states[2 * B + 2, 0, 0] += 2e-6
+    check(states, f"non-finite state at t = {t[B + 4]:.6g} s")
+
+    # The proof fails on the second block, whose eigenvalues pass.
+    states = clean.copy()
+    states[B + 2] = state_with_min_eigenvalue(rng, d, -1e-6 + 1e-13)
+    assert not _positive_by_cholesky(states[B:2 * B].copy(), -1e-6)
+    assert eigvalsh_physical_error(states, t) is None
+    check(states, None)
+    states[2 * B + 7] = state_with_min_eigenvalue(rng, d, -1e-3)
+    check(states, eigvalsh_physical_error(states, t))
+    assert f"at t = {t[2 * B + 7]:.6g} s" in eigvalsh_physical_error(states, t)
 
 
 def test_evolve_names_a_state_that_overflows():
@@ -1560,3 +1608,14 @@ def test_steady_state_bell_without_microwave_is_unique():
     gap = liouvillian_gap(L)
     assert gap == pytest.approx(2.3e-2, rel=0.01)
     assert gap == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1], rel=1e-3)
+
+
+def test_evolve_peaks_at_its_stack():
+    # A long run holds its state stack and one block: 20001 fig3 samples
+    # (a 25.9 MB stack) once peaked at three stacks, 78.4 MB.
+    _, L, rho0, t = figure_run("fig3")
+    t = np.linspace(0.0, t[-1], 20001)
+    evolve(L, rho0, t[:3])  # the cached plans and properties, once
+    states = []
+    peak = traced_peak(lambda: states.append(evolve(L, rho0, t).states))
+    assert peak <= states[0].nbytes + 1e6

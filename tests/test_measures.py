@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rydpump import linalg
+from rydpump.dynamics import build_liouvillian, evolve
 from rydpump.linalg import BipartiteDims, hermitian_eigvals, kron, partial_transpose
 from rydpump.measures import (
     chsh_correlation,
@@ -14,6 +18,7 @@ from rydpump.measures import (
 from rydpump.grid import measure_columns
 from rydpump.models import (
     SCHEMES, SchemeVariant, build_bell_model, build_model, build_qutrit_model, figure_preset,
+    find_figure,
 )
 
 from conftest import random_density, random_unitary
@@ -251,3 +256,67 @@ def test_stacked_measures_match_per_state_loop(rng, preset, target):
     for measure in checked:
         with pytest.raises(ValueError, match="imaginary part|not Hermitian"):
             measure(bad)
+
+
+# ------------------------------------------------------------------ blocks
+
+def bits(x):
+    """The float64 bit patterns of a measure's value, a float or an array."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("preset, target", [("fig2", "singlet"), ("fig5", "phi")])
+def test_blocked_measures_are_bit_identical(rng, preset, target):
+    # A stack that spans several blocks gives, state by state, the bits of
+    # one evaluation of the whole stack (the block size patched out of
+    # reach), whichever block a state falls in.
+    pre = figure_preset(preset)
+    m = build_model(pre.params, SchemeVariant(pre.variant.scheme, target))
+    d, psi = m.dim, m.state(target)
+    kets = [ket for _, ket in m.population_basis()]
+    B = linalg._BLOCK_BYTES // (d * d * 16)
+    assert B >= 2
+    states = np.array([random_density(rng, d) for _ in range(3 * B + 5)])
+    cases = [lambda r: fidelity(psi, r), lambda r: populations(r, kets),
+             lambda r: negativity(r, m.dims)]
+    if m.variant.scheme == "bell":
+        cases += [lambda r: chsh_correlation(r), lambda r: chsh_correlation(r, triplet_frame=True)]
+    stacks = [states[:count] for count in (1, B - 1, B, B + 1, 3 * B + 5)]
+    stacks.append(states[:2 * B + 2].reshape(2, B + 1, d, d))  # two leading axes
+    stacks.append(states[0])  # one state
+    for measure in cases:
+        for stack in stacks:
+            got = measure(stack)
+            with mock.patch.object(linalg, "_BLOCK_BYTES", 2**62):
+                want = measure(stack)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(bits(got), bits(want))
+            if stack.ndim == 2 and measure is not cases[1]:
+                assert type(got) is float
+
+
+def traced_peak(f) -> int:
+    """The largest total of traced allocations live at once during f()."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("preset, output, samples", [
+    ("fig3", "chsh", 3001), ("fig5-inset", "populations", None),
+])
+def test_measure_columns_peak_near_their_output(preset, output, samples):
+    # A stack's measures hold their result and one block's temporaries,
+    # never a temporary as large as the stack (3.9 MB of fig3 states, 2.6
+    # MB of fig5-inset states).
+    fig, pre = find_figure(preset), figure_preset(preset)
+    m = build_model(pre.params, pre.variant)
+    t = np.linspace(0.0, fig.t_max_ms * 1e-3, samples or fig.samples)
+    states = evolve(build_liouvillian(m), m.initial_density(fig.initial), t).states
+    measure_columns(m, [output], states[:3])  # the cached operators, once
+    values = []
+    peak = traced_peak(lambda: values.append(measure_columns(m, [output], states)[1]))
+    assert peak <= values[0].nbytes + 1e6

@@ -24,6 +24,10 @@ The gated outputs are:
 - `evolve` CSV and JSON at fig3, fig5-inset and fig2-inset, the CHSH
   series of fig3 with target triplet (the triplet frame), and fig3 with
   `--urr-mhz 6`;
+- `evolve` CSV of two long runs whose stacks span many blocks of the
+  blocked propagation, check and measures: fig3 over 3001 samples with
+  populations, fidelity and chsh, and fig5-inset over 1201 samples with
+  populations, fidelity and negativity;
 - the CSV of a `sweep --preset fig6-point` without `--reduce`, which
   reduces to the preset's measure;
 - the CSV of two CHSH sweeps at fig8a whose grids start at a degenerate
@@ -69,6 +73,11 @@ STEADY = ("fig2", "fig6-point", "fig8a", "fig9c")
 OTHER_TARGET = {"fig2": "triplet", "fig8a": "triplet", "fig6-point": "phi-prime",
                 "fig9c": "phi-prime"}
 EVOLVE = ("fig3", "fig5-inset", "fig2-inset")
+# Long evolve runs, CSV only, whose stacks span many blocks.
+LONG_EVOLVE = (("fig3-3001", ["--preset", "fig3", "--samples", "3001", "--outputs",
+                              "populations,fidelity,chsh"]),
+               ("fig5-inset-1201", ["--preset", "fig5-inset", "--samples", "1201", "--outputs",
+                                    "populations,fidelity,negativity"]))
 # Runs that override a preset value by flag: one U_rr leg of a Bell preset,
 # and a qutrit point away from its preset.
 OVERRIDES = (("fig2-urr-6", ["--preset", "fig2", "--urr-mhz", "6"]),
@@ -131,6 +140,8 @@ def jobs(tree: Path) -> list:
         for fmt in ("csv", "json"):
             out.append((f"evolve/{name}.{fmt}",
                         cli + ["evolve", *spec, "--format", fmt, "--no-timestamp"]))
+    out += [(f"evolve/{name}.csv", cli + ["evolve", *spec, "--no-timestamp"])
+            for name, spec in LONG_EVOLVE]
     out.append(("sweep/fig6-point-urr.csv", cli + PRESET_SWEEP + ["--no-timestamp"]))
     out += [(f"sweep/{name}.csv", cli + ["sweep", "--preset", "fig8a", "--axis", *axis,
                                          "--reduce", "chsh", "--no-timestamp"])
