@@ -30,7 +30,6 @@ third of the complex products.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .linalg import blocks, dagger, hermiticity_defect
 from .models import SystemModel
@@ -95,6 +95,8 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _getrf = sla.lapack.dgetrf
 _getrs = sla.lapack.dgetrs
 _potrf = sla.lapack.zpotrf
+# scipy's CSR matrix-vector kernel, which superop @ v reaches after its dispatch.
+_csr_matvec = _sparsetools.csr_matvec
 
 # e-folds after which the slowest mode has decayed below machine epsilon;
 # the "evolve" backend doubles its horizon at most _MAX_DOUBLINGS times.
@@ -145,20 +147,22 @@ class Liouvillian:
 
         Each stored entry L[r, c] adds Re(conj(T[r, k]) L[r, c] T[c, l]) to
         R[k, l] for the at most 2 entries of rows r and c of T.  Every such
-        factor of T is real or imaginary, so each product rounds once per
-        factor whatever the order of the complex arithmetic.
+        factor of T is real or imaginary, so for a finite L that real part
+        is one product of real numbers, (a part) b, with part the real or
+        the imaginary part of L[r, c]: the bytes of the complex product,
+        up to the sign of a zero, which a sum from +0 does not keep.
 
-        The factors of T and the target positions depend only on the
-        superop's indptr and indices, so they come from a plan cached per
-        pattern (_real_plan); a read computes the products of its own
-        entries and sums them with one bincount."""
+        The factors a and b, the part each term reads and the target
+        positions depend only on the superop's indptr and indices, so they
+        come from a plan cached per pattern (_real_plan); a read multiplies
+        its own entries and sums them with one bincount."""
         n, s = self.dim**2, self.superop
-        keys, coef_r, coef_c = _real_plan(self.dim, s.indices.dtype.char, s.indptr.tobytes(),
-                                          s.indices.tobytes())
-        terms = ((coef_r * s.data)[:, None] * coef_c).real
+        keys, at, a, b = _real_plan(self.dim, s.indices.dtype.char, s.indptr.tobytes(),
+                                    s.indices.tobytes())
+        parts = np.ascontiguousarray(s.data, dtype=complex).view(float)
         # bincount of no entries gives integers; the form is float64 for every L.
-        return np.bincount(keys, terms.ravel(), minlength=n * n).astype(float, copy=False) \
-            .reshape(n, n, order="F")
+        return np.bincount(keys, a * parts[at] * b, minlength=n * n) \
+            .astype(float, copy=False).reshape(n, n, order="F")
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,19 +269,25 @@ def _decay_operator(c: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _generator_plan(d: int, left_mask: bytes, right_mask: bytes):
-    """Triplet plan of sum_t scale[t] * kron(left[t], right[t]) for stacks
-    of d x d factors with these nonzero masks.
+def _generator_plan(d: int, heff_mask: bytes, jump_mask: bytes):
+    """Triplet plan of sum_t scale[t] * kron(left[t], right[t]), with
+    left = [I, conj(H_eff), conj(c_1), ...] and right = [H_eff, I, c_1, ...],
+    for an H_eff and a stack of jumps c with these nonzero masks.
 
     Every pair of nonzero entries left[t, ai, aj], right[t, bi, bj] gives a
     triplet at (ai*d + bi, aj*d + bj).  Sorted stably by position, each
     entry's triplets stay in term order.  The plan lists the first triplet
-    of every entry, then the others, and holds for each the flat positions
-    of its two factors and its term scale; for the others, the entry they
-    add to; the row and column of every entry; and the CSR row pointer of
-    the entries, which holds while none cancels exactly."""
-    left = np.frombuffer(left_mask, dtype=bool).reshape(-1, d, d)
-    right = np.frombuffer(right_mask, dtype=bool).reshape(-1, d, d)
+    of every entry, then the others, and holds for each the positions of
+    its two factors in build_liouvillian's flat factor values and its term
+    scale; for the others, the entry they add to; the row and column of
+    every entry; and the CSR row pointer of the entries, which holds while
+    none cancels exactly."""
+    n = d * d
+    heff = np.frombuffer(heff_mask, dtype=bool).reshape(d, d)
+    jumps = np.frombuffer(jump_mask, dtype=bool).reshape(-1, d, d)
+    eye = np.eye(d, dtype=bool)
+    left = np.concatenate([[eye, heff], jumps])
+    right = np.concatenate([[heff, eye], jumps])
     ta, ai, aj = np.nonzero(left)
     tb, bi, bj = np.nonzero(right)
     e, f = _pairs(ta, tb)
@@ -289,8 +299,13 @@ def _generator_plan(d: int, left_mask: bytes, right_mask: bytes):
     # The first triplet of every entry, then the rest, each in sorted order.
     take = np.concatenate([order[new], order[~new]])
     scale = np.array([-1j, 1j] + [1.0] * (len(left) - 2))
+    # Flat positions in the stacks, then in the factor values: 1, H_eff,
+    # the jumps (m entries), conj(H_eff), the conjugate jumps.
     flat_l = (ta * d + ai) * d + aj
     flat_r = (tb * d + bi) * d + bj
+    m = jumps.size
+    flat_l = np.where(ta == 0, 0, 1 + m + flat_l)
+    flat_r = np.where(tb == 1, 0, np.where(tb == 0, 1 + flat_r, 1 + flat_r - n))
     slot = np.cumsum(new)[~new] - 1
     entry = pos[new]
     # scipy's index dtype for a CSR matrix of this size.
@@ -320,36 +335,42 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     per-call cost.
 
     Which entries pair, where each triplet lands and the order of the sums
-    depend only on dim and the nonzero masks of the factors, so they are
-    planned once per pattern (_generator_plan).  A call gathers its own
-    values, multiplies them, sums each entry's triplets and drops the
-    entries that cancel exactly; every value is recomputed from H and the
-    jumps at every call.  While no entry cancels, the result takes copies
-    of the plan's column indices and row pointer.  The CSR matrix is a
-    shallow copy of an empty one (_empty_csr) given these arrays, so scipy
-    does not check them again.  gamma_scale is left to its first read,
-    from decay = sum_k c_k^dag c_k.
+    depend only on dim and the nonzero masks of H_eff and the jumps, so
+    they are planned once per pattern (_generator_plan).  A call writes
+    the factor values once, flat (the identity's 1, H_eff, the jumps and
+    their conjugates), gathers each triplet's two factors from them,
+    multiplies, sums each entry's triplets and drops the entries that
+    cancel exactly; every value is recomputed from H and the jumps at
+    every call.  While no entry cancels, the result takes copies of the
+    plan's column indices and row pointer.  The CSR matrix is a shallow
+    copy of an empty one (_empty_csr) given these arrays, so scipy does
+    not check them again.  gamma_scale is left to its first read, from
+    decay = sum_k c_k^dag c_k.
     """
     d = model.dim
     n = d * d
     c = np.asarray(model.lindblads, dtype=complex).reshape(-1, d, d)
     decay = _decay_operator(c)
-    heff = np.asarray(model.hamiltonian, dtype=complex) - 0.5j * decay
-    eye = np.eye(d, dtype=complex)
-    # Term t is scale[t] * kron(left[t], right[t]).
-    left = np.concatenate([[eye, heff.conj()], c.conj()])
-    right = np.concatenate([[heff, eye], c])
+    m = c.size
+    factors = np.empty(1 + 2 * (n + m), dtype=complex)
+    factors[0] = 1.0
+    heff = factors[1:n + 1].reshape(d, d)
+    np.subtract(model.hamiltonian, 0.5j * decay, out=heff)
+    factors[n + 1:n + m + 1] = c.reshape(-1)
+    np.conjugate(factors[1:n + m + 1], out=factors[n + m + 1:])
     li, ri, scale, slot, row, col, indptr = _generator_plan(
-        d, (left != 0).tobytes(), (right != 0).tobytes())
-    vals = left.ravel()[li] * right.ravel()[ri] * scale
+        d, (heff != 0).tobytes(), (c != 0).tobytes())
+    vals = factors[li] * factors[ri] * scale
     data = vals[: row.size]
     np.add.at(data, slot, vals[row.size:])  # an entry's triplets add in order
-    keep = data != 0
-    if keep.all():
+    if data.all():
         col, indptr = col.copy(), indptr.copy()
     else:
+        keep = data != 0
         data, col, indptr = data[keep], col[keep], _row_pointer(row[keep], n, col.dtype)
-    gen = copy.copy(_empty_csr(n))
+    # copy.copy's shallow copy, without its dispatch.
+    gen = sp.csr_matrix.__new__(sp.csr_matrix)
+    vars(gen).update(vars(_empty_csr(n)))
     gen.data, gen.indices, gen.indptr = data, col, indptr
     return Liouvillian(d, gen, decay)
 
@@ -365,18 +386,32 @@ def _empty_csr(n: int) -> sp.csr_matrix:
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _real_plan(d: int, index: str, indptr: bytes, indices: bytes):
-    """The real form's gathers for a CSR pattern and T's rows: for every
-    product conj(T[r, k]) L[r, c] T[c, l], its bincount key, the Fortran-
-    ordered flat position l n + k of (k, l); and the factors conj(T[r, k])
-    and T[c, l], each (2, nnz), of every stored entry."""
+    """The real form's terms for a CSR pattern and T's rows, in the order
+    (entry of row r of T, entry of row c of T, stored entry): for each, its
+    bincount key, the Fortran-ordered flat position l n + k of (k, l); the
+    position in the float view of the data of the part it reads; and its
+    real factors a and b.
+
+    Entry 0 of a row of T is real, entry 1 imaginary, so Re(conj(T[r, k])
+    (x + iy) T[c, l]) is (a x) b when both entries are 0 or both 1, and
+    (a y) b otherwise, with a = Re T[r, k] (both 0), -Re T[r, k] (0 and 1)
+    or Im T[r, k] (1 and either), and b = Re T[c, l] or Im T[c, l].  Terms
+    with a zero factor (entry 1 of a diagonal row) add only zeros and are
+    left out; every key keeps the order of its other terms."""
     n = d * d
     col, coef = _hermitian_rows(d)
     ptr = np.frombuffer(indptr, dtype=index)
     r = np.repeat(np.arange(n), np.diff(ptr))
     c = np.frombuffer(indices, dtype=index)
-    # take(axis=1) keeps the (2, nnz) results C-contiguous.
-    k, l = col.take(r, axis=1)[:, None], col.take(c, axis=1)
-    return _frozen((l * n + k).ravel(), coef.take(r, axis=1).conj(), coef.take(c, axis=1))
+    # Arrays (2, 2, nnz), indexed by the entries of rows r and c of T.
+    keys = col.take(c, axis=1)[None] * n + col.take(r, axis=1)[:, None]
+    at = 2 * np.arange(c.size) + np.array([[0, 1], [1, 0]])[:, :, None]
+    re_r, im_r = coef[0].real.take(r), coef[1].imag.take(r)
+    re_c, im_c = coef[0].real.take(c), coef[1].imag.take(c)
+    a = np.array([[re_r, -re_r], [im_r, im_r]])
+    b = np.array([[re_c, im_c], [re_c, im_c]])
+    keep = (a != 0) & (b != 0)
+    return _frozen(keys[keep], at[keep], a[keep], b[keep])
 
 
 @dataclass
@@ -553,10 +588,11 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
         x[0] = _to_coords(v0, L.dim)
         _from_coords(x[:1], vecs[:1])
         steps = which.tolist()
+        rows = list(x)  # views, made once: a step is one dgemv into the next row
         for part in parts:
             m = part.stop - part.start
             for k, i in enumerate(steps[part], start=1):
-                np.matmul(props[i], x[k - 1], out=x[k])
+                np.dot(props[i], rows[k - 1], out=rows[k])
             _from_coords(x[1:m + 1], vecs[part.start + 1:part.stop + 1])
             x[0] = x[m]
         return vecs
@@ -635,12 +671,13 @@ def _bordered_lu(L: Liouvillian):
     dgetrf overwrites it: the factors are F-contiguous and nothing is copied."""
     _require_finite(L)
     mat = L.real
-    mat[0] = np.arange(L.dim**2) < L.dim  # the trace functional
+    mat[0, :L.dim] = 1.0  # the trace functional
+    mat[0, L.dim:] = 0.0
     lu, piv, info = _getrf(mat, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
-    pivots = np.diagonal(lu)
-    if not pivots.all():
+    pivots = lu.diagonal()
+    if np.count_nonzero(pivots) < pivots.size:
         raise NonUniqueSteadyStateError(
             f"non-unique steady state: {np.count_nonzero(pivots == 0.0)} exactly zero "
             f"pivot(s) in the LU factors of the trace-bordered Liouvillian"
@@ -725,17 +762,31 @@ def liouvillian_gap(L: Liouvillian) -> float:
 
 def residual(L: Liouvillian, rho: np.ndarray) -> tuple[float, float]:
     """||L vec(rho)||_2 and the relative residual
-    ||L vec(rho)||_2 / (||L||_1 ||vec(rho)||_2) of a density matrix."""
+    ||L vec(rho)||_2 / (||L||_1 ||vec(rho)||_2) of a density matrix.
+
+    The product is scipy's CSR kernel into a zeroed vector, the call that
+    L.superop @ v makes, and each norm the sum of the dot products of the
+    real and imaginary parts that np.linalg.norm takes: the same bytes
+    without their per-call checks."""
     v = vec(rho)
-    defect = float(np.linalg.norm(L.superop @ v))
-    return defect, defect / float(max(L.norm_1, _TINY) * np.linalg.norm(v))
+    s = L.superop
+    out = np.zeros(v.size, dtype=complex)
+    _csr_matvec(v.size, v.size, s.indptr, s.indices, s.data, v, out)
+    defect = _norm2(out)
+    return defect, defect / (max(L.norm_1, _TINY) * _norm2(v))
+
+
+def _norm2(v: np.ndarray) -> float:
+    """np.linalg.norm of a complex vector, to the bit."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _finalize(L: Liouvillian, v: np.ndarray, info: dict):
     """C-ordered unit-trace rho from the vec v of a Hermitian matrix,
     certified by info["drazin_norm"]."""
     rho = unvec(v, L.dim).copy()
-    rho /= np.trace(rho).real
+    rho /= rho.trace().real
     defect, res = residual(L, rho)
     bound = info["drazin_norm"] * defect
     info["residual"] = res

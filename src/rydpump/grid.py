@@ -67,7 +67,7 @@ def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
         elif name == "negativity":
             names.append("negativity")
             cols.append(measures.negativity(states, model.dims))
-    return names, np.stack(cols, axis=-1)
+    return names, np.array(cols).T
 
 
 def _point(variant, reduce: str, gamma_angular: bool, caption: dict):

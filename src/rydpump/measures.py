@@ -60,7 +60,7 @@ def chsh_operator(triplet_frame: bool = False) -> np.ndarray:
 def _value(val: np.ndarray, rho: np.ndarray, what: str):
     """Real part of a measure: a float for one state, an array for a stack.
     An imaginary part beyond 1e-10 on any state raises ValueError."""
-    imag = np.max(np.abs(val.imag), initial=0.0)
+    imag = np.abs(val.imag).max(initial=0.0)
     if imag > 1e-10:
         raise ValueError(f"{what} has imaginary part {imag:.2e}; rho not Hermitian?")
     return float(val.real) if rho.ndim == 2 else val.real
@@ -92,7 +92,7 @@ def chsh_correlation(rho: np.ndarray, triplet_frame: bool = False):
     if rho.shape[-2:] != (9, 9):
         raise ValueError(f"CHSH correlation needs a 9x9 Bell-scheme state, got shape {rho.shape}")
     op = chsh_operator(triplet_frame)
-    val = over_blocks(lambda r: np.trace(op @ r, axis1=-2, axis2=-1), rho)
+    val = over_blocks(lambda r: (op @ r).trace(axis1=-2, axis2=-1), rho)
     return _value(val, rho, "Tr(O rho)")
 
 

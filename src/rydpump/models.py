@@ -242,7 +242,9 @@ def _plan(name: str) -> tuple:
     diagonal indices that U_rr shifts; the jump operators' shape, the flat
     positions of their nonzero entries in one (k, d, d) stack and the atom
     of each; the names of the named kets and the kets, one per row,
-    checked unit norm."""
+    checked unit norm; and the gathers of kron(h1, I) + kron(I, h2): the
+    flat positions in h1 and in h2 that each entry reads, and the entries
+    of the identities each is multiplied by."""
     scheme = SCHEMES[name]
     atoms = []
     for levels, ground, optical in zip(scheme.levels, scheme.ground, scheme.optical):
@@ -266,6 +268,9 @@ def _plan(name: str) -> tuple:
                 owner.append(n)
     flat = np.flatnonzero(np.array(units))
     jumps = ((len(units), side, side), flat, np.array(owner, dtype=np.intp)[flat // side**2])
+    # Entry (i*nb + k, j*nb + l) of the Kronecker products.
+    i, k, j, l = np.indices((len(la), len(lb), len(la), len(lb))).reshape(4, side, side)
+    hams = (i * len(la) + j, eye_b[k, l], eye_a[i, j], k * len(lb) + l)
     # Product kets |la lb> are the rows of the identity, in kron order.
     kets = dict(zip([a + b for a in la for b in lb], np.eye(side, dtype=complex)))
     for state, terms in scheme.superpositions.items():
@@ -274,9 +279,9 @@ def _plan(name: str) -> tuple:
     names, rows = tuple(kets), np.array(list(kets.values()))
     if np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() > 1e-12:
         raise AssertionError("named state is not unit norm")
-    for array in [atom[0] for atom in atoms] + list(jumps[1:]) + [rows]:
+    for array in [atom[0] for atom in atoms] + list(jumps[1:]) + [rows, *hams]:
         array.flags.writeable = False
-    return tuple(atoms), shifts, jumps, (names, rows)
+    return tuple(atoms), shifts, jumps, (names, rows), hams
 
 
 def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
@@ -292,7 +297,8 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     H is exactly Hermitian and every jump has its side by construction.
     """
     scheme = variant.record
-    atoms, shifts, (shape, flat, owner), (names, kets) = _plan(variant.scheme)
+    atoms, shifts, (shape, flat, owner), (names, kets), (at_1, eye_2, eye_1, at_2) = \
+        _plan(variant.scheme)
     sign = scheme.targets[variant.target][1]
     microwaves = (complex(params.rabi_microwave_1),
                   sign * complex(getattr(params, scheme.microwave_2)))
@@ -304,12 +310,13 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
         for pairs, amp in ((microwave, om), (optical, big_o)):
             for i, j in pairs:
                 h[i, j] = amp / 2.0
-                h[j, i] = np.conj(amp) / 2.0
+                h[j, i] = amp.conjugate() / 2.0
         for r in rydberg:
             h[r, r] = -params.detuning
         singles.append(h)
-    (eye_a, *_), (eye_b, *_) = atoms
-    ham = kron(singles[0], eye_b) + kron(eye_a, singles[1])
+    # kron(h1, I) + kron(I, h2), each entry the product that kron forms.
+    h1, h2 = singles
+    ham = h1.take(at_1) * eye_2 + eye_1 * h2.take(at_2)
     for k in shifts:
         ham[k, k] += params.rydberg_U
 
@@ -319,7 +326,7 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     jumps.put(flat, amps.take(owner))
 
     return SystemModel(
-        dims=BipartiteDims(len(eye_a), len(eye_b)),
+        dims=BipartiteDims(len(h1), len(h2)),
         hamiltonian=ham,
         lindblads=tuple(jumps),
         basis_labels=scheme.levels,

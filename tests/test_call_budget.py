@@ -1,0 +1,78 @@
+"""Call budget of one Bell sweep point.
+
+A warm `fig8a` sweep point (plan caches filled by an earlier sweep) makes
+exactly one LU factorisation (dgetrf), one solve for the state plus a
+solve and a transposed solve per ||L^D||_2 power step (dgetrs), one
+Cholesky positivity proof (zpotrf) and one residual, and builds no
+scipy.sparse matrix through its constructor.  A change that adds a call
+to the point fails here, not only in timings.
+"""
+
+from unittest import mock
+
+import scipy.sparse as sp
+
+import rydpump
+from rydpump import dynamics, grid, models
+
+from test_dynamics import loop_drazin_norm
+
+FIG8A = models.FIGURES["fig8a"]
+AXES = (("rabi-mhz", 0.02, 0.10, 2), ("microwave-rel", 0.002, 0.010, 2))
+# The base class whose __init__ every scipy.sparse constructor runs.
+SPARSE_BASE = next(c for c in sp.csr_matrix.__mro__ if c.__name__ == "_spbase")
+
+
+def bell_sweep():
+    return rydpump.sweep(dict(FIG8A.caption), models.SchemeVariant("bell", "singlet"), AXES,
+                         "chsh")
+
+
+def counting(events, name, f):
+    def wrapper(*args, **kwargs):
+        events.append(name)
+        return f(*args, **kwargs)
+    return wrapper
+
+
+def test_bell_sweep_point_call_budget():
+    want = bell_sweep()  # warm: every plan cache holds the pattern
+    events, generators = [], []
+    point, steady = grid._point, dynamics.steady_state
+
+    def traced_steady(L, **kwargs):
+        generators.append(L)
+        return steady(L, **kwargs)
+
+    patches = [mock.patch.object(grid, "_point", counting(events, "point", point)),
+               mock.patch.object(dynamics, "steady_state", traced_steady),
+               mock.patch.object(SPARSE_BASE, "__init__",
+                                 counting(events, "sparse", SPARSE_BASE.__init__))]
+    patches += [mock.patch.object(dynamics, name, counting(events, name, getattr(dynamics, name)))
+                for name in ("_getrf", "_getrs", "_potrf", "residual")]
+    for p in patches:
+        p.start()
+    try:
+        got = bell_sweep()
+    finally:
+        for p in reversed(patches):
+            p.stop()
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+    assert got[2] == want[2] == [""] * 4
+
+    per_point = []
+    for name in events:
+        if name == "point":
+            per_point.append([])
+        else:
+            per_point[-1].append(name)
+    assert len(per_point) == len(generators) == 4
+    for calls, L in zip(per_point, generators):
+        steps = loop_drazin_norm(L, dynamics._bordered_lu(L))[1]
+        assert 1 <= steps <= dynamics._DRAZIN_STEPS
+        assert calls.count("_getrf") == 1
+        assert calls.count("_getrs") == 1 + 2 * steps
+        assert calls.count("_potrf") == 1
+        assert calls.count("residual") == 1
+        assert calls.count("sparse") == 0
+        assert len(calls) == 4 + 2 * steps  # nothing else that was counted

@@ -628,10 +628,10 @@ def test_plan_arrays_are_read_only():
     pre = figure_preset("fig2")
     m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
-    c, left, right, _ = kron_factors(m)
+    c, _, right, _ = kron_factors(m)
     s = L.superop
     plans = [_decay_plan(c.shape, (c != 0).tobytes()),
-             _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes()),
+             _generator_plan(m.dim, (right[0] != 0).tobytes(), (c != 0).tobytes()),
              _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
              (_drazin_start(m.dim),), _hermitian_rows(m.dim)]
     for plan in plans:
@@ -658,8 +658,8 @@ def test_superops_of_one_plan_share_no_writable_array(levels):
     # the plan nor the empty matrix they are copied from, which stays empty.
     m = cancelling_model(levels)
     first, second = build_liouvillian(m).superop, build_liouvillian(m).superop
-    _, left, right, _ = kron_factors(m)
-    plan = _generator_plan(m.dim, (left != 0).tobytes(), (right != 0).tobytes())
+    c, _, right, _ = kron_factors(m)
+    plan = _generator_plan(m.dim, (right[0] != 0).tobytes(), (c != 0).tobytes())
     template = _empty_csr(m.dim**2)
     fixed = list(plan) + [template.data, template.indices, template.indptr]
     arrays = [(s, name, getattr(s, name)) for s in (first, second)

@@ -663,14 +663,15 @@ def test_records_count_the_papers_structural_claim():
 
 @pytest.mark.parametrize("preset", ["fig2", "fig6-point"])
 def test_model_plan_is_read_only_and_models_own_their_arrays(preset):
-    # The per-scheme plan holds the identities, the jump scatter positions
-    # and the named kets, all read-only; a built model's jumps and kets are
-    # its own, so writing into them leaves the next build unchanged.
+    # The per-scheme plan holds the identities, the jump scatter positions,
+    # the named kets and the Kronecker gathers of H, all read-only; a built
+    # model's jumps and kets are its own, so writing into them leaves the
+    # next build unchanged.
     from rydpump.models import _plan
 
     pre = figure_preset(preset)
-    atoms, _, (_, flat, owner), (_, kets) = _plan(pre.variant.scheme)
-    for array in [atom[0] for atom in atoms] + [flat, owner, kets]:
+    atoms, _, (_, flat, owner), (_, kets), hams = _plan(pre.variant.scheme)
+    for array in [atom[0] for atom in atoms] + [flat, owner, kets, *hams]:
         assert not array.flags.writeable
     first = build_model(pre.params, pre.variant)
     for array in list(first.lindblads) + list(first.named_states.values()):
