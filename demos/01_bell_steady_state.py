@@ -11,14 +11,14 @@ state -- no initial-state preparation or timing control needed.
 import numpy as np
 
 from rydpump import (
-    build_bell_model, build_liouvillian, chsh_correlation, fidelity,
+    build_liouvillian, build_model, chsh_correlation, fidelity,
     figure_preset, liouvillian_gap, steady_state,
 )
 
 # Benchmark operating point: Omega/2pi = 0.036 MHz, omega = 0.004 Omega,
 # Delta/2pi = 3.435 MHz, U_rr = 2 Delta, gamma = 1.673 kHz.
 preset = figure_preset("fig2")
-model = build_bell_model(preset.params, preset.variant)
+model = build_model(preset.params, preset.variant)
 liouv = build_liouvillian(model)
 
 rho, info = steady_state(liouv, return_info=True)
@@ -44,7 +44,7 @@ from rydpump import ModelParams, NonUniqueSteadyStateError, SchemeVariant
 
 dark_params = ModelParams(rabi_optical=0.0, rabi_microwave_1=0.0,
                           detuning=0.0, rydberg_U=0.0, gamma=1673.0)
-dark = build_bell_model(dark_params, SchemeVariant("bell", "singlet"))
+dark = build_model(dark_params, SchemeVariant("bell", "singlet"))
 try:
     steady_state(build_liouvillian(dark))
 except NonUniqueSteadyStateError as exc:

@@ -8,10 +8,10 @@ time.
 
 import numpy as np
 
-from rydpump import build_bell_model, build_liouvillian, evolve, figure_preset, populations
+from rydpump import build_liouvillian, build_model, evolve, figure_preset, populations
 
 preset = figure_preset("fig2-inset")
-model = build_bell_model(preset.params, preset.variant)
+model = build_model(preset.params, preset.variant)
 liouv = build_liouvillian(model)
 
 t = np.linspace(0.0, 0.3, 11)  # 0 .. 300 ms

@@ -9,11 +9,11 @@ value above 2 violates local realism.
 import numpy as np
 
 from rydpump import (
-    build_bell_model, build_liouvillian, chsh_correlation, evolve, figure_preset,
+    build_liouvillian, build_model, chsh_correlation, evolve, figure_preset,
 )
 
 preset = figure_preset("fig3")
-model = build_bell_model(preset.params, preset.variant)
+model = build_model(preset.params, preset.variant)
 liouv = build_liouvillian(model)
 
 t = np.linspace(0.0, 0.3, 61)

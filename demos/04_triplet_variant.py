@@ -8,14 +8,14 @@ violation.
 """
 
 from rydpump import (
-    SchemeVariant, build_bell_model, build_liouvillian, chsh_correlation,
+    SchemeVariant, build_liouvillian, build_model, chsh_correlation,
     fidelity, figure_preset, steady_state,
 )
 
 params = figure_preset("fig2").params
 
 for target, frame in (("singlet", False), ("triplet", True)):
-    model = build_bell_model(params, SchemeVariant("bell", target))
+    model = build_model(params, SchemeVariant("bell", target))
     rho = steady_state(build_liouvillian(model))
     name = model.variant.target_state
     print(f"{target:8}: fidelity <{name}|rho|{name}> = "

@@ -12,13 +12,13 @@ retargets the scheme onto |phi'> = (|ff> - |aa> + |gg>)/sqrt(3).
 import numpy as np
 
 from rydpump import (
-    SchemeVariant, build_liouvillian, build_qutrit_model, evolve, fidelity,
+    SchemeVariant, build_liouvillian, build_model, evolve, fidelity,
     figure_preset, negativity, steady_state,
 )
 
 # Population of the target builds up over a couple hundred ms.
 preset = figure_preset("fig5-inset")
-model = build_qutrit_model(preset.params, preset.variant)
+model = build_model(preset.params, preset.variant)
 liouv = build_liouvillian(model)
 phi = model.state("phi")
 t = np.linspace(0.0, 0.2, 9)
@@ -31,7 +31,7 @@ for tk, p in zip(t, fidelity(phi, traj.states)):
 # (1 for a maximally entangled qutrit pair) both approach unity.
 point = figure_preset("fig6-point")
 for target in ("phi", "phi_prime"):
-    m = build_qutrit_model(point.params, SchemeVariant("qutrit", target))
+    m = build_model(point.params, SchemeVariant("qutrit", target))
     rho = steady_state(build_liouvillian(m))
     print(f"steady state, target {target:9}: "
           f"fidelity = {fidelity(m.state(target), rho):.6f}, "

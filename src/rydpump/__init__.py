@@ -11,7 +11,6 @@ from .linalg import (
     dagger,
     hermitian_eigvals,
     hermiticity_defect,
-    kron,
     partial_transpose,
 )
 from .models import (
@@ -20,9 +19,7 @@ from .models import (
     SchemeVariant,
     SystemModel,
     angular_mhz,
-    build_bell_model,
     build_model,
-    build_qutrit_model,
     caption_params,
     decay_rate_khz,
     figure_preset,
@@ -51,11 +48,9 @@ from .grid import sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteDims", "dagger", "hermitian_eigvals", "hermiticity_defect",
-    "kron", "partial_transpose",
-    "ModelParams", "Preset", "SchemeVariant", "SystemModel", "angular_mhz",
-    "build_bell_model", "build_model", "build_qutrit_model", "caption_params",
-    "decay_rate_khz", "figure_preset",
+    "BipartiteDims", "dagger", "hermitian_eigvals", "hermiticity_defect", "partial_transpose",
+    "ModelParams", "Preset", "SchemeVariant", "SystemModel", "angular_mhz", "build_model",
+    "caption_params", "decay_rate_khz", "figure_preset",
     "ConvergenceError", "Liouvillian", "NonUniqueSteadyStateError", "Trajectory",
     "build_liouvillian", "evolve", "liouvillian_gap", "steady_state", "unvec", "vec",
     "chsh_correlation", "chsh_operator", "fidelity", "negativity", "populations", "sweep",

@@ -168,50 +168,43 @@ class Liouvillian:
 @functools.lru_cache(maxsize=None)
 def _hermitian_rows(d: int):
     """The unitary T, whose columns are the vecs of the Hermitian basis, as
-    read-only (2, d^2) arrays: row r of T is coef[0, r] at col[0, r] plus
-    coef[1, r] at col[1, r] > col[0, r] (a diagonal row: 0 at column 0)."""
+    read-only (d^2, 2) arrays col and scale: row r of T is scale[r, 0] at
+    col[r, 0] plus 1j * scale[r, 1] at col[r, 1] > col[r, 0] (a diagonal
+    row: 0 at column 0)."""
     i, j = np.triu_indices(d, k=1)
     ij, ji = i + j * d, j + i * d  # vec positions of |i><j| and |j><i|
     pair = d + np.arange(i.size)
     s = 1.0 / math.sqrt(2.0)
-    col, coef = np.zeros((2, d * d), dtype=np.intp), np.zeros((2, d * d), dtype=complex)
-    col[0, ::d + 1], coef[0, ::d + 1] = np.arange(d), 1.0
-    col[:, ij] = col[:, ji] = pair, pair + i.size
-    coef[:, ij], coef[:, ji] = [[s], [-1j * s]], [[s], [1j * s]]
-    return _frozen(col, coef)
+    col, scale = np.zeros((d * d, 2), dtype=np.intp), np.zeros((d * d, 2))
+    col[::d + 1, 0], scale[::d + 1, 0] = np.arange(d), 1.0
+    col[ij] = col[ji] = np.column_stack([pair, pair + i.size])
+    scale[ij], scale[ji] = [s, -s], [s, s]
+    return _frozen(col, scale)
 
 
 def _from_coords(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write T x, for real coordinates x (..., d^2), into out, a C-contiguous
     complex array of the same shape, and return out.
 
-    Row r of T is a real coef[0, r] at col[0, r] plus an imaginary
-    coef[1, r] at col[1, r], so Re and Im of (T x)_r are one product each:
-    a gather into the float view of out, a scale and an add of +0 make
-    them with no temporary.  For finite x these are the bytes of the
-    sparse product, which rounds each product once and sums from +0."""
-    at, scale = _interleaved_rows(x.shape[-1])
+    Row r of T is a real scale[r, 0] at col[r, 0] plus an imaginary
+    1j * scale[r, 1] at col[r, 1], so Re and Im of (T x)_r are one product
+    each: a gather of col into the float view of out, a scale and an add
+    of +0 make them with no temporary.  For finite x these are the bytes
+    of the sparse product, which rounds each product once and sums from +0."""
+    col, scale = _hermitian_rows(math.isqrt(x.shape[-1]))
     flat = out.view(float)
-    # mode="clip" writes into out directly; "raise" would buffer (at is in range).
-    np.take(x, at, axis=-1, out=flat, mode="clip")
-    flat *= scale
+    # mode="clip" writes into out directly; "raise" would buffer (col is in range).
+    np.take(x, col.ravel(), axis=-1, out=flat, mode="clip")
+    flat *= scale.ravel()
     flat += 0.0  # no entry ends at -0
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _interleaved_rows(n: int):
-    """For the float view of T x, x of length n = d^2, read-only: entry 2r
-    is scale[2r] x[at[2r]] (coef[0, r] real) and entry 2r + 1 is
-    scale[2r + 1] x[at[2r + 1]] (coef[1, r] imaginary)."""
-    col, coef = _hermitian_rows(math.isqrt(n))
-    return _frozen(col.T.ravel(), np.column_stack([coef[0].real, coef[1].imag]).ravel())
-
-
 def _to_coords(v: np.ndarray, d: int) -> np.ndarray:
     """Re T^dag v, each sum from 0 over T's rows in order, by one bincount."""
-    col, coef = _hermitian_rows(d)
-    return np.bincount(col.ravel(), (coef.conj() * v).real.ravel(), minlength=d * d)
+    col, scale = _hermitian_rows(d)
+    return np.bincount(col.ravel(), (scale * np.column_stack([v.real, v.imag])).ravel(),
+                       minlength=d * d)
 
 
 def _pairs(ga: np.ndarray, gb: np.ndarray):
@@ -399,15 +392,15 @@ def _real_plan(d: int, index: str, indptr: bytes, indices: bytes):
     with a zero factor (entry 1 of a diagonal row) add only zeros and are
     left out; every key keeps the order of its other terms."""
     n = d * d
-    col, coef = _hermitian_rows(d)
+    col, scale = _hermitian_rows(d)
     ptr = np.frombuffer(indptr, dtype=index)
     r = np.repeat(np.arange(n), np.diff(ptr))
     c = np.frombuffer(indices, dtype=index)
     # Arrays (2, 2, nnz), indexed by the entries of rows r and c of T.
-    keys = col.take(c, axis=1)[None] * n + col.take(r, axis=1)[:, None]
+    keys = col.take(c, axis=0).T[None] * n + col.take(r, axis=0).T[:, None]
     at = 2 * np.arange(c.size) + np.array([[0, 1], [1, 0]])[:, :, None]
-    re_r, im_r = coef[0].real.take(r), coef[1].imag.take(r)
-    re_c, im_c = coef[0].real.take(c), coef[1].imag.take(c)
+    re_r, im_r = scale.take(r, axis=0).T
+    re_c, im_c = scale.take(c, axis=0).T
     a = np.array([[re_r, -re_r], [im_r, im_r]])
     b = np.array([[re_c, im_c], [re_c, im_c]])
     keep = (a != 0) & (b != 0)
@@ -552,9 +545,8 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
     propagator; the induced local error ||L||*|dt - dt_ref| stays below
     _STEP_SNAP_RTOL per step.  A step takes the propagator of the earliest
     reference step it snaps to, and a step that snaps to none becomes a
-    reference, which takes its own propagator even if it does not snap to
-    itself (a NaN step or snap), so the loop ends.  Every step's
-    propagator is chosen first.
+    reference, which takes its own propagator.  Every step's propagator
+    is chosen first.
 
     While expm runs, the call holds no array of its own of n^2 or nt * n
     entries (n = dim^2) beyond the propagators already made: each expm gets
@@ -579,7 +571,6 @@ def _propagate_expm(L: Liouvillian, v0: np.ndarray, t: np.ndarray) -> np.ndarray
         while (free := np.flatnonzero(which < 0)).size:
             ref = dts[free[0]]
             which[free[np.abs(dts[free] - ref) <= snap]] = len(props)
-            which[free[0]] = len(props)
             props.append(sla.expm(L.real * ref))
         vecs = np.empty((t.size, L.dim**2), dtype=complex)
         parts = blocks(t.size - 1, vecs[0].nbytes)  # the steps, into samples 1, 2, ...

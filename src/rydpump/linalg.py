@@ -44,19 +44,6 @@ def hermiticity_defect(m: np.ndarray):
     return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B; entry ((i*Brows+k),(j*Bcols+l)) = A[i,j]*B[k,l].
-
-    One broadcast product, the one np.kron forms after its shape handling,
-    so the result is the same to the bit at a fraction of the call cost."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"kron expects 2-D matrices, got shapes {a.shape}, {b.shape}")
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-
-
 def partial_transpose(rho: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Transpose subsystem A of a bipartite operator, or of each one in a
     stack (..., dimA*dimB, dimA*dimB).

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import (BipartiteDims, check_bipartite, hermitian_eigvals, kron, over_blocks,
+from .linalg import (BipartiteDims, check_bipartite, hermitian_eigvals, over_blocks,
                      partial_transpose)
 
 SQRT2 = math.sqrt(2.0)
@@ -52,7 +52,7 @@ def chsh_operator(triplet_frame: bool = False) -> np.ndarray:
     s = -1.0 if triplet_frame else 1.0
     a_plus = s * (-sy - sx) / SQRT2
     a_minus = s * (sy - sx) / SQRT2
-    op = kron(sy, a_plus) + kron(sx, a_plus) + kron(sx, a_minus) - kron(sy, a_minus)
+    op = np.kron(sy, a_plus) + np.kron(sx, a_plus) + np.kron(sx, a_minus) - np.kron(sy, a_minus)
     op.flags.writeable = False
     return op
 

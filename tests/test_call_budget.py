@@ -1,15 +1,17 @@
-"""Call budget of one Bell sweep point.
+"""Call budget of one steady-state sweep point.
 
-A warm `fig8a` sweep point (plan caches filled by an earlier sweep) makes
-exactly one LU factorisation (dgetrf), one solve for the state plus a
-solve and a transposed solve per ||L^D||_2 power step (dgetrs), one
-Cholesky positivity proof (zpotrf) and one residual, and builds no
-scipy.sparse matrix through its constructor.  A change that adds a call
-to the point fails here, not only in timings.
+A warm sweep point (plan caches filled by an earlier sweep), at the Bell
+`fig8a` pattern and at the qutrit `fig6-point` pattern, makes exactly one
+LU factorisation (dgetrf), one solve for the state plus a solve and a
+transposed solve per ||L^D||_2 power step (dgetrs), one Cholesky
+positivity proof (zpotrf) and one residual, and builds no scipy.sparse
+matrix through its constructor.  A change that adds a call to the point
+fails here, not only in timings.
 """
 
 from unittest import mock
 
+import pytest
 import scipy.sparse as sp
 
 import rydpump
@@ -17,15 +19,21 @@ from rydpump import dynamics, grid, models
 
 from test_dynamics import loop_drazin_norm
 
-FIG8A = models.FIGURES["fig8a"]
-AXES = (("rabi-mhz", 0.02, 0.10, 2), ("microwave-rel", 0.002, 0.010, 2))
+# Axes and reduce measure of each preset's sweep: 2 x 2 points.
+SWEEPS = {
+    "fig8a": ((("rabi-mhz", 0.02, 0.10, 2), ("microwave-rel", 0.002, 0.010, 2)), "chsh"),
+    "fig6-point": ((("urr-mhz", 1.0, 10.0, 2), ("gamma-khz", 0.25, 2.5, 2)), "negativity"),
+}
 # The base class whose __init__ every scipy.sparse constructor runs.
 SPARSE_BASE = next(c for c in sp.csr_matrix.__mro__ if c.__name__ == "_spbase")
 
 
-def bell_sweep():
-    return rydpump.sweep(dict(FIG8A.caption), models.SchemeVariant("bell", "singlet"), AXES,
-                         "chsh")
+def run_sweep(preset):
+    # given=(): the preset's values are not the user's, as on the command
+    # line, so Delta follows U_rr = 2 Delta along the urr axis.
+    axes, reduce = SWEEPS[preset]
+    return rydpump.sweep(dict(models.FIGURES[preset].caption), models.figure_preset(preset).variant,
+                         axes, reduce, given=())
 
 
 def counting(events, name, f):
@@ -35,8 +43,9 @@ def counting(events, name, f):
     return wrapper
 
 
-def test_bell_sweep_point_call_budget():
-    want = bell_sweep()  # warm: every plan cache holds the pattern
+@pytest.mark.parametrize("preset", list(SWEEPS))
+def test_sweep_point_call_budget(preset):
+    want = run_sweep(preset)  # warm: every plan cache holds the pattern
     events, generators = [], []
     point, steady = grid._point, dynamics.steady_state
 
@@ -53,7 +62,7 @@ def test_bell_sweep_point_call_budget():
     for p in patches:
         p.start()
     try:
-        got = bell_sweep()
+        got = run_sweep(preset)
     finally:
         for p in reversed(patches):
             p.stop()

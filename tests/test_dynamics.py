@@ -55,7 +55,6 @@ from rydpump.models import (
     ModelParams,
     SchemeVariant,
     SystemModel,
-    build_bell_model,
     build_model,
     caption_params,
     figure_preset,
@@ -142,6 +141,25 @@ def svd_steady_state(h, lindblads):
     return rho / np.trace(rho).real
 
 
+def refined_steady_state(h, lindblads):
+    """Unit-trace state of the dense generator with its first row replaced
+    by the trace functional: one complex LU solve and three refinement
+    steps, each residual computed in np.longdouble (oracle for the LU
+    backend that uses neither T, L.real nor the plans, and that stays
+    accurate at slow gaps off resonance)."""
+    d = h.shape[0]
+    mat = kron_liouvillian(h, lindblads)
+    mat[0] = 0.0
+    mat[0, ::d + 1] = 1.0
+    lu = lu_factor(mat)
+    b = np.zeros(d * d, dtype=np.clongdouble)
+    b[0] = 1.0
+    x = lu_solve(lu, b.astype(complex)).astype(np.clongdouble)
+    for _ in range(3):
+        x += lu_solve(lu, (b - mat.astype(np.clongdouble) @ x).astype(complex))
+    return unvec(x.astype(complex), d)
+
+
 def dense_rates(h, lindblads):
     """Relaxation rates -Re(lambda) of all eigenvalues, ascending, from a
     dense eigvals of the complex vec generator (oracle for the gap, which
@@ -226,7 +244,7 @@ def bell_model(**caption):
     base["rabi_microwave_1"] = 0.004 * base["rabi_optical"]
     base["rydberg_U"] = 2 * base["detuning"]
     base.update(caption)
-    return build_bell_model(ModelParams(**base), BELL)
+    return build_model(ModelParams(**base), BELL)
 
 
 # ------------------------------------------------------------ liouvillian
@@ -336,19 +354,24 @@ def test_liouvillian_matches_kron_formula(name, rng):
 
 @pytest.mark.parametrize("d", [2, 9, 20])
 def test_hermitian_basis_is_unitary_onto_hermitian_matrices(d, rng):
-    # T's rows, scattered into a dense matrix, are the outer-product basis:
-    # at most two entries per row, the first in the lower column.
-    col, coef = _hermitian_rows(d)
-    assert col.shape == coef.shape == (2, d * d)
-    assert np.all((col[0] < col[1]) | (coef[1] == 0))
-    T = np.zeros((d * d, d * d), dtype=complex)
-    np.add.at(T, (np.arange(d * d), col), coef)
+    # T's table matches the outer-product basis row by row: each row's
+    # nonzero entries, in column order, are scale[r, 0] and 1j * scale[r, 1]
+    # at col[r, 0] < col[r, 1], and a diagonal row pads with 0 at column 0.
+    col, scale = _hermitian_rows(d)
+    assert col.shape == scale.shape == (d * d, 2)
+    assert col.dtype == np.intp and scale.dtype == np.float64
     want = dense_hermitian_basis(d)
-    assert np.array_equal(T, want)
-    assert np.max(np.count_nonzero(want, axis=1)) <= 2
-    assert np.max(np.abs(T.conj().T @ T - np.eye(d * d))) <= 1e-15
+    assert np.max(np.abs(want.conj().T @ want - np.eye(d * d))) <= 1e-15
+    for r, row in enumerate(want):
+        at = np.flatnonzero(row)
+        assert at.size in (1, 2)
+        assert np.array_equal(col[r, :at.size], at)
+        assert np.array_equal(scale[r, :at.size] * [1, 1j][:at.size], row[at])
+        if at.size == 1:
+            assert (col[r, 1], scale[r, 1]) == (0, 0.0)
     x = rng.normal(size=(5, d * d))
     rho = unvec(_from_coords(x, np.empty(x.shape, dtype=complex)), d)
+    assert np.array_equal(rho, unvec((want @ x.T).T, d))
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
     # The diagonal is the first d coordinates, so the trace is their sum.
     assert np.array_equal(np.diagonal(rho, axis1=-2, axis2=-1), x[:, :d] + 0j)
@@ -477,15 +500,26 @@ def index_path_liouvillian(model):
     return gen
 
 
+def basis_rows(d):
+    """The nonzero entries of each row of dense_hermitian_basis(d), in column
+    order, padded to two with 0 at column 0: columns and values, (2, d^2)."""
+    T = dense_hermitian_basis(d)
+    col, val = np.zeros((2, d * d), dtype=np.intp), np.zeros((2, d * d), dtype=complex)
+    for r, row in enumerate(T):
+        at = np.flatnonzero(row)
+        col[:at.size, r], val[:at.size, r] = at, row[at]
+    return col, val
+
+
 def index_path_real(L):
-    """Liouvillian.real by per-call gathers from the CSR arrays (oracle for
-    its plan)."""
+    """Liouvillian.real by per-call gathers from the CSR arrays and from the
+    rows of the outer-product basis (oracle for its plan)."""
     n = L.dim**2
     s = L.superop
-    col, coef = _hermitian_rows(L.dim)
+    col, val = basis_rows(L.dim)
     r = np.repeat(np.arange(n), np.diff(s.indptr))
-    x = coef.take(r, axis=1).conj() * s.data
-    terms = (x[:, None] * coef.take(s.indices, axis=1)).real
+    x = val.take(r, axis=1).conj() * s.data
+    terms = (x[:, None] * val.take(s.indices, axis=1)).real
     keys = col.take(r, axis=1)[:, None] * n + col.take(s.indices, axis=1)
     return np.bincount(keys.ravel(), terms.ravel(), minlength=n * n).reshape(n, n)
 
@@ -1223,7 +1257,7 @@ def test_steady_state_degenerate_decay_only():
 
 def test_steady_state_fig2_fidelity():
     pre = figure_preset("fig2")
-    m = build_bell_model(pre.params, pre.variant)
+    m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
     rho, info = steady_state(L, return_info=True)
     assert info["residual"] <= 1e-8
@@ -1232,7 +1266,7 @@ def test_steady_state_fig2_fidelity():
 
 def test_steady_state_backends_agree():
     pre = figure_preset("fig2")
-    m = build_bell_model(pre.params, pre.variant)
+    m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
     rho_a = steady_state(L, method="nullspace")
     rho_b, info = steady_state(L, method="evolve", return_info=True)
@@ -1242,7 +1276,7 @@ def test_steady_state_backends_agree():
 
 def test_steady_state_is_fixed_point_of_evolution():
     pre = figure_preset("fig2")
-    m = build_bell_model(pre.params, pre.variant)
+    m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
     rho = steady_state(L)
     later = evolve(L, rho, np.array([0.0, 5e-3])).states[-1]
@@ -1295,7 +1329,7 @@ def test_steady_state_matches_30_digit_solve():
     # The trace-bordered system of the dense kron generator solved with
     # 30-digit arithmetic: the LU state agrees to rounding level.
     pre = figure_preset("fig2")
-    m = build_bell_model(pre.params, pre.variant)
+    m = build_model(pre.params, pre.variant)
     mat = kron_liouvillian(m.hamiltonian, m.lindblads)
     mat[0] = 0.0
     mat[0, ::10] = 1.0
@@ -1304,6 +1338,28 @@ def test_steady_state_matches_30_digit_solve():
         ref = unvec(np.array([complex(x[i]) for i in range(81)]), 9)
     rho = steady_state(build_liouvillian(m))
     assert np.max(np.abs(rho - (ref + ref.conj().T) / 2)) <= 1e-13
+    assert np.max(np.abs(refined_steady_state(m.hamiltonian, m.lindblads) - ref)) <= 1e-18
+
+
+# The Bell point off resonance whose gap is 7.8e-3 1/s: the dense SVD null
+# vector is 1.9e-8 from its certified LU state there, the bound 2e-9.
+SLOW_OFF_RESONANCE = dict(rabi_mhz=0.0223, microwave_rel=0.0033, urr_mhz=7.04,
+                          delta_mhz=7.04 / 2 * 1.029, gamma_khz=1.63)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("off-resonance",))
+def test_steady_state_within_its_bound_of_refined_oracle(name):
+    if name == "off-resonance":
+        m = build_model(caption_params(**SLOW_OFF_RESONANCE), BELL)
+    else:
+        pre = figure_preset(name)
+        m = build_model(pre.params, pre.variant)
+    L = build_liouvillian(m)
+    rho, info = steady_state(L, return_info=True)
+    assert np.linalg.norm(rho - refined_steady_state(m.hamiltonian, m.lindblads)) \
+        <= info["error_bound"]
+    if name == "off-resonance":
+        assert liouvillian_gap(L) == pytest.approx(7.8e-3, rel=1e-2)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -4,68 +4,17 @@ import pytest
 from rydpump.linalg import (
     BipartiteDims,
     hermitian_eigvals,
-    kron,
     partial_transpose,
 )
 
 from conftest import random_density, random_hermitian, random_unitary
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_zero_factor():
-    a = np.arange(4.0).reshape(2, 2) + 1j
-    assert np.array_equal(kron(a, np.zeros((2, 2))), np.zeros((4, 4)))
-
-
-def test_kron_index_formula(rng):
-    # brute-force oracle: entry ((i*Br+k),(j*Bc+l)) = A[i,j]*B[k,l]
-    # (vectorized complex multiply may differ from the scalar product in
-    # the last ulp, hence the rounding-level tolerance)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    out = kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert abs(out[i * 2 + k, j * 2 + l] - a[i, j] * b[k, l]) <= 1e-14
-
-
-def test_kron_associativity(rng):
-    a, b, c = (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(3))
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(left))
-
-
-@pytest.mark.parametrize("shape_a, shape_b", [((3, 3), (3, 3)), ((2, 5), (4, 1)),
-                                              ((1, 1), (3, 2)), ((1, 1), (1, 1))])
-def test_kron_bit_identical_to_numpy(shape_a, shape_b, rng):
-    def sample(shape, is_complex):
-        x = rng.normal(size=shape)
-        return x + 1j * rng.normal(size=shape) if is_complex else x
-
-    for ca, cb in [(True, True), (False, False), (False, True), (True, False)]:
-        a, b = sample(shape_a, ca), sample(shape_b, cb)
-        for x, y in [(a, b), (a.T, b), (a, b.T)]:
-            got, want = kron(x, y), np.kron(x, y)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-
-def test_kron_rejects_vectors():
-    with pytest.raises(ValueError):
-        kron(np.ones(3), np.eye(2))
-
-
 def test_partial_transpose_product_state(rng):
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 3)
-    got = partial_transpose(kron(rho_a, rho_b), BipartiteDims(2, 3))
-    assert np.allclose(got, kron(rho_a.T, rho_b), atol=1e-15)
+    got = partial_transpose(np.kron(rho_a, rho_b), BipartiteDims(2, 3))
+    assert np.allclose(got, np.kron(rho_a.T, rho_b), atol=1e-15)
 
 
 def test_partial_transpose_involution(rng):

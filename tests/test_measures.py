@@ -7,7 +7,7 @@ import pytest
 
 from rydpump import linalg
 from rydpump.dynamics import build_liouvillian, evolve
-from rydpump.linalg import BipartiteDims, hermitian_eigvals, kron, partial_transpose
+from rydpump.linalg import BipartiteDims, hermitian_eigvals, partial_transpose
 from rydpump.measures import (
     chsh_correlation,
     chsh_operator,
@@ -17,8 +17,7 @@ from rydpump.measures import (
 )
 from rydpump.grid import measure_columns
 from rydpump.models import (
-    SCHEMES, SchemeVariant, build_bell_model, build_model, build_qutrit_model, figure_preset,
-    find_figure,
+    SCHEMES, SchemeVariant, build_model, figure_preset, find_figure,
 )
 
 from conftest import random_density, random_unitary
@@ -28,12 +27,12 @@ SQRT8 = 2 * math.sqrt(2)
 
 def bell_states():
     pre = figure_preset("fig2")
-    return build_bell_model(pre.params, pre.variant).named_states
+    return build_model(pre.params, pre.variant).named_states
 
 
 def qutrit_states():
     pre = figure_preset("fig5")
-    return build_qutrit_model(pre.params, pre.variant).named_states
+    return build_model(pre.params, pre.variant).named_states
 
 
 # --------------------------------------------------------------- fidelity
@@ -118,7 +117,7 @@ def test_chsh_column_of_every_qubit_target_is_maximal():
 
 def test_chsh_mixed_ground_state_vanishes():
     pre = figure_preset("fig2")
-    m = build_bell_model(pre.params, pre.variant)
+    m = build_model(pre.params, pre.variant)
     assert chsh_correlation(m.initial_density("mix4")) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -128,7 +127,7 @@ def test_chsh_separable_bound(rng):
         rho = np.zeros((9, 9), dtype=complex)
         weights = rng.dirichlet(np.ones(4))
         for w in weights:
-            rho += w * kron(random_density(rng, 3), random_density(rng, 3))
+            rho += w * np.kron(random_density(rng, 3), random_density(rng, 3))
         assert abs(chsh_correlation(rho)) <= 2.0 + 1e-9
 
 
@@ -145,7 +144,7 @@ def test_chsh_dimension_error():
 # -------------------------------------------------------------- negativity
 
 def test_negativity_product_state(rng):
-    rho = kron(random_density(rng, 3), random_density(rng, 3))
+    rho = np.kron(random_density(rng, 3), random_density(rng, 3))
     assert negativity(rho, BipartiteDims(3, 3)) <= 1e-12
 
 
@@ -175,7 +174,7 @@ def test_negativity_definitions_agree(rng):
 
 def test_negativity_local_unitary_invariance(rng):
     rho = random_density(rng, 9)
-    u = kron(random_unitary(rng, 3), random_unitary(rng, 3))
+    u = np.kron(random_unitary(rng, 3), random_unitary(rng, 3))
     before = negativity(rho, BipartiteDims(3, 3))
     after = negativity(u @ rho @ u.conj().T, BipartiteDims(3, 3))
     assert abs(before - after) <= 1e-9
@@ -190,7 +189,7 @@ def test_negativity_dimension_error():
 
 def test_populations_uniform_mixture():
     pre = figure_preset("fig2")
-    m = build_bell_model(pre.params, pre.variant)
+    m = build_model(pre.params, pre.variant)
     basis = [ket for _, ket in m.population_basis()]
     pops = populations(m.initial_density("mix4"), basis)
     assert np.allclose(pops, 0.25, atol=1e-12)
@@ -198,7 +197,7 @@ def test_populations_uniform_mixture():
 
 def test_populations_pure_singlet():
     pre = figure_preset("fig2")
-    m = build_bell_model(pre.params, pre.variant)
+    m = build_model(pre.params, pre.variant)
     basis = [ket for _, ket in m.population_basis()]
     pops = populations(m.initial_density("S"), basis)
     assert np.allclose(pops, [0.0, 1.0, 0.0, 0.0], atol=1e-12)

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from rydpump.cli import RunSetup
 from rydpump.dynamics import build_liouvillian, evolve, steady_state
-from rydpump.linalg import BipartiteDims, dagger, kron
+from rydpump.linalg import BipartiteDims, dagger
 from rydpump.models import (
     SCHEMES,
     ModelParams,
     SchemeVariant,
     SystemModel,
     angular_mhz,
-    build_bell_model,
     build_model,
-    build_qutrit_model,
     caption_params,
     decay_rate_khz,
     figure_preset,
@@ -48,7 +46,7 @@ def qutrit_params(**kw):
 
 def test_bell_single_atom_entries():
     p = bell_params()
-    m = build_bell_model(p, BELL)
+    m = build_model(p, BELL)
     h = m.hamiltonian
     # <f|H_j|r> = Omega/2 and <r|H_j|r> = -Delta, read off the two-atom matrix
     idx = {lab: i for i, lab in enumerate(("f", "a", "r"))}
@@ -65,7 +63,7 @@ def test_bell_single_atom_entries():
 
 def test_bell_interaction_term():
     p = bell_params(rabi_optical=0.0, rabi_microwave_1=0.0, detuning=0.0)
-    h = build_bell_model(p, BELL).hamiltonian
+    h = build_model(p, BELL).hamiltonian
     expected = np.zeros((9, 9))
     expected[8, 8] = p.rydberg_U
     assert np.array_equal(h, expected)
@@ -73,7 +71,7 @@ def test_bell_interaction_term():
 
 def test_bell_resonant_pumping_cancellation():
     p = bell_params(detuning=2.1, rydberg_U=4.2)
-    h = build_bell_model(p, BELL).hamiltonian
+    h = build_model(p, BELL).hamiltonian
     assert h[8, 8] == 0.0  # -2*Delta + U_rr
 
 
@@ -81,7 +79,7 @@ def test_bell_microwave_dark_states():
     # microwave-only Hamiltonian annihilates the variant's target exactly
     p = bell_params(rabi_optical=0.0, detuning=0.0, rydberg_U=0.0)
     for variant, dark, bright in ((BELL, "S", "T"), (BELL_T, "T", "S")):
-        m = build_bell_model(p, variant)
+        m = build_model(p, variant)
         assert np.max(np.abs(m.hamiltonian @ m.state(dark))) < 1e-14
         assert np.max(np.abs(m.hamiltonian @ m.state(bright))) > 0.1
 
@@ -90,7 +88,7 @@ def test_bell_lindblads_match_basis_change_expansions():
     # L1..L4 rewritten in the triplet-singlet basis, e.g.
     # L1 |ra> = sqrt(gamma/2) (|T> + |S>)/sqrt(2), as matrix identities
     p = bell_params(gamma=2.0)
-    m = build_bell_model(p, BELL)
+    m = build_model(p, BELL)
     amp = math.sqrt(p.gamma / 2)
     st = m.named_states
     plus = (st["T"] + st["S"]) / math.sqrt(2)
@@ -110,13 +108,6 @@ def test_bell_lindblads_match_basis_change_expansions():
         assert np.max(np.abs(built - want)) <= 1e-12 * amp
 
 
-def test_bell_rejects_wrong_scheme():
-    with pytest.raises(ValueError, match="bell"):
-        build_bell_model(bell_params(), QUTRIT)
-    with pytest.raises(ValueError, match="qutrit"):
-        build_qutrit_model(qutrit_params(), BELL)
-
-
 def test_build_model_dispatch():
     assert build_model(bell_params(), BELL).dim == 9
     assert build_model(qutrit_params(), QUTRIT).dim == 20
@@ -126,7 +117,7 @@ def test_build_model_dispatch():
 
 def test_qutrit_atom1_entries():
     p = qutrit_params(rabi_optical=1.0 + 2.0j)
-    h1 = build_qutrit_model(p, QUTRIT).hamiltonian[:, :]
+    h1 = build_model(p, QUTRIT).hamiltonian[:, :]
     # row |rL f|, col |f f| carries Omega*/2; diagonal |rL f> carries -Delta
     rl_f = 3 * 4 + 0
     f_f = 0
@@ -139,7 +130,7 @@ def test_qutrit_atom1_entries():
 
 def test_qutrit_atom2_entries():
     p = qutrit_params()
-    h = build_qutrit_model(p, QUTRIT).hamiltonian
+    h = build_model(p, QUTRIT).hamiltonian
     g_idx, r_idx = 2, 3
     assert h[0 * 4 + g_idx, 0 * 4 + r_idx] == p.rabi_optical / 2
     assert h[0 * 4 + r_idx, 0 * 4 + r_idx] == -p.detuning
@@ -148,7 +139,7 @@ def test_qutrit_atom2_entries():
 def test_qutrit_interaction_term():
     p = qutrit_params(rabi_optical=0.0, rabi_microwave_1=0.0,
                       rabi_microwave_2=0.0, detuning=0.0)
-    h = build_qutrit_model(p, QUTRIT).hamiltonian
+    h = build_model(p, QUTRIT).hamiltonian
     expected = np.zeros((20, 20))
     expected[3 * 4 + 3, 3 * 4 + 3] = p.rydberg_U  # |rL r>
     expected[4 * 4 + 3, 4 * 4 + 3] = p.rydberg_U  # |rR r>
@@ -156,7 +147,7 @@ def test_qutrit_interaction_term():
 
 
 def test_qutrit_resonant_pumping_cancellation():
-    h = build_qutrit_model(qutrit_params(), QUTRIT).hamiltonian
+    h = build_model(qutrit_params(), QUTRIT).hamiltonian
     assert h[3 * 4 + 3, 3 * 4 + 3] == 0.0
     assert h[4 * 4 + 3, 4 * 4 + 3] == 0.0
 
@@ -164,7 +155,7 @@ def test_qutrit_resonant_pumping_cancellation():
 def test_qutrit_microwave_dark_states():
     p = qutrit_params(rabi_optical=0.0, detuning=0.0, rydberg_U=0.0)
     for variant, dark in ((QUTRIT, "phi"), (QUTRIT_P, "phi_prime")):
-        m = build_qutrit_model(p, variant)
+        m = build_model(p, variant)
         assert np.max(np.abs(m.hamiltonian @ m.state(dark))) < 1e-14
         # the other eight ground-basis states are not dark
         for name, ket in m.population_basis():
@@ -175,10 +166,10 @@ def test_qutrit_microwave_dark_states():
 def test_qutrit_microwave_sign_pattern():
     # phi variant: atom-1 terms +omega/2, atom-2 terms -omega/2
     p = qutrit_params(rabi_optical=0.0, detuning=0.0, rydberg_U=0.0)
-    h = build_qutrit_model(p, QUTRIT).hamiltonian
+    h = build_model(p, QUTRIT).hamiltonian
     assert h[0 * 4 + 0, 1 * 4 + 0] == p.rabi_microwave_1 / 2      # |fa><aa| atom 1
     assert h[0 * 4 + 0, 0 * 4 + 1] == -p.rabi_microwave_2 / 2     # atom 2 flipped
-    hp = build_qutrit_model(p, QUTRIT_P).hamiltonian
+    hp = build_model(p, QUTRIT_P).hamiltonian
     assert hp[0 * 4 + 0, 0 * 4 + 1] == p.rabi_microwave_2 / 2
 
 
@@ -186,7 +177,7 @@ def test_qutrit_lindblads_match_basis_change_expansions():
     # the nine jump operators rewritten over the ground-manifold basis,
     # e.g. L_{rL,f} |rL f> = sqrt(gamma/3) (phi/sqrt3 + varphi/sqrt6 + psi/sqrt2)
     p = qutrit_params(gamma=3.0)
-    m = build_qutrit_model(p, QUTRIT)
+    m = build_model(p, QUTRIT)
     amp = math.sqrt(p.gamma / 3)
     st = m.named_states
     comb_f = st["phi"] / math.sqrt(3) + st["varphi"] / math.sqrt(6) + st["psi"] / math.sqrt(2)
@@ -218,8 +209,8 @@ def test_qutrit_lindblads_match_basis_change_expansions():
 
 
 def test_named_states_unit_norm():
-    for model in (build_bell_model(bell_params(), BELL),
-                  build_qutrit_model(qutrit_params(), QUTRIT)):
+    for model in (build_model(bell_params(), BELL),
+                  build_model(qutrit_params(), QUTRIT)):
         for name, ket in model.named_states.items():
             assert abs(np.linalg.norm(ket) - 1.0) <= 1e-12, name
 
@@ -243,9 +234,9 @@ def test_named_states_checked_once_per_scheme(monkeypatch):
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])
 def test_product_states_match_kron_formula(scheme):
     if scheme == "bell":
-        m = build_bell_model(bell_params(), BELL)
+        m = build_model(bell_params(), BELL)
     else:
-        m = build_qutrit_model(qutrit_params(), QUTRIT)
+        m = build_model(qutrit_params(), QUTRIT)
     labels_a, labels_b = m.basis_labels
     da, db = len(labels_a), len(labels_b)
     eye_a, eye_b = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
@@ -263,12 +254,12 @@ def test_product_states_match_kron_formula(scheme):
 
 
 def test_initial_density_mixtures():
-    m = build_bell_model(bell_params(), BELL)
+    m = build_model(bell_params(), BELL)
     rho = m.initial_density("mix4")
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     for _, ket in m.population_basis():
         assert np.vdot(ket, rho @ ket).real == pytest.approx(0.25, abs=1e-12)
-    mq = build_qutrit_model(qutrit_params(), QUTRIT)
+    mq = build_model(qutrit_params(), QUTRIT)
     rho9 = mq.initial_density("mix9")
     for _, ket in mq.population_basis():
         assert np.vdot(ket, rho9 @ ket).real == pytest.approx(1 / 9, abs=1e-12)
@@ -277,7 +268,7 @@ def test_initial_density_mixtures():
 
 
 def test_state_aliases():
-    m = build_bell_model(bell_params(), BELL)
+    m = build_model(bell_params(), BELL)
     assert np.array_equal(m.state("singlet"), m.state("S"))
     assert np.array_equal(m.state("ground-ff"), m.state("ff"))
     with pytest.raises(KeyError, match="unknown state"):
@@ -437,7 +428,7 @@ def oracle_product_states(labels_a, labels_b) -> dict:
 
 def oracle_bell_model(params, variant):
     if variant.scheme != "bell":
-        raise ValueError(f"build_bell_model requires scheme 'bell', got {variant.scheme!r}")
+        raise ValueError(f"oracle_bell_model requires scheme 'bell', got {variant.scheme!r}")
     omega = complex(params.rabi_microwave_1)
     big_o = complex(params.rabi_optical)
 
@@ -452,7 +443,7 @@ def oracle_bell_model(params, variant):
         )
 
     eye3 = np.eye(3, dtype=complex)
-    ham = kron(single_atom(omega), eye3) + kron(eye3, single_atom(
+    ham = np.kron(single_atom(omega), eye3) + np.kron(eye3, single_atom(
         oracle_atom2_microwave_sign(variant) * omega))
     rr = 2 * 3 + 2
     ham[rr, rr] += params.rydberg_U
@@ -463,7 +454,7 @@ def oracle_bell_model(params, variant):
         for ground in (0, 1):  # f, a
             jump = np.zeros((3, 3), dtype=complex)
             jump[ground, 2] = amp
-            lindblads.append(kron(jump, eye3) if atom == 0 else kron(eye3, jump))
+            lindblads.append(np.kron(jump, eye3) if atom == 0 else np.kron(eye3, jump))
 
     states = oracle_product_states(ORACLE_BELL_LEVELS, ORACLE_BELL_LEVELS)
     states["S"] = (states["fa"] - states["af"]) / math.sqrt(2.0)
@@ -482,7 +473,7 @@ def oracle_bell_model(params, variant):
 
 def oracle_qutrit_model(params, variant):
     if variant.scheme != "qutrit":
-        raise ValueError(f"build_qutrit_model requires scheme 'qutrit', got {variant.scheme!r}")
+        raise ValueError(f"oracle_qutrit_model requires scheme 'qutrit', got {variant.scheme!r}")
     om1 = complex(params.rabi_microwave_1)
     om2 = oracle_atom2_microwave_sign(variant) * complex(params.rabi_microwave_2)
     big_o = complex(params.rabi_optical)
@@ -503,7 +494,7 @@ def oracle_qutrit_model(params, variant):
     h2[3, 3] = -delta
 
     eye5, eye4 = np.eye(5, dtype=complex), np.eye(4, dtype=complex)
-    ham = kron(h1, eye4) + kron(eye5, h2)
+    ham = np.kron(h1, eye4) + np.kron(eye5, h2)
     for rydberg_1 in (3, 4):  # |rL r>, |rR r> shifted by the same U_rr
         idx = rydberg_1 * 4 + 3
         ham[idx, idx] += params.rydberg_U
@@ -514,11 +505,11 @@ def oracle_qutrit_model(params, variant):
         for ground in (0, 1, 2):
             jump = np.zeros((5, 5), dtype=complex)
             jump[ground, rydberg_1] = amp
-            lindblads.append(kron(jump, eye4))
+            lindblads.append(np.kron(jump, eye4))
     for ground in (0, 1, 2):
         jump = np.zeros((4, 4), dtype=complex)
         jump[ground, 3] = amp
-        lindblads.append(kron(eye5, jump))
+        lindblads.append(np.kron(eye5, jump))
 
     states = oracle_product_states(ORACLE_QUTRIT_LEVELS_A, ORACLE_QUTRIT_LEVELS_B)
     ff, aa, gg = states["ff"], states["aa"], states["gg"]

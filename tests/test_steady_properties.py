@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rydpump.dynamics import (_DRAZIN_MARGIN, _DRAZIN_RTOL, build_liouvillian, liouvillian_gap,
                               steady_state)
-from rydpump.linalg import kron
 from rydpump.measures import chsh_correlation, fidelity, negativity
 from rydpump.models import SchemeVariant, build_model, caption_params
 
@@ -64,7 +63,7 @@ def _flip_a_on_atom2(model):
     da, db = model.dims
     u2 = np.eye(db)
     u2[1, 1] = -1.0
-    return kron(np.eye(da), u2)
+    return np.kron(np.eye(da), u2)
 
 
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])

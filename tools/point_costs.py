@@ -17,6 +17,7 @@ ran per point:
   `dynamics.steady_state`;
 - inside `steady_state`: `dynamics._bordered_lu` (the real form and its
   LU), `dynamics._drazin_norm` (the certificate's power iteration),
+  `dynamics._from_coords` (the solution's map back to a vec),
   `dynamics.residual` and `dynamics._positive_by_cholesky`.
 
 Every timer adds a few tenths of a microsecond to its layer and to the
@@ -57,6 +58,7 @@ LAYERS = (
     ("dynamics", "steady_state"),
     ("dynamics", "_bordered_lu"),
     ("dynamics", "_drazin_norm"),
+    ("dynamics", "_from_coords"),
     ("dynamics", "residual"),
     ("dynamics", "_positive_by_cholesky"),
     ("grid", "measure_columns"),
