@@ -98,9 +98,7 @@ _potrf = sla.lapack.zpotrf
 # scipy's CSR matrix-vector kernel, which superop @ v reaches after its dispatch.
 _csr_matvec = _sparsetools.csr_matvec
 
-# e-folds after which the slowest mode has decayed below machine epsilon;
-# the "evolve" backend doubles its horizon at most _MAX_DOUBLINGS times.
-_EPS_E_FOLDS = -math.log(_EPS)
+# The "evolve" backend doubles its horizon at most _MAX_DOUBLINGS times.
 _MAX_DOUBLINGS = 60
 
 
@@ -610,14 +608,15 @@ def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool
         The bordered solve with right-hand side e_0, mapped back from
         Hermitian-basis coordinates.
     "evolve"
-        Propagation of I/dim by repeated squaring of expm(L/gamma_scale),
-        with the horizon doubled until exp(-gap * horizon) < eps, gap from
-        liouvillian_gap.  It propagates the complex generator, so it ends
-        with the projection (rho + rho^dag)/2.  Its state bottoms out at
-        ||L vec(rho)||_2 of about 1e-9 to 5e-9, so where the slowest
-        relaxation rate is below about 0.1 1/s (||L^D||_2 above about
-        10 s) its error bound exceeds 1e-8 and ConvergenceError is raised,
-        while "nullspace" passes.
+        Propagation of I/dim by repeated squaring of expm(L/gamma_scale).
+        It propagates the complex generator, so each doubling ends with the
+        projection (rho + rho^dag)/2, and it certifies itself: it stops at
+        the first doubling where the error bound of the projected state did
+        not fall, or is at most 1e-8 and no longer halves, and after 60
+        doublings at most.  Its state bottoms out at ||L vec(rho)||_2 of
+        about 1e-9 to 5e-9, so where the slowest relaxation rate is below
+        about 0.1 1/s (||L^D||_2 above about 10 s) its error bound exceeds
+        1e-8 and ConvergenceError is raised, while "nullspace" passes.
 
     rho is returned C-ordered, Hermitian by construction and with trace
     exactly 1; it is checked for residual, error bound and positivity, and
@@ -627,8 +626,7 @@ def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool
     when an eigenvalue of rho is below -1e-9.  With
     return_info=True a dict is returned too: the backend name ("method"),
     "drazin_norm" (the bound on ||L^D||_2, in s), "residual" and
-    "error_bound", and for "evolve" also "gap" (1/s), "doublings" and
-    "model_time" (s).
+    "error_bound", and for "evolve" also "doublings" and "model_time" (s).
     """
     if method not in ("nullspace", "evolve"):
         raise ValueError(f"unknown method {method!r}; expected 'nullspace' or 'evolve'")
@@ -644,7 +642,7 @@ def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool
         v = _from_coords(_getrs(*lu, e0, overwrite_b=True)[0], np.empty(e0.size, dtype=complex))
         info = {"method": "nullspace"}
     else:
-        v, info = _steady_evolve(L)
+        v, info = _steady_evolve(L, drazin_norm)
     info["drazin_norm"] = drazin_norm
     rho, info = _finalize(L, v, info)
     return (rho, info) if return_info else rho
@@ -734,8 +732,8 @@ def liouvillian_gap(L: Liouvillian) -> float:
     preparation time scale.
 
     It comes from the dense eigenvalues of the real form L.real, about
-    1.4 ms at dim 9 and 50 ms at dim 20, so only the "evolve" steady-state
-    backend computes it, for its horizon.  A non-finite generator raises
+    1.4 ms at dim 9 and 50 ms at dim 20, so it is only reported: no
+    steady-state backend computes it.  A non-finite generator raises
     ValueError, and a gap at the rounding floor 1e3 * eps * ||L||_1
     NonUniqueSteadyStateError.
     """
@@ -760,11 +758,16 @@ def residual(L: Liouvillian, rho: np.ndarray) -> tuple[float, float]:
     real and imaginary parts that np.linalg.norm takes: the same bytes
     without their per-call checks."""
     v = vec(rho)
+    defect = _defect(L, v)
+    return defect, defect / (max(L.norm_1, _TINY) * _norm2(v))
+
+
+def _defect(L: Liouvillian, v: np.ndarray) -> float:
+    """||L v||_2 of a complex vector v."""
     s = L.superop
     out = np.zeros(v.size, dtype=complex)
     _csr_matvec(v.size, v.size, s.indptr, s.indices, s.data, v, out)
-    defect = _norm2(out)
-    return defect, defect / (max(L.norm_1, _TINY) * _norm2(v))
+    return _norm2(out)
 
 
 def _norm2(v: np.ndarray) -> float:
@@ -805,26 +808,29 @@ def _finalize(L: Liouvillian, v: np.ndarray, info: dict):
     return rho, info
 
 
-def _steady_evolve(L: Liouvillian):
+def _steady_evolve(L: Liouvillian, drazin_norm: float):
+    """vec of the Hermitian part of I/dim propagated by repeated squaring of
+    expm(L dt), dt = 1/gamma_scale, and its info.  After each doubling of the
+    horizon dt (2^k - 1) the state is certified, drazin_norm ||L vec(rho)||_2;
+    the propagation stops at the first doubling where that bound did not
+    fall, or is at most _ERROR_BOUND_MAX and no longer halves."""
     d = L.dim
-    gap = liouvillian_gap(L)
     dt = 1.0 / L.gamma_scale
-    # After k doublings the horizon is dt * (2^k - 1).
-    doublings = max(1, math.ceil(math.log2(_EPS_E_FOLDS / (gap * dt) + 1.0)))
-    if doublings > _MAX_DOUBLINGS:
-        raise ConvergenceError(
-            f"long-time propagation needs {doublings} horizon doublings to relax the "
-            f"slowest mode (gap {gap:.3e} 1/s), more than max_doublings = {_MAX_DOUBLINGS}"
-        )
     prop = sla.expm((L.superop * dt).toarray())
     v = vec(np.eye(d, dtype=complex) / d)
-    for k in range(doublings):
-        if k:
+    prev = math.inf
+    for doublings in range(1, _MAX_DOUBLINGS + 1):
+        if doublings > 1:
             prop = prop @ prop
         v = prop @ v
         v = v / np.trace(unvec(v, d)).real  # guard against rounding drift
-    rho = unvec(v, d)  # the complex propagation leaves anti-Hermitian rounding
-    v = vec((rho + dagger(rho)) / 2.0)
-    info = {"method": "evolve", "gap": gap, "doublings": doublings,
+        rho = unvec(v, d)  # the complex propagation leaves anti-Hermitian rounding
+        herm = vec((rho + dagger(rho)) / 2.0)
+        bound = drazin_norm * _defect(L, herm)
+        # A nan bound did not fall either.
+        if not bound < prev or (bound <= _ERROR_BOUND_MAX and 2.0 * bound > prev):
+            break
+        prev = bound
+    info = {"method": "evolve", "doublings": doublings,
             "model_time": dt * (2.0**doublings - 1.0)}
-    return v, info
+    return herm, info

@@ -92,7 +92,10 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
     check_measures and be one of SCALAR_MEASURES; every check runs before
     the first point.  Each point applies every axis value through
     override, counting as given the axis keys and given (by default every
-    key of caption).  Points run in row-major order.  Returns coords
+    key of caption).  A preset's caption, dict(models.FIGURES[name].caption),
+    sweeps as `sweep --preset name` does only with given=(): by default an
+    urr-mhz axis keeps the preset's delta_mhz in place of U_rr = 2 Delta.
+    Points run in row-major order.  Returns coords
     (points, axes), values (points,) and one error text per point, "" unless
     it failed.
     """

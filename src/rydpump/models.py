@@ -336,11 +336,6 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     )
 
 
-# The acceptance suite (tests/test_acceptance.py) imports these two names;
-# the variant names the scheme, so each is build_model.
-build_bell_model = build_qutrit_model = build_model
-
-
 def caption_params(
     *,
     rabi_mhz: float = 0.0,

@@ -16,9 +16,9 @@ from rydpump.models import (
     ModelParams,
     SchemeVariant,
     SystemModel,
-    build_bell_model,
     build_model,
-    build_qutrit_model,
+    build_model as build_bell_model,
+    build_model as build_qutrit_model,
     caption_params,
     figure_preset,
 )

@@ -323,6 +323,21 @@ def test_sweep_function_missing_leg_follows_the_swept_one():
                                for u in (6.0, 8.0)]
 
 
+def test_sweep_function_sweeps_a_preset_like_the_cli(capsys):
+    # A preset's caption with given=() sweeps as `sweep --preset` does: no
+    # caption key counts as given, so each swept U_rr brings Delta = U_rr/2.
+    fig = models.FIGURES["fig6-point"]
+    axes = [("urr-mhz", 6.0, 10.0, 2), ("gamma-khz", 0.5, 2.5, 2)]
+    variant = models.figure_preset("fig6-point").variant
+    _, values, errors = rydpump.sweep(dict(fig.caption), variant, axes, "negativity", given=())
+    argv = ["sweep", "--preset", "fig6-point"]
+    for name, lo, hi, steps in axes:
+        argv += ["--axis", name, str(lo), str(hi), str(steps)]
+    assert errors == [""] * 4
+    assert [f"{v:.17e}" for v in values] == [
+        f"{v:.17e}" for v in cli_values(capsys, argv, "negativity")]
+
+
 def test_override_rule():
     caption = {"microwave_mhz": 1.0, "delta_mhz": 3.0}
     rydpump.grid.override(caption, "microwave_rel", 0.004, given=())
@@ -605,8 +620,8 @@ def test_sweep_leaves_out_scipy_sparse_linalg(tmp_path):
 
 @pytest.mark.parametrize("method", ["nullspace", "evolve"])
 def test_steady_leaves_out_scipy_sparse_linalg(tmp_path, method):
-    # The evolve horizon reads the gap, which comes from dense eigenvalues,
-    # so neither backend imports scipy.sparse.linalg.
+    # Neither backend imports scipy.sparse.linalg: both certify the state
+    # from the bordered LU, and the evolve backend computes no gap.
     src = str(Path(rydpump.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = tmp_path / "steady.csv"
@@ -631,6 +646,27 @@ def test_steady_residual_is_the_certified_one(method, capsys):
     L = dynamics.build_liouvillian(models.build_model(pre.params, pre.variant))
     _, info = dynamics.steady_state(L, method=method, return_info=True)
     assert row[-2:] == [info["residual"], method]
+
+
+def test_steady_evolve_fails_where_its_certificate_levels_off(monkeypatch, capsys):
+    # Off resonance at fig2 the evolve state's certificate levels off near
+    # 4e-8: the backend stops where it no longer falls, well before
+    # _MAX_DOUBLINGS squarings, and the state fails the 1e-8 bound (exit 3).
+    # The bordered solve passes at the same point.
+    doublings = []
+    finalize = dynamics._finalize
+    monkeypatch.setattr(dynamics, "_finalize",
+                        lambda L, v, info: doublings.append(info.get("doublings"))
+                        or finalize(L, v, info))
+    argv = ["steady", "--preset", "fig2", "--urr-mhz", "6", "--delta-mhz", "3.15",
+            "--gamma-khz", "1.673", "--no-timestamp", "--method"]
+    assert run(argv + ["evolve"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: steady-state error bound ||L^D|| ||L rho|| = ")
+    assert err.endswith(" exceeds 1e-08 (backend evolve)\n")
+    assert len(doublings) == 1 and 20 <= doublings[0] <= dynamics._MAX_DOUBLINGS // 2
+    assert run(argv + ["nullspace"]) == 0
+    assert doublings[1:] == [None]
 
 
 def test_steady_computes_the_residual_once(monkeypatch):

@@ -1283,6 +1283,12 @@ def test_steady_state_is_fixed_point_of_evolution():
     assert trace_distance(rho, later) <= 1e-9
 
 
+def off_resonant_qutrit(urr_mhz, delta_mhz):
+    """The generator at fig6-point with U_rr and Delta replaced."""
+    caption = dict(find_figure("fig6-point").caption, urr_mhz=urr_mhz, delta_mhz=delta_mhz)
+    return build_liouvillian(build_model(caption_params(**caption), SchemeVariant("qutrit", "phi")))
+
+
 @pytest.mark.parametrize("urr_mhz, delta_mhz", [(2.0, 0.9), (3.0, 1.35)])
 def test_steady_evolve_backend_off_resonance(urr_mhz, delta_mhz):
     # Delta 10 % below U_rr/2 at fig6-point: slow gaps (about 0.05 1/s).
@@ -1292,12 +1298,33 @@ def test_steady_evolve_backend_off_resonance(urr_mhz, delta_mhz):
     # the Hermitian projection cannot remove: 8.4e-9 to 9.2e-9 here.  The
     # certificate ||L^D||_2 ||L vec(rho)||_2 is 1.4-1.5 times the first
     # (6.3e-9 and 7.8e-9 with BLAS on one thread).
-    caption = dict(find_figure("fig6-point").caption, urr_mhz=urr_mhz, delta_mhz=delta_mhz)
-    L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant("qutrit", "phi")))
+    L = off_resonant_qutrit(urr_mhz, delta_mhz)
     rho, info = steady_state(L, method="evolve", return_info=True)
-    assert np.linalg.norm(L.superop @ vec(rho)) / info["gap"] <= 7e-9
+    assert np.linalg.norm(L.superop @ vec(rho)) / liouvillian_gap(L) <= 7e-9
     assert info["error_bound"] <= 1e-8
     assert np.max(np.abs(rho - steady_state(L))) <= 1e-8
+
+
+@pytest.mark.parametrize("point, doublings", [
+    ("fig2", 13), ("fig8a", 12), ("fig6-point", 13),
+    pytest.param((2.0, 0.9), 21, id="off-resonance-urr-2"),
+    pytest.param((3.0, 1.35), 21, id="off-resonance-urr-3")])
+def test_steady_evolve_stops_on_its_certificate(point, doublings):
+    # The evolve backend stops at the first doubling where the certificate
+    # ||L^D||_2 ||L vec(rho)||_2 of its state did not fall, or is at most
+    # 1e-8 and no longer halves.  At the presets it falls below 1e-8 after
+    # 10-12 doublings and levels off one doubling later; off resonance
+    # (the points above, gap about 0.05 1/s) it levels off at 6e-9 to 8e-9
+    # after 21.
+    if isinstance(point, str):
+        pre = figure_preset(point)
+        L = build_liouvillian(build_model(pre.params, pre.variant))
+    else:
+        L = off_resonant_qutrit(*point)
+    _, info = steady_state(L, method="evolve", return_info=True)
+    assert info["doublings"] == doublings
+    assert info["model_time"] == (1.0 / L.gamma_scale) * (2.0**doublings - 1.0)
+    assert info["error_bound"] <= 1e-8
 
 
 def test_steady_state_unique_for_all_presets():
@@ -1430,9 +1457,8 @@ def test_drazin_norm_matches_power_loop_oracle(name):
 
 
 def test_sweep_path_skips_the_gap(monkeypatch):
-    # The nullspace backend never computes the gap, with or without
-    # return_info; the evolve backend computes it once, for its horizon,
-    # and reports it.
+    # Neither backend computes the gap, with or without return_info: the
+    # evolve backend stops on its own certificate.
     calls = []
 
     def recording(L):
@@ -1447,9 +1473,8 @@ def test_sweep_path_skips_the_gap(monkeypatch):
     assert calls == []
     assert set(info) == {"method", "drazin_norm", "residual", "error_bound"}
     _, info = steady_state(L, method="evolve", return_info=True)
-    assert calls == [L]
-    assert info["gap"] == liouvillian_gap(L)
-    assert set(info) == {"method", "gap", "doublings", "model_time", "drazin_norm", "residual",
+    assert calls == []
+    assert set(info) == {"method", "doublings", "model_time", "drazin_norm", "residual",
                          "error_bound"}
 
 

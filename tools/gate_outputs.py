@@ -42,8 +42,10 @@ The gated outputs are:
   populations or to an unknown name; of an `evolve` from an unknown
   `--initial` state; of an `evolve` at fig3 over 1e23 ms, whose
   propagators overflow to non-finite states; of a sweep axis whose MIN
-  is not a number; and of three `evolve` runs at `--t-max-ms 0` whose
-  `--samples` is 0, -3 or 5 (a zero-length grid has exactly one sample).
+  is not a number; of three `evolve` runs at `--t-max-ms 0` whose
+  `--samples` is 0, -3 or 5 (a zero-length grid has exactly one sample);
+  and of a `steady --method evolve` run off resonance at fig2 whose
+  certificate levels off above the 1e-8 bound.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -83,7 +85,8 @@ LONG_EVOLVE = (("fig3-3001", ["--preset", "fig3", "--samples", "3001", "--output
 OVERRIDES = (("fig2-urr-6", ["--preset", "fig2", "--urr-mhz", "6"]),
              ("fig6-point-gamma-0.5", ["--preset", "fig6-point", "--gamma-khz", "0.5"]))
 # A Bell point whose slowest mode (-15.573 +- 487i 1/s) is not among the
-# modes of smallest |lambda|: its evolve output pins the horizon the gap sets.
+# modes of smallest |lambda|: its evolve output pins where that backend's
+# certificate stops.
 SLOW_MODE = ("fig8a-slow-mode", ["--preset", "fig8a", "--rabi-mhz", "0.0625", "--microwave-rel",
                                  "0.0078125", "--urr-mhz", "1", "--gamma-khz", "1"])
 SUBCOMMANDS = ("evolve", "steady", "sweep", "reproduce")
@@ -111,7 +114,10 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
            ("evolve-samples-negative", ["evolve", "--preset", "fig3", "--samples", "-3",
                                         "--t-max-ms", "0"]),
            ("evolve-samples-at-time-zero", ["evolve", "--preset", "fig3", "--samples", "5",
-                                            "--t-max-ms", "0"]))
+                                            "--t-max-ms", "0"]),
+           ("steady-evolve-bound-levels-off", ["steady", "--preset", "fig2", "--urr-mhz", "6",
+                                               "--delta-mhz", "3.15", "--gamma-khz", "1.673",
+                                               "--method", "evolve"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
