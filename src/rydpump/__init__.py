@@ -8,7 +8,6 @@ negativity, at one operating point or over a parameter grid (sweep).
 
 from .linalg import (
     BipartiteDims,
-    dagger,
     hermitian_eigvals,
     hermiticity_defect,
     partial_transpose,
@@ -48,7 +47,7 @@ from .grid import sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteDims", "dagger", "hermitian_eigvals", "hermiticity_defect", "partial_transpose",
+    "BipartiteDims", "hermitian_eigvals", "hermiticity_defect", "partial_transpose",
     "ModelParams", "Preset", "SchemeVariant", "SystemModel", "angular_mhz", "build_model",
     "caption_params", "decay_rate_khz", "figure_preset",
     "ConvergenceError", "Liouvillian", "NonUniqueSteadyStateError", "Trajectory",

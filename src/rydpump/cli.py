@@ -111,7 +111,6 @@ class RunSetup:
             val = opts.get(dest)
             return val if val is not None else cfg_flags.get(dest, default)
 
-        self.gamma_angular = pick("gamma_angular", False)
         preset_name = pick("preset")
         fig = models.find_figure(preset_name) if preset_name else None
 
@@ -132,6 +131,8 @@ class RunSetup:
         self.caption = dict(fig.caption) if fig else {}
         for key, value in self.given.items():
             override(self.caption, key, value, self.given)
+        if pick("gamma_angular"):
+            self.caption["gamma_angular"] = True
 
         self.initial = pick("initial", fig.initial if fig else None)
         if need_initial and self.initial is None:
@@ -155,7 +156,7 @@ class RunSetup:
             raise ValueError(f"unknown format {self.format!r}; expected csv or json")
 
     def params(self) -> models.ModelParams:
-        return models.caption_params(gamma_angular=self.gamma_angular, **self.caption)
+        return models.caption_params(**self.caption)
 
     def model(self) -> models.SystemModel:
         return models.build_model(self.params(), self.variant)
@@ -255,7 +256,7 @@ def cmd_steady(args) -> int:
 def cmd_sweep(args) -> int:
     setup = RunSetup(vars(args))
     coords, values, errors = sweep(setup.caption, setup.variant, args.axis, setup.reduce,
-                                   given=setup.given, gamma_angular=setup.gamma_angular)
+                                   given=setup.given)
     names = [spec[0].replace("-", "_") for spec in args.axis] + [setup.reduce, "error"]
     write_table(args.out, "sweep", names, np.column_stack([coords, values]), setup.format,
                 not args.no_timestamp, text=errors)

@@ -39,7 +39,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .linalg import blocks, dagger, hermiticity_defect
+from .linalg import blocks, hermiticity_defect
 from .models import SystemModel
 
 
@@ -825,7 +825,7 @@ def _steady_evolve(L: Liouvillian, drazin_norm: float):
         v = prop @ v
         v = v / np.trace(unvec(v, d)).real  # guard against rounding drift
         rho = unvec(v, d)  # the complex propagation leaves anti-Hermitian rounding
-        herm = vec((rho + dagger(rho)) / 2.0)
+        herm = vec((rho + rho.conj().T) / 2.0)
         bound = drazin_norm * _defect(L, herm)
         # A nan bound did not fall either.
         if not bound < prev or (bound <= _ERROR_BOUND_MAX and 2.0 * bound > prev):

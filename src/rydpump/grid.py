@@ -70,11 +70,11 @@ def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
     return names, np.array(cols).T
 
 
-def _point(variant, reduce: str, gamma_angular: bool, caption: dict):
+def _point(variant, reduce: str, caption: dict):
     """(value, "") of the reduce measure of the steady state at caption,
     or (nan, "{Type}: {message}") when the point fails."""
     try:
-        params = models.caption_params(gamma_angular=gamma_angular, **caption)
+        params = models.caption_params(**caption)
         model = models.build_model(params, variant)
         rho = dynamics.steady_state(dynamics.build_liouvillian(model))
         return float(measure_columns(model, [reduce], rho[None])[1][0, 0]), ""
@@ -82,11 +82,11 @@ def _point(variant, reduce: str, gamma_angular: bool, caption: dict):
         return math.nan, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
-          given=None, gamma_angular: bool = False):
+def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *, given=None):
     """Steady-state reduce measure over a 1-D or 2-D grid of caption values.
 
-    caption holds caption_params keywords and axes one or two
+    caption holds caption_params keywords (gamma_angular=True among them
+    reads every point's gamma_khz as angular) and axes one or two
     (name, lo, hi, steps) specs: name in AXIS_NAMES and not repeated, lo
     and hi finite, steps an integer of at least 2.  reduce must pass
     check_measures and be one of SCALAR_MEASURES; every check runs before
@@ -138,6 +138,5 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *,
     for point, values in zip(captions, coords.tolist()):
         for key, value in zip(keys, values):
             override(point, key, value, given)
-    values, errors = zip(*(_point(variant, reduce, gamma_angular, point)
-                           for point in captions))
+    values, errors = zip(*(_point(variant, reduce, point) for point in captions))
     return coords, np.array(values), list(errors)

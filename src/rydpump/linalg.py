@@ -34,14 +34,9 @@ class BipartiteDims(NamedTuple):
     dimB: int
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return np.conj(m).swapaxes(-1, -2)
-
-
 def hermiticity_defect(m: np.ndarray):
     """max |M - M^dag|: a float for one matrix, an array for a stack."""
-    return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
+    return np.max(np.abs(m - np.conj(m).mT), axis=(-2, -1))
 
 
 def partial_transpose(rho: np.ndarray, dims: BipartiteDims) -> np.ndarray:

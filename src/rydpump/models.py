@@ -193,7 +193,6 @@ class SystemModel:
     dims: BipartiteDims
     hamiltonian: np.ndarray
     lindblads: tuple
-    basis_labels: tuple
     named_states: dict
     variant: SchemeVariant
     params: ModelParams
@@ -329,7 +328,6 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
         dims=BipartiteDims(len(h1), len(h2)),
         hamiltonian=ham,
         lindblads=tuple(jumps),
-        basis_labels=scheme.levels,
         named_states=dict(zip(names, kets.copy())),
         variant=variant,
         params=params,

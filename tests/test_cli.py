@@ -338,6 +338,23 @@ def test_sweep_function_sweeps_a_preset_like_the_cli(capsys):
         f"{v:.17e}" for v in cli_values(capsys, argv, "negativity")]
 
 
+def test_sweep_reads_gamma_angular_from_the_caption(capsys):
+    # gamma_angular is a caption_params keyword, so a caption may hold it;
+    # every point then reads gamma_khz as angular, as --gamma-angular does.
+    axes = [("urr-mhz", 1, 8, 3), ("gamma-khz", 0.5, 2.5, 2)]
+    variant = models.figure_preset("fig8b").variant
+    caption = dict(models.FIGURES["fig8b"].caption)
+    _, values, errors = rydpump.sweep(dict(caption, gamma_angular=True), variant, axes,
+                                      "fidelity", given=())
+    _, plain, _ = rydpump.sweep(caption, variant, axes, "fidelity", given=())
+    argv = ["sweep", "--preset", "fig8b", "--gamma-angular"]
+    for name, lo, hi, steps in axes:
+        argv += ["--axis", name, str(lo), str(hi), str(steps)]
+    assert errors == [""] * 6
+    assert [f"{v:.17e}" for v in values] == [f"{v:.17e}" for v in cli_values(capsys, argv)]
+    assert not np.array_equal(values, plain)
+
+
 def test_override_rule():
     caption = {"microwave_mhz": 1.0, "delta_mhz": 3.0}
     rydpump.grid.override(caption, "microwave_rel", 0.004, given=())

@@ -48,7 +48,7 @@ from rydpump.dynamics import (
 import rydpump
 from rydpump import dynamics, linalg
 from rydpump.cli import main
-from rydpump.linalg import BipartiteDims, dagger
+from rydpump.linalg import BipartiteDims
 from rydpump.measures import fidelity
 from rydpump.models import (
     PRESET_NAMES,
@@ -101,7 +101,7 @@ def sparse_kron_liouvillian(model):
     for c in jumps:
         gen = gen + sp.kron(c.conj(), c, format="csr")
     decay = decay.toarray()
-    rates = np.linalg.eigvalsh((decay + dagger(decay)) / 2)
+    rates = np.linalg.eigvalsh((decay + decay.conj().mT) / 2)
     return gen.tocsr(), float(rates[-1]) if jumps else 0.0
 
 
@@ -233,8 +233,7 @@ def random_model(rng, dim_a=3, dim_b=3, n_lindblads=4):
                for _ in range(n_lindblads))
     return SystemModel(
         dims=BipartiteDims(dim_a, dim_b), hamiltonian=h, lindblads=ls,
-        basis_labels=(("x",) * dim_a, ("x",) * dim_b), named_states={},
-        variant=BELL, params=ModelParams(1, 1, 1, 1, 1),
+        named_states={}, variant=BELL, params=ModelParams(1, 1, 1, 1, 1),
     )
 
 
@@ -311,8 +310,7 @@ def cancelling_model(levels=(1.0, 2, 3, 4, 5, 6)):
     d = len(levels)
     return SystemModel(dims=BipartiteDims(2, 3), hamiltonian=np.diag(levels).astype(complex),
                        lindblads=(np.sqrt(0.5) * np.eye(d, dtype=complex),),
-                       basis_labels=(("x",) * 2, ("x",) * 3), named_states={},
-                       variant=BELL, params=ModelParams(1, 1, 1, 1, 1))
+                       named_states={}, variant=BELL, params=ModelParams(1, 1, 1, 1, 1))
 
 
 def test_liouvillian_drops_terms_that_cancel():
@@ -597,7 +595,7 @@ def test_plans_keep_signed_zeros():
     jump = np.zeros((4, 4), dtype=complex)
     jump[0, 1] = 1j
     m = SystemModel(dims=BipartiteDims(2, 2), hamiltonian=1j * a, lindblads=(jump,),
-                    basis_labels=(("x",) * 2, ("x",) * 2), named_states={}, variant=BELL,
+                    named_states={}, variant=BELL,
                     params=ModelParams(1, 1, 1, 1, 1))
     parts = assert_plans_match_index_path(m).superop.data.view(float)
     assert np.any(np.signbit(parts) & (parts == 0))
@@ -731,7 +729,7 @@ def test_gamma_scale_is_computed_on_first_read(name):
     L = build_liouvillian(m)
     assert "gamma_scale" not in vars(L)
     decay = sum(c.conj().T @ c for c in m.lindblads)
-    assert L.gamma_scale == float(np.linalg.eigvalsh((decay + dagger(decay)) / 2)[-1])
+    assert L.gamma_scale == float(np.linalg.eigvalsh((decay + decay.conj().mT) / 2)[-1])
     assert vars(L)["gamma_scale"] == L.gamma_scale
 
 
@@ -1655,7 +1653,7 @@ def precessing_qubit(kappa):
     lower = np.sqrt(kappa) * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     return SystemModel(
         dims=BipartiteDims(2, 1), hamiltonian=np.diag([w / 2, -w / 2]).astype(complex),
-        lindblads=(lower,), basis_labels=(("e", "g"), ("x",)), named_states={},
+        lindblads=(lower,), named_states={},
         variant=BELL, params=ModelParams(1, 1, 1, 1, 1),
     )
 

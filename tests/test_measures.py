@@ -172,6 +172,15 @@ def test_negativity_definitions_agree(rng):
             assert n == pytest.approx(np.sum((np.abs(lam) - lam) / 2), abs=1e-10)
 
 
+def test_negativity_self_check_tolerance(rng):
+    # The two forms differ by (tr rho - 1)/2: a trace 1 + 1e-9 puts them
+    # 5e-10 apart, beyond the 1e-10 self-check; 1 + 1e-11 stays within it.
+    rho = random_density(rng, 9)
+    with pytest.raises(RuntimeError, match="disagree"):
+        negativity(rho * (1 + 1e-9), BipartiteDims(3, 3))
+    assert math.isfinite(negativity(rho * (1 + 1e-11), BipartiteDims(3, 3)))
+
+
 def test_negativity_local_unitary_invariance(rng):
     rho = random_density(rng, 9)
     u = np.kron(random_unitary(rng, 3), random_unitary(rng, 3))

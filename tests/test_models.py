@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rydpump.cli import RunSetup
 from rydpump.dynamics import build_liouvillian, evolve, steady_state
-from rydpump.linalg import BipartiteDims, dagger
+from rydpump.linalg import BipartiteDims
 from rydpump.models import (
     SCHEMES,
     ModelParams,
@@ -237,7 +237,7 @@ def test_product_states_match_kron_formula(scheme):
         m = build_model(bell_params(), BELL)
     else:
         m = build_model(qutrit_params(), QUTRIT)
-    labels_a, labels_b = m.basis_labels
+    labels_a, labels_b = m.variant.record.levels
     da, db = len(labels_a), len(labels_b)
     eye_a, eye_b = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
     products = [f"{la}{lb}" for la in labels_a for lb in labels_b]
@@ -464,7 +464,6 @@ def oracle_bell_model(params, variant):
         dims=BipartiteDims(3, 3),
         hamiltonian=ham,
         lindblads=tuple(lindblads),
-        basis_labels=(ORACLE_BELL_LEVELS, ORACLE_BELL_LEVELS),
         named_states=states,
         variant=variant,
         params=params,
@@ -522,7 +521,6 @@ def oracle_qutrit_model(params, variant):
         dims=BipartiteDims(5, 4),
         hamiltonian=ham,
         lindblads=tuple(lindblads),
-        basis_labels=(ORACLE_QUTRIT_LEVELS_A, ORACLE_QUTRIT_LEVELS_B),
         named_states=states,
         variant=variant,
         params=params,
@@ -530,6 +528,8 @@ def oracle_qutrit_model(params, variant):
 
 
 ORACLE = {"bell": oracle_bell_model, "qutrit": oracle_qutrit_model}
+ORACLE_LEVELS = {"bell": (ORACLE_BELL_LEVELS, ORACLE_BELL_LEVELS),
+                 "qutrit": (ORACLE_QUTRIT_LEVELS_A, ORACLE_QUTRIT_LEVELS_B)}
 ALL_VARIANTS = (BELL, BELL_T, QUTRIT, QUTRIT_P)
 
 
@@ -541,7 +541,7 @@ def assert_same_array(built, want, what):
 def assert_matches_oracle(params, variant):
     built, want = build_model(params, variant), ORACLE[variant.scheme](params, variant)
     assert built.dims == want.dims
-    assert built.basis_labels == want.basis_labels
+    assert built.variant.record.levels == ORACLE_LEVELS[variant.scheme]
     assert_same_array(built.hamiltonian, want.hamiltonian, "hamiltonian")
     assert len(built.lindblads) == len(want.lindblads)
     for k, (op, want_op) in enumerate(zip(built.lindblads, want.lindblads)):
@@ -608,16 +608,16 @@ def test_hermitian_by_construction(variant, rabi_mhz, rel1, rel2, phases, urr_mh
                     gamma=decay_rate_khz(gamma_khz))
     m = build_model(p, variant)
     h = m.hamiltonian
-    assert np.array_equal(h, dagger(h))
+    assert np.array_equal(h, h.conj().mT)
     assert all(c.shape == h.shape for c in m.lindblads)
     L = build_liouvillian(m)
-    assert np.array_equal(L.decay, dagger(L.decay))
+    assert np.array_equal(L.decay, L.decay.conj().mT)
     states = evolve(L, m.initial_density("mix4" if m.dim == 9 else "mix9"),
                     np.linspace(0.0, 2e-3, 5)).states
-    assert np.array_equal(states, dagger(states))
+    assert np.array_equal(states, states.conj().mT)
     for method in ("nullspace", "evolve"):
         rho = steady_state(L, method=method)
-        assert np.array_equal(rho, dagger(rho)), method
+        assert np.array_equal(rho, rho.conj().mT), method
 
 
 def test_records_count_the_papers_structural_claim():

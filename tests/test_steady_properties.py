@@ -1,6 +1,10 @@
 """Property and metamorphic tests of the steady-state backends over random
 physical parameters, inside the ranges the robustness figures scan."""
 
+import cmath
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from rydpump.dynamics import (_DRAZIN_MARGIN, _DRAZIN_RTOL, build_liouvillian, liouvillian_gap,
                               steady_state)
+from rydpump.grid import measure_columns
 from rydpump.measures import chsh_correlation, fidelity, negativity
 from rydpump.models import SchemeVariant, build_model, caption_params
 
@@ -137,3 +142,34 @@ def test_local_unitary_maps_target_pair(scheme, p):
     if scheme == "bell":
         assert chsh_correlation(rho2, triplet_frame=True) == pytest.approx(
             chsh_correlation(rho1), abs=1e-10)
+
+
+@pytest.mark.parametrize("scheme", ["bell", "qutrit"])
+@SETTINGS
+@given(p=PARAMS, phase=st.floats(-math.pi, math.pi).filter(lambda x: abs(math.sin(x)) > 0.01))
+@example(p={"rabi_mhz": 0.036, "microwave_rel": 0.004, "urr_mhz": 4.0, "gamma_khz": 1.0},
+         phase=1.7)
+def test_optical_phase_leaves_measures(scheme, p, phase):
+    # Omega -> Omega e^{i phase} is undone by phasing each atom's Rydberg
+    # levels, which no ground-manifold measure sees.  It also puts complex
+    # Hamiltonian entries through the generator's plans, which no preset does.
+    m = _model(scheme, PARTNER[scheme][0], p)
+    params = dataclasses.replace(m.params,
+                                 rabi_optical=m.params.rabi_optical * cmath.exp(1j * phase))
+    shifted = build_model(params, m.variant)
+    assert np.any(shifted.hamiltonian.imag)
+    outputs = ["populations", "fidelity", "negativity"] + (["chsh"] if scheme == "bell" else [])
+    _, before = measure_columns(m, outputs, steady_state(build_liouvillian(m))[None])
+    _, after = measure_columns(shifted, outputs, steady_state(build_liouvillian(shifted))[None])
+    assert np.max(np.abs(after - before)) <= 1e-10
+
+
+@SETTINGS
+@given(p=PARAMS)
+def test_bell_singlet_steady_state_is_swap_symmetric(p):
+    # The atom swap S|ab> = |ba> commutes with the singlet scheme's steady state.
+    m = _model("bell", "singlet", p)
+    rho = steady_state(build_liouvillian(m))
+    d = m.dims.dimA
+    swap = np.eye(d * d)[[b * d + a for a in range(d) for b in range(d)]]
+    assert np.max(np.abs(swap @ rho @ swap.T - rho)) <= 1e-12

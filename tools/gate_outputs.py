@@ -30,6 +30,10 @@ The gated outputs are:
   populations, fidelity and negativity;
 - the CSV of a `sweep --preset fig6-point` without `--reduce`, which
   reduces to the preset's measure;
+- the CSV of a `sweep --preset fig8b --gamma-angular` over fig8b's two
+  axes, and of a `steady --config FILE` run whose file holds
+  `preset = fig2` and `gamma-angular = yes`: the flag and the config key
+  that read gamma as an angular rate;
 - the CSV of two CHSH sweeps at fig8a whose grids start at a degenerate
   point, gamma = 0 and Omega = 0, where the steady state is not unique:
   they pin the `error` column, and at gamma = 0 a generator with entries
@@ -93,6 +97,11 @@ SUBCOMMANDS = ("evolve", "steady", "sweep", "reproduce")
 SWEEP = ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "8", "3"]
 # A sweep that reduces to its preset's measure, which is not fidelity.
 PRESET_SWEEP = ["sweep", "--preset", "fig6-point", "--axis", "urr-mhz", "1", "10", "2"]
+# The angular gamma reading, by flag over fig8b's two axes and by config key
+# at fig2.  The config file is written into the directory given as {out}.
+ANGULAR_SWEEP = ["sweep", "--preset", "fig8b", "--gamma-angular", "--axis", "urr-mhz", "1", "8",
+                 "5", "--axis", "gamma-khz", "0.5", "2.5", "5"]
+ANGULAR_CONFIG = ("gamma-angular.cfg", "preset = fig2\ngamma-angular = yes\n")
 # CHSH sweeps whose first point is degenerate (no decay, no optical drive),
 # so they write the error column too.
 DEGENERATE_SWEEPS = (("fig8a-gamma-chsh", ["gamma-khz", "0", "1", "3"]),
@@ -123,7 +132,8 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 def jobs(tree: Path) -> list:
     """(output name, argv) of every gated output; reproduce writes its CSV
-    into the directory given as {out}, the others are read from stdout."""
+    into the directory given as {out}, which also holds the config file of
+    the config run, and the others are read from stdout."""
     cli = [sys.executable, "-m", "rydpump.cli"]
     out = [(f"reproduce/{fig}.csv", cli + ["reproduce", fig, "--out-dir", "{out}", "--no-timestamp"])
            for fig in REPRODUCE]
@@ -149,6 +159,9 @@ def jobs(tree: Path) -> list:
     out += [(f"evolve/{name}.csv", cli + ["evolve", *spec, "--no-timestamp"])
             for name, spec in LONG_EVOLVE]
     out.append(("sweep/fig6-point-urr.csv", cli + PRESET_SWEEP + ["--no-timestamp"]))
+    out.append(("sweep/fig8b-gamma-angular.csv", cli + ANGULAR_SWEEP + ["--no-timestamp"]))
+    out.append(("steady/fig2-config-gamma-angular.csv",
+                cli + ["steady", "--config", f"{{out}}/{ANGULAR_CONFIG[0]}", "--no-timestamp"]))
     out += [(f"sweep/{name}.csv", cli + ["sweep", "--preset", "fig8a", "--axis", *axis,
                                          "--reduce", "chsh", "--no-timestamp"])
             for name, axis in DEGENERATE_SWEEPS]
@@ -167,6 +180,7 @@ def generate(tree: Path, dest: Path) -> dict:
     results = {}
     outdir = dest / "reproduce"
     outdir.mkdir(parents=True)
+    (outdir / ANGULAR_CONFIG[0]).write_text(ANGULAR_CONFIG[1])
     for name, argv in jobs(tree):
         argv = [a.replace("{out}", str(outdir)) for a in argv]
         proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=600)
