@@ -228,61 +228,49 @@ def _frozen(*arrays):
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _decay_plan(shape: tuple, mask: bytes):
-    """For jump operators c of this shape and nonzero mask: the flat
-    positions in c of the two factors of every product conj(c[row, i])
-    c[row, l] over pairs of entries in one row of one operator, and the
-    flat position (op, i, l) each product adds to, in _decay_operator's
-    order."""
-    n_ops, d, _ = shape
-    op, row, col = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(shape))
-    e, f = _pairs(op * d + row, op * d + row)
-    flat = (op * d + row) * d + col
-    return _frozen(flat[e], flat[f], (op[e] * d + col[e]) * d + col[f])
+def _generator_plan(d: int, h_mask: bytes, jump_mask: bytes):
+    """build_liouvillian's plan for an H and a stack of jumps c, (k, d, d),
+    with these nonzero masks: read-only index arrays for decay and for the
+    generator, and an empty d^2 x d^2 complex CSR matrix.
 
+    Decay: the flat positions in c of the two factors of every product
+    conj(c[op, row, i]) c[op, row, l] over pairs of entries in one row of
+    one operator, and the flat position (op, i, l) each product adds to.
 
-def _decay_operator(c: np.ndarray) -> np.ndarray:
-    """sum_k c_k^dag c_k of a stack of jump operators, rounded exactly as
-    scipy.sparse rounds the sum of c^dag @ c: over the rows of each operator
-    in order, then over the operators, each product as (ar br - ai bi,
-    ar bi + ai br).  numpy's complex multiply may fuse these and round
-    otherwise.  The pairing of entries is planned per nonzero pattern
-    (_decay_plan)."""
-    first, second, target = _decay_plan(c.shape, (c != 0).tobytes())
-    flat = c.ravel()
-    a, b = flat[first], flat[second]
-    prod = np.empty(a.size, dtype=complex)
-    prod.real = a.real * b.real + a.imag * b.imag
-    prod.imag = a.real * b.imag - a.imag * b.real
-    per_op = np.zeros(c.shape, dtype=complex)
-    np.add.at(per_op.reshape(-1), target, prod)  # repeated indices add in order
-    return per_op.sum(axis=0)
+    Generator: the triplets of sum_t scale[t] * kron(left[t], right[t]),
+    with left = [I, conj(H_eff), conj(c_1), ...] and right = [H_eff, I, c_1,
+    ...].  H_eff = H - (i/2) decay is taken nonzero wherever H is or a decay
+    product adds to; the plan counts those entries, and build_liouvillian
+    makes the triplets of any that cancel exactly add nothing.  Every pair
+    of nonzero entries left[t, ai, aj], right[t, bi, bj] gives a triplet at
+    (ai*d + bi, aj*d + bj).  Sorted stably by position, each entry's
+    triplets stay in term order.  The plan lists the first triplet of every
+    entry, then the others, and holds for each the positions of its two
+    factors in build_liouvillian's flat factor values and its term scale;
+    for the others, the entry they add to; the row and column of every
+    entry; and the CSR row pointer of the entries, which holds while none
+    is zero.
 
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _generator_plan(d: int, heff_mask: bytes, jump_mask: bytes):
-    """Triplet plan of sum_t scale[t] * kron(left[t], right[t]), with
-    left = [I, conj(H_eff), conj(c_1), ...] and right = [H_eff, I, c_1, ...],
-    for an H_eff and a stack of jumps c with these nonzero masks.
-
-    Every pair of nonzero entries left[t, ai, aj], right[t, bi, bj] gives a
-    triplet at (ai*d + bi, aj*d + bj).  Sorted stably by position, each
-    entry's triplets stay in term order.  The plan lists the first triplet
-    of every entry, then the others, and holds for each the positions of
-    its two factors in build_liouvillian's flat factor values and its term
-    scale; for the others, the entry they add to; the row and column of
-    every entry; and the CSR row pointer of the entries, which holds while
-    none cancels exactly."""
+    The count and the CSR matrix follow the arrays.  The CSR matrix is
+    never handed out: build_liouvillian takes a shallow copy and gives it
+    its own data, indices and indptr, which the plan already made valid,
+    canonical and of scipy's index dtype.  The constructor would re-derive
+    that dtype and scan both index arrays."""
     n = d * d
-    heff = np.frombuffer(heff_mask, dtype=bool).reshape(d, d)
     jumps = np.frombuffer(jump_mask, dtype=bool).reshape(-1, d, d)
+    op, row, col = np.nonzero(jumps)
+    first, second = _pairs(op * d + row, op * d + row)
+    flat = (op * d + row) * d + col
+    target = (op[first] * d + col[first]) * d + col[second]
+    heff = np.frombuffer(h_mask, dtype=bool).reshape(d, d).copy()
+    heff.flat[target % n] = True
     eye = np.eye(d, dtype=bool)
     left = np.concatenate([[eye, heff], jumps])
     right = np.concatenate([[heff, eye], jumps])
     ta, ai, aj = np.nonzero(left)
     tb, bi, bj = np.nonzero(right)
     e, f = _pairs(ta, tb)
-    pos = (ai[e] * d + bi[f]) * d * d + aj[e] * d + bj[f]
+    pos = (ai[e] * d + bi[f]) * n + aj[e] * d + bj[f]
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
     new = np.ones(pos.size, dtype=bool)
@@ -300,10 +288,11 @@ def _generator_plan(d: int, heff_mask: bytes, jump_mask: bytes):
     slot = np.cumsum(new)[~new] - 1
     entry = pos[new]
     # scipy's index dtype for a CSR matrix of this size.
-    index = np.int32 if max(d * d, entry.size) <= np.iinfo(np.int32).max else np.int64
-    row = entry // (d * d)
-    return _frozen(flat_l[e[take]], flat_r[f[take]], scale[ta[e[take]]], slot, row,
-                   (entry % (d * d)).astype(index), _row_pointer(row, d * d, index))
+    index = np.int32 if max(n, entry.size) <= np.iinfo(np.int32).max else np.int64
+    return _frozen(flat[first], flat[second], target, flat_l[e[take]], flat_r[f[take]],
+                   scale[ta[e[take]]], slot, entry // n, (entry % n).astype(index),
+                   _row_pointer(entry // n, n, index)) \
+        + (np.count_nonzero(heff), sp.csr_matrix((n, n), dtype=complex))
 
 
 def _row_pointer(row: np.ndarray, n: int, index) -> np.ndarray:
@@ -326,22 +315,34 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     per-call cost.
 
     Which entries pair, where each triplet lands and the order of the sums
-    depend only on dim and the nonzero masks of H_eff and the jumps, so
-    they are planned once per pattern (_generator_plan).  A call writes
-    the factor values once, flat (the identity's 1, H_eff, the jumps and
-    their conjugates), gathers each triplet's two factors from them,
-    multiplies, sums each entry's triplets and drops the entries that
-    cancel exactly; every value is recomputed from H and the jumps at
-    every call.  While no entry cancels, the result takes copies of the
-    plan's column indices and row pointer.  The CSR matrix is a shallow
-    copy of an empty one (_empty_csr) given these arrays, so scipy does
-    not check them again.  gamma_scale is left to its first read, from
-    decay = sum_k c_k^dag c_k.
+    depend only on dim and the nonzero masks of H and the jumps, so they
+    are planned once per pattern, with the pairing of decay =
+    sum_k c_k^dag c_k (_generator_plan).  A call forms decay, writes the
+    factor values once, flat (the identity's 1, H_eff, the jumps and their
+    conjugates), gathers each triplet's two factors from them, multiplies,
+    sums each entry's triplets and drops the entries that are zero; every
+    value is recomputed from H and the jumps at every call.  While no entry
+    is zero, the result takes copies of the plan's column indices and row
+    pointer.  The CSR matrix is a shallow copy of the plan's empty one given
+    these arrays, so scipy does not check them again.  gamma_scale is left
+    to its first read, from decay.
     """
     d = model.dim
     n = d * d
     c = np.asarray(model.lindblads, dtype=complex).reshape(-1, d, d)
-    decay = _decay_operator(c)
+    first, second, target, li, ri, scale, slot, row, col, indptr, heff_nnz, empty = \
+        _generator_plan(d, np.not_equal(model.hamiltonian, 0).tobytes(), (c != 0).tobytes())
+    # decay is rounded exactly as scipy.sparse rounds the sum of c^dag @ c:
+    # over the rows of each operator in order, then over the operators, each
+    # product as (ar br - ai bi, ar bi + ai br).  numpy's complex multiply
+    # may fuse these and round otherwise.
+    a, b = c.take(first), c.take(second)
+    prod = np.empty(a.size, dtype=complex)
+    prod.real = a.real * b.real + a.imag * b.imag
+    prod.imag = a.real * b.imag - a.imag * b.real
+    per_op = np.zeros(c.shape, dtype=complex)
+    np.add.at(per_op.reshape(-1), target, prod)  # repeated indices add in order
+    decay = per_op.sum(axis=0)
     m = c.size
     factors = np.empty(1 + 2 * (n + m), dtype=complex)
     factors[0] = 1.0
@@ -349,9 +350,12 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     np.subtract(model.hamiltonian, 0.5j * decay, out=heff)
     factors[n + 1:n + m + 1] = c.reshape(-1)
     np.conjugate(factors[1:n + m + 1], out=factors[n + m + 1:])
-    li, ri, scale, slot, row, col, indptr = _generator_plan(
-        d, (heff != 0).tobytes(), (c != 0).tobytes())
     vals = factors[li] * factors[ri] * scale
+    if np.count_nonzero(heff) < heff_nnz:
+        # An entry of H_eff cancelled exactly: its triplets, the ones with a
+        # zero factor, become -0, which adds nothing to a sum, signed zeros
+        # included, so every entry is the sum of the others alone.
+        vals[(factors[li] == 0) | (factors[ri] == 0)] = complex(-0.0, -0.0)
     data = vals[: row.size]
     np.add.at(data, slot, vals[row.size:])  # an entry's triplets add in order
     if data.all():
@@ -361,18 +365,9 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
         data, col, indptr = data[keep], col[keep], _row_pointer(row[keep], n, col.dtype)
     # copy.copy's shallow copy, without its dispatch.
     gen = sp.csr_matrix.__new__(sp.csr_matrix)
-    vars(gen).update(vars(_empty_csr(n)))
+    vars(gen).update(vars(empty))
     gen.data, gen.indices, gen.indptr = data, col, indptr
     return Liouvillian(d, gen, decay)
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _empty_csr(n: int) -> sp.csr_matrix:
-    """An empty n x n complex CSR matrix, never handed out: build_liouvillian
-    takes a shallow copy and gives it its own data, indices and indptr, which
-    the plan already made valid, canonical and of scipy's index dtype.  The
-    constructor would re-derive that dtype and scan both index arrays."""
-    return sp.csr_matrix((n, n), dtype=complex)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -186,16 +187,17 @@ class SchemeVariant:
 class SystemModel:
     """A fully assembled two-atom open system.
 
-    hamiltonian is Hermitian with side dims.dimA * dims.dimB; every Lindblad
-    operator has the same side; named_states maps state names to unit kets.
+    hamiltonian is Hermitian with side dims.dimA * dims.dimB; lindblads is
+    a sequence of jump operators of the same side, which build_model gives
+    as one complex (k, side, side) stack; named_states maps state names to
+    unit kets.
     """
 
     dims: BipartiteDims
     hamiltonian: np.ndarray
-    lindblads: tuple
+    lindblads: Sequence[np.ndarray]
     named_states: dict
     variant: SchemeVariant
-    params: ModelParams
 
     @property
     def dim(self) -> int:
@@ -292,7 +294,8 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     conjugates below it, and -Delta on each Rydberg level; omega_2 carries
     the target's sign.  Each Rydberg level r decays to each ground level g
     of its atom through sqrt(gamma/n) |g><r|, n the atom's number of ground
-    levels; the jump operators come atom by atom, then by r, then by g.
+    levels; the jump operators come atom by atom, then by r, then by g, in
+    one (k, side, side) stack.
     H is exactly Hermitian and every jump has its side by construction.
     """
     scheme = variant.record
@@ -327,10 +330,9 @@ def build_model(params: ModelParams, variant: SchemeVariant) -> SystemModel:
     return SystemModel(
         dims=BipartiteDims(len(h1), len(h2)),
         hamiltonian=ham,
-        lindblads=tuple(jumps),
+        lindblads=jumps,
         named_states=dict(zip(names, kets.copy())),
         variant=variant,
-        params=params,
     )
 
 

@@ -126,6 +126,30 @@ def test_evolve_one_sample_at_time_zero(capsys):
     assert len(lines) == 3 and lines[2].startswith("0.00000000000000000e+00,")
 
 
+@pytest.mark.parametrize("argv, config, err", [
+    (["steady"], "preset = fig2\nnot a pair\n",
+     "{cfg}:2: expected 'key = value', got 'not a pair'"),
+    (["steady"], "preset = fig2\nformat = xml\n", "unknown format 'xml'; expected csv or json"),
+    (["evolve", "--scheme", "bell"], None, "no initial state given: use --initial or --preset"),
+    (["evolve", "--preset", "fig3", "--t-max-ms", "-1"], None,
+     "t-max-ms must be nonnegative, got -1.0"),
+    (["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "8", "3", "--axis", "gamma-khz",
+      "0.5", "2.5", "3", "--axis", "rabi-mhz", "0.02", "0.1", "3"], None,
+     "sweep supports at most two axes"),
+])
+def test_invalid_run_message(argv, config, err, tmp_path, capsys):
+    # A config line without '=', a config format that is neither csv nor
+    # json, an evolve with no initial state, a negative duration and a
+    # third sweep axis each exit 2 with their message and no output.
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {err.format(cfg=tmp_path / 'run.cfg')}\n")
+
+
 def test_evolve_unknown_initial_message(capsys):
     # The message is printed as it is, not as the repr of a KeyError's text.
     assert run(["evolve", "--preset", "fig3", "--initial", "zz"]) == 2

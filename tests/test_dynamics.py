@@ -23,11 +23,8 @@ from rydpump.dynamics import (
     _STEP_SNAP_RTOL,
     _bordered_lu,
     _check_physical,
-    _decay_operator,
-    _decay_plan,
     _drazin_norm,
     _drazin_start,
-    _empty_csr,
     _finalize,
     _from_coords,
     _generator_plan,
@@ -233,7 +230,7 @@ def random_model(rng, dim_a=3, dim_b=3, n_lindblads=4):
                for _ in range(n_lindblads))
     return SystemModel(
         dims=BipartiteDims(dim_a, dim_b), hamiltonian=h, lindblads=ls,
-        named_states={}, variant=BELL, params=ModelParams(1, 1, 1, 1, 1),
+        named_states={}, variant=BELL,
     )
 
 
@@ -310,7 +307,7 @@ def cancelling_model(levels=(1.0, 2, 3, 4, 5, 6)):
     d = len(levels)
     return SystemModel(dims=BipartiteDims(2, 3), hamiltonian=np.diag(levels).astype(complex),
                        lindblads=(np.sqrt(0.5) * np.eye(d, dtype=complex),),
-                       named_states={}, variant=BELL, params=ModelParams(1, 1, 1, 1, 1))
+                       named_states={}, variant=BELL)
 
 
 def test_liouvillian_drops_terms_that_cancel():
@@ -454,7 +451,7 @@ def test_liouvillian_preserves_hermiticity_and_trace(rng):
 
 def index_path_decay(c):
     """sum_k c_k^dag c_k by the per-call index path: np.nonzero and _pairs
-    of the jumps at every call (oracle for _decay_operator's plan)."""
+    of the jumps at every call (oracle for build_liouvillian's decay)."""
     n_ops, d, _ = c.shape
     op, row, col = np.nonzero(c)
     e, f = _pairs(op * d + row, op * d + row)
@@ -550,8 +547,7 @@ def assert_plans_match_index_path(m):
         got, ref = getattr(L.superop, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
     assert L.real.tobytes() == index_path_real(L).tobytes()
-    c = kron_factors(m)[0]
-    assert _decay_operator(c).tobytes() == index_path_decay(c).tobytes()
+    assert L.decay.tobytes() == index_path_decay(kron_factors(m)[0]).tobytes()
     return L
 
 
@@ -595,8 +591,7 @@ def test_plans_keep_signed_zeros():
     jump = np.zeros((4, 4), dtype=complex)
     jump[0, 1] = 1j
     m = SystemModel(dims=BipartiteDims(2, 2), hamiltonian=1j * a, lindblads=(jump,),
-                    named_states={}, variant=BELL,
-                    params=ModelParams(1, 1, 1, 1, 1))
+                    named_states={}, variant=BELL)
     parts = assert_plans_match_index_path(m).superop.data.view(float)
     assert np.any(np.signbit(parts) & (parts == 0))
 
@@ -641,7 +636,7 @@ def test_plan_reuse_drops_entries_that_cancel():
     assert np.array_equal(second.superop.toarray(), dense)
 
 
-PLAN_CACHES = (_decay_plan, _generator_plan, _real_plan, _drazin_start, _empty_csr)
+PLAN_CACHES = (_generator_plan, _real_plan, _drazin_start)
 
 
 def test_sweep_misses_each_plan_once(capsys):
@@ -656,14 +651,51 @@ def test_sweep_misses_each_plan_once(capsys):
         assert info.maxsize is not None
 
 
+def generator_plan(model):
+    """build_liouvillian's plan of a model: its arrays, then its count of
+    H_eff entries and its empty CSR matrix."""
+    c = kron_factors(model)[0]
+    return _generator_plan(model.dim, (model.hamiltonian != 0).tobytes(), (c != 0).tobytes())
+
+
+@pytest.mark.parametrize("name", ["fig8a", "fig6-point"])
+def test_each_build_looks_up_one_plan(name):
+    # build_model hands over its jumps as one complex stack, and each
+    # build_liouvillian call makes one generator-plan lookup.
+    pre = figure_preset(name)
+    m = build_model(pre.params, pre.variant)
+    assert type(m.lindblads) is np.ndarray and m.lindblads.dtype == complex
+    assert m.lindblads.shape == ({"bell": 4, "qutrit": 9}[pre.variant.scheme], m.dim, m.dim)
+    for _ in range(3):
+        before = _generator_plan.cache_info()
+        build_liouvillian(m)
+        after = _generator_plan.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
+
+
+def test_plans_match_index_path_where_heff_cancels():
+    # H_01 = 0.5i (c^dag c)_01 = -0.5, so H_eff_01 is an exact zero that the
+    # plan, which takes H_eff nonzero wherever H is, still pairs.  Its
+    # triplets add nothing, not even the sign of a zero part, and the
+    # entries that hold only them are dropped.
+    jump = np.zeros((4, 4), dtype=complex)
+    jump[0, :2] = -1j, 1.0
+    h = np.zeros((4, 4), dtype=complex)
+    h[:2, :2] = [[1.0, -0.5], [-0.5, 1.0]]
+    m = SystemModel(dims=BipartiteDims(2, 2), hamiltonian=h, lindblads=(jump,),
+                    named_states={}, variant=BELL)
+    assert (h - 0.5j * jump.conj().T @ jump)[0, 1] == 0
+    L = assert_plans_match_index_path(m)
+    entry_rows = generator_plan(m)[7]
+    assert L.superop.nnz < entry_rows.size
+
+
 def test_plan_arrays_are_read_only():
     pre = figure_preset("fig2")
     m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
-    c, _, right, _ = kron_factors(m)
     s = L.superop
-    plans = [_decay_plan(c.shape, (c != 0).tobytes()),
-             _generator_plan(m.dim, (right[0] != 0).tobytes(), (c != 0).tobytes()),
+    plans = [generator_plan(m)[:-2],
              _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
              (_drazin_start(m.dim),), _hermitian_rows(m.dim)]
     for plan in plans:
@@ -690,10 +722,8 @@ def test_superops_of_one_plan_share_no_writable_array(levels):
     # the plan nor the empty matrix they are copied from, which stays empty.
     m = cancelling_model(levels)
     first, second = build_liouvillian(m).superop, build_liouvillian(m).superop
-    c, _, right, _ = kron_factors(m)
-    plan = _generator_plan(m.dim, (right[0] != 0).tobytes(), (c != 0).tobytes())
-    template = _empty_csr(m.dim**2)
-    fixed = list(plan) + [template.data, template.indices, template.indptr]
+    *plan, _, template = generator_plan(m)
+    fixed = plan + [template.data, template.indices, template.indptr]
     arrays = [(s, name, getattr(s, name)) for s in (first, second)
               for name in ("data", "indices", "indptr")]
     for s, name, a in arrays:
@@ -1089,6 +1119,23 @@ def test_positivity_helper_proves_nothing_for_non_finite_entries(i, j, bad, rng)
         _finalize(zero_liouvillian(9), vec(rho), {"method": "nullspace", "drazin_norm": 1.0})
 
 
+def test_finalize_decides_by_eigenvalues_within_the_cholesky_margin(rng):
+    # A steady state 5e-13 above the -1e-9 floor fails the Cholesky proof,
+    # whose shift keeps _CHOLESKY_MARGIN (1e-12) in hand, so its eigenvalues
+    # decide and accept it.  One 1e-12 below the floor is rejected.
+    d = 9
+    info = {"method": "nullspace", "drazin_norm": 1.0}
+    near = state_with_min_eigenvalue(rng, d, -1e-9 + 5e-13)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+        rho, out = _finalize(zero_liouvillian(d), vec(near), dict(info))
+    assert eig.call_count == 1
+    assert np.max(np.abs(rho - near)) <= 1e-15 and out["error_bound"] == 0.0
+    below = state_with_min_eigenvalue(rng, d, -1e-9 - 1e-12)
+    with pytest.raises(ConvergenceError, match=r"^steady state has eigenvalue -1\.001e-09 "
+                       r"below -1e-09 \(backend nullspace\)$"):
+        _finalize(zero_liouvillian(d), vec(below), dict(info))
+
+
 def loop_propagate(L, v0, t):
     """The per-step loop _propagate_expm replaced: the propagator looked up
     at every step and the state reallocated (oracle, bit for bit)."""
@@ -1211,6 +1258,10 @@ def test_evolve_rejects_bad_initial_states():
         evolve(L, good, np.array([1e-4, 2e-4]))
     with pytest.raises(ValueError, match="strictly increasing"):
         evolve(L, good, np.array([0.0, 1e-4, 1e-4]))
+    with pytest.raises(ValueError, match=r"^initial state must be 9x9, got shape \(4, 4\)$"):
+        evolve(L, np.eye(4) / 4, t)
+    with pytest.raises(ValueError, match="^t_grid must be a 1-D array of times$"):
+        evolve(L, good, t[None])
 
 
 def test_evolve_rejects_non_finite_input():
@@ -1653,8 +1704,7 @@ def precessing_qubit(kappa):
     lower = np.sqrt(kappa) * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     return SystemModel(
         dims=BipartiteDims(2, 1), hamiltonian=np.diag([w / 2, -w / 2]).astype(complex),
-        lindblads=(lower,), named_states={},
-        variant=BELL, params=ModelParams(1, 1, 1, 1, 1),
+        lindblads=(lower,), named_states={}, variant=BELL,
     )
 
 

@@ -73,6 +73,11 @@ def test_eigvals_unitary_invariance(rng):
     assert np.max(np.abs(a - b)) <= 1e-9
 
 
+def test_eigvals_rejects_non_square():
+    with pytest.raises(ValueError, match=r"^eigvals input must be square, got shape \(2, 3\)$"):
+        hermitian_eigvals(np.zeros((2, 3)))
+
+
 def test_eigvals_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):

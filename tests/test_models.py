@@ -309,6 +309,11 @@ def test_caption_params_delta_urr_coupling():
     assert both.detuning == pytest.approx(angular_mhz(1.0), rel=1e-15)
 
 
+def test_caption_params_takes_one_microwave_amplitude():
+    with pytest.raises(ValueError, match="^give either microwave_rel or microwave_mhz, not both$"):
+        caption_params(rabi_mhz=0.036, microwave_rel=0.004, microwave_mhz=0.1)
+
+
 # -------------------------------------------------------------------- presets
 
 def test_preset_fig3_caption_values():
@@ -466,7 +471,6 @@ def oracle_bell_model(params, variant):
         lindblads=tuple(lindblads),
         named_states=states,
         variant=variant,
-        params=params,
     )
 
 
@@ -523,7 +527,6 @@ def oracle_qutrit_model(params, variant):
         lindblads=tuple(lindblads),
         named_states=states,
         variant=variant,
-        params=params,
     )
 
 

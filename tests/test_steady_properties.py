@@ -14,10 +14,10 @@ from rydpump.dynamics import (_DRAZIN_MARGIN, _DRAZIN_RTOL, build_liouvillian, l
                               steady_state)
 from rydpump.grid import measure_columns
 from rydpump.measures import chsh_correlation, fidelity, negativity
-from rydpump.models import SchemeVariant, build_model, caption_params
+from rydpump.models import SchemeVariant, SystemModel, build_model, caption_params
 
 from test_dynamics import (assert_drazin_norm_matches_loop, dense_drazin_norm, dense_rates,
-                           svd_steady_state)
+                           refined_steady_state, svd_steady_state)
 
 # Caption-unit ranges of the Fig. 8 and Fig. 9 grids, at resonant pumping
 # (Delta = U_rr / 2) as on those grids.
@@ -29,10 +29,11 @@ PARAMS = st.fixed_dictionaries({
 })
 
 # The same ranges with Delta up to 10 % off U_rr / 2, where slow gaps (down
-# to about 1e-3 1/s) and non-normal generators test the certificate.  The
-# SVD oracle and the evolve backend are compared on resonance only: with a
-# gap of 8e-3 1/s the SVD state is 2e-8 off, and the evolve backend's
-# ||L vec(rho)|| floor of about 1e-9 fails the 1e-8 bound.
+# to about 1e-3 1/s) and non-normal generators test the certificate against
+# the refined dense solve.  The SVD oracle and the evolve backend are
+# compared on resonance only: with a gap of 8e-3 1/s the SVD state is 2e-8
+# off, and the evolve backend's ||L vec(rho)|| floor of about 1e-9 fails
+# the 1e-8 bound.
 DETUNED = st.fixed_dictionaries({
     "rabi_mhz": st.floats(0.02, 0.10),
     "microwave_rel": st.floats(0.002, 0.0125),
@@ -63,6 +64,13 @@ def _assert_drazin_norm_brackets_dense(L, info):
     assert exact >= info["drazin_norm"] / _DRAZIN_MARGIN * (1 - _DRAZIN_RTOL)
 
 
+def _assert_within_bound_of_refined_oracle(m, rho, info):
+    # The certificate is a bound: the state lies within it of the refined
+    # dense solve.
+    dist = np.linalg.norm(rho - refined_steady_state(m.hamiltonian, m.lindblads))
+    assert dist <= info["error_bound"]
+
+
 def _flip_a_on_atom2(model):
     """The local unitary I (x) diag(1, -1, 1, ...) on atom 2."""
     da, db = model.dims
@@ -85,6 +93,7 @@ def test_steady_state_physical_and_backends_agree(scheme, p):
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.eigvalsh(rho)[0] >= -1e-9
     assert info["error_bound"] <= 1e-8
+    _assert_within_bound_of_refined_oracle(m, rho, info)
     _assert_drazin_norm_brackets_dense(L, info)
     rates = dense_rates(m.hamiltonian, m.lindblads)
     assert abs(liouvillian_gap(L) - rates[1]) <= 1e-6 * rates[1]
@@ -103,6 +112,7 @@ def test_certificate_and_gap_off_resonance(scheme, p):
     assert np.array_equal(rho, rho.conj().T)
     assert np.linalg.eigvalsh(rho)[0] >= -1e-9
     assert info["error_bound"] <= 1e-8
+    _assert_within_bound_of_refined_oracle(m, rho, info)
     _assert_drazin_norm_brackets_dense(L, info)
     rates = dense_rates(m.hamiltonian, m.lindblads)
     assert abs(liouvillian_gap(L) - rates[1]) <= 1e-6 * rates[1]
@@ -154,8 +164,8 @@ def test_optical_phase_leaves_measures(scheme, p, phase):
     # levels, which no ground-manifold measure sees.  It also puts complex
     # Hamiltonian entries through the generator's plans, which no preset does.
     m = _model(scheme, PARTNER[scheme][0], p)
-    params = dataclasses.replace(m.params,
-                                 rabi_optical=m.params.rabi_optical * cmath.exp(1j * phase))
+    params = caption_params(**p)
+    params = dataclasses.replace(params, rabi_optical=params.rabi_optical * cmath.exp(1j * phase))
     shifted = build_model(params, m.variant)
     assert np.any(shifted.hamiltonian.imag)
     outputs = ["populations", "fidelity", "negativity"] + (["chsh"] if scheme == "bell" else [])
@@ -173,3 +183,27 @@ def test_bell_singlet_steady_state_is_swap_symmetric(p):
     d = m.dims.dimA
     swap = np.eye(d * d)[[b * d + a for a in range(d) for b in range(d)]]
     assert np.max(np.abs(swap @ rho @ swap.T - rho)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["bell", "qutrit"])
+@SETTINGS
+@given(p=PARAMS, order=st.data())
+def test_level_permutation_permutes_steady_state(scheme, p, order):
+    # Relabelling each atom's levels by permutations P and Q is the change of
+    # basis U = P (x) Q of H, every jump and the named kets: the steady state
+    # becomes U rho U^T, and fidelity and negativity do not move.  The
+    # permuted H and jumps have nonzero patterns that no preset has, which
+    # puts the generator plan's predicted H_eff pattern to the test.
+    m = _model(scheme, PARTNER[scheme][0], p)
+    perms = [order.draw(st.permutations(range(n))) for n in m.dims]
+    u = np.kron(*(np.eye(n)[perm] for n, perm in zip(m.dims, perms)))
+    relabelled = SystemModel(
+        dims=m.dims, hamiltonian=u @ m.hamiltonian @ u.T, lindblads=u @ m.lindblads @ u.T,
+        named_states={k: u @ v for k, v in m.named_states.items()}, variant=m.variant)
+    rho = steady_state(build_liouvillian(m))
+    moved = steady_state(build_liouvillian(relabelled))
+    assert np.max(np.abs(moved - u @ rho @ u.T)) <= 1e-12
+    target = m.variant.target_state
+    assert fidelity(relabelled.state(target), moved) == pytest.approx(
+        fidelity(m.state(target), rho), abs=1e-12)
+    assert negativity(moved, m.dims) == pytest.approx(negativity(rho, m.dims), abs=1e-12)

@@ -48,8 +48,10 @@ The gated outputs are:
   propagators overflow to non-finite states; of a sweep axis whose MIN
   is not a number; of three `evolve` runs at `--t-max-ms 0` whose
   `--samples` is 0, -3 or 5 (a zero-length grid has exactly one sample);
-  and of a `steady --method evolve` run off resonance at fig2 whose
-  certificate levels off above the 1e-8 bound.
+  of a `steady --method evolve` run off resonance at fig2 whose
+  certificate levels off above the 1e-8 bound; and of an `evolve` with
+  no initial state, an `evolve` at fig3 over -1 ms and a sweep with three
+  axes.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -126,7 +128,11 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
                                             "--t-max-ms", "0"]),
            ("steady-evolve-bound-levels-off", ["steady", "--preset", "fig2", "--urr-mhz", "6",
                                                "--delta-mhz", "3.15", "--gamma-khz", "1.673",
-                                               "--method", "evolve"]))
+                                               "--method", "evolve"]),
+           ("evolve-no-initial", ["evolve", "--scheme", "bell"]),
+           ("evolve-t-max-negative", ["evolve", "--preset", "fig3", "--t-max-ms", "-1"]),
+           ("sweep-three-axes", SWEEP + ["--axis", "gamma-khz", "0.5", "2.5", "3", "--axis",
+                                         "rabi-mhz", "0.02", "0.1", "3"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
