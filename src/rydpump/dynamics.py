@@ -205,16 +205,6 @@ def _to_coords(v: np.ndarray, d: int) -> np.ndarray:
                        minlength=d * d)
 
 
-def _pairs(ga: np.ndarray, gb: np.ndarray):
-    """Index pairs (e, f) with ga[e] == gb[f], ordered by e and then f,
-    for sorted group labels ga and gb."""
-    start = np.searchsorted(gb, ga)
-    size = np.searchsorted(gb, ga, side="right") - start
-    e = np.repeat(np.arange(ga.size), size)
-    f = np.arange(e.size) + np.repeat(start + size - np.cumsum(size), size)
-    return e, f
-
-
 # Plans hold index arrays that depend only on the dimensions and nonzero
 # pattern of their inputs, never on the values; a sweep reuses one pattern
 # at every point.  Each cache keeps this many patterns.
@@ -234,8 +224,8 @@ def _generator_plan(d: int, h_mask: bytes, jump_mask: bytes):
     generator, and an empty d^2 x d^2 complex CSR matrix.
 
     Decay: the flat positions in c of the two factors of every product
-    conj(c[op, row, i]) c[op, row, l] over pairs of entries in one row of
-    one operator, and the flat position (op, i, l) each product adds to.
+    conj(c[o, r, i]) c[o, r, l] over pairs of entries in one row of one
+    operator, and the flat position (o, i, l) each product adds to.
 
     Generator: the triplets of sum_t scale[t] * kron(left[t], right[t]),
     with left = [I, conj(H_eff), conj(c_1), ...] and right = [H_eff, I, c_1,
@@ -258,19 +248,23 @@ def _generator_plan(d: int, h_mask: bytes, jump_mask: bytes):
     that dtype and scan both index arrays."""
     n = d * d
     jumps = np.frombuffer(jump_mask, dtype=bool).reshape(-1, d, d)
-    op, row, col = np.nonzero(jumps)
-    first, second = _pairs(op * d + row, op * d + row)
-    flat = (op * d + row) * d + col
-    target = (op[first] * d + col[first]) * d + col[second]
+    # Every pair (i, l) of entries in row r of jump o (np.nonzero of 4-D is ~15x slower).
+    pair = jumps[:, :, :, None] & jumps[:, :, None, :]
+    o, r, i, l = np.unravel_index(np.flatnonzero(pair), pair.shape)
     heff = np.frombuffer(h_mask, dtype=bool).reshape(d, d).copy()
-    heff.flat[target % n] = True
+    heff.flat[i * d + l] = True
     eye = np.eye(d, dtype=bool)
     left = np.concatenate([[eye, heff], jumps])
     right = np.concatenate([[heff, eye], jumps])
-    ta, ai, aj = np.nonzero(left)
-    tb, bi, bj = np.nonzero(right)
-    e, f = _pairs(ta, tb)
-    pos = (ai[e] * d + bi[f]) * n + aj[e] * d + bj[f]
+    # Flat positions a in left[t] and b in right[t] of every pair, term by term.
+    a, b, t = [], [], []
+    for k, (at, bt) in enumerate(zip(map(np.flatnonzero, left), map(np.flatnonzero, right))):
+        a.append(np.repeat(at, bt.size))
+        b.append(np.tile(bt, at.size))
+        t.append(np.full(at.size * bt.size, k))
+    a, b, t = map(np.concatenate, (a, b, t))
+    (ai, aj), (bi, bj) = np.divmod(a, d), np.divmod(b, d)
+    pos = (ai * d + bi) * n + aj * d + bj
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
     new = np.ones(pos.size, dtype=bool)
@@ -278,28 +272,19 @@ def _generator_plan(d: int, h_mask: bytes, jump_mask: bytes):
     # The first triplet of every entry, then the rest, each in sorted order.
     take = np.concatenate([order[new], order[~new]])
     scale = np.array([-1j, 1j] + [1.0] * (len(left) - 2))
-    # Flat positions in the stacks, then in the factor values: 1, H_eff,
-    # the jumps (m entries), conj(H_eff), the conjugate jumps.
-    flat_l = (ta * d + ai) * d + aj
-    flat_r = (tb * d + bi) * d + bj
-    m = jumps.size
-    flat_l = np.where(ta == 0, 0, 1 + m + flat_l)
-    flat_r = np.where(tb == 1, 0, np.where(tb == 0, 1 + flat_r, 1 + flat_r - n))
+    # Positions in the factor values: 1, H_eff, the jumps (jumps.size
+    # entries), conj(H_eff), the conjugate jumps.
+    flat_l = np.where(t == 0, 0, 1 + jumps.size + t * n + a)
+    flat_r = np.where(t == 1, 0, 1 + b + np.maximum(t - 1, 0) * n)
     slot = np.cumsum(new)[~new] - 1
     entry = pos[new]
     # scipy's index dtype for a CSR matrix of this size.
     index = np.int32 if max(n, entry.size) <= np.iinfo(np.int32).max else np.int64
-    return _frozen(flat[first], flat[second], target, flat_l[e[take]], flat_r[f[take]],
-                   scale[ta[e[take]]], slot, entry // n, (entry % n).astype(index),
-                   _row_pointer(entry // n, n, index)) \
+    base = (o * d + r) * d
+    return _frozen(base + i, base + l, (o * d + i) * d + l, flat_l[take], flat_r[take],
+                   scale[t[take]], slot, entry // n, (entry % n).astype(index),
+                   np.searchsorted(entry // n, np.arange(n + 1)).astype(index)) \
         + (np.count_nonzero(heff), sp.csr_matrix((n, n), dtype=complex))
-
-
-def _row_pointer(row: np.ndarray, n: int, index) -> np.ndarray:
-    """CSR row pointer, of dtype index, of entries in the sorted rows row."""
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:], dtype=index)
-    return indptr
 
 
 def build_liouvillian(model: SystemModel) -> Liouvillian:
@@ -362,7 +347,8 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
         col, indptr = col.copy(), indptr.copy()
     else:
         keep = data != 0
-        data, col, indptr = data[keep], col[keep], _row_pointer(row[keep], n, col.dtype)
+        data, col = data[keep], col[keep]
+        indptr = np.searchsorted(row[keep], np.arange(n + 1)).astype(col.dtype)
     # copy.copy's shallow copy, without its dispatch.
     gen = sp.csr_matrix.__new__(sp.csr_matrix)
     vars(gen).update(vars(empty))

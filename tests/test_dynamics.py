@@ -29,7 +29,6 @@ from rydpump.dynamics import (
     _from_coords,
     _generator_plan,
     _hermitian_rows,
-    _pairs,
     _positive_by_cholesky,
     _propagate_expm,
     _real_plan,
@@ -126,16 +125,6 @@ def dense_drazin_norm(L):
     drop0 = np.eye(n)
     drop0[0, 0] = 0.0
     return float(np.linalg.norm(proj @ np.linalg.inv(border) @ drop0 @ proj, 2))
-
-
-def svd_steady_state(h, lindblads):
-    """Unit-trace state from the right singular vector of the smallest
-    singular value of the dense generator (oracle for the LU backend)."""
-    d = h.shape[0]
-    _, _, vh = np.linalg.svd(kron_liouvillian(h, lindblads))
-    rho = unvec(vh[-1].conj(), d)
-    rho = (rho + rho.conj().T) / 2
-    return rho / np.trace(rho).real
 
 
 def refined_steady_state(h, lindblads):
@@ -450,18 +439,19 @@ def test_liouvillian_preserves_hermiticity_and_trace(rng):
 # ------------------------------------------------------------ assembly plans
 
 def index_path_decay(c):
-    """sum_k c_k^dag c_k by the per-call index path: np.nonzero and _pairs
-    of the jumps at every call (oracle for build_liouvillian's decay)."""
+    """sum_k c_k^dag c_k by the per-call index path: every pair (i, l) of
+    nonzero entries in row r of jump o, listed by explicit loops at every
+    call (oracle for build_liouvillian's decay)."""
     n_ops, d, _ = c.shape
-    op, row, col = np.nonzero(c)
-    e, f = _pairs(op * d + row, op * d + row)
-    val = c[op, row, col]
-    a, b = val[e], val[f]
-    prod = np.empty(e.size, dtype=complex)
+    quads = [(o, r, i, l) for o in range(n_ops) for r in range(d)
+             for i in np.flatnonzero(c[o, r]) for l in np.flatnonzero(c[o, r])]
+    o, r, i, l = np.array(quads, dtype=np.intp).reshape(-1, 4).T
+    a, b = c[o, r, i], c[o, r, l]
+    prod = np.empty(o.size, dtype=complex)
     prod.real = a.real * b.real + a.imag * b.imag
     prod.imag = a.real * b.imag - a.imag * b.real
     per_op = np.zeros((n_ops, d, d), dtype=complex)
-    np.add.at(per_op, (op[e], col[e], col[f]), prod)
+    np.add.at(per_op, (o, i, l), prod)
     return per_op.sum(axis=0)
 
 
@@ -483,12 +473,14 @@ def index_path_liouvillian(model):
     eliminate_zeros (oracle for the plan-built generator)."""
     d = model.dim
     _, left, right, scale = kron_factors(model)
-    ta, ai, aj = np.nonzero(left)
-    tb, bi, bj = np.nonzero(right)
-    e, f = _pairs(ta, tb)
-    rows = ai[e] * d + bi[f]
-    cols = aj[e] * d + bj[f]
-    vals = left[ta, ai, aj][e] * right[tb, bi, bj][f] * scale[ta][e]
+    # Every pair of nonzero entries left[t, ai, aj], right[t, bi, bj], by
+    # explicit loops in term order.
+    terms = [(t, ai, aj, bi, bj) for t in range(len(left))
+             for ai, aj in zip(*np.nonzero(left[t])) for bi, bj in zip(*np.nonzero(right[t]))]
+    t, ai, aj, bi, bj = np.array(terms, dtype=np.intp).reshape(-1, 5).T
+    rows = ai * d + bi
+    cols = aj * d + bj
+    vals = left[t, ai, aj] * right[t, bi, bj] * scale[t]
     order = np.argsort(rows * d * d + cols, kind="stable")
     gen = sp.csr_matrix((vals[order], (rows[order], cols[order])), shape=(d * d, d * d))
     gen.eliminate_zeros()
@@ -594,6 +586,34 @@ def test_plans_keep_signed_zeros():
                     named_states={}, variant=BELL)
     parts = assert_plans_match_index_path(m).superop.data.view(float)
     assert np.any(np.signbit(parts) & (parts == 0))
+
+
+def edge_models():
+    """Hand-built models where a plan's term-by-term pairing meets factors
+    with no nonzero entry: no jumps, an all-zero jump beside a nonzero one,
+    an all-zero H, and d = 1."""
+    def model(dims, h, jumps):
+        d = math.prod(dims)
+        return SystemModel(dims=BipartiteDims(*dims), hamiltonian=np.asarray(h, dtype=complex),
+                           lindblads=np.asarray(jumps, dtype=complex).reshape(-1, d, d),
+                           named_states={}, variant=BELL)
+
+    h = random_model(np.random.default_rng(0), 2, 2).hamiltonian
+    jump = np.zeros((4, 4), dtype=complex)
+    jump[0, 2], jump[1, 3], jump[0, 3] = 1.0, 0.5j, -0.25
+    return {
+        "no jumps": model((2, 2), h, []),
+        "zero jump beside a nonzero one": model((2, 2), h, [np.zeros((4, 4)), jump]),
+        "zero H": model((2, 2), np.zeros((4, 4)), [jump]),
+        "zero H, no jumps": model((2, 2), np.zeros((4, 4)), []),
+        "d = 1": model((1, 1), [[0.7]], [[[0.0]], [[1.0 - 0.5j]]]),
+        "d = 1, zero H": model((1, 1), [[0.0]], [[[2.0]]]),
+    }
+
+
+@pytest.mark.parametrize("name", list(edge_models()))
+def test_plans_match_index_path_at_edge_patterns(name):
+    assert_plans_match_index_path(edge_models()[name])
 
 
 def test_real_plan_is_keyed_by_indices_too():
@@ -1440,11 +1460,14 @@ def test_steady_state_within_its_bound_of_refined_oracle(name):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_steady_state_matches_svd_and_gap_oracles(name):
+    # Named for the dense SVD oracle it once used, which is off by more than
+    # 1e-8 at slow gaps off resonance: the state is checked against the
+    # refined dense solve, the gap against the dense eigenvalues.
     pre = figure_preset(name)
     m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
     rho, info = steady_state(L, return_info=True)
-    assert np.max(np.abs(rho - svd_steady_state(m.hamiltonian, m.lindblads))) <= 1e-9
+    assert np.max(np.abs(rho - refined_steady_state(m.hamiltonian, m.lindblads))) <= 1e-9
     assert liouvillian_gap(L) == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1],
                                                rel=1e-7)
     assert info["error_bound"] <= 1e-10

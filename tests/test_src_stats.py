@@ -26,3 +26,32 @@ def test_totals_match_line_counts(capsys):
     total = dict(zip(src_stats.FIELDS, map(int, rows[-1].split()[1:])))
     assert rows[-1].split()[0] == "total"
     assert total["total"] == sum(lines.values())
+
+
+def test_caches_count_module_level_lru_cache_and_cache(tmp_path):
+    f = tmp_path / "mod.py"
+    f.write_text(
+        "import functools\n"
+        "\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(x):\n"
+        "    return x\n"
+        "\n"
+        "@functools.cache\n"
+        "def b(x):\n"
+        "    return x\n"
+        "\n"
+        "def build(x):\n"
+        "    @functools.lru_cache(maxsize=1)\n"
+        "    def inner(y):\n"
+        "        return y\n"
+        "    return inner\n"
+        "\n"
+        "parser = functools.lru_cache(maxsize=1)(build)\n"
+        "\n"
+        "class C:\n"
+        "    @functools.cached_property\n"
+        "    def c(self):\n"
+        "        return 1\n"
+    )
+    assert src_stats.file_stats(f)["caches"] == 3

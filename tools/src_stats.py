@@ -3,8 +3,9 @@
     python3 tools/src_stats.py [PATH ...]
 
 prints, for each Python file under each PATH (default: src), its total
-lines split into code, docstring, comment and blank lines, and the number
-of parameters that have a default value; then the sums over all files.
+lines split into code, docstring, comment and blank lines, the number of
+parameters that have a default value and the number of module-level
+caches; then the sums over all files.
 
 - A docstring line is a line of the string that opens a module, class or
   function body.
@@ -14,7 +15,11 @@ of parameters that have a default value; then the sums over all files.
 
 The four parts add up to the total.  Defaulted parameters are counted
 over every function and lambda: positional defaults plus keyword-only
-parameters with a default.  Only the standard library is used.
+parameters with a default.  Caches are the uses of functools.lru_cache and
+functools.cache in the decorators of module-level functions and in
+module-level assignments, such as f = functools.lru_cache(maxsize=1)(g);
+functools.cached_property, a cache per object, is not counted.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FIELDS = ("total", "code", "docstring", "comment", "blank", "defaulted")
+FIELDS = ("total", "code", "docstring", "comment", "blank", "defaulted", "caches")
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -55,7 +60,21 @@ def file_stats(path: Path) -> dict:
                     for node in ast.walk(tree)
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
     return {"total": total, "code": len(code), "docstring": len(doc), "comment": len(comment),
-            "blank": total - len(code) - len(doc) - len(comment), "defaulted": defaulted}
+            "blank": total - len(code) - len(doc) - len(comment), "defaulted": defaulted,
+            "caches": module_caches(tree)}
+
+
+def module_caches(tree: ast.Module) -> int:
+    """Uses of functools.lru_cache and functools.cache at module level."""
+    roots = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots += stmt.decorator_list
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            roots.append(stmt.value)
+    return sum(isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+               and isinstance(node.value, ast.Name) and node.value.id == "functools"
+               for root in roots for node in ast.walk(root))
 
 
 def main(argv=None) -> int:
