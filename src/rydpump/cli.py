@@ -103,7 +103,7 @@ class RunSetup:
     opts maps argparse dest names to values; None means not given.
     """
 
-    def __init__(self, opts: dict, need_initial: bool = False):
+    def __init__(self, opts: dict):
         config = opts.get("config")
         cfg_flags, cfg_fields = _load_config(config) if config else ({}, {})
 
@@ -135,8 +135,6 @@ class RunSetup:
             self.caption["gamma_angular"] = True
 
         self.initial = pick("initial", fig.initial if fig else None)
-        if need_initial and self.initial is None:
-            raise ValueError("no initial state given: use --initial or --preset")
 
         # Run options default to the preset's, without one to Figure's own.
         run = fig or models.Figure
@@ -155,11 +153,8 @@ class RunSetup:
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}; expected csv or json")
 
-    def params(self) -> models.ModelParams:
-        return models.caption_params(**self.caption)
-
     def model(self) -> models.SystemModel:
-        return models.build_model(self.params(), self.variant)
+        return models.build_model(models.caption_params(**self.caption), self.variant)
 
 
 def _csv_field(text: str) -> str:
@@ -216,7 +211,9 @@ def write_table(out, command: str, columns, values, fmt: str, timestamp: bool,
 
 
 def cmd_evolve(args) -> int:
-    setup = RunSetup(vars(args), need_initial=True)
+    setup = RunSetup(vars(args))
+    if setup.initial is None:
+        raise ValueError("no initial state given: use --initial or --preset")
     check_measures(setup.variant, setup.outputs)
     if setup.t_max_ms < 0:
         raise ValueError(f"t-max-ms must be nonnegative, got {setup.t_max_ms}")
@@ -227,10 +224,7 @@ def cmd_evolve(args) -> int:
     if setup.t_max_ms == 0 and setup.samples != 1:
         raise ValueError(f"samples must be 1 when t-max-ms is 0, got {setup.samples}")
     model = setup.model()
-    try:
-        rho0 = model.initial_density(setup.initial)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
+    rho0 = model.initial_density(setup.initial)
     liouv = dynamics.build_liouvillian(model)
     t = np.linspace(0.0, setup.t_max_ms * 1e-3, setup.samples)
     traj = dynamics.evolve(liouv, rho0, t)
@@ -349,17 +343,18 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # The package reports every non-finite result itself, so numpy's
+    # floating-point warnings would only repeat it before the error line.
     try:
-        return args.func(args)
-    except dynamics.NonUniqueSteadyStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except dynamics.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_SPEC
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except (dynamics.NonUniqueSteadyStateError, dynamics.ConvergenceError, ValueError,
+            KeyError, OSError) as exc:
+        # A KeyError's str() is the repr of its message.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+        if isinstance(exc, dynamics.NonUniqueSteadyStateError):
+            return EXIT_DEGENERATE
+        return EXIT_NUMERICAL if isinstance(exc, dynamics.ConvergenceError) else EXIT_INVALID_SPEC
 
 
 if __name__ == "__main__":

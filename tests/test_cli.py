@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -99,16 +100,42 @@ def test_evolve_rejects_non_finite_t_max(capsys):
         assert f"t-max-ms must be finite, got {t_max}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("preset", ["fig3", "fig5-inset"])
-def test_evolve_overflow_is_a_numerical_failure(preset, capsys):
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param(["evolve", "--preset", preset, "--t-max-ms", "1e23", "--samples", "3"], 3,
+                 "non-finite state at t = 5e+19 s", id=preset)
+    for preset in ("fig3", "fig5-inset")
+] + [
+    pytest.param(["steady", "--preset", "fig2", "--delta-mhz", "2e301", "--urr-mhz", "0"], 2,
+                 "the Liouvillian has a non-finite entry", id="steady-fig2-delta-2e301"),
+])
+def test_evolve_overflow_is_a_numerical_failure(argv, code, err, capsys):
     # Over 1e23 ms the propagators overflow: the first non-finite state is
     # a numerical failure (exit 3), not an invalid specification, and its
     # one error line is all that is written, with no floating-point warning.
+    # A detuning of 2e301 MHz overflows H itself, and the generator's
+    # finiteness check rejects it (exit 2) with no warning either.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run(["evolve", "--preset", preset, "--t-max-ms", "1e23", "--samples", "3"])
-    assert code == 3
-    assert capsys.readouterr().err == "error: non-finite state at t = 5e+19 s\n"
+        assert run(argv) == code
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_sweep_over_overflowing_points_writes_no_warning(capsys):
+    # Every point fails, in its error cell; the run succeeds and writes
+    # nothing to stderr, numpy's floating-point warnings included.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sweep", "--preset", "fig2", "--axis", "delta-mhz", "1e301", "2e301", "2",
+                    "--axis", "urr-mhz", "0", "1", "2", "--no-timestamp"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    rows = list(csv.reader(out.out.splitlines()[2:]))
+    assert len(rows) == 4
+    assert [row[2] for row in rows] == ["nan"] * 4
+    # At 1e301 MHz the generator is finite but ||L^D||_2 comes out nan; at
+    # 2e301 MHz H overflows.
+    assert all(row[3].startswith("NonUniqueSteadyStateError: ") for row in rows[:2])
+    assert {row[3] for row in rows[2:]} == {"ValueError: the Liouvillian has a non-finite entry"}
 
 
 @pytest.mark.parametrize("samples", ["0", "-3", "5"])
@@ -430,6 +457,20 @@ def test_timestamp_header_present_by_default(tmp_path):
     out = tmp_path / "ts.csv"
     assert run(["steady", "--preset", "fig2", "--out", str(out)]) == 0
     assert "# generated:" in out.read_text()
+
+
+def test_json_timestamp_is_utc_and_the_only_difference(capsys):
+    # Without --no-timestamp the JSON document gains one key, "generated",
+    # the UTC time of the run to the second.
+    argv = ["steady", "--preset", "fig2", "--format", "json"]
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    generated = datetime.fromisoformat(doc.pop("generated"))
+    assert generated.utcoffset() == timedelta(0)
+    assert before <= generated <= datetime.now(timezone.utc)
+    assert run(argv + ["--no-timestamp"]) == 0
+    assert doc == json.loads(capsys.readouterr().out)
 
 
 def test_json_format_mirrors_csv(tmp_path):

@@ -380,7 +380,7 @@ def test_preset_caption_round_trip():
 # ModelParams field names in a --config file, read by the one config parser.
 
 def params_from_config(path):
-    return RunSetup({"scheme": "bell", "config": str(path)}).params()
+    return caption_params(**RunSetup({"scheme": "bell", "config": str(path)}).caption)
 
 
 def test_params_from_config_mapping(tmp_path):

@@ -40,12 +40,13 @@ DETUNED = st.fixed_dictionaries({
     "gamma_khz": st.floats(0.25, 2.5),
 })
 
-# Beyond the figures, on resonance: Omega/2pi up to 0.2 MHz and omega/Omega
-# up to 0.05, inputs the CLI accepts.
+# Beyond the figures: Omega/2pi up to 0.2 MHz and omega/Omega up to 0.05,
+# inputs the CLI accepts, with Delta at U_rr / 2 or up to 10 % off it.
 WIDE = st.fixed_dictionaries({
     "rabi_mhz": st.floats(0.02, 0.2),
     "microwave_rel": st.floats(0.002, 0.05),
     "urr_mhz": st.floats(1.0, 10.0),
+    "delta_rel": st.one_of(st.just(1.0), st.floats(0.9, 1.1)),
     "gamma_khz": st.floats(0.25, 2.5),
 })
 

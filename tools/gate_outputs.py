@@ -45,8 +45,10 @@ The gated outputs are:
   `--outputs`, a repeated `--outputs` name, and a sweep reducing to
   populations or to an unknown name; of an `evolve` from an unknown
   `--initial` state; of an `evolve` at fig3 over 1e23 ms, whose
-  propagators overflow to non-finite states; of a sweep axis whose MIN
-  is not a number; of three `evolve` runs at `--t-max-ms 0` whose
+  propagators overflow to non-finite states; of a `steady` at fig2 with
+  `--delta-mhz 2e301 --urr-mhz 0`, whose Hamiltonian overflows (no
+  floating-point warning may precede its error line); of a sweep axis
+  whose MIN is not a number; of three `evolve` runs at `--t-max-ms 0` whose
   `--samples` is 0, -3 or 5 (a zero-length grid has exactly one sample);
   of a `steady --method evolve` run off resonance at fig2 whose
   certificate levels off above the 1e-8 bound; and of an `evolve` with
@@ -118,6 +120,8 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
            ("evolve-initial-unknown", ["evolve", "--preset", "fig3", "--initial", "zz"]),
            ("evolve-overflow", ["evolve", "--preset", "fig3", "--t-max-ms", "1e23",
                                 "--samples", "3"]),
+           ("steady-overflow", ["steady", "--preset", "fig2", "--delta-mhz", "2e301",
+                                "--urr-mhz", "0"]),
            ("sweep-axis-not-a-number", ["sweep", "--preset", "fig2", "--axis", "urr-mhz",
                                         "abc", "8", "3"]),
            ("evolve-samples-zero", ["evolve", "--preset", "fig3", "--samples", "0",
