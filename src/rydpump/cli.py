@@ -3,9 +3,10 @@
 Flags use caption units: --rabi-mhz and --delta-mhz / --urr-mhz are /2pi
 MHz values, --microwave-rel is the ratio omega/Omega, --gamma-khz is a
 plain rate in kHz (--gamma-angular reads it as 2*pi*kHz instead).  Config
-fields, flags and sweep axes override the preset by one rule (grid.override):
-the given U_rr or Delta replaces the preset's other leg, which follows from
-U_rr = 2*Delta.  sweep and reproduce compute their grids with grid.sweep.
+fields, flags and sweep axes override the preset's values (grid.override).
+The preset's Delta and U_rr are one default: a given U_rr or Delta replaces
+both, and a leg that nothing gives follows from U_rr = 2*Delta.  sweep and
+reproduce compute their grids with grid.sweep.
 
 Exit codes: 0 success, 2 invalid specification (also a config file that
 cannot be read or an output path that cannot be written), 3 numerical
@@ -123,14 +124,19 @@ class RunSetup:
         self.variant = models.SchemeVariant(scheme=scheme, target=target.replace("-", "_"))
 
         # Caption-unit values: the preset's, overridden by the config-file
-        # fields, then by the flags.  No sweep axis drops a key in given.
-        self.given = dict(cfg_fields)
+        # fields, then by the flags.  The preset's Delta and U_rr are one
+        # default, dropped when a field, a flag or an axis gives either leg.
+        given = dict(cfg_fields)
         for key in (name.replace("-", "_") for name in AXIS_NAMES):
             if pick(key) is not None:
-                self.given[key] = pick(key)
+                given[key] = pick(key)
         self.caption = dict(fig.caption) if fig else {}
-        for key, value in self.given.items():
-            override(self.caption, key, value, self.given)
+        legs = {"delta_mhz", "urr_mhz"}
+        if legs & {*given, *(spec[0].replace("-", "_") for spec in opts.get("axis") or ())}:
+            for key in legs:
+                self.caption.pop(key, None)
+        for key, value in given.items():
+            override(self.caption, key, value)
         if pick("gamma_angular"):
             self.caption["gamma_angular"] = True
 
@@ -249,8 +255,7 @@ def cmd_steady(args) -> int:
 
 def cmd_sweep(args) -> int:
     setup = RunSetup(vars(args))
-    coords, values, errors = sweep(setup.caption, setup.variant, args.axis, setup.reduce,
-                                   given=setup.given)
+    coords, values, errors = sweep(setup.caption, setup.variant, args.axis, setup.reduce)
     names = [spec[0].replace("-", "_") for spec in args.axis] + [setup.reduce, "error"]
     write_table(args.out, "sweep", names, np.column_stack([coords, values]), setup.format,
                 not args.no_timestamp, text=errors)

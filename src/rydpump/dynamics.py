@@ -699,8 +699,9 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     norm = _DRAZIN_MARGIN * est
     floor = _GAP_FLOOR * _EPS * L.norm_1
     if not norm * floor < 1.0:  # also catches a norm that overflowed to inf or nan
+        shown = f"= {norm:.3e} s is" if math.isfinite(norm) else "is not finite,"
         raise NonUniqueSteadyStateError(
-            f"non-unique steady state: ||L^D||_2 = {norm:.3e} s is at the rounding "
+            f"non-unique steady state: ||L^D||_2 {shown} at the rounding "
             f"floor, 1/||L^D||_2 <= {floor:.1e} 1/s"
         )
     return norm

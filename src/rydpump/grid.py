@@ -16,19 +16,16 @@ from . import dynamics, measures, models
 AXIS_NAMES = ("rabi-mhz", "microwave-rel", "delta-mhz", "urr-mhz", "gamma-khz")
 SCALAR_MEASURES = ("fidelity", "chsh", "negativity")
 MEASURES = ("populations", *SCALAR_MEASURES)
-_OTHER = {"microwave_rel": "microwave_mhz", "microwave_mhz": "microwave_rel",
-          "delta_mhz": "urr_mhz", "urr_mhz": "delta_mhz"}
+# A sweep grid holds at most _MAX_POINTS points; the largest figure's holds 25.
+_MAX_POINTS = 10**6
+_OTHER = {"microwave_rel": "microwave_mhz", "microwave_mhz": "microwave_rel"}
 
 
-def override(caption: dict, key: str, value: float, given) -> None:
+def override(caption: dict, key: str, value: float) -> None:
     """Set caption[key] = value in place, as a config field, a flag or a
-    sweep axis does.  microwave_rel and microwave_mhz drop each other.
-    delta_mhz and urr_mhz drop each other too, unless the other is in
-    given (the keys the user gave); a dropped leg follows from U_rr = 2*Delta."""
+    sweep axis does; microwave_rel and microwave_mhz drop each other."""
     caption[key] = value
-    other = _OTHER.get(key)
-    if other is not None and (key.startswith("microwave") or other not in given):
-        caption.pop(other, None)
+    caption.pop(_OTHER.get(key), None)
 
 
 def check_measures(variant: models.SchemeVariant, names) -> None:
@@ -82,29 +79,27 @@ def _point(variant, reduce: str, caption: dict):
         return math.nan, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *, given=None):
+def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str):
     """Steady-state reduce measure over a 1-D or 2-D grid of caption values.
 
     caption holds caption_params keywords (gamma_angular=True among them
     reads every point's gamma_khz as angular) and axes one or two
     (name, lo, hi, steps) specs: name in AXIS_NAMES and not repeated, lo
-    and hi finite, steps an integer of at least 2.  reduce must pass
-    check_measures and be one of SCALAR_MEASURES; every check runs before
-    the first point.  Each point applies every axis value through
-    override, counting as given the axis keys and given (by default every
-    key of caption).  A preset's caption, dict(models.FIGURES[name].caption),
-    sweeps as `sweep --preset name` does only with given=(): by default an
-    urr-mhz axis keeps the preset's delta_mhz in place of U_rr = 2 Delta.
-    Points run in row-major order.  Returns coords
-    (points, axes), values (points,) and one error text per point, "" unless
-    it failed.
+    and hi finite, steps an integer of at least 2, and at most _MAX_POINTS
+    points in all.  reduce must pass check_measures and be one of
+    SCALAR_MEASURES; every check runs before the first point.  Each point
+    applies every axis value through override: a delta_mhz or urr_mhz that
+    caption holds stays put, and a leg that neither caption nor an axis
+    gives follows from U_rr = 2 Delta.  Points run in row-major order.
+    Returns coords (points, axes), values (points,) and one error text per
+    point, "" unless it failed.
     """
     check_measures(variant, [reduce])
     if not axes:
         raise ValueError("sweep requires at least one --axis NAME MIN MAX STEPS")
     if len(axes) > 2:
         raise ValueError("sweep supports at most two axes")
-    grids = []
+    bounds = []
     for spec in axes:
         name = spec[0]
         if name not in AXIS_NAMES:
@@ -125,18 +120,21 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str, *, gi
             raise ValueError(f"axis {name!r} needs steps >= 2, got {steps}")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"axis {name!r} needs finite MIN and MAX, got {lo} and {hi}")
-        if name in (other[0] for other in axes[:len(grids)]):
+        if name in (other[0] for other in axes[:len(bounds)]):
             raise ValueError(f"axis {name!r} is given twice")
-        grids.append(np.linspace(lo, hi, steps))
+        bounds.append((lo, hi, steps))
+    points = math.prod(steps for _, _, steps in bounds)
+    if points > _MAX_POINTS:
+        sizes = ", ".join(f"{spec[0]} STEPS {steps}" for spec, (_, _, steps) in zip(axes, bounds))
+        raise ValueError(f"a sweep grid holds at most {_MAX_POINTS} points, got {points}: {sizes}")
     if reduce not in SCALAR_MEASURES:
         raise ValueError(f"sweep reduce must be a scalar measure ({', '.join(SCALAR_MEASURES)})")
 
     keys = [spec[0].replace("-", "_") for spec in axes]
-    given = set(caption if given is None else given) | set(keys)
-    coords = np.array(list(itertools.product(*grids)))
+    coords = np.array(list(itertools.product(*(np.linspace(*b) for b in bounds))))
     captions = [dict(caption) for _ in coords]
     for point, values in zip(captions, coords.tolist()):
         for key, value in zip(keys, values):
-            override(point, key, value, given)
+            override(point, key, value)
     values, errors = zip(*(_point(variant, reduce, point) for point in captions))
     return coords, np.array(values), list(errors)

@@ -29,11 +29,13 @@ SPARSE_BASE = next(c for c in sp.csr_matrix.__mro__ if c.__name__ == "_spbase")
 
 
 def run_sweep(preset):
-    # given=(): the preset's values are not the user's, as on the command
-    # line, so Delta follows U_rr = 2 Delta along the urr axis.
+    # As on the command line, an axis along a leg drops the preset's legs,
+    # so Delta follows U_rr = 2 Delta along the urr axis of fig6-point.
     axes, reduce = SWEEPS[preset]
-    return rydpump.sweep(dict(models.FIGURES[preset].caption), models.figure_preset(preset).variant,
-                         axes, reduce, given=())
+    caption = dict(models.FIGURES[preset].caption)
+    if preset == "fig6-point":
+        del caption["delta_mhz"]
+    return rydpump.sweep(caption, models.figure_preset(preset).variant, axes, reduce)
 
 
 def counting(events, name, f):

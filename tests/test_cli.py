@@ -120,6 +120,22 @@ def test_evolve_overflow_is_a_numerical_failure(argv, code, err, capsys):
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
+@pytest.mark.parametrize("flags", [["--urr-mhz", "0", "--delta-mhz", "1e50"],
+                                   ["--urr-mhz", "0", "--delta-mhz", "1e100"],
+                                   ["--gamma-khz", "1e-300"], ["--gamma-khz", "1e300"],
+                                   ["--microwave-rel", "1e300"]])
+def test_non_finite_drazin_norm_is_named_not_printed(flags, capsys):
+    # Where the generator's scale defeats the power iteration, ||L^D||_2
+    # comes out inf or nan: the steady state is not unique (exit 4), and the
+    # one error line says the norm is not finite rather than print it.
+    assert run(["steady", "--preset", "fig2", *flags]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-unique steady state: ||L^D||_2 is not finite, at the "
+                          "rounding floor, 1/||L^D||_2 <= ")
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert not {"nan", "inf"} & set(err.replace(",", " ").split())
+
+
 def test_sweep_over_overflowing_points_writes_no_warning(capsys):
     # Every point fails, in its error cell; the run succeeds and writes
     # nothing to stderr, numpy's floating-point warnings included.
@@ -284,6 +300,28 @@ def test_sweep_axis_validation(capsys):
     assert len(rows) == 4 and all(row.endswith(",") for row in rows)  # no error text
 
 
+@pytest.mark.parametrize("axes, sizes", [
+    ([["rabi-mhz", "0", "1", "99999999999999999999999"]],
+     "99999999999999999999999: rabi-mhz STEPS 99999999999999999999999"),
+    ([["rabi-mhz", "0", "1", "2000"], ["microwave-rel", "0", "0.01", "1000"]],
+     "2000000: rabi-mhz STEPS 2000, microwave-rel STEPS 1000"),
+])
+def test_sweep_grid_is_capped_before_it_is_built(axes, sizes, monkeypatch, capsys):
+    # A grid of more than 10**6 points is rejected, with its axes and their
+    # STEPS named, before any grid array is made or any point solved.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built")
+    monkeypatch.setattr(np, "linspace", no_grid)
+    argv = ["sweep", "--preset", "fig2"] + [a for axis in axes for a in ["--axis", *axis]]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: a sweep grid holds at most 1000000 points, got {sizes}\n"
+    # A grid of exactly 10**6 points passes the cap and is built.
+    with pytest.raises(AssertionError, match="grid built"):
+        run(["sweep", "--preset", "fig2", "--axis", "rabi-mhz", "0", "1", "1000",
+             "--axis", "gamma-khz", "0.5", "2.5", "1000"])
+
+
 BELL_CAPTION = dict(rabi_mhz=0.036, microwave_rel=0.004, gamma_khz=1.673)
 BELL = models.SchemeVariant("bell", "singlet")
 
@@ -375,12 +413,13 @@ def test_sweep_function_missing_leg_follows_the_swept_one():
 
 
 def test_sweep_function_sweeps_a_preset_like_the_cli(capsys):
-    # A preset's caption with given=() sweeps as `sweep --preset` does: no
-    # caption key counts as given, so each swept U_rr brings Delta = U_rr/2.
-    fig = models.FIGURES["fig6-point"]
+    # A preset's caption without its Delta sweeps as `sweep --preset` does
+    # along U_rr: each swept U_rr brings Delta = U_rr/2.
+    caption = dict(models.FIGURES["fig6-point"].caption)
+    del caption["delta_mhz"]
     axes = [("urr-mhz", 6.0, 10.0, 2), ("gamma-khz", 0.5, 2.5, 2)]
     variant = models.figure_preset("fig6-point").variant
-    _, values, errors = rydpump.sweep(dict(fig.caption), variant, axes, "negativity", given=())
+    _, values, errors = rydpump.sweep(caption, variant, axes, "negativity")
     argv = ["sweep", "--preset", "fig6-point"]
     for name, lo, hi, steps in axes:
         argv += ["--axis", name, str(lo), str(hi), str(steps)]
@@ -395,9 +434,10 @@ def test_sweep_reads_gamma_angular_from_the_caption(capsys):
     axes = [("urr-mhz", 1, 8, 3), ("gamma-khz", 0.5, 2.5, 2)]
     variant = models.figure_preset("fig8b").variant
     caption = dict(models.FIGURES["fig8b"].caption)
+    del caption["delta_mhz"]  # as `sweep --preset fig8b` drops it along U_rr
     _, values, errors = rydpump.sweep(dict(caption, gamma_angular=True), variant, axes,
-                                      "fidelity", given=())
-    _, plain, _ = rydpump.sweep(caption, variant, axes, "fidelity", given=())
+                                      "fidelity")
+    _, plain, _ = rydpump.sweep(caption, variant, axes, "fidelity")
     argv = ["sweep", "--preset", "fig8b", "--gamma-angular"]
     for name, lo, hi, steps in axes:
         argv += ["--axis", name, str(lo), str(hi), str(steps)]
@@ -407,14 +447,41 @@ def test_sweep_reads_gamma_angular_from_the_caption(capsys):
 
 
 def test_override_rule():
+    # The microwave spellings replace each other; a leg of Delta and U_rr
+    # never drops the other.
     caption = {"microwave_mhz": 1.0, "delta_mhz": 3.0}
-    rydpump.grid.override(caption, "microwave_rel", 0.004, given=())
-    rydpump.grid.override(caption, "urr_mhz", 6.0, given=())
-    assert caption == {"microwave_rel": 0.004, "urr_mhz": 6.0}
-    # The microwave spellings always replace each other; a given leg stays.
-    rydpump.grid.override(caption, "microwave_mhz", 2.0, given={"microwave_rel"})
-    rydpump.grid.override(caption, "delta_mhz", 2.0, given={"urr_mhz"})
-    assert caption == {"microwave_mhz": 2.0, "urr_mhz": 6.0, "delta_mhz": 2.0}
+    rydpump.grid.override(caption, "microwave_rel", 0.004)
+    rydpump.grid.override(caption, "urr_mhz", 6.0)
+    assert caption == {"microwave_rel": 0.004, "delta_mhz": 3.0, "urr_mhz": 6.0}
+    rydpump.grid.override(caption, "microwave_mhz", 2.0)
+    rydpump.grid.override(caption, "delta_mhz", 2.0)
+    assert caption == {"microwave_mhz": 2.0, "delta_mhz": 2.0, "urr_mhz": 6.0}
+
+
+FIG2_DRIVES = dict(rabi_mhz=0.036, microwave_rel=0.004, gamma_khz=1.673)
+
+
+@pytest.mark.parametrize("preset, flags, fields, axes, legs", [
+    ("fig2", {}, {}, [], {"delta_mhz": 3.435}),
+    ("fig2", {"urr_mhz": 6.0}, {}, [], {"urr_mhz": 6.0}),
+    ("fig2", {"delta_mhz": 3.0}, {}, [], {"delta_mhz": 3.0}),
+    ("fig2", {"delta_mhz": 3.0, "urr_mhz": 6.5}, {}, [], {"delta_mhz": 3.0, "urr_mhz": 6.5}),
+    ("fig2", {}, {}, [["urr-mhz", "1", "8", "3"]], {}),
+    ("fig2", {"delta_mhz": 3.0}, {}, [["urr-mhz", "1", "8", "3"]], {"delta_mhz": 3.0}),
+    ("fig2", {}, {"detuning": 3.0}, [], {"delta_mhz": 3.0}),
+    ("fig8a", {}, {}, [["delta-mhz", "1", "3", "2"]], {}),
+])
+def test_run_setup_caption(preset, flags, fields, axes, legs, tmp_path):
+    # The preset's Delta and U_rr are one default: a field, a flag or an
+    # axis that gives either leg drops both, and every leg the user gives
+    # stays.  The caption holds no axis value; the sweep sets those.
+    opts = {"preset": preset, "axis": axes or None, **flags}
+    if fields:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
+        opts["config"] = str(config)
+    drives = FIG2_DRIVES if preset == "fig2" else dict(FIG2_DRIVES, gamma_khz=1.0)
+    assert RunSetup(opts).caption == {**drives, **legs}
 
 
 def cli_values(capsys, argv, column="fidelity"):
@@ -732,8 +799,8 @@ def test_steady_residual_is_the_certified_one(method, capsys):
 
 def test_steady_evolve_fails_where_its_certificate_levels_off(monkeypatch, capsys):
     # Off resonance at fig2 the evolve state's certificate levels off near
-    # 4e-8: the backend stops where it no longer falls, well before
-    # _MAX_DOUBLINGS squarings, and the state fails the 1e-8 bound (exit 3).
+    # 4e-8: the backend stops where it no longer falls, after 23 of its 60
+    # doublings, and the state fails the 1e-8 bound (exit 3).
     # The bordered solve passes at the same point.
     doublings = []
     finalize = dynamics._finalize
@@ -746,9 +813,21 @@ def test_steady_evolve_fails_where_its_certificate_levels_off(monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: steady-state error bound ||L^D|| ||L rho|| = ")
     assert err.endswith(" exceeds 1e-08 (backend evolve)\n")
-    assert len(doublings) == 1 and 20 <= doublings[0] <= dynamics._MAX_DOUBLINGS // 2
+    assert len(doublings) == 1 and 20 <= doublings[0] <= 30
     assert run(argv + ["nullspace"]) == 0
     assert doublings[1:] == [None]
+
+
+def test_steady_evolve_doubles_until_its_certificate_levels_off(capsys):
+    # With a 100 kHz decay and a slow pump the certificate keeps falling for
+    # 44 doublings and levels off at 1.3e-6; a backend that stopped after 40
+    # would report 1.2e-4.  The state fails the 1e-8 bound either way.
+    assert run(["steady", "--scheme", "bell", "--rabi-mhz", "1e-4", "--microwave-rel", "1e-6",
+                "--urr-mhz", "6", "--delta-mhz", "3", "--gamma-khz", "1e5",
+                "--method", "evolve"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: steady-state error bound ||L^D|| ||L rho|| = ")
+    assert float(err.split(" = ")[1].split()[0]) < 1e-5
 
 
 def test_steady_computes_the_residual_once(monkeypatch):

@@ -2,7 +2,7 @@
 
     python3 tools/gate_outputs.py --base REV
 
-regenerates every gated output twice, from the source of git revision REV
+regenerates 106 gated outputs twice, from the source of git revision REV
 and from the working tree, and compares the two byte for byte.  REV's
 source is extracted with `git archive` into a temporary directory, so the
 repository itself is not touched.  Every output comes from a fresh
@@ -30,6 +30,10 @@ The gated outputs are:
   populations, fidelity and negativity;
 - the CSV of a `sweep --preset fig6-point` without `--reduce`, which
   reduces to the preset's measure;
+- the CSV of two sweeps that pin the rule for a preset's Delta and U_rr:
+  `--preset fig2 --delta-mhz 3` along `urr-mhz`, where the given Delta
+  stays beside the swept U_rr, and `--preset fig8a` along `delta-mhz`,
+  where the swept Delta replaces the preset's U_rr;
 - the CSV of a `sweep --preset fig8b --gamma-angular` over fig8b's two
   axes, and of a `steady --config FILE` run whose file holds
   `preset = fig2` and `gamma-angular = yes`: the flag and the config key
@@ -53,7 +57,9 @@ The gated outputs are:
   of a `steady --method evolve` run off resonance at fig2 whose
   certificate levels off above the 1e-8 bound; and of an `evolve` with
   no initial state, an `evolve` at fig3 over -1 ms and a sweep with three
-  axes.
+  axes; of a `steady` at fig2 with `--delta-mhz 1e50 --urr-mhz 0`, whose
+  ||L^D||_2 is not finite; and of a sweep whose STEPS of 1e23 exceeds the
+  grid cap.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -101,6 +107,12 @@ SUBCOMMANDS = ("evolve", "steady", "sweep", "reproduce")
 SWEEP = ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "1", "8", "3"]
 # A sweep that reduces to its preset's measure, which is not fidelity.
 PRESET_SWEEP = ["sweep", "--preset", "fig6-point", "--axis", "urr-mhz", "1", "10", "2"]
+# Sweeps along a leg of a preset: a given Delta stays beside the swept U_rr,
+# and a swept Delta replaces the preset's U_rr.
+LEG_SWEEPS = (("fig2-delta-3-urr", ["sweep", "--preset", "fig2", "--delta-mhz", "3", "--axis",
+                                    "urr-mhz", "6", "8", "2"]),
+              ("fig8a-delta", ["sweep", "--preset", "fig8a", "--axis", "delta-mhz", "1", "3",
+                               "2"]))
 # The angular gamma reading, by flag over fig8b's two axes and by config key
 # at fig2.  The config file is written into the directory given as {out}.
 ANGULAR_SWEEP = ["sweep", "--preset", "fig8b", "--gamma-angular", "--axis", "urr-mhz", "1", "8",
@@ -136,7 +148,11 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
            ("evolve-no-initial", ["evolve", "--scheme", "bell"]),
            ("evolve-t-max-negative", ["evolve", "--preset", "fig3", "--t-max-ms", "-1"]),
            ("sweep-three-axes", SWEEP + ["--axis", "gamma-khz", "0.5", "2.5", "3", "--axis",
-                                         "rabi-mhz", "0.02", "0.1", "3"]))
+                                         "rabi-mhz", "0.02", "0.1", "3"]),
+           ("steady-drazin-norm-not-finite", ["steady", "--preset", "fig2", "--delta-mhz",
+                                              "1e50", "--urr-mhz", "0"]),
+           ("sweep-grid-over-cap", ["sweep", "--preset", "fig2", "--axis", "rabi-mhz", "0", "1",
+                                    "99999999999999999999999"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
@@ -169,6 +185,7 @@ def jobs(tree: Path) -> list:
     out += [(f"evolve/{name}.csv", cli + ["evolve", *spec, "--no-timestamp"])
             for name, spec in LONG_EVOLVE]
     out.append(("sweep/fig6-point-urr.csv", cli + PRESET_SWEEP + ["--no-timestamp"]))
+    out += [(f"sweep/{name}.csv", cli + argv + ["--no-timestamp"]) for name, argv in LEG_SWEEPS]
     out.append(("sweep/fig8b-gamma-angular.csv", cli + ANGULAR_SWEEP + ["--no-timestamp"]))
     out.append(("steady/fig2-config-gamma-angular.csv",
                 cli + ["steady", "--config", f"{{out}}/{ANGULAR_CONFIG[0]}", "--no-timestamp"]))
