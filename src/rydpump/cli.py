@@ -2,11 +2,13 @@
 
 Flags use caption units: --rabi-mhz and --delta-mhz / --urr-mhz are /2pi
 MHz values, --microwave-rel is the ratio omega/Omega, --gamma-khz is a
-plain rate in kHz (--gamma-angular reads it as 2*pi*kHz instead).  Config
-fields, flags and sweep axes override the preset's values (grid.override).
-The preset's Delta and U_rr are one default: a given U_rr or Delta replaces
-both, and a leg that nothing gives follows from U_rr = 2*Delta.  sweep and
-reproduce compute their grids with grid.sweep.
+plain rate in kHz (--gamma-angular reads it as 2*pi*kHz instead).  Flags
+override the config file, in which a flag name overrides a ModelParams
+field name for the same value; both, and sweep axes, override the preset's
+values (grid.override).  The preset's Delta and U_rr are one default: a
+given U_rr or Delta replaces both, and a leg that nothing gives follows
+from U_rr = 2*Delta.  steady solves its point with grid.steady_point, and
+sweep and reproduce compute their grids with grid.sweep.
 
 Exit codes: 0 success, 2 invalid specification (also a config file that
 cannot be read or an output path that cannot be written), 3 numerical
@@ -28,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, models
-from .grid import AXIS_NAMES, MEASURES, check_measures, measure_columns, override, sweep
+from .grid import (AXIS_NAMES, MEASURES, check_measures, measure_columns, override,
+                   steady_point, sweep)
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -69,9 +72,15 @@ _CONFIG_FIELDS = {
 }
 
 
-def _load_config(path: str) -> tuple[dict, dict]:
-    """Read a flat 'key = value' file ('#' comments) into flag-style values
-    and caption values given by ModelParams field name."""
+# The caption keys a config field or a flag can set, in the order they are
+# applied: microwave_rel, set after microwave_mhz, replaces it.
+_CAPTION_KEYS = ("microwave_mhz", "microwave2_mhz", *(a.replace("-", "_") for a in AXIS_NAMES))
+
+
+def _load_config(path: str) -> dict:
+    """Read a flat 'key = value' file ('#' comments) into one mapping of
+    flag-style values and caption values given by ModelParams field name;
+    a flag-name key wins over a field name for the same caption key."""
     flags: dict = {}
     fields: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -95,67 +104,60 @@ def _load_config(path: str) -> tuple[dict, dict]:
             raise ValueError(
                 f"config key {key!r} in {path} needs {_NEEDS[kind]}, got {value!r}"
             ) from None
-    return flags, fields
+    return {**fields, **flags}
 
 
 class RunSetup:
     """Resolved model + run options shared by the subcommands.
 
-    opts maps argparse dest names to values; None means not given.
+    opts maps argparse dest names to values; None means not given.  The
+    given values override the config file's, which override the preset's.
     """
 
     def __init__(self, opts: dict):
-        config = opts.get("config")
-        cfg_flags, cfg_fields = _load_config(config) if config else ({}, {})
+        opts = {**(_load_config(opts["config"]) if opts.get("config") else {}),
+                **{dest: value for dest, value in opts.items() if value is not None}}
+        fig = models.find_figure(opts["preset"]) if opts.get("preset") else None
 
-        def pick(dest, default=None):
-            val = opts.get(dest)
-            return val if val is not None else cfg_flags.get(dest, default)
-
-        preset_name = pick("preset")
-        fig = models.find_figure(preset_name) if preset_name else None
-
-        scheme = pick("scheme", fig.scheme if fig else None)
+        scheme = opts.get("scheme", fig.scheme if fig else None)
         if scheme is None:
             raise ValueError("no scheme given: use --scheme or --preset")
         # A scheme's first target is its default; SchemeVariant reports an unknown scheme.
         record = models.SCHEMES.get(scheme)
-        target = pick("target", fig.target if fig else next(iter(record.targets)) if record else "")
+        target = opts.get("target",
+                          fig.target if fig else next(iter(record.targets)) if record else "")
         self.variant = models.SchemeVariant(scheme=scheme, target=target.replace("-", "_"))
 
-        # Caption-unit values: the preset's, overridden by the config-file
-        # fields, then by the flags.  The preset's Delta and U_rr are one
-        # default, dropped when a field, a flag or an axis gives either leg.
-        given = dict(cfg_fields)
-        for key in (name.replace("-", "_") for name in AXIS_NAMES):
-            if pick(key) is not None:
-                given[key] = pick(key)
+        # Caption-unit values: the preset's, overridden by the given ones.
+        # The preset's Delta and U_rr are one default, dropped when a
+        # config field, a flag or an axis gives either leg.
+        given = {key: opts[key] for key in _CAPTION_KEYS if key in opts}
         self.caption = dict(fig.caption) if fig else {}
         legs = {"delta_mhz", "urr_mhz"}
-        if legs & {*given, *(spec[0].replace("-", "_") for spec in opts.get("axis") or ())}:
+        if legs & {*given, *(spec[0].replace("-", "_") for spec in opts.get("axis", ()))}:
             for key in legs:
                 self.caption.pop(key, None)
         for key, value in given.items():
             override(self.caption, key, value)
-        if pick("gamma_angular"):
+        if opts.get("gamma_angular"):
             self.caption["gamma_angular"] = True
 
-        self.initial = pick("initial", fig.initial if fig else None)
+        self.initial = opts.get("initial", fig.initial if fig else None)
 
         # Run options default to the preset's, without one to Figure's own.
         run = fig or models.Figure
-        self.t_max_ms = pick("t_max_ms", run.t_max_ms)
-        self.samples = pick("samples", run.samples)
-        outputs = pick("outputs")
+        self.t_max_ms = opts.get("t_max_ms", run.t_max_ms)
+        self.samples = opts.get("samples", run.samples)
+        outputs = opts.get("outputs")
         if outputs is None:
             self.outputs = [run.output]
             self.steady_outputs = ["fidelity", "chsh" if record.qubits else "negativity"]
         else:
             self.outputs = [o.strip() for o in outputs.split(",") if o.strip()]
             self.steady_outputs = self.outputs
-        self.method = pick("method", "nullspace")
-        self.reduce = pick("reduce", run.reduce)
-        self.format = pick("format", "csv")
+        self.method = opts.get("method", "nullspace")
+        self.reduce = opts.get("reduce", run.reduce)
+        self.format = opts.get("format", "csv")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}; expected csv or json")
 
@@ -243,11 +245,9 @@ def cmd_evolve(args) -> int:
 def cmd_steady(args) -> int:
     setup = RunSetup(vars(args))
     check_measures(setup.variant, setup.steady_outputs)
-    model = setup.model()
-    liouv = dynamics.build_liouvillian(model)
-    rho, info = dynamics.steady_state(liouv, method=setup.method, return_info=True)
-    names, values = measure_columns(model, setup.steady_outputs, rho[None])
-    row = values[0].tolist() + [info["residual"]]
+    names, values, info = steady_point(setup.caption, setup.variant, setup.steady_outputs,
+                                       setup.method)
+    row = values.tolist() + [info["residual"]]
     write_table(args.out, "steady", names + ["residual", "backend"], [row], setup.format,
                 not args.no_timestamp, text=[setup.method])
     return EXIT_OK

@@ -88,7 +88,7 @@ _GAP_FLOOR = 1e3
 # steady state), with room for complex arithmetic and for eigvalsh's own
 # error.
 _CHOLESKY_MARGIN = 1e-12
-_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_EPS, _TINY, _HUGE = np.finfo(float).eps, np.finfo(float).tiny, np.finfo(float).max
 
 # LAPACK's LU and solve of the float64 real form, called directly: lu_factor's
 # finiteness scan and warning and lu_solve's checks cost more than a Bell solve.
@@ -678,10 +678,21 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     rounding and the P between the solves is left out.  A step solves
     in place in one vector: E, the two solves, E and P, and the norm, by
     which the next step's vector is scaled.
+
+    The vector has norm c = root**2, the power of four at or below
+    ||L||_1, in place of 1, and the estimate is sqrt(||x||_2) / root.
+    Scaling by a power of two is exact in binary floating point, so the
+    estimate is the unit vector's to the bit wherever both stay in range.
+    When every rate of the generator is scaled by one factor s, a unit
+    vector comes out of the two solves scaled by 1/s**2, and at fig2 it
+    leaves the float range for s outside about 1e-153 to 1e155; the
+    vector of norm c stays in range from s = 1e-150 to 1e280.
     """
     d = L.dim
     lu_, piv = lu
-    x = _drazin_start(d).copy()
+    root = math.ldexp(1.0, (math.frexp(L.norm_1)[1] - 1) // 2)
+    scale = root * root
+    x = _drazin_start(d) * scale
     head = x[:d]
     est = 0.0
     for _ in range(_DRAZIN_STEPS):
@@ -691,11 +702,12 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
         _getrs(lu_, piv, x, trans=1, overwrite_b=True)
         x[0] = 0.0
         head -= head.sum() / d
-        sq = x @ x
-        prev, est = est, math.sqrt(math.sqrt(sq))
+        length = _norm2(x)
+        prev, est = est, math.sqrt(length) / root
         if abs(est - prev) <= _DRAZIN_RTOL * est:
             break
-        x /= math.sqrt(sq)
+        x /= length
+        x *= scale
     norm = _DRAZIN_MARGIN * est
     floor = _GAP_FLOOR * _EPS * L.norm_1
     if not norm * floor < 1.0:  # also catches a norm that overflowed to inf or nan
@@ -753,9 +765,19 @@ def _defect(L: Liouvillian, v: np.ndarray) -> float:
 
 
 def _norm2(v: np.ndarray) -> float:
-    """np.linalg.norm of a complex vector, to the bit."""
+    """np.linalg.norm of a real or complex vector, to the bit where its sum
+    of squares is a positive normal float.  Elsewhere the real and
+    imaginary parts are divided by their largest magnitude first, so no
+    square overflows or underflows."""
     re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    sq = re.dot(re) + im.dot(im)
+    if _TINY <= sq <= _HUGE:
+        return math.sqrt(sq)
+    top = float(max(np.abs(re).max(), np.abs(im).max()))
+    if not 0.0 < top < math.inf:  # zero, or inf or nan entries
+        return top
+    re, im = re / top, im / top
+    return top * math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _finalize(L: Liouvillian, v: np.ndarray, info: dict):

@@ -1,4 +1,5 @@
-"""Caption overrides, measure checks and columns, and steady-state parameter grids.
+"""Caption overrides, measure checks and columns, steady-state points and
+parameter grids of them.
 
 Traced layers are called through their module attribute (models.build_model,
 dynamics.steady_state, ...), so a tracer that replaces them sees every call.
@@ -6,7 +7,6 @@ dynamics.steady_state, ...), so a tracer that replaces them sees every call.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -67,14 +67,26 @@ def measure_columns(model: models.SystemModel, outputs, states: np.ndarray):
     return names, np.array(cols).T
 
 
-def _point(variant, reduce: str, caption: dict):
-    """(value, "") of the reduce measure of the steady state at caption,
-    or (nan, "{Type}: {message}") when the point fails."""
+def steady_point(caption: dict, variant: models.SchemeVariant, outputs, method: str):
+    """(names, values, info) of the steady state at caption, solved by
+    method ("nullspace" or "evolve"): the column names and values (ncol,)
+    of the outputs measures, and steady_state's info dict."""
+    model = models.build_model(models.caption_params(**caption), variant)
+    rho, info = dynamics.steady_state(dynamics.build_liouvillian(model), method=method,
+                                      return_info=True)
+    names, values = measure_columns(model, outputs, rho[None])
+    return names, values[0], info
+
+
+def _point(variant, reduce: str, caption: dict, axis_values):
+    """(value, "") of the reduce measure of the steady state at a copy of
+    caption with each (key, value) of axis_values applied through
+    override, or (nan, "{Type}: {message}") when the point fails."""
+    point = dict(caption)
+    for key, value in axis_values:
+        override(point, key, value)
     try:
-        params = models.caption_params(**caption)
-        model = models.build_model(params, variant)
-        rho = dynamics.steady_state(dynamics.build_liouvillian(model))
-        return float(measure_columns(model, [reduce], rho[None])[1][0, 0]), ""
+        return float(steady_point(point, variant, [reduce], "nullspace")[1][0]), ""
     except Exception as exc:  # per-point failures recorded, sweep continues
         return math.nan, f"{type(exc).__name__}: {exc}"
 
@@ -131,10 +143,11 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str):
         raise ValueError(f"sweep reduce must be a scalar measure ({', '.join(SCALAR_MEASURES)})")
 
     keys = [spec[0].replace("-", "_") for spec in axes]
-    coords = np.array(list(itertools.product(*(np.linspace(*b) for b in bounds))))
-    captions = [dict(caption) for _ in coords]
-    for point, values in zip(captions, coords.tolist()):
-        for key, value in zip(keys, values):
-            override(point, key, value)
-    values, errors = zip(*(_point(variant, reduce, point) for point in captions))
-    return coords, np.array(values), list(errors)
+    grids = np.meshgrid(*(np.linspace(*b) for b in bounds), indexing="ij")
+    coords = np.column_stack([g.ravel() for g in grids])
+    # One point's caption at a time: a grid may hold _MAX_POINTS points.
+    values, errors = np.empty(points), []
+    for i, row in enumerate(coords):
+        values[i], error = _point(variant, reduce, caption, zip(keys, row.tolist()))
+        errors.append(error)
+    return coords, values, errors

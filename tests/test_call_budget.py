@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import rydpump
 from rydpump import dynamics, grid, models
 
-from test_dynamics import loop_drazin_norm
+from oracles import loop_drazin_norm
 
 # Axes and reduce measure of each preset's sweep: 2 x 2 points.
 SWEEPS = {

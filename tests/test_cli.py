@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -127,10 +128,13 @@ def test_evolve_overflow_is_a_numerical_failure(argv, code, err, capsys):
 def test_non_finite_drazin_norm_is_named_not_printed(flags, capsys):
     # Where the generator's scale defeats the power iteration, ||L^D||_2
     # comes out inf or nan: the steady state is not unique (exit 4), and the
-    # one error line says the norm is not finite rather than print it.
+    # one error line says the norm is not finite rather than print it.  At
+    # Delta/2pi = 1e50 MHz the norm comes out finite, still at the floor,
+    # and is printed.
     assert run(["steady", "--preset", "fig2", *flags]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: non-unique steady state: ||L^D||_2 is not finite, at the "
+    shown = "= 8.537e+100 s is" if "1e50" in flags else "is not finite,"
+    assert err.startswith(f"error: non-unique steady state: ||L^D||_2 {shown} at the "
                           "rounding floor, 1/||L^D||_2 <= ")
     assert err.count("\n") == 1 and err.count("error:") == 1
     assert not {"nan", "inf"} & set(err.replace(",", " ").split())
@@ -324,6 +328,26 @@ def test_sweep_grid_is_capped_before_it_is_built(axes, sizes, monkeypatch, capsy
 
 BELL_CAPTION = dict(rabi_mhz=0.036, microwave_rel=0.004, gamma_khz=1.673)
 BELL = models.SchemeVariant("bell", "singlet")
+
+
+def test_sweep_makes_each_point_when_it_reaches_it(monkeypatch):
+    # The sweep holds the coordinates, the values and the error texts, and
+    # one point's caption at a time: with the solve stubbed, a 300 x 300
+    # grid peaks under 8 MB (a caption per point made up front took 30 MB).
+    last = {}
+    monkeypatch.setattr(rydpump.grid, "steady_point",
+                        lambda caption, *args: last.update(caption) or (["chsh"], [2.5], {}))
+    axes = [("rabi-mhz", 0.01, 0.1, 300), ("microwave-rel", 0.001, 0.01, 300)]
+    tracemalloc.start()
+    try:
+        coords, values, errors = rydpump.sweep(BELL_CAPTION, BELL, axes, "chsh")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert coords.shape == (90000, 2) and coords[-1].tolist() == [0.1, 0.01]
+    assert (values == 2.5).all() and errors == [""] * 90000
+    assert last == dict(BELL_CAPTION, rabi_mhz=0.1, microwave_rel=0.01)
 
 
 def steady_value(caption, variant=BELL, measure="fidelity"):

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import expm, lu_factor
 
 from rydpump.dynamics import (
     ConvergenceError,
@@ -19,7 +19,6 @@ from rydpump.dynamics import (
     NonUniqueSteadyStateError,
     _DRAZIN_MARGIN,
     _DRAZIN_RTOL,
-    _DRAZIN_STEPS,
     _STEP_SNAP_RTOL,
     _bordered_lu,
     _check_physical,
@@ -58,6 +57,8 @@ from rydpump.models import (
 )
 
 from conftest import random_density, trace_distance
+from oracles import (assert_drazin_norm_matches_loop, dense_drazin_norm, dense_hermitian_basis,
+                     dense_rates, kron_liouvillian, longdouble_expm, refined_steady_state)
 
 BELL = SchemeVariant("bell", "singlet")
 
@@ -71,17 +72,6 @@ def master_equation_rhs(h, lindblads, rho):
         cdc = cd @ c
         out = out + c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
     return out
-
-
-def kron_liouvillian(h, lindblads):
-    """Dense generator summed term by term from np.kron (independent oracle
-    for the sparse assembly)."""
-    eye = np.eye(h.shape[0])
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c in lindblads:
-        cdc = c.conj().T @ c
-        gen = gen + np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
-    return gen
 
 
 def sparse_kron_liouvillian(model):
@@ -112,61 +102,6 @@ def sparse_product_real_form(L):
     return real, norm_1
 
 
-def dense_drazin_norm(L):
-    """||P B^-1 E P||_2 from a dense inverse and SVD: B is the trace-bordered
-    real form, E zeroes entry 0 and P projects out the trace (oracle for
-    _drazin_norm's power iteration)."""
-    d, n = L.dim, L.dim**2
-    border = L.real.copy()
-    border[0] = 0.0
-    border[0, :d] = 1.0
-    proj = np.eye(n)
-    proj[:d, :d] -= 1.0 / d
-    drop0 = np.eye(n)
-    drop0[0, 0] = 0.0
-    return float(np.linalg.norm(proj @ np.linalg.inv(border) @ drop0 @ proj, 2))
-
-
-def refined_steady_state(h, lindblads):
-    """Unit-trace state of the dense generator with its first row replaced
-    by the trace functional: one complex LU solve and three refinement
-    steps, each residual computed in np.longdouble (oracle for the LU
-    backend that uses neither T, L.real nor the plans, and that stays
-    accurate at slow gaps off resonance)."""
-    d = h.shape[0]
-    mat = kron_liouvillian(h, lindblads)
-    mat[0] = 0.0
-    mat[0, ::d + 1] = 1.0
-    lu = lu_factor(mat)
-    b = np.zeros(d * d, dtype=np.clongdouble)
-    b[0] = 1.0
-    x = lu_solve(lu, b.astype(complex)).astype(np.clongdouble)
-    for _ in range(3):
-        x += lu_solve(lu, (b - mat.astype(np.clongdouble) @ x).astype(complex))
-    return unvec(x.astype(complex), d)
-
-
-def dense_rates(h, lindblads):
-    """Relaxation rates -Re(lambda) of all eigenvalues, ascending, from a
-    dense eigvals of the complex vec generator (oracle for the gap, which
-    comes from the real form); the first is the stationary eigenvalue and
-    the second the gap."""
-    return np.sort(-np.linalg.eigvals(kron_liouvillian(h, lindblads)).real)
-
-
-def dense_hermitian_basis(d):
-    """Columns vec(B) of |i><i|, (|i><j| + |j><i|)/sqrt2 and
-    i(|j><i| - |i><j|)/sqrt2 (i < j), built from outer products (oracle
-    for the sparse index arithmetic)."""
-    eye = np.eye(d)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    mats = [np.outer(eye[i], eye[i]) for i in range(d)]
-    mats += [(np.outer(eye[i], eye[j]) + np.outer(eye[j], eye[i])) / math.sqrt(2) for i, j in pairs]
-    mats += [1j * (np.outer(eye[j], eye[i]) - np.outer(eye[i], eye[j])) / math.sqrt(2)
-             for i, j in pairs]
-    return np.column_stack([vec(b) for b in mats])
-
-
 def sparse_hermitian_basis(d):
     """dense_hermitian_basis(d) as a scipy CSC matrix, whose products sum
     each entry from 0 over the stored entries in order (oracle for the
@@ -183,23 +118,6 @@ def complex_expm_states(L, rho0, t):
     for _ in t[1:]:
         out.append(prop @ out[-1])
     return unvec(np.array(out), L.dim)
-
-
-def longdouble_expm(a):
-    """expm(a) by Taylor series and scaling and squaring in np.longdouble."""
-    a = np.asarray(a, dtype=np.longdouble)
-    norm = float(np.max(np.abs(a).sum(axis=0)))
-    squarings = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0 else 0
-    a = a / np.longdouble(2) ** squarings
-    term = out = np.eye(a.shape[0], dtype=np.longdouble)
-    for k in range(1, 40):
-        term = term @ a / k
-        out = out + term
-        if np.max(np.abs(term)) <= np.finfo(np.longdouble).eps * 1e-3:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def figure_run(name):
@@ -1415,6 +1333,25 @@ def test_steady_evolve_doubles_long_enough_for_a_slow_cascade():
     assert np.max(np.abs(rho - np.diag([1.0, 0.0, 0.0]))) <= 1e-12
 
 
+def test_steady_evolve_renormalises_each_doubling(monkeypatch):
+    # At this weakly pumped qutrit point the squared propagator loses
+    # trace: a vector propagated without renormalisation keeps 0.94 of it
+    # after 40 doublings and none after 55.  Renormalised at each doubling,
+    # the state's bound levels off near 1.3e-5 after about 34 doublings and
+    # the backend names it; without that, the vanishing trace shrinks the
+    # bound, the doubling runs on and the state comes out nan.
+    doublings = []
+    finalize = dynamics._finalize
+    monkeypatch.setattr(dynamics, "_finalize",
+                        lambda L, v, info: doublings.append(info["doublings"])
+                        or finalize(L, v, info))
+    m = build_model(caption_params(rabi_mhz=0.003, microwave_rel=5e-5, urr_mhz=6.87,
+                                   gamma_khz=1.673), SchemeVariant("qutrit", "phi"))
+    with pytest.raises(ConvergenceError, match=r"= 1\.2\d+e-05 exceeds 1e-08 \(backend evolve\)"):
+        steady_state(build_liouvillian(m), method="evolve")
+    assert len(doublings) == 1 and 30 <= doublings[0] <= 40
+
+
 def test_steady_state_unique_for_all_presets():
     # every benchmark operating point has a one-dimensional stationary space
     from rydpump.models import PRESET_NAMES, build_model
@@ -1503,41 +1440,6 @@ def test_drazin_norm_brackets_dense_oracle(name):
     rho, info = steady_state(L, return_info=True)
     assert info["drazin_norm"] == norm
     assert info["error_bound"] == norm * np.linalg.norm(L.superop @ vec(rho))
-
-
-def loop_drazin_norm(L, lu):
-    """The power loop _drazin_norm replaced: a fresh vector from each
-    solve, the trace projected out after both, and the vector scaled at the
-    top of each step.  Returns its estimate times the margin and its number
-    of steps (oracle for the in-place loop, equal to it up to rounding)."""
-    d = L.dim
-    x = np.random.default_rng(0).standard_normal(d * d)
-    x[:d] -= x[:d].sum() / d
-    est = 0.0
-    for step in range(1, _DRAZIN_STEPS + 1):
-        x /= math.sqrt(x @ x)
-        x[0] = 0.0
-        y = lu_solve(lu, x, check_finite=False)
-        y[:d] -= y[:d].sum() / d
-        x = lu_solve(lu, y, trans=1, check_finite=False)
-        x[0] = 0.0
-        x[:d] -= x[:d].sum() / d
-        prev, est = est, math.sqrt(math.sqrt(x @ x))
-        if abs(est - prev) <= _DRAZIN_RTOL * est:
-            break
-    return _DRAZIN_MARGIN * est, step
-
-
-def assert_drazin_norm_matches_loop(L, rel=1e-12):
-    """_drazin_norm is within rel of loop_drazin_norm, after as many steps:
-    pairs of a solve and a transposed solve on the same factors."""
-    lu = _bordered_lu(L)
-    want, steps = loop_drazin_norm(L, lu)
-    with mock.patch.object(dynamics, "_getrs", wraps=dynamics._getrs) as getrs:
-        got = _drazin_norm(L, lu)
-    assert [c.kwargs.get("trans", 0) for c in getrs.call_args_list] == [0, 1] * steps
-    assert all(c.args[0] is lu[0] and c.args[1] is lu[1] for c in getrs.call_args_list)
-    assert got == pytest.approx(want, rel=rel, abs=0)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from rydpump.dynamics import (_DRAZIN_MARGIN, _DRAZIN_RTOL, ConvergenceError, build_liouvillian,
                               liouvillian_gap, steady_state)
-from rydpump.grid import measure_columns
+from rydpump.grid import measure_columns, steady_point
 from rydpump.measures import chsh_correlation, fidelity, negativity
-from rydpump.models import SchemeVariant, SystemModel, build_model, caption_params
+from rydpump.models import (FIGURES, SchemeVariant, SystemModel, build_model, caption_params,
+                            figure_preset)
 
-from test_dynamics import (assert_drazin_norm_matches_loop, dense_drazin_norm, dense_rates,
-                           refined_steady_state)
+from oracles import (assert_drazin_norm_matches_loop, dense_drazin_norm, dense_rates,
+                     refined_steady_state)
 
 # Caption-unit ranges of the Fig. 8 and Fig. 9 grids, at resonant pumping
 # (Delta = U_rr / 2) as on those grids.
@@ -165,6 +166,21 @@ def test_drazin_norm_matches_power_loop_oracle_off_resonance(scheme, p):
                                     rel=1e-11)
 
 
+def test_drazin_norm_starts_from_a_unit_vector():
+    # A wide-box Bell point, found by a scan of 300 points, where a start
+    # vector of norm 8.66 (the seeded vector before its normalisation)
+    # gives a first estimate that the second matches to 1e-3 by chance:
+    # that loop stops after two steps at 0.555 s, below the dense norm
+    # 0.841 s.  From the unit start the loop runs six steps, as the
+    # oracle's does, and brackets the dense norm.
+    p = {"rabi_mhz": 0.135, "microwave_rel": 0.03964, "urr_mhz": 5.864, "delta_mhz": 2.664,
+         "gamma_khz": 4.132}
+    L = build_liouvillian(_model("bell", "singlet", p))
+    assert_drazin_norm_matches_loop(L)
+    _, info = steady_state(L, return_info=True)
+    _assert_drazin_norm_brackets_dense(L, info)
+
+
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])
 @SETTINGS
 @given(p=PARAMS)
@@ -236,3 +252,32 @@ def test_level_permutation_permutes_steady_state(scheme, p, order):
     assert fidelity(relabelled.state(target), moved) == pytest.approx(
         fidelity(m.state(target), rho), abs=1e-12)
     assert negativity(moved, m.dims) == pytest.approx(negativity(rho, m.dims), abs=1e-12)
+
+
+def _rescaled_point(preset, s):
+    """steady_point at the preset's caption with every rate scaled by s:
+    Omega, Delta (U_rr = 2 Delta follows) and gamma; omega/Omega stays."""
+    caption = dict(FIGURES[preset].caption)
+    assert set(caption) == {"rabi_mhz", "microwave_rel", "delta_mhz", "gamma_khz"}
+    for key in ("rabi_mhz", "delta_mhz", "gamma_khz"):
+        caption[key] *= s
+    variant = figure_preset(preset).variant
+    outputs = ["populations", "fidelity", "negativity"] + (["chsh"] if variant.record.qubits else [])
+    # At 1e-150 and 1e200 a norm's plain sum of squares overflows, and
+    # numpy warns of it before the scaled sum is taken; the CLI silences it.
+    with np.errstate(over="ignore"):
+        return steady_point(caption, variant, outputs, "nullspace")
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig6-point"])
+@pytest.mark.parametrize("s", [1e-150, 1e-80, 1e80, 1e150, 1e200])
+def test_rescaled_rates_keep_the_certified_state(preset, s):
+    # Scaling every rate by s maps L to s L: the steady state stays, and
+    # ||L^D||_2 scales by 1/s.  The state is certified at every s, with a
+    # positive bound, where a unit power-iteration vector or a plain sum of
+    # squares leaves the float range.
+    _, want, base = _rescaled_point(preset, 1.0)
+    _, got, info = _rescaled_point(preset, s)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert info["drazin_norm"] * s == pytest.approx(base["drazin_norm"], rel=1e-3)
+    assert info["error_bound"] > 0.0

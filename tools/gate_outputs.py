@@ -2,7 +2,7 @@
 
     python3 tools/gate_outputs.py --base REV
 
-regenerates 106 gated outputs twice, from the source of git revision REV
+regenerates 110 gated outputs twice, from the source of git revision REV
 and from the working tree, and compares the two byte for byte.  REV's
 source is extracted with `git archive` into a temporary directory, so the
 repository itself is not touched.  Every output comes from a fresh
@@ -38,6 +38,15 @@ The gated outputs are:
   axes, and of a `steady --config FILE` run whose file holds
   `preset = fig2` and `gamma-angular = yes`: the flag and the config key
   that read gamma as an angular rate;
+- the CSV of a `steady --config FILE` run whose file gives the Bell
+  scheme by ModelParams field names (`rabi_microwave_1` among them) and
+  Delta both as `detuning` and as `delta-mhz`, where the flag name wins,
+  and of the same run with `--microwave-rel 0.004`, which replaces the
+  file's absolute microwave amplitude;
+- the CSV of two `steady` runs at fig2 with Omega, Delta and gamma
+  scaled by one factor, 1e-80 and 1e180: the generator scales and the
+  steady state does not, so the measures are fig2's (before the scaled
+  ||L^D||_2 iteration and norm, the first exited 4 and the second 3);
 - the CSV of two CHSH sweeps at fig8a whose grids start at a degenerate
   point, gamma = 0 and Omega = 0, where the steady state is not unique:
   they pin the `error` column, and at gamma = 0 a generator with entries
@@ -118,6 +127,17 @@ LEG_SWEEPS = (("fig2-delta-3-urr", ["sweep", "--preset", "fig2", "--delta-mhz", 
 ANGULAR_SWEEP = ["sweep", "--preset", "fig8b", "--gamma-angular", "--axis", "urr-mhz", "1", "8",
                  "5", "--axis", "gamma-khz", "0.5", "2.5", "5"]
 ANGULAR_CONFIG = ("gamma-angular.cfg", "preset = fig2\ngamma-angular = yes\n")
+# A Bell point by ModelParams field names, with Delta given twice: the flag
+# name delta-mhz wins over the field name detuning.
+FIELDS_CONFIG = ("fields.cfg", "scheme = bell\nrabi_optical = 0.036\n"
+                 "rabi_microwave_1 = 0.0002\ndetuning = 3.0\ndelta-mhz = 3.435\n"
+                 "gamma = 1.673\n")
+CONFIGS = (ANGULAR_CONFIG, FIELDS_CONFIG)
+# fig2 with Omega, Delta and gamma scaled by 1e-80 and by 1e180.
+RESCALED = (("fig2-rescaled-1e-80", ["--rabi-mhz", "3.6e-82", "--delta-mhz", "3.435e-80",
+                                     "--gamma-khz", "1.673e-80"]),
+            ("fig2-rescaled-1e180", ["--rabi-mhz", "3.6e178", "--delta-mhz", "3.435e180",
+                                     "--gamma-khz", "1.673e180"]))
 # CHSH sweeps whose first point is degenerate (no decay, no optical drive),
 # so they write the error column too.
 DEGENERATE_SWEEPS = (("fig8a-gamma-chsh", ["gamma-khz", "0", "1", "3"]),
@@ -158,8 +178,8 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 def jobs(tree: Path) -> list:
     """(output name, argv) of every gated output; reproduce writes its CSV
-    into the directory given as {out}, which also holds the config file of
-    the config run, and the others are read from stdout."""
+    into the directory given as {out}, which also holds the config files
+    of the config runs, and the others are read from stdout."""
     cli = [sys.executable, "-m", "rydpump.cli"]
     out = [(f"reproduce/{fig}.csv", cli + ["reproduce", fig, "--out-dir", "{out}", "--no-timestamp"])
            for fig in REPRODUCE]
@@ -189,6 +209,11 @@ def jobs(tree: Path) -> list:
     out.append(("sweep/fig8b-gamma-angular.csv", cli + ANGULAR_SWEEP + ["--no-timestamp"]))
     out.append(("steady/fig2-config-gamma-angular.csv",
                 cli + ["steady", "--config", f"{{out}}/{ANGULAR_CONFIG[0]}", "--no-timestamp"]))
+    fields = cli + ["steady", "--config", f"{{out}}/{FIELDS_CONFIG[0]}", "--no-timestamp"]
+    out += [("steady/bell-config-fields.csv", fields),
+            ("steady/bell-config-fields-microwave-rel.csv", fields + ["--microwave-rel", "0.004"])]
+    out += [(f"steady/{name}.csv", cli + ["steady", "--preset", "fig2", *flags, "--no-timestamp"])
+            for name, flags in RESCALED]
     out += [(f"sweep/{name}.csv", cli + ["sweep", "--preset", "fig8a", "--axis", *axis,
                                          "--reduce", "chsh", "--no-timestamp"])
             for name, axis in DEGENERATE_SWEEPS]
@@ -207,7 +232,8 @@ def generate(tree: Path, dest: Path) -> dict:
     results = {}
     outdir = dest / "reproduce"
     outdir.mkdir(parents=True)
-    (outdir / ANGULAR_CONFIG[0]).write_text(ANGULAR_CONFIG[1])
+    for name, text in CONFIGS:
+        (outdir / name).write_text(text)
     for name, argv in jobs(tree):
         argv = [a.replace("{out}", str(outdir)) for a in argv]
         proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, timeout=600)
