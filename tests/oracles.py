@@ -1,6 +1,7 @@
 """Independent oracles shared by the test modules: dense generators,
 steady states, relaxation rates and ||L^D||_2 computed without the
-package's plans, real form or in-place loops, and a long-double expm."""
+package's plans, real form or in-place loops, a long-double expm, and
+the trace-bordered real form gathered densely into band storage."""
 
 import math
 from unittest import mock
@@ -8,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrs
 
 from rydpump import dynamics
 from rydpump.dynamics import (_DRAZIN_MARGIN, _DRAZIN_RTOL, _DRAZIN_STEPS, _bordered_lu,
@@ -97,21 +99,54 @@ def dense_drazin_norm(L):
     return float(np.linalg.norm(proj @ np.linalg.inv(border) @ drop0 @ proj, 2))
 
 
+def bordered_real_form(L):
+    """L.real, a new Fortran-ordered array, with row 0 replaced by the
+    trace functional."""
+    mat = L.real
+    mat[0] = 0.0
+    mat[0, : L.dim] = 1.0
+    return mat
+
+
+def gathered_band(L, plan):
+    """dgbtrf's band array, (2 kl + ku + 1, n) Fortran-ordered, of the dense
+    bordered_real_form(L) in the plan's order, gathered entry by entry; it
+    asserts first that perm is a permutation and that every nonzero of the
+    permuted form lies within the plan's kl and ku (oracle for the band
+    assembly, which sums the terms straight into band storage)."""
+    n = L.dim**2
+    perm, kl, ku = plan.perm, plan.kl, plan.ku
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    assert np.array_equal(plan.inv[perm], np.arange(n))
+    dense = bordered_real_form(L)[np.ix_(perm, perm)]
+    i, j = np.nonzero(dense)
+    assert np.all(j - i <= ku) and np.all(i - j <= kl)
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for k in range(-kl, ku + 1):  # the diagonal k above the main one
+        cols = np.arange(max(k, 0), min(n, n + k))
+        ab[kl + ku - k, cols] = dense[cols - k, cols]
+    return ab
+
+
 def loop_drazin_norm(L, lu):
-    """The power loop _drazin_norm replaced: a fresh vector from each
-    solve, the trace projected out after both, and the vector scaled at the
-    top of each step.  Returns its estimate times the margin and its number
-    of steps (oracle for the in-place loop, equal to it up to rounding)."""
+    """The power loop _drazin_norm replaced: in the original coordinates,
+    a fresh vector from each of scipy's band solves, which the band plan's
+    order is applied to and undone around explicitly, the trace projected
+    out after both solves, and the vector scaled at the top of each step.
+    Returns its estimate times the margin and its number of steps (oracle
+    for the in-place loop in the band order, equal to it up to rounding)."""
     d = L.dim
+    ab, piv, plan = lu
+    kl, ku, perm, inv = plan.kl, plan.ku, plan.perm, plan.inv
     x = np.random.default_rng(0).standard_normal(d * d)
     x[:d] -= x[:d].sum() / d
     est = 0.0
     for step in range(1, _DRAZIN_STEPS + 1):
         x /= math.sqrt(x @ x)
         x[0] = 0.0
-        y = lu_solve(lu, x, check_finite=False)
+        y = dgbtrs(ab, kl, ku, x[perm], piv)[0][inv]
         y[:d] -= y[:d].sum() / d
-        x = lu_solve(lu, y, trans=1, check_finite=False)
+        x = dgbtrs(ab, kl, ku, y[perm], piv, trans=1)[0][inv]
         x[0] = 0.0
         x[:d] -= x[:d].sum() / d
         prev, est = est, math.sqrt(math.sqrt(x @ x))
@@ -122,11 +157,11 @@ def loop_drazin_norm(L, lu):
 
 def assert_drazin_norm_matches_loop(L, rel=1e-12):
     """_drazin_norm is within rel of loop_drazin_norm, after as many steps:
-    pairs of a solve and a transposed solve on the same factors."""
+    pairs of a band solve and a transposed band solve on the same factors."""
     lu = _bordered_lu(L)
     want, steps = loop_drazin_norm(L, lu)
-    with mock.patch.object(dynamics, "_getrs", wraps=dynamics._getrs) as getrs:
+    with mock.patch.object(dynamics, "_gbtrs", wraps=dynamics._gbtrs) as gbtrs:
         got = _drazin_norm(L, lu)
-    assert [c.kwargs.get("trans", 0) for c in getrs.call_args_list] == [0, 1] * steps
-    assert all(c.args[0] is lu[0] and c.args[1] is lu[1] for c in getrs.call_args_list)
+    assert [c.kwargs.get("trans", 0) for c in gbtrs.call_args_list] == [0, 1] * steps
+    assert all(c.args[0] is lu[0] and c.args[4] is lu[1] for c in gbtrs.call_args_list)
     assert got == pytest.approx(want, rel=rel, abs=0)

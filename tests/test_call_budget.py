@@ -2,8 +2,8 @@
 
 A warm sweep point (plan caches filled by an earlier sweep), at the Bell
 `fig8a` pattern and at the qutrit `fig6-point` pattern, makes exactly one
-LU factorisation (dgetrf), one solve for the state plus a solve and a
-transposed solve per ||L^D||_2 power step (dgetrs), one Cholesky
+band LU factorisation (dgbtrf), one band solve for the state plus a solve
+and a transposed solve per ||L^D||_2 power step (dgbtrs), one Cholesky
 positivity proof (zpotrf) and one residual, and builds no scipy.sparse
 matrix through its constructor.  A change that adds a call to the point
 fails here, not only in timings.
@@ -60,7 +60,7 @@ def test_sweep_point_call_budget(preset):
                mock.patch.object(SPARSE_BASE, "__init__",
                                  counting(events, "sparse", SPARSE_BASE.__init__))]
     patches += [mock.patch.object(dynamics, name, counting(events, name, getattr(dynamics, name)))
-                for name in ("_getrf", "_getrs", "_potrf", "residual")]
+                for name in ("_gbtrf", "_gbtrs", "_potrf", "residual")]
     for p in patches:
         p.start()
     try:
@@ -81,8 +81,8 @@ def test_sweep_point_call_budget(preset):
     for calls, L in zip(per_point, generators):
         steps = loop_drazin_norm(L, dynamics._bordered_lu(L))[1]
         assert 1 <= steps <= dynamics._DRAZIN_STEPS
-        assert calls.count("_getrf") == 1
-        assert calls.count("_getrs") == 1 + 2 * steps
+        assert calls.count("_gbtrf") == 1
+        assert calls.count("_gbtrs") == 1 + 2 * steps
         assert calls.count("_potrf") == 1
         assert calls.count("residual") == 1
         assert calls.count("sparse") == 0

@@ -121,21 +121,29 @@ def test_evolve_overflow_is_a_numerical_failure(argv, code, err, capsys):
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
-@pytest.mark.parametrize("flags", [["--urr-mhz", "0", "--delta-mhz", "1e50"],
-                                   ["--urr-mhz", "0", "--delta-mhz", "1e100"],
-                                   ["--gamma-khz", "1e-300"], ["--gamma-khz", "1e300"],
-                                   ["--microwave-rel", "1e300"]])
-def test_non_finite_drazin_norm_is_named_not_printed(flags, capsys):
+# The head of each run's error line, after "error: non-unique steady state: ".
+NORM_AT_FLOOR = "||L^D||_2 {} at the rounding floor, 1/||L^D||_2 <= "
+NOT_FINITE = NORM_AT_FLOOR.format("is not finite,")
+
+
+@pytest.mark.parametrize("flags, head", [
+    (["--urr-mhz", "0", "--delta-mhz", "1e50"], NORM_AT_FLOOR.format("= 2.782e+100 s is")),
+    (["--urr-mhz", "0", "--delta-mhz", "1e100"], NOT_FINITE),
+    (["--gamma-khz", "1e-300"], NOT_FINITE),
+    (["--gamma-khz", "1e300"], NOT_FINITE),
+    (["--microwave-rel", "1e300"],
+     "1 exactly zero pivot(s) in the LU factors of the trace-bordered Liouvillian\n"),
+], ids=[f"flags{i}" for i in range(5)])
+def test_non_finite_drazin_norm_is_named_not_printed(flags, head, capsys):
     # Where the generator's scale defeats the power iteration, ||L^D||_2
     # comes out inf or nan: the steady state is not unique (exit 4), and the
     # one error line says the norm is not finite rather than print it.  At
     # Delta/2pi = 1e50 MHz the norm comes out finite, still at the floor,
-    # and is printed.
+    # and is printed; at omega/Omega = 1e300 the band LU meets an exactly
+    # zero pivot first.
     assert run(["steady", "--preset", "fig2", *flags]) == 4
     err = capsys.readouterr().err
-    shown = "= 8.537e+100 s is" if "1e50" in flags else "is not finite,"
-    assert err.startswith(f"error: non-unique steady state: ||L^D||_2 {shown} at the "
-                          "rounding floor, 1/||L^D||_2 <= ")
+    assert err.startswith(f"error: non-unique steady state: {head}")
     assert err.count("\n") == 1 and err.count("error:") == 1
     assert not {"nan", "inf"} & set(err.replace(",", " ").split())
 
@@ -521,7 +529,7 @@ def test_steady_one_leg_flag_follows_like_sweep(capsys):
     # steady exactly as it does at a sweep point.
     steady = cli_values(capsys, ["steady", "--preset", "fig2", "--urr-mhz", "6"])
     swept = cli_values(capsys, ["sweep", "--preset", "fig2", "--axis", "urr-mhz", "6", "6", "2"])
-    assert steady == swept[:1] == [9.98561674816441647e-01]
+    assert steady == swept[:1] == [9.98561674816442535e-01]
 
 
 def test_steady_both_legs_given_stay_put(capsys):

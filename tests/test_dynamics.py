@@ -11,7 +11,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, lu_factor
+from scipy.linalg import expm
+from scipy.linalg.lapack import dgbtrf
 
 from rydpump.dynamics import (
     ConvergenceError,
@@ -20,10 +21,10 @@ from rydpump.dynamics import (
     _DRAZIN_MARGIN,
     _DRAZIN_RTOL,
     _STEP_SNAP_RTOL,
+    _band_plan,
     _bordered_lu,
     _check_physical,
     _drazin_norm,
-    _drazin_start,
     _finalize,
     _from_coords,
     _generator_plan,
@@ -41,7 +42,7 @@ from rydpump.dynamics import (
     vec,
 )
 import rydpump
-from rydpump import dynamics, linalg
+from rydpump import dynamics, grid, linalg
 from rydpump.cli import main
 from rydpump.linalg import BipartiteDims
 from rydpump.measures import fidelity
@@ -58,7 +59,8 @@ from rydpump.models import (
 
 from conftest import random_density, trace_distance
 from oracles import (assert_drazin_norm_matches_loop, dense_drazin_norm, dense_hermitian_basis,
-                     dense_rates, kron_liouvillian, longdouble_expm, refined_steady_state)
+                     dense_rates, gathered_band, kron_liouvillian, longdouble_expm,
+                     refined_steady_state)
 
 BELL = SchemeVariant("bell", "singlet")
 
@@ -574,7 +576,9 @@ def test_plan_reuse_drops_entries_that_cancel():
     assert np.array_equal(second.superop.toarray(), dense)
 
 
-PLAN_CACHES = (_generator_plan, _real_plan, _drazin_start)
+# Misses and hits of each plan cache over a 4-point sweep of one pattern:
+# the real-form terms are read only when the band plan is made.
+PLAN_CACHES = {_generator_plan: (1, 3), _band_plan: (1, 3), _real_plan: (1, 0)}
 
 
 def test_sweep_misses_each_plan_once(capsys):
@@ -583,9 +587,9 @@ def test_sweep_misses_each_plan_once(capsys):
     assert main(["sweep", "--preset", "fig8a", "--axis", "rabi-mhz", "0.02", "0.1", "2",
                  "--axis", "microwave-rel", "0.002", "0.01", "2", "--reduce", "chsh",
                  "--no-timestamp"]) == 0
-    for cache in PLAN_CACHES:
+    for cache, want in PLAN_CACHES.items():
         info = cache.cache_info()
-        assert (info.misses, info.hits) == (1, 3), cache.__name__
+        assert (info.misses, info.hits) == want, cache.__name__
         assert info.maxsize is not None
 
 
@@ -635,7 +639,8 @@ def test_plan_arrays_are_read_only():
     s = L.superop
     plans = [generator_plan(m)[:-2],
              _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
-             (_drazin_start(m.dim),), _hermitian_rows(m.dim)]
+             [a for a in _bordered_lu(L)[2] if isinstance(a, np.ndarray)], _hermitian_rows(m.dim)]
+    assert len(plans[2]) == 9
     for plan in plans:
         for a in plan:
             assert not a.flags.writeable
@@ -1416,13 +1421,13 @@ def test_steady_state_within_its_bound_of_refined_oracle(name):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_steady_state_matches_refined_and_gap_oracles(name):
-    # The state is checked against the refined dense solve, the gap against
-    # the dense eigenvalues.
+    # The state is checked against the refined dense solve (within 1e-13,
+    # as on the grids below), the gap against the dense eigenvalues.
     pre = figure_preset(name)
     m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
     rho, info = steady_state(L, return_info=True)
-    assert np.max(np.abs(rho - refined_steady_state(m.hamiltonian, m.lindblads))) <= 1e-9
+    assert np.max(np.abs(rho - refined_steady_state(m.hamiltonian, m.lindblads))) <= 1e-13
     assert liouvillian_gap(L) == pytest.approx(dense_rates(m.hamiltonian, m.lindblads)[1],
                                                rel=1e-7)
     assert info["error_bound"] <= 1e-10
@@ -1470,19 +1475,11 @@ def test_sweep_path_skips_the_gap(monkeypatch):
                          "error_bound"}
 
 
-def bordered_real_form(L):
-    """L.real, a new Fortran-ordered array, with row 0 replaced by the
-    trace functional."""
-    mat = L.real
-    mat[0] = 0.0
-    mat[0, : L.dim] = 1.0
-    return mat
-
-
 @pytest.mark.parametrize("name", PRESET_NAMES + ("random",))
 def test_bordered_lu_matches_lu_factor_of_real_form(name):
-    # L.real factored in place gives lu_factor's factors and pivots of the
-    # bordered L.real, byte for byte.
+    # The band array summed from the generator and factored in place gives
+    # scipy's dgbtrf factors and pivots of the dense bordered L.real
+    # gathered into band storage in the plan's order, byte for byte.
     if name == "random":
         rng = np.random.default_rng(5)
         models = [random_model(rng, n_lindblads=n) for n in (0, 1, 4, 7)]
@@ -1491,9 +1488,11 @@ def test_bordered_lu_matches_lu_factor_of_real_form(name):
         models = [build_model(pre.params, pre.variant)]
     for m in models:
         L = build_liouvillian(m)
-        lu, piv = _bordered_lu(L)
-        want_lu, want_piv = lu_factor(bordered_real_form(L))
+        lu, piv, plan = _bordered_lu(L)
+        want_lu, want_piv, info = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
+        assert info == 0
         assert lu.flags["F_CONTIGUOUS"] and lu.dtype == np.float64
+        assert lu.shape == (plan.ldab, L.dim**2) == want_lu.shape
         assert lu.tobytes(order="F") == want_lu.tobytes(order="F")
         assert piv.dtype == want_piv.dtype and piv.tobytes() == want_piv.tobytes()
 
@@ -1501,14 +1500,110 @@ def test_bordered_lu_matches_lu_factor_of_real_form(name):
 def test_bordered_lu_raises_on_illegal_lapack_argument(monkeypatch):
     import rydpump.dynamics as dyn
 
-    def illegal(a, overwrite_a):
-        return a, np.arange(a.shape[0], dtype=np.int32), -4
+    def illegal(ab, kl, ku, overwrite_ab):
+        return ab, np.arange(ab.shape[1], dtype=np.int32), -4
 
-    monkeypatch.setattr(dyn, "_getrf", illegal)
+    monkeypatch.setattr(dyn, "_gbtrf", illegal)
     pre = figure_preset("fig8a")
     L = build_liouvillian(build_model(pre.params, pre.variant))
-    with pytest.raises(ValueError, match="argument 4 of LAPACK dgetrf"):
+    with pytest.raises(ValueError, match="argument 4 of LAPACK dgbtrf"):
         steady_state(L)
+
+
+def band_plan(L):
+    """_bordered_lu's band plan of a generator."""
+    s = L.superop
+    return _band_plan(L.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes(),
+                      (s.data.view(float) != 0).tobytes())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]), real=st.booleans())
+def test_band_plan_holds_every_nonzero_of_random_patterns(seed, dims, real):
+    # A synthetic model with a random sparsity pattern and complex or real
+    # amplitudes: the plan's order is a permutation, every nonzero of the
+    # bordered real form lies inside its band (gathered_band checks both),
+    # and the band LU is the gathered band's, or fails on its zero pivots.
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, *dims, n_lindblads=int(rng.integers(0, 4)))
+    m.hamiltonian[rng.random(m.hamiltonian.shape) < 0.5] = 0.0
+    m.hamiltonian[:] = (m.hamiltonian + m.hamiltonian.conj().T) / 2
+    for op in m.lindblads:
+        op[rng.random(op.shape) < 0.8] = 0.0
+    if real:
+        m = dataclasses.replace(m, hamiltonian=m.hamiltonian.real.astype(complex),
+                                lindblads=tuple(op.real.astype(complex) for op in m.lindblads))
+    L = build_liouvillian(m)
+    plan = band_plan(L)
+    want_lu, want_piv, _ = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
+    if np.all(want_lu[plan.kl + plan.ku] != 0.0):
+        lu, piv, got = _bordered_lu(L)
+        assert got is plan
+        assert lu.tobytes(order="F") == want_lu.tobytes(order="F")
+        assert piv.tobytes() == want_piv.tobytes()
+    else:
+        with pytest.raises(NonUniqueSteadyStateError, match="exactly zero pivot"):
+            _bordered_lu(L)
+
+
+def test_band_plan_is_keyed_on_the_nonzero_parts():
+    # Every amplitude of fig8a is real, so many parts of the generator's
+    # entries are zero.  Keyed on the mask of its parts, the plan leaves
+    # them out of the pattern, and the band keeps 27 diagonals either side;
+    # the same CSR pattern with every part nonzero gets a plan of its own,
+    # with a wider band that still holds every nonzero of its form.
+    pre = figure_preset("fig8a")
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    s = L.superop
+    parts = s.data.view(float).copy()
+    assert np.count_nonzero(parts == 0) > parts.size // 4
+    parts[parts == 0] = 1.0
+    full = Liouvillian(L.dim, sp.csr_matrix((parts.view(complex), s.indices, s.indptr),
+                                            shape=s.shape), L.decay)
+    plan, wide = band_plan(L), band_plan(full)
+    assert (plan.kl, plan.ku) == (27, 27)
+    assert wide.kl > plan.kl and wide.ku > plan.ku
+    gathered_band(L, plan)
+    gathered_band(full, wide)
+
+
+def test_steady_state_of_one_level():
+    # d = 1 has no traceless vector: the band plan's start is zero, so
+    # ||L^D||_2 on the traceless subspace comes out 0, with no warning, and
+    # the one state is certified.
+    m = edge_models()["d = 1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho, info = steady_state(build_liouvillian(m), return_info=True)
+    assert rho.tolist() == [[1.0]]
+    assert info["drazin_norm"] == info["error_bound"] == 0.0
+
+
+def reproduced_models(figure, tmp_path):
+    """The model of every grid point of `rydpump reproduce figure`."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(build_model(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(grid.models, "build_model", recording):
+        assert main(["reproduce", figure, "--out-dir", str(tmp_path), "--no-timestamp"]) == 0
+    return made
+
+
+@pytest.mark.parametrize("figure", ["fig5", "fig6", "fig8a", "fig9c"])
+def test_band_lu_state_matches_refined_oracle_on_grids(figure, tmp_path):
+    # The band LU's state, solved in the plan's order, read at most 1.8e-14
+    # off the refined dense solve on these grids (fig9c); the dense LU in
+    # the original order read 1.0e-14 (fig6).
+    models = reproduced_models(figure, tmp_path)
+    assert len(models) == math.prod(axis[3] for axis in find_figure(
+        "fig6-point" if figure == "fig6" else figure).axes)
+    for m in models:
+        rho = steady_state(build_liouvillian(m))
+        assert np.max(np.abs(rho - refined_steady_state(m.hamiltonian, m.lindblads))) <= 1e-13
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1626,15 +1721,15 @@ def test_liouvillian_gap_reports_degenerate(case):
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE))
 def test_bordered_lu_reports_exact_zero_pivots(case):
-    # dgetrf's info > 0 is not the test: every exactly zero pivot is
-    # counted, as many as lu_factor's factors hold.
+    # dgbtrf's info > 0 is not the test: every exactly zero pivot is
+    # counted, as many as the band factors of the gathered dense form hold.
     scheme, caption = DEGENERATE[case]
     target = "singlet" if scheme == "bell" else "phi"
     L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant(scheme, target)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        zeros = int(np.sum(np.diagonal(lu_factor(bordered_real_form(L))[0]) == 0.0))
-    assert zeros >= 1
+    plan = band_plan(L)
+    lu, _, info = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
+    zeros = int(np.sum(lu[plan.kl + plan.ku] == 0.0))
+    assert zeros >= 1 and info > 0
     with pytest.raises(NonUniqueSteadyStateError, match=f"{zeros} exactly zero pivot"):
         steady_state(L)
 

@@ -4,21 +4,23 @@ physical parameters, inside the ranges the robustness figures scan."""
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgbtrf
 
-from rydpump.dynamics import (_DRAZIN_MARGIN, _DRAZIN_RTOL, ConvergenceError, build_liouvillian,
-                              liouvillian_gap, steady_state)
+from rydpump.dynamics import (_DRAZIN_MARGIN, _DRAZIN_RTOL, ConvergenceError, _bordered_lu,
+                              build_liouvillian, liouvillian_gap, steady_state)
 from rydpump.grid import measure_columns, steady_point
 from rydpump.measures import chsh_correlation, fidelity, negativity
 from rydpump.models import (FIGURES, SchemeVariant, SystemModel, build_model, caption_params,
                             figure_preset)
 
 from oracles import (assert_drazin_norm_matches_loop, dense_drazin_norm, dense_rates,
-                     refined_steady_state)
+                     gathered_band, refined_steady_state)
 
 # Caption-unit ranges of the Fig. 8 and Fig. 9 grids, at resonant pumping
 # (Delta = U_rr / 2) as on those grids.
@@ -150,6 +152,21 @@ def test_certified_state_within_its_bound_beyond_the_figures(scheme, p):
 
 @pytest.mark.parametrize("scheme", ["bell", "qutrit"])
 @SETTINGS
+@given(p=WIDE, target=st.sampled_from([0, 1]))
+def test_band_plan_holds_every_nonzero_beyond_the_figures(scheme, p, target):
+    # The plan's order is a permutation and every nonzero of the bordered
+    # real form lies inside its band (gathered_band checks both), and the
+    # band factors are those of the gathered dense form.
+    L = build_liouvillian(_model(scheme, PARTNER[scheme][target], p))
+    lu, piv, plan = _bordered_lu(L)
+    want_lu, want_piv, info = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
+    assert info == 0
+    assert lu.tobytes(order="F") == want_lu.tobytes(order="F")
+    assert piv.tobytes() == want_piv.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["bell", "qutrit"])
+@SETTINGS
 @given(p=PARAMS)
 def test_drazin_norm_matches_power_loop_oracle(scheme, p):
     assert_drazin_norm_matches_loop(build_liouvillian(_model(scheme, PARTNER[scheme][0], p)))
@@ -263,10 +280,7 @@ def _rescaled_point(preset, s):
         caption[key] *= s
     variant = figure_preset(preset).variant
     outputs = ["populations", "fidelity", "negativity"] + (["chsh"] if variant.record.qubits else [])
-    # At 1e-150 and 1e200 a norm's plain sum of squares overflows, and
-    # numpy warns of it before the scaled sum is taken; the CLI silences it.
-    with np.errstate(over="ignore"):
-        return steady_point(caption, variant, outputs, "nullspace")
+    return steady_point(caption, variant, outputs, "nullspace")
 
 
 @pytest.mark.parametrize("preset", ["fig2", "fig6-point"])
@@ -275,9 +289,13 @@ def test_rescaled_rates_keep_the_certified_state(preset, s):
     # Scaling every rate by s maps L to s L: the steady state stays, and
     # ||L^D||_2 scales by 1/s.  The state is certified at every s, with a
     # positive bound, where a unit power-iteration vector or a plain sum of
-    # squares leaves the float range.
+    # squares leaves the float range.  At 1e-150 and 1e200 a norm's plain
+    # sum of squares overflows before the scaled sum is taken, and
+    # steady_state writes no warning of it.
     _, want, base = _rescaled_point(preset, 1.0)
-    _, got, info = _rescaled_point(preset, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, got, info = _rescaled_point(preset, s)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert info["drazin_norm"] * s == pytest.approx(base["drazin_norm"], rel=1e-3)
     assert info["error_bound"] > 0.0

@@ -15,8 +15,9 @@ ran per point:
 - the benchmark's traced layers `models.caption_params`,
   `models.build_model`, `dynamics.build_liouvillian` and
   `dynamics.steady_state`;
-- inside `steady_state`: `dynamics._bordered_lu` (the real form and its
-  LU), `dynamics._drazin_norm` (the certificate's power iteration),
+- inside `steady_state`: `dynamics._bordered_lu` (the real form's band
+  array and its band LU), `dynamics._drazin_norm` (the certificate's
+  power iteration),
   `dynamics._from_coords` (the solution's map back to a vec),
   `dynamics.residual` and `dynamics._positive_by_cholesky`.
 
