@@ -11,8 +11,8 @@ from U_rr = 2*Delta.  steady solves its point with grid.steady_point, and
 sweep and reproduce compute their grids with grid.sweep.
 
 Exit codes: 0 success, 2 invalid specification (also a config file that
-cannot be read or an output path that cannot be written), 3 numerical
-failure, 4 non-unique steady state.
+cannot be read, an output path that cannot be written or a run too large
+for memory), 3 numerical failure, 4 non-unique steady state.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ _NO_TIMESTAMP = dict(action="store_true",
                      help="omit the timestamp line for byte-reproducible output")
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
+def _add_model_args(p: argparse.ArgumentParser):
     g = p.add_argument_group("model")
     g.add_argument("--preset", help="benchmark preset (e.g. fig2, fig3, fig5-inset, fig6-point)")
     g.add_argument("--config", help="key-value config file; explicit flags override it")
@@ -291,7 +291,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--urr-mhz", type=float, help="Rydberg interaction U_rr/2pi in MHz (default 2*Delta)")
     g.add_argument("--gamma-khz", type=float, help="decay rate in kHz (plain rate)")
     g.add_argument("--gamma-angular", **_GAMMA_ANGULAR)
-    g.add_argument("--initial", help="initial state id (e.g. ff, mix4, mix9, singlet, phi)")
+    return g
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -308,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", help="integrate the master equation over a time grid")
-    _add_model_args(p)
+    # Only evolve reads an initial state.
+    _add_model_args(p).add_argument(
+        "--initial", help="initial state id (e.g. ff, mix4, mix9, singlet, phi)")
     p.add_argument("--t-max-ms", type=float, help="evolution time in ms")
     p.add_argument("--samples", type=int, help="number of grid points (>= 2, or 1 at --t-max-ms 0)")
     p.add_argument("--outputs", help=f"comma list: {','.join(MEASURES)}")
@@ -354,7 +356,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except (dynamics.NonUniqueSteadyStateError, dynamics.ConvergenceError, ValueError,
-            KeyError, OSError) as exc:
+            KeyError, OSError, MemoryError) as exc:
         # A KeyError's str() is the repr of its message.
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         if isinstance(exc, dynamics.NonUniqueSteadyStateError):

@@ -23,11 +23,12 @@ i(|j><i| - |i><j|)/sqrt2 for i < j; it is kept once, as its two-entry rows
 (_hermitian_rows), which every change of basis gathers from.
 Liouvillian.real assembles the dense real form T^dag L T, Fortran-ordered,
 which evolve's expm and the gap read.  The steady state factors the same
-form, trace-bordered, as a band matrix: a plan per pattern orders the
-coordinates by Cuthill-McKee, which at dim 20 leaves 129 of
-400 diagonals either side, and the band LU does about half the work of a
-dense one.  The LU, its error certificate and the gap work in real
-arithmetic, which costs about a third of the complex products.
+form, trace-bordered, as a band matrix.  One plan per pattern, _real_plan,
+places the form's terms in both and orders the coordinates by
+Cuthill-McKee, which at dim 20 leaves 129 of 400 diagonals either side,
+so the band LU does about half the work of a dense one.  The LU, its
+error certificate and the gap work in real arithmetic, which costs about
+a third of the complex products.
 """
 
 from __future__ import annotations
@@ -154,15 +155,13 @@ class Liouvillian:
         up to the sign of a zero, which a sum from +0 does not keep.
 
         The factors a and b, the part each term reads and the target
-        positions depend only on the superop's indptr and indices, so they
-        come from a plan cached per pattern (_real_plan); a read multiplies
-        its own entries and sums them with one bincount."""
-        n, s = self.dim**2, self.superop
-        keys, at, a, b = _real_plan(self.dim, s.indices.dtype.char, s.indptr.tobytes(),
-                                    s.indices.tobytes())
-        parts = np.ascontiguousarray(s.data, dtype=complex).view(float)
+        positions depend only on the superop's pattern and the mask of its
+        nonzero parts, so they come from the plan per pattern (_real_plan)
+        that the band LU reads too; a read sums its terms with one bincount."""
+        plan, terms = _real_terms(self)
+        n = self.dim**2
         # bincount of no entries gives integers; the form is float64 for every L.
-        return np.bincount(keys, a * parts[at] * b, minlength=n * n) \
+        return np.bincount(plan.dense, terms, minlength=n * n) \
             .astype(float, copy=False).reshape(n, n, order="F")
 
 
@@ -359,51 +358,22 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     return Liouvillian(d, gen, decay)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _real_plan(d: int, index: str, indptr: bytes, indices: bytes):
-    """The real form's terms for a CSR pattern and T's rows, in the order
-    (entry of row r of T, entry of row c of T, stored entry): for each, its
-    bincount key, the Fortran-ordered flat position l n + k of (k, l); the
-    position in the float view of the data of the part it reads; and its
-    real factors a and b.
+class _RealPlan(NamedTuple):
+    """The real-form terms of a CSR pattern, and the band layout of the
+    trace-bordered form B: B'[i, j] = B[perm[i], perm[j]], perm[inv[k]] = k,
+    nonzero only for -kl <= j - i <= ku, held as dgbtrf's Fortran-ordered
+    (ldab, n) array, B'[i, j] at row kl + ku + i - j of column j."""
 
-    Entry 0 of a row of T is real, entry 1 imaginary, so Re(conj(T[r, k])
-    (x + iy) T[c, l]) is (a x) b when both entries are 0 or both 1, and
-    (a y) b otherwise, with a = Re T[r, k] (both 0), -Re T[r, k] (0 and 1)
-    or Im T[r, k] (1 and either), and b = Re T[c, l] or Im T[c, l].  Terms
-    with a zero factor (entry 1 of a diagonal row) add only zeros and are
-    left out; every key keeps the order of its other terms."""
-    n = d * d
-    col, scale = _hermitian_rows(d)
-    ptr = np.frombuffer(indptr, dtype=index)
-    r = np.repeat(np.arange(n), np.diff(ptr))
-    c = np.frombuffer(indices, dtype=index)
-    # Arrays (2, 2, nnz), indexed by the entries of rows r and c of T.
-    keys = col.take(c, axis=0).T[None] * n + col.take(r, axis=0).T[:, None]
-    at = 2 * np.arange(c.size) + np.array([[0, 1], [1, 0]])[:, :, None]
-    re_r, im_r = scale.take(r, axis=0).T
-    re_c, im_c = scale.take(c, axis=0).T
-    a = np.array([[re_r, -re_r], [im_r, im_r]])
-    b = np.array([[re_c, im_c], [re_c, im_c]])
-    keep = (a != 0) & (b != 0)
-    return _frozen(keys[keep], at[keep], a[keep], b[keep])
-
-
-class _BandPlan(NamedTuple):
-    """The trace-bordered real form B as a band matrix in the order perm:
-    B'[i, j] = B[perm[i], perm[j]], perm[inv[k]] = k, nonzero only for
-    -kl <= j - i <= ku, held as dgbtrf's Fortran-ordered (ldab, n) array,
-    B'[i, j] at row kl + ku + i - j of column j."""
-
+    at: np.ndarray     # each term's part, by its position in the float view of the data,
+    a: np.ndarray      # and its real factors
+    b: np.ndarray
+    dense: np.ndarray  # each term's flat position l n + k of (k, l) in the dense form
+    band: np.ndarray   # the band positions of the terms off row 0, which come first
     perm: np.ndarray
     inv: np.ndarray
     kl: int
     ku: int
     ldab: int
-    keys: np.ndarray  # each real-form term's flat position in the band array,
-    at: np.ndarray    # and its part and factors, as in _real_plan
-    a: np.ndarray
-    b: np.ndarray
     border: np.ndarray  # the trace row's band positions
     zero: int           # inv[0], the position of entry 0
     pops: np.ndarray    # inv[:d], the positions of the populations
@@ -411,22 +381,41 @@ class _BandPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _band_plan(d: int, index: str, indptr: bytes, indices: bytes, nonzero: bytes) -> _BandPlan:
-    """The band plan of the trace-bordered real form of a CSR pattern, given
-    nonzero, the nonzero mask of the float view of its data (the real and
-    imaginary parts).
+def _real_plan(d: int, index: str, indptr: bytes, indices: bytes, nonzero: bytes) -> _RealPlan:
+    """The real-form plan of a CSR pattern, given nonzero, the nonzero mask
+    of the float view of its data (the real and imaginary parts).
 
-    Its pattern is the trace functional in row 0 (ones in the first d
-    columns) and the terms of _real_plan off row 0 whose part is nonzero:
-    the others add only zeros to a sum from +0, so leaving them out keeps
-    L.real's bytes.  With real amplitudes about half the parts are zero;
-    keyed on the CSR pattern alone, the band at fig8a would be 38
-    diagonals either side in place of 27.  The start vector is fixed and
-    seeded, traceless and of unit norm."""
+    Its terms come in the order (entry of row r of T, entry of row c of T,
+    stored entry), those in row 0 of the form last.  Entry 0 of a row of T
+    is real, entry 1 imaginary, so Re(conj(T[r, k]) (x + iy) T[c, l]) is
+    (a x) b when both entries are 0 or both 1, and (a y) b otherwise, with
+    a = Re T[r, k] (both 0), -Re T[r, k] (0 and 1) or Im T[r, k] (1 and
+    either), and b = Re T[c, l] or Im T[c, l].  Terms with a zero factor
+    (entry 1 of a diagonal row) or a zero part add only zeros to a sum
+    from +0 and are left out; every key keeps the order of its other
+    terms.  With real amplitudes about half the parts are zero: keyed on
+    the CSR pattern alone, the band at fig8a would be 38 diagonals either
+    side in place of 27.  The band's pattern is the trace functional in row
+    0 (ones in the first d columns) and the terms off row 0.  The start
+    vector is fixed and seeded, traceless and of unit norm."""
     n = d * d
-    keys, at, a, b = _real_plan(d, index, indptr, indices)
-    keep = (keys % n != 0) & np.frombuffer(nonzero, dtype=bool)[at]
-    col, row = np.divmod(keys[keep], n)
+    rows, scale = _hermitian_rows(d)
+    ptr = np.frombuffer(indptr, dtype=index)
+    r = np.repeat(np.arange(n), np.diff(ptr))
+    c = np.frombuffer(indices, dtype=index)
+    # Arrays (2, 2, nnz), indexed by the entries of rows r and c of T.
+    keys = rows.take(c, axis=0).T[None] * n + rows.take(r, axis=0).T[:, None]
+    at = 2 * np.arange(c.size) + np.array([[0, 1], [1, 0]])[:, :, None]
+    re_r, im_r = scale.take(r, axis=0).T
+    re_c, im_c = scale.take(c, axis=0).T
+    a = np.array([[re_r, -re_r], [im_r, im_r]])
+    b = np.array([[re_c, im_c], [re_c, im_c]])
+    keep = (a != 0) & (b != 0) & np.frombuffer(nonzero, dtype=bool)[at]
+    # Row 0's keys are no other row's, so moving them last keeps every key's order.
+    last = np.argsort(keys[keep] % n == 0, kind="stable")
+    keys, at, a, b = (x[keep][last] for x in (keys, at, a, b))
+    m = np.count_nonzero(keys % n)
+    col, row = np.divmod(keys[:m], n)
     row = np.concatenate([row, np.zeros(d, dtype=row.dtype)])
     col = np.concatenate([col, np.arange(d)])
     perm = _cuthill_mckee(n, row, col)
@@ -439,10 +428,18 @@ def _band_plan(d: int, index: str, indptr: bytes, indices: bytes, nonzero: bytes
     start = np.random.default_rng(0).standard_normal(n)
     start[:d] -= start[:d].sum() / d
     start /= math.sqrt(start @ start) or 1.0  # d = 1 has no traceless vector
-    m = np.count_nonzero(keep)
-    return _BandPlan(*_frozen(perm, inv), kl, ku, ldab,
-                     *_frozen(band[:m], at[keep], a[keep], b[keep], band[m:]), int(inv[0]),
-                     *_frozen(inv[:d], start[perm]))
+    return _RealPlan(*_frozen(at, a, b, keys, band[:m], perm, inv), kl, ku, ldab,
+                     *_frozen(band[m:]), int(inv[0]), *_frozen(inv[:d], start[perm]))
+
+
+def _real_terms(L: Liouvillian):
+    """The real-form plan of L and the value a * part * b of each of its
+    terms, which L.real and the band LU each sum with one bincount."""
+    s = L.superop
+    parts = np.ascontiguousarray(s.data, dtype=complex).view(float)
+    plan = _real_plan(L.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes(),
+                      (parts != 0).tobytes())
+    return plan, plan.a * parts[plan.at] * plan.b
 
 
 def _cuthill_mckee(n: int, row: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -667,15 +664,15 @@ def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool
 
     Both backends factor the real form T^dag L T once by band LU, with its
     first row (the rho_00 equation) replaced by the trace functional, the
-    sum of the first dim coordinates.  A plan per pattern (_band_plan)
-    orders the coordinates by Cuthill-McKee; the band array is
-    assembled in that order straight from the generator's entries, and
-    LAPACK dgbtrf factors it in place.  On traceless vectors the bordered
-    solve applies the Drazin inverse L^D, and the same factors certify the
-    state: its error rho - rho_ss = L^D (L vec(rho)) is at most
-    ||L^D||_2 ||L vec(rho)||_2, with ||L^D||_2 on the traceless subspace
-    estimated by power iteration (group-inverse perturbation theory,
-    Meyer, SIAM Rev. 17, 443 (1975)).  An exactly zero pivot, or
+    sum of the first dim coordinates.  The plan per pattern that L.real
+    reads too (_real_plan) orders the coordinates by Cuthill-McKee; the
+    band array is assembled in that order straight from the generator's
+    entries, and LAPACK dgbtrf factors it in place.  On traceless vectors
+    the bordered solve applies the Drazin inverse L^D, and the same
+    factors certify the state: its error rho - rho_ss = L^D (L vec(rho)) is
+    at most ||L^D||_2 ||L vec(rho)||_2, with ||L^D||_2 on the traceless
+    subspace estimated by power iteration (group-inverse perturbation
+    theory, Meyer, SIAM Rev. 17, 443 (1975)).  An exactly zero pivot, or
     1/||L^D||_2 at the rounding floor 1e3 * eps * ||L||_1, raises
     NonUniqueSteadyStateError.  The solve and the certificate run with
     numpy's overflow warnings off: a sum of squares that overflows is
@@ -739,22 +736,20 @@ def _require_finite(L: Liouvillian) -> None:
 def _bordered_lu(L: Liouvillian):
     """Band LU factors and pivots of the real form with row 0 (the rho_00
     equation) replaced by the trace functional, the sum of the first dim
-    coordinates, in the order of its band plan, and the plan.
+    coordinates, in the order of its real-form plan (_real_plan), and the
+    plan.
 
-    The real form's terms off row 0 are summed straight into the plan's
-    band array by one bincount, as Liouvillian.real sums them into the
+    The terms of the plan off row 0 are summed straight into its band
+    array by one bincount, the terms that Liouvillian.real sums into the
     dense form, and the trace row's ones are written in: the array holds
     the bytes of the bordered L.real, gathered in the plan's order.  It is
     a new Fortran-ordered array, so dgbtrf overwrites it and nothing is
     copied.  The factors' diagonal, in row kl + ku, holds the pivots."""
     _require_finite(L)
-    s = L.superop
-    parts = np.ascontiguousarray(s.data, dtype=complex).view(float)
-    plan = _band_plan(L.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes(),
-                      (parts != 0).tobytes())
+    plan, terms = _real_terms(L)
     n = L.dim**2
     # bincount of no entries gives integers; the array is float64 for every L.
-    ab = np.bincount(plan.keys, plan.a * parts[plan.at] * plan.b, minlength=plan.ldab * n) \
+    ab = np.bincount(plan.band, terms[:plan.band.size], minlength=plan.ldab * n) \
         .astype(float, copy=False)
     ab[plan.border] = 1.0  # the trace functional
     lu, piv, info = _gbtrf(ab.reshape(plan.ldab, n, order="F"), plan.kl, plan.ku,
@@ -778,7 +773,7 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     The operator is P B^-1 E P: E zeroes entry 0, B^-1 is the bordered
     solve and P projects out the trace.  Its adjoint P E B^-T P is the
     transposed solve on the same factors.  Power iteration on their
-    product runs in the band plan's order, where E zeroes entry plan.zero
+    product runs in the plan's band order, where E zeroes entry plan.zero
     and P subtracts the mean of the populations at plan.pops, from the
     plan's fixed seeded start vector; every step is recomputed from the
     call's factors.  Row 0 of B is the trace functional, so B^-1 E x is

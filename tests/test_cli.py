@@ -213,6 +213,33 @@ def test_evolve_unknown_initial_message(capsys):
         "['S', 'T', 'aa', 'af', 'ar', 'fa', 'ff', 'fr', 'ra', 'rf', 'rr']\n")
 
 
+def test_run_too_large_for_memory_is_one_error_line(monkeypatch, capsys):
+    # The time grid of 2^31 * 1000 samples needs 15.6 TiB: numpy raises a
+    # MemoryError, which the stub raises without allocating anything.
+    msg = ("Unable to allocate 15.6 TiB for an array with shape (2147483648000,) "
+           "and data type float64")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(msg)
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    assert run(["evolve", "--preset", "fig3", "--samples", "2147483648000"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {msg}\n")
+
+
+@pytest.mark.parametrize("command", ["steady", "sweep"])
+def test_initial_is_offered_only_to_evolve(command, capsys):
+    # steady and sweep read no initial state, so they reject the flag.
+    argv = [command, "--preset", "fig2", "--initial", "ff"]
+    if command == "sweep":
+        argv += ["--axis", "urr-mhz", "6", "8", "2"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --initial ff" in capsys.readouterr().err
+
+
 def test_unknown_preset_lists_names(capsys):
     code = run(["steady", "--preset", "fig99"])
     assert code == 2

@@ -21,7 +21,6 @@ from rydpump.dynamics import (
     _DRAZIN_MARGIN,
     _DRAZIN_RTOL,
     _STEP_SNAP_RTOL,
-    _band_plan,
     _bordered_lu,
     _check_physical,
     _drazin_norm,
@@ -576,9 +575,8 @@ def test_plan_reuse_drops_entries_that_cancel():
     assert np.array_equal(second.superop.toarray(), dense)
 
 
-# Misses and hits of each plan cache over a 4-point sweep of one pattern:
-# the real-form terms are read only when the band plan is made.
-PLAN_CACHES = {_generator_plan: (1, 3), _band_plan: (1, 3), _real_plan: (1, 0)}
+# Misses and hits of each plan cache over a 4-point sweep of one pattern.
+PLAN_CACHES = {_generator_plan: (1, 3), _real_plan: (1, 3)}
 
 
 def test_sweep_misses_each_plan_once(capsys):
@@ -591,6 +589,26 @@ def test_sweep_misses_each_plan_once(capsys):
         info = cache.cache_info()
         assert (info.misses, info.hits) == want, cache.__name__
         assert info.maxsize is not None
+
+
+def test_steady_state_and_real_form_read_one_plan():
+    # One generator solved by steady_state, then read by L.real and
+    # liouvillian_gap, makes one real-form plan and no other, and its
+    # dense form, which leaves out the terms of every zero part, is still
+    # the index path's byte for byte (fig8a's amplitudes are real).
+    pre = figure_preset("fig8a")
+    L = build_liouvillian(build_model(pre.params, pre.variant))
+    assert np.count_nonzero(L.superop.data.view(float) == 0) > 0
+    caches = [f for f in vars(dynamics).values() if hasattr(f, "cache_info")]
+    for cache in caches:
+        cache.cache_clear()
+    steady_state(L)
+    real = L.real
+    liouvillian_gap(L)
+    misses = {f.__name__: f.cache_info().misses for f in caches if f.cache_info().misses}
+    assert misses == {"_hermitian_rows": 1, "_real_plan": 1}
+    assert _real_plan.cache_info().hits == 2
+    assert real.tobytes() == index_path_real(L).tobytes()
 
 
 def generator_plan(model):
@@ -636,11 +654,11 @@ def test_plan_arrays_are_read_only():
     pre = figure_preset("fig2")
     m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
-    s = L.superop
-    plans = [generator_plan(m)[:-2],
-             _real_plan(m.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes()),
-             [a for a in _bordered_lu(L)[2] if isinstance(a, np.ndarray)], _hermitian_rows(m.dim)]
-    assert len(plans[2]) == 9
+    plan = _bordered_lu(L)[2]
+    assert plan is real_plan(L)
+    plans = [generator_plan(m)[:-2], [a for a in plan if isinstance(a, np.ndarray)],
+             _hermitian_rows(m.dim)]
+    assert len(plans[1]) == 10
     for plan in plans:
         for a in plan:
             assert not a.flags.writeable
@@ -1510,10 +1528,10 @@ def test_bordered_lu_raises_on_illegal_lapack_argument(monkeypatch):
         steady_state(L)
 
 
-def band_plan(L):
-    """_bordered_lu's band plan of a generator."""
+def real_plan(L):
+    """The real-form plan of a generator, which L.real and _bordered_lu read."""
     s = L.superop
-    return _band_plan(L.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes(),
+    return _real_plan(L.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes(),
                       (s.data.view(float) != 0).tobytes())
 
 
@@ -1535,7 +1553,7 @@ def test_band_plan_holds_every_nonzero_of_random_patterns(seed, dims, real):
         m = dataclasses.replace(m, hamiltonian=m.hamiltonian.real.astype(complex),
                                 lindblads=tuple(op.real.astype(complex) for op in m.lindblads))
     L = build_liouvillian(m)
-    plan = band_plan(L)
+    plan = real_plan(L)
     want_lu, want_piv, _ = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
     if np.all(want_lu[plan.kl + plan.ku] != 0.0):
         lu, piv, got = _bordered_lu(L)
@@ -1561,7 +1579,7 @@ def test_band_plan_is_keyed_on_the_nonzero_parts():
     parts[parts == 0] = 1.0
     full = Liouvillian(L.dim, sp.csr_matrix((parts.view(complex), s.indices, s.indptr),
                                             shape=s.shape), L.decay)
-    plan, wide = band_plan(L), band_plan(full)
+    plan, wide = real_plan(L), real_plan(full)
     assert (plan.kl, plan.ku) == (27, 27)
     assert wide.kl > plan.kl and wide.ku > plan.ku
     gathered_band(L, plan)
@@ -1726,7 +1744,7 @@ def test_bordered_lu_reports_exact_zero_pivots(case):
     scheme, caption = DEGENERATE[case]
     target = "singlet" if scheme == "bell" else "phi"
     L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant(scheme, target)))
-    plan = band_plan(L)
+    plan = real_plan(L)
     lu, _, info = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
     zeros = int(np.sum(lu[plan.kl + plan.ku] == 0.0))
     assert zeros >= 1 and info > 0
