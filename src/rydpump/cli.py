@@ -2,13 +2,18 @@
 
 Flags use caption units: --rabi-mhz and --delta-mhz / --urr-mhz are /2pi
 MHz values, --microwave-rel is the ratio omega/Omega, --gamma-khz is a
-plain rate in kHz (--gamma-angular reads it as 2*pi*kHz instead).  Flags
-override the config file, in which a flag name overrides a ModelParams
-field name for the same value; both, and sweep axes, override the preset's
-values (grid.override).  The preset's Delta and U_rr are one default: a
-given U_rr or Delta replaces both, and a leg that nothing gives follows
-from U_rr = 2*Delta.  steady solves its point with grid.steady_point, and
-sweep and reproduce compute their grids with grid.sweep.
+plain rate in kHz (--gamma-angular reads it as 2*pi*kHz instead).  Each
+subcommand's parser owns its options: a --config key is one of its own
+long flags other than --config, --axis, --out and --no-timestamp, or a
+ModelParams field name, and any other key is an error.  Flags override
+the config file, in which a flag name overrides a ModelParams field name
+for the same value; both, and sweep axes, override the preset's values
+(grid.override).  RunSetup resolves the model that every subcommand
+shares, and each cmd_* reads and defaults its own options.  The preset's
+Delta and U_rr are one default: a given U_rr or Delta replaces both, and
+a leg that nothing gives follows from U_rr = 2*Delta.  steady solves its
+point with grid.steady_point, and sweep and reproduce compute their
+grids with grid.sweep.
 
 Exit codes: 0 success, 2 invalid specification (also a config file that
 cannot be read, an output path that cannot be written or a run too large
@@ -49,9 +54,9 @@ def _norm_key(key: str) -> str:
 _CONFIG_BOOL = {"1": True, "true": True, "yes": True, "on": True,
                 "0": False, "false": False, "no": False, "off": False}
 _NEEDS = {float: "a number", int: "an integer", bool: "a boolean (1/true/yes/on or 0/false/no/off)"}
-# Config keys (compared dash/underscore insensitively): the argparse dest of
-# every long flag, with the type of its value.  The caption flags are the
-# sweep axes.
+# The type of the value of every config-settable argparse dest.  A config
+# key (compared dash/underscore insensitively) is one of these dests of the
+# subcommand's own flags; the caption flags are the sweep axes.
 _OPTIONS = {
     **{name.replace("-", "_"): float for name in AXIS_NAMES},
     "preset": str, "scheme": str, "target": str, "gamma_angular": bool, "initial": str,
@@ -77,10 +82,12 @@ _CONFIG_FIELDS = {
 _CAPTION_KEYS = ("microwave_mhz", "microwave2_mhz", *(a.replace("-", "_") for a in AXIS_NAMES))
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, opts: dict) -> dict:
     """Read a flat 'key = value' file ('#' comments) into one mapping of
-    flag-style values and caption values given by ModelParams field name;
-    a flag-name key wins over a field name for the same caption key."""
+    flag-style values and caption values given by ModelParams field name.
+    A flag-name key is accepted only when its dest is a key of opts, the
+    subcommand's argparse dests; it wins over a field name for the same
+    caption key."""
     flags: dict = {}
     fields: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -91,9 +98,9 @@ def _load_config(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         norm = _norm_key(key)
-        if norm in _OPTION_KEYS:
-            into, dest = flags, _OPTION_KEYS[norm]
-            kind = _OPTIONS[dest]
+        dest = _OPTION_KEYS.get(norm)
+        if dest in opts:
+            into, kind = flags, _OPTIONS[dest]
         elif norm in _CONFIG_FIELDS:
             into, dest, kind = fields, _CONFIG_FIELDS[norm], float
         else:
@@ -108,16 +115,21 @@ def _load_config(path: str) -> dict:
 
 
 class RunSetup:
-    """Resolved model + run options shared by the subcommands.
+    """The model that every subcommand resolves.
 
-    opts maps argparse dest names to values; None means not given.  The
-    given values override the config file's, which override the preset's.
+    opts maps the subcommand's argparse dest names to values; None means
+    not given.  The given values override the config file's, which
+    override the preset's.  Each command reads and defaults its own run
+    options from the merged mapping self.opts, the preset self.fig (None
+    without --preset) and self.run, the preset or else Figure itself.
     """
 
     def __init__(self, opts: dict):
-        opts = {**(_load_config(opts["config"]) if opts.get("config") else {}),
-                **{dest: value for dest, value in opts.items() if value is not None}}
-        fig = models.find_figure(opts["preset"]) if opts.get("preset") else None
+        self.opts = opts = {
+            **(_load_config(opts["config"], opts) if opts.get("config") else {}),
+            **{dest: value for dest, value in opts.items() if value is not None}}
+        self.fig = fig = models.find_figure(opts["preset"]) if opts.get("preset") else None
+        self.run = fig or models.Figure
 
         scheme = opts.get("scheme", fig.scheme if fig else None)
         if scheme is None:
@@ -142,27 +154,18 @@ class RunSetup:
         if opts.get("gamma_angular"):
             self.caption["gamma_angular"] = True
 
-        self.initial = opts.get("initial", fig.initial if fig else None)
-
-        # Run options default to the preset's, without one to Figure's own.
-        run = fig or models.Figure
-        self.t_max_ms = opts.get("t_max_ms", run.t_max_ms)
-        self.samples = opts.get("samples", run.samples)
-        outputs = opts.get("outputs")
-        if outputs is None:
-            self.outputs = [run.output]
-            self.steady_outputs = ["fidelity", "chsh" if record.qubits else "negativity"]
-        else:
-            self.outputs = [o.strip() for o in outputs.split(",") if o.strip()]
-            self.steady_outputs = self.outputs
-        self.method = opts.get("method", "nullspace")
-        self.reduce = opts.get("reduce", run.reduce)
         self.format = opts.get("format", "csv")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}; expected csv or json")
 
     def model(self) -> models.SystemModel:
         return models.build_model(models.caption_params(**self.caption), self.variant)
+
+
+def _outputs(setup: RunSetup, default: list) -> list:
+    """The --outputs names of a run, or default when none are given."""
+    text = setup.opts.get("outputs")
+    return default if text is None else [o.strip() for o in text.split(",") if o.strip()]
 
 
 def _csv_field(text: str) -> str:
@@ -220,23 +223,27 @@ def write_table(out, command: str, columns, values, fmt: str, timestamp: bool,
 
 def cmd_evolve(args) -> int:
     setup = RunSetup(vars(args))
-    if setup.initial is None:
+    initial = setup.opts.get("initial", setup.fig.initial if setup.fig else None)
+    if initial is None:
         raise ValueError("no initial state given: use --initial or --preset")
-    check_measures(setup.variant, setup.outputs)
-    if setup.t_max_ms < 0:
-        raise ValueError(f"t-max-ms must be nonnegative, got {setup.t_max_ms}")
-    if not math.isfinite(setup.t_max_ms):
-        raise ValueError(f"t-max-ms must be finite, got {setup.t_max_ms}")
-    if setup.t_max_ms > 0 and setup.samples < 2:
-        raise ValueError(f"samples must be >= 2 when t-max-ms > 0, got {setup.samples}")
-    if setup.t_max_ms == 0 and setup.samples != 1:
-        raise ValueError(f"samples must be 1 when t-max-ms is 0, got {setup.samples}")
+    outputs = _outputs(setup, [setup.run.output])
+    check_measures(setup.variant, outputs)
+    t_max_ms = setup.opts.get("t_max_ms", setup.run.t_max_ms)
+    samples = setup.opts.get("samples", setup.run.samples)
+    if t_max_ms < 0:
+        raise ValueError(f"t-max-ms must be nonnegative, got {t_max_ms}")
+    if not math.isfinite(t_max_ms):
+        raise ValueError(f"t-max-ms must be finite, got {t_max_ms}")
+    if t_max_ms > 0 and samples < 2:
+        raise ValueError(f"samples must be >= 2 when t-max-ms > 0, got {samples}")
+    if t_max_ms == 0 and samples != 1:
+        raise ValueError(f"samples must be 1 when t-max-ms is 0, got {samples}")
     model = setup.model()
-    rho0 = model.initial_density(setup.initial)
+    rho0 = model.initial_density(initial)
     liouv = dynamics.build_liouvillian(model)
-    t = np.linspace(0.0, setup.t_max_ms * 1e-3, setup.samples)
+    t = np.linspace(0.0, t_max_ms * 1e-3, samples)
     traj = dynamics.evolve(liouv, rho0, t)
-    names, values = measure_columns(model, setup.outputs, traj.states)
+    names, values = measure_columns(model, outputs, traj.states)
     write_table(args.out, "evolve", ["time_ms"] + names,
                 np.column_stack([traj.times * 1e3, values]), setup.format, not args.no_timestamp)
     return EXIT_OK
@@ -244,19 +251,22 @@ def cmd_evolve(args) -> int:
 
 def cmd_steady(args) -> int:
     setup = RunSetup(vars(args))
-    check_measures(setup.variant, setup.steady_outputs)
-    names, values, info = steady_point(setup.caption, setup.variant, setup.steady_outputs,
-                                       setup.method)
+    default = ["fidelity", "chsh" if setup.variant.record.qubits else "negativity"]
+    outputs = _outputs(setup, default)
+    check_measures(setup.variant, outputs)
+    method = setup.opts.get("method", "nullspace")
+    names, values, info = steady_point(setup.caption, setup.variant, outputs, method)
     row = values.tolist() + [info["residual"]]
     write_table(args.out, "steady", names + ["residual", "backend"], [row], setup.format,
-                not args.no_timestamp, text=[setup.method])
+                not args.no_timestamp, text=[method])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     setup = RunSetup(vars(args))
-    coords, values, errors = sweep(setup.caption, setup.variant, args.axis, setup.reduce)
-    names = [spec[0].replace("-", "_") for spec in args.axis] + [setup.reduce, "error"]
+    reduce = setup.opts.get("reduce", setup.run.reduce)
+    coords, values, errors = sweep(setup.caption, setup.variant, args.axis, reduce)
+    names = [spec[0].replace("-", "_") for spec in args.axis] + [reduce, "error"]
     write_table(args.out, "sweep", names, np.column_stack([coords, values]), setup.format,
                 not args.no_timestamp, text=errors)
     return EXIT_OK

@@ -7,6 +7,7 @@ dynamics.steady_state, ...), so a tracer that replaces them sees every call.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ MEASURES = ("populations", *SCALAR_MEASURES)
 # A sweep grid holds at most _MAX_POINTS points; the largest figure's holds 25.
 _MAX_POINTS = 10**6
 _OTHER = {"microwave_rel": "microwave_mhz", "microwave_mhz": "microwave_rel"}
+_CAPTION_PARAMS = tuple(inspect.signature(models.caption_params).parameters)
 
 
 def override(caption: dict, key: str, value: float) -> None:
@@ -99,14 +101,20 @@ def sweep(caption: dict, variant: models.SchemeVariant, axes, reduce: str):
     (name, lo, hi, steps) specs: name in AXIS_NAMES and not repeated, lo
     and hi finite, steps an integer of at least 2, and at most _MAX_POINTS
     points in all.  reduce must pass check_measures and be one of
-    SCALAR_MEASURES; every check runs before the first point.  Each point
-    applies every axis value through override: a delta_mhz or urr_mhz that
+    SCALAR_MEASURES, and every caption key must be a caption_params
+    keyword; every check runs before the first point (a caption value
+    that caption_params rejects fails its points).  Each point applies
+    every axis value through override: a delta_mhz or urr_mhz that
     caption holds stays put, and a leg that neither caption nor an axis
     gives follows from U_rr = 2 Delta.  Points run in row-major order.
     Returns coords (points, axes), values (points,) and one error text per
     point, "" unless it failed.
     """
     check_measures(variant, [reduce])
+    for key in caption:
+        if key not in _CAPTION_PARAMS:
+            raise ValueError(f"unknown caption key {key!r}; expected one of "
+                             f"{', '.join(_CAPTION_PARAMS)}")
     if not axes:
         raise ValueError("sweep requires at least one --axis NAME MIN MAX STEPS")
     if len(axes) > 2:

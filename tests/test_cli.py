@@ -15,7 +15,8 @@ import pytest
 
 import rydpump
 from rydpump import dynamics, models
-from rydpump.cli import _REPRODUCE, RunSetup, _parser, main, write_table
+from rydpump.cli import (_OPTIONS, _REPRODUCE, RunSetup, _load_config, _outputs, _parser, main,
+                         write_table)
 from rydpump.grid import AXIS_NAMES, SCALAR_MEASURES, check_measures
 
 
@@ -417,6 +418,25 @@ def test_sweep_function_checks_reduce_before_solving(monkeypatch):
     assert solved == []
 
 
+def test_sweep_function_rejects_an_unknown_caption_key(monkeypatch):
+    # A key that caption_params does not take is rejected before any point
+    # is solved; a value it rejects fails only the points that keep it.
+    solved = []
+    steady_state = dynamics.steady_state
+    monkeypatch.setattr(dynamics, "steady_state",
+                        lambda *args, **kw: solved.append(args) or steady_state(*args, **kw))
+    with pytest.raises(ValueError, match=r"^unknown caption key 'bogus'; expected one of "
+                                         r"rabi_mhz, microwave_rel, .*, gamma_angular$"):
+        rydpump.sweep(dict(BELL_CAPTION, bogus=1.0), BELL, [("urr-mhz", 1.0, 8.0, 2)], "fidelity")
+    assert solved == []
+    negative = dict(BELL_CAPTION, gamma_khz=-1.0)
+    _, values, errors = rydpump.sweep(negative, BELL, [("urr-mhz", 6.0, 8.0, 2)], "fidelity")
+    assert errors == ["ValueError: gamma must be a finite nonnegative real, got -1000.0"] * 2
+    assert all(math.isnan(v) for v in values) and solved == []
+    _, values, errors = rydpump.sweep(negative, BELL, [("gamma-khz", 1.0, 2.0, 2)], "fidelity")
+    assert errors == ["", ""] and all(0 < v <= 1 for v in values) and len(solved) == 2
+
+
 def test_sweep_function_needs_integral_steps(monkeypatch):
     # A fractional STEPS is rejected before any point is solved, as the CLI
     # rejects "3.5"; an integral one runs that many points.
@@ -758,11 +778,68 @@ def test_config_invalid_values(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "gamma-angular" in err and "ture" in err
     # Every value error names the key and the file, not only the boolean's.
-    for text, needs in (("samples = 2.5", "'samples' in {} needs an integer, got '2.5'"),
-                        ("gamma = fast", "'gamma' in {} needs a number, got 'fast'")):
+    for command, text, needs in (
+            ("evolve", "samples = 2.5", "'samples' in {} needs an integer, got '2.5'"),
+            ("steady", "gamma = fast", "'gamma' in {} needs a number, got 'fast'")):
         cfg.write_text(f"preset = fig2\n{text}\n")
-        assert run(["steady", "--config", str(cfg)]) == 2
-        assert needs.format(cfg) in capsys.readouterr().err
+        assert run([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: config key {needs.format(cfg)}\n"
+
+
+# Every (subcommand, key) of cli._OPTIONS whose dest the subcommand's
+# parser lacks, with a value that is valid where the key is read.
+IGNORED_KEYS = [("evolve", "method", "evolve"), ("evolve", "reduce", "chsh"),
+                ("steady", "initial", "ff"), ("steady", "reduce", "chsh"),
+                ("steady", "samples", "7"), ("steady", "t-max-ms", "5"),
+                ("sweep", "initial", "ff"), ("sweep", "method", "evolve"),
+                ("sweep", "outputs", "chsh"), ("sweep", "samples", "7"),
+                ("sweep", "t_max_ms", "5")]
+CONFIG_RUNS = {"evolve": ["evolve", "--preset", "fig3"],
+               "steady": ["steady", "--preset", "fig2"],
+               "sweep": ["sweep", "--preset", "fig8a", "--axis", "rabi-mhz", "0.02", "0.1", "2"]}
+
+
+@pytest.mark.parametrize("command, key, value", IGNORED_KEYS,
+                         ids=[f"{c}-{k}" for c, k, _ in IGNORED_KEYS])
+def test_config_rejects_a_key_its_subcommand_does_not_read(command, key, value, tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run(CONFIG_RUNS[command] + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: unknown config key {key!r} in {cfg}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+def test_config_keys_are_the_dests_of_the_subcommand(command, tmp_path):
+    # A flag-name key is accepted exactly when the subcommand's parser has
+    # its dest; both spellings of a dest name the same key.
+    dests = vars(_parser().parse_args([command]))
+    cfg = tmp_path / "run.cfg"
+    for dest, kind in _OPTIONS.items():
+        for key in (dest, dest.replace("_", "-")):
+            cfg.write_text(f"{key} = 1\n")
+            if dest in dests:
+                assert _load_config(str(cfg), dests) == {dest: kind("1")}, (command, key)
+            else:
+                with pytest.raises(ValueError, match=f"^unknown config key {key!r} in "):
+                    _load_config(str(cfg), dests)
+
+
+@pytest.mark.parametrize("command, text, rows, column, cell", [
+    ("evolve", "samples = 7", 7, "time_ms", None),
+    ("steady", "method = evolve", 1, "backend", "evolve"),
+    ("sweep", "reduce = chsh", 2, "chsh", None),
+])
+def test_config_sets_what_its_subcommand_reads(command, text, rows, column, cell, tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg.write_text(text + "\n")
+    assert run(CONFIG_RUNS[command] + ["--config", str(cfg), "--out", str(out),
+                                       "--no-timestamp"]) == 0
+    header, data = read_csv(out)
+    assert len(data) == rows and column in header
+    assert cell is None or [row[header.index(column)] for row in data] == [cell]
 
 
 def test_config_boolean_spellings(tmp_path):
@@ -1002,16 +1079,19 @@ def test_reproduce_figures_resolve():
     ]
     for name, fig in _REPRODUCE.items():
         assert fig.name in models.PRESET_NAMES, name
+        # The defaults that cmd_sweep and cmd_evolve read from the preset.
         setup = RunSetup({"preset": fig.name})
-        assert setup.reduce == fig.reduce, name
+        assert setup.fig is fig and setup.run is fig, name
         model = setup.model()
-        model.initial_density(setup.initial)
+        model.initial_density(setup.fig.initial)
         if fig.axes:
             assert all(axis in AXIS_NAMES for axis, *_ in fig.axes), name
-            check_measures(setup.variant, [setup.reduce])
-            assert setup.reduce in SCALAR_MEASURES, name
+            check_measures(setup.variant, [setup.run.reduce])
+            assert setup.run.reduce in SCALAR_MEASURES, name
         else:
-            check_measures(setup.variant, setup.outputs)
+            outputs = _outputs(setup, [setup.run.output])
+            assert outputs == [fig.output], name
+            check_measures(setup.variant, outputs)
 
 
 def test_reproduce_fig2(tmp_path):

@@ -2,7 +2,7 @@
 
     python3 tools/gate_outputs.py --base REV
 
-regenerates 110 gated outputs twice, from the source of git revision REV
+regenerates 111 gated outputs twice, from the source of git revision REV
 and from the working tree, and compares the two byte for byte.  REV's
 source is extracted with `git archive` into a temporary directory, so the
 repository itself is not touched.  Every output comes from a fresh
@@ -67,8 +67,9 @@ The gated outputs are:
   certificate levels off above the 1e-8 bound; and of an `evolve` with
   no initial state, an `evolve` at fig3 over -1 ms and a sweep with three
   axes; of a `steady` at fig2 with `--delta-mhz 1e50 --urr-mhz 0`, whose
-  ||L^D||_2 is not finite; and of a sweep whose STEPS of 1e23 exceeds the
-  grid cap.
+  ||L^D||_2 is not finite; of a sweep whose STEPS of 1e23 exceeds the
+  grid cap; and of a `steady --config FILE` run whose file holds
+  `preset = fig2` and `samples = 7`, a key that only `evolve` reads.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -132,7 +133,10 @@ ANGULAR_CONFIG = ("gamma-angular.cfg", "preset = fig2\ngamma-angular = yes\n")
 FIELDS_CONFIG = ("fields.cfg", "scheme = bell\nrabi_optical = 0.036\n"
                  "rabi_microwave_1 = 0.0002\ndetuning = 3.0\ndelta-mhz = 3.435\n"
                  "gamma = 1.673\n")
-CONFIGS = (ANGULAR_CONFIG, FIELDS_CONFIG)
+# A key of another subcommand: steady has no --samples, so its config
+# file may not set it either.
+IGNORED_CONFIG = ("samples.cfg", "preset = fig2\nsamples = 7\n")
+CONFIGS = (ANGULAR_CONFIG, FIELDS_CONFIG, IGNORED_CONFIG)
 # fig2 with Omega, Delta and gamma scaled by 1e-80 and by 1e180.
 RESCALED = (("fig2-rescaled-1e-80", ["--rabi-mhz", "3.6e-82", "--delta-mhz", "3.435e-80",
                                      "--gamma-khz", "1.673e-80"]),
@@ -172,7 +176,8 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
            ("steady-drazin-norm-not-finite", ["steady", "--preset", "fig2", "--delta-mhz",
                                               "1e50", "--urr-mhz", "0"]),
            ("sweep-grid-over-cap", ["sweep", "--preset", "fig2", "--axis", "rabi-mhz", "0", "1",
-                                    "99999999999999999999999"]))
+                                    "99999999999999999999999"]),
+           ("steady-config-ignored-key", ["steady", "--config", f"{{out}}/{IGNORED_CONFIG[0]}"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
@@ -227,7 +232,8 @@ def jobs(tree: Path) -> list:
 
 def generate(tree: Path, dest: Path) -> dict:
     """Run every job from the source in tree; return {name: bytes}.  A job
-    that exits non-zero contributes its exit status and stderr too."""
+    that exits non-zero contributes its exit status and stderr too, and
+    the config directory's path reads {out}."""
     env = {**os.environ, **PINNED, "COLUMNS": "80", "PYTHONPATH": str(tree / "src")}
     results = {}
     outdir = dest / "reproduce"
@@ -243,7 +249,9 @@ def generate(tree: Path, dest: Path) -> dict:
             data = proc.stdout
         if proc.returncode != 0:
             data += f"\n[exit {proc.returncode}]\n".encode() + proc.stderr
-        results[name] = data
+        # A message that names a config file names it as {out}/NAME, so
+        # both trees write the same bytes.
+        results[name] = data.replace(str(outdir).encode(), b"{out}")
         print(f"  {name}", file=sys.stderr)
     return results
 
