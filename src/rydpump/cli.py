@@ -87,7 +87,7 @@ def _load_config(path: str, opts: dict) -> dict:
     flag-style values and caption values given by ModelParams field name.
     A flag-name key is accepted only when its dest is a key of opts, the
     subcommand's argparse dests; it wins over a field name for the same
-    caption key."""
+    caption key.  A key given twice, in any spelling, is an error."""
     flags: dict = {}
     fields: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -105,6 +105,8 @@ def _load_config(path: str, opts: dict) -> dict:
             into, dest, kind = fields, _CONFIG_FIELDS[norm], float
         else:
             raise ValueError(f"unknown config key {key!r} in {path}")
+        if dest in into:  # one dest per normalised key, in flags as in fields
+            raise ValueError(f"config key {key!r} is given twice in {path}")
         try:
             into[dest] = _CONFIG_BOOL[value.lower()] if kind is bool else kind(value)
         except (ValueError, KeyError):

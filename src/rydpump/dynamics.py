@@ -24,11 +24,13 @@ i(|j><i| - |i><j|)/sqrt2 for i < j; it is kept once, as its two-entry rows
 Liouvillian.real assembles the dense real form T^dag L T, Fortran-ordered,
 which evolve's expm and the gap read.  The steady state factors the same
 form, trace-bordered, as a band matrix.  One plan per pattern, _real_plan,
-places the form's terms in both and orders the coordinates by
-Cuthill-McKee, which at dim 20 leaves 129 of 400 diagonals either side,
-so the band LU does about half the work of a dense one.  The LU, its
-error certificate and the gap work in real arithmetic, which costs about
-a third of the complex products.
+lists the form's terms, which both sum.  The band layout belongs to the
+factorisation: a plan's first band LU orders the coordinates by
+Cuthill-McKee and keeps that layout on the plan, so expm and the gap never
+run it.  At dim 20 it leaves 129 of 400 diagonals either side, so the band
+LU does about half the work of a dense one.  The LU, its error
+certificate and the gap work in real arithmetic, which costs about a
+third of the complex products.
 """
 
 from __future__ import annotations
@@ -358,26 +360,56 @@ def build_liouvillian(model: SystemModel) -> Liouvillian:
     return Liouvillian(d, gen, decay)
 
 
-class _RealPlan(NamedTuple):
-    """The real-form terms of a CSR pattern, and the band layout of the
-    trace-bordered form B: B'[i, j] = B[perm[i], perm[j]], perm[inv[k]] = k,
-    nonzero only for -kl <= j - i <= ku, held as dgbtrf's Fortran-ordered
-    (ldab, n) array, B'[i, j] at row kl + ku + i - j of column j."""
+class _BandLayout(NamedTuple):
+    """The band layout of the trace-bordered real form B of a plan's
+    pattern: B'[i, j] = B[perm[i], perm[j]], perm[inv[k]] = k, nonzero only
+    for -kl <= j - i <= ku, held as dgbtrf's Fortran-ordered (ldab, n)
+    array, B'[i, j] at row kl + ku + i - j of column j."""
 
+    kl: int
+    ku: int
+    ldab: int
+    zero: int           # inv[0], the position of entry 0
+    inv: np.ndarray
+    band: np.ndarray    # the band positions of the plan's terms off row 0, which come first
+    border: np.ndarray  # the trace row's band positions
+    pops: np.ndarray    # inv[:d], the positions of the populations
+    start: np.ndarray   # _drazin_norm's start vector, in the band order
+
+
+@dataclass(frozen=True, eq=False)
+class _RealPlan:
+    """The real-form terms of a CSR pattern of a d x d system, which
+    L.real and the band LU both sum, and the band layout that only the band
+    LU reads, built on its first read and kept on the plan."""
+
+    d: int
     at: np.ndarray     # each term's part, by its position in the float view of the data,
     a: np.ndarray      # and its real factors
     b: np.ndarray
     dense: np.ndarray  # each term's flat position l n + k of (k, l) in the dense form
-    band: np.ndarray   # the band positions of the terms off row 0, which come first
-    perm: np.ndarray
-    inv: np.ndarray
-    kl: int
-    ku: int
-    ldab: int
-    border: np.ndarray  # the trace row's band positions
-    zero: int           # inv[0], the position of entry 0
-    pops: np.ndarray    # inv[:d], the positions of the populations
-    start: np.ndarray   # _drazin_norm's start vector, in the band order
+
+    @functools.cached_property
+    def layout(self) -> _BandLayout:
+        """The Cuthill-McKee layout of the band's pattern: the trace
+        functional in row 0 (ones in the first d columns) and the terms off
+        row 0.  The start vector is fixed and seeded, traceless and of unit
+        norm."""
+        d, n = self.d, self.d**2
+        m = np.count_nonzero(self.dense % n)
+        col, row = np.divmod(self.dense[:m], n)
+        row, col = np.append(row, np.zeros(d, dtype=row.dtype)), np.append(col, np.arange(d))
+        perm = _cuthill_mckee(n, row, col)
+        inv = np.argsort(perm)
+        i, j = inv[row], inv[col]
+        kl, ku = int(max(0, (i - j).max())), int(max(0, (j - i).max()))
+        ldab = 2 * kl + ku + 1
+        band = j * ldab + kl + ku + i - j
+        start = np.random.default_rng(0).standard_normal(n)
+        start[:d] -= start[:d].sum() / d
+        start /= math.sqrt(start @ start) or 1.0  # d = 1 has no traceless vector
+        return _BandLayout(kl, ku, ldab, int(inv[0]),
+                           *_frozen(inv, band[:m], band[m:], inv[:d], start[perm]))
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -395,9 +427,8 @@ def _real_plan(d: int, index: str, indptr: bytes, indices: bytes, nonzero: bytes
     from +0 and are left out; every key keeps the order of its other
     terms.  With real amplitudes about half the parts are zero: keyed on
     the CSR pattern alone, the band at fig8a would be 38 diagonals either
-    side in place of 27.  The band's pattern is the trace functional in row
-    0 (ones in the first d columns) and the terms off row 0.  The start
-    vector is fixed and seeded, traceless and of unit norm."""
+    side in place of 27.  The band layout is left to the plan's first
+    factorisation (_RealPlan.layout)."""
     n = d * d
     rows, scale = _hermitian_rows(d)
     ptr = np.frombuffer(indptr, dtype=index)
@@ -413,23 +444,7 @@ def _real_plan(d: int, index: str, indptr: bytes, indices: bytes, nonzero: bytes
     keep = (a != 0) & (b != 0) & np.frombuffer(nonzero, dtype=bool)[at]
     # Row 0's keys are no other row's, so moving them last keeps every key's order.
     last = np.argsort(keys[keep] % n == 0, kind="stable")
-    keys, at, a, b = (x[keep][last] for x in (keys, at, a, b))
-    m = np.count_nonzero(keys % n)
-    col, row = np.divmod(keys[:m], n)
-    row = np.concatenate([row, np.zeros(d, dtype=row.dtype)])
-    col = np.concatenate([col, np.arange(d)])
-    perm = _cuthill_mckee(n, row, col)
-    inv = np.empty(n, dtype=np.intp)
-    inv[perm] = np.arange(n)
-    i, j = inv[row], inv[col]
-    kl, ku = int(max(0, (i - j).max())), int(max(0, (j - i).max()))
-    ldab = 2 * kl + ku + 1
-    band = j * ldab + kl + ku + i - j
-    start = np.random.default_rng(0).standard_normal(n)
-    start[:d] -= start[:d].sum() / d
-    start /= math.sqrt(start @ start) or 1.0  # d = 1 has no traceless vector
-    return _RealPlan(*_frozen(at, a, b, keys, band[:m], perm, inv), kl, ku, ldab,
-                     *_frozen(band[m:]), int(inv[0]), *_frozen(inv[:d], start[perm]))
+    return _RealPlan(d, *_frozen(*(x[keep][last] for x in (at, a, b, keys))))
 
 
 def _real_terms(L: Liouvillian):
@@ -664,18 +679,18 @@ def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool
 
     Both backends factor the real form T^dag L T once by band LU, with its
     first row (the rho_00 equation) replaced by the trace functional, the
-    sum of the first dim coordinates.  The plan per pattern that L.real
-    reads too (_real_plan) orders the coordinates by Cuthill-McKee; the
-    band array is assembled in that order straight from the generator's
-    entries, and LAPACK dgbtrf factors it in place.  On traceless vectors
-    the bordered solve applies the Drazin inverse L^D, and the same
-    factors certify the state: its error rho - rho_ss = L^D (L vec(rho)) is
-    at most ||L^D||_2 ||L vec(rho)||_2, with ||L^D||_2 on the traceless
-    subspace estimated by power iteration (group-inverse perturbation
-    theory, Meyer, SIAM Rev. 17, 443 (1975)).  An exactly zero pivot, or
-    1/||L^D||_2 at the rounding floor 1e3 * eps * ||L||_1, raises
-    NonUniqueSteadyStateError.  The solve and the certificate run with
-    numpy's overflow warnings off: a sum of squares that overflows is
+    sum of the first dim coordinates.  The band layout of the plan per
+    pattern that L.real reads too (_real_plan) orders the coordinates by
+    Cuthill-McKee; the band array is assembled in that order straight from
+    the generator's entries, and LAPACK dgbtrf factors it in place.  On
+    traceless vectors the bordered solve applies the Drazin inverse L^D,
+    and the same factors certify the state: its error rho - rho_ss =
+    L^D (L vec(rho)) is at most ||L^D||_2 ||L vec(rho)||_2, with ||L^D||_2
+    on the traceless subspace estimated by power iteration (group-inverse
+    perturbation theory, Meyer, SIAM Rev. 17, 443 (1975)).  An exactly
+    zero pivot, or 1/||L^D||_2 at the rounding floor 1e3 * eps * ||L||_1,
+    raises NonUniqueSteadyStateError.  The solve and the certificate run
+    with numpy's overflow warnings off: a sum of squares that overflows is
     taken again scaled (_norm2), and a norm that stays non-finite fails
     the certificate.
 
@@ -715,11 +730,11 @@ def steady_state(L: Liouvillian, *, method: str = "nullspace", return_info: bool
         lu = _bordered_lu(L)
         drazin_norm = _drazin_norm(L, lu)
         if method == "nullspace":
-            ab, piv, plan = lu
+            ab, piv, layout = lu
             e0 = np.zeros(L.dim**2)
-            e0[plan.zero] = 1.0
-            x = _gbtrs(ab, plan.kl, plan.ku, e0, piv, overwrite_b=True)[0]
-            v = _from_coords(x[plan.inv], np.empty(e0.size, dtype=complex))
+            e0[layout.zero] = 1.0
+            x = _gbtrs(ab, layout.kl, layout.ku, e0, piv, overwrite_b=True)[0]
+            v = _from_coords(x[layout.inv], np.empty(e0.size, dtype=complex))
             info = {"method": "nullspace"}
         else:
             v, info = _steady_evolve(L, drazin_norm)
@@ -736,33 +751,33 @@ def _require_finite(L: Liouvillian) -> None:
 def _bordered_lu(L: Liouvillian):
     """Band LU factors and pivots of the real form with row 0 (the rho_00
     equation) replaced by the trace functional, the sum of the first dim
-    coordinates, in the order of its real-form plan (_real_plan), and the
-    plan.
+    coordinates, in the order of the band layout of its real-form plan
+    (_real_plan), and that layout, which the plan's first call builds.
 
-    The terms of the plan off row 0 are summed straight into its band
-    array by one bincount, the terms that Liouvillian.real sums into the
-    dense form, and the trace row's ones are written in: the array holds
-    the bytes of the bordered L.real, gathered in the plan's order.  It is
-    a new Fortran-ordered array, so dgbtrf overwrites it and nothing is
-    copied.  The factors' diagonal, in row kl + ku, holds the pivots."""
+    The terms of the plan off row 0 are summed straight into the layout's
+    band array by one bincount, the terms that Liouvillian.real sums into
+    the dense form, and the trace row's ones are written in: the array
+    holds the bytes of the bordered L.real, gathered in the layout's
+    order.  It is a new Fortran-ordered array, so dgbtrf overwrites it and
+    nothing is copied.  The factors' diagonal, in row kl + ku, holds the pivots."""
     _require_finite(L)
     plan, terms = _real_terms(L)
-    n = L.dim**2
+    layout, n = plan.layout, L.dim**2
     # bincount of no entries gives integers; the array is float64 for every L.
-    ab = np.bincount(plan.band, terms[:plan.band.size], minlength=plan.ldab * n) \
+    ab = np.bincount(layout.band, terms[:layout.band.size], minlength=layout.ldab * n) \
         .astype(float, copy=False)
-    ab[plan.border] = 1.0  # the trace functional
-    lu, piv, info = _gbtrf(ab.reshape(plan.ldab, n, order="F"), plan.kl, plan.ku,
+    ab[layout.border] = 1.0  # the trace functional
+    lu, piv, info = _gbtrf(ab.reshape(layout.ldab, n, order="F"), layout.kl, layout.ku,
                            overwrite_ab=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgbtrf")
-    pivots = lu[plan.kl + plan.ku]
+    pivots = lu[layout.kl + layout.ku]
     if np.count_nonzero(pivots) < pivots.size:
         raise NonUniqueSteadyStateError(
             f"non-unique steady state: {np.count_nonzero(pivots == 0.0)} exactly zero "
             f"pivot(s) in the LU factors of the trace-bordered Liouvillian"
         )
-    return lu, piv, plan
+    return lu, piv, layout
 
 
 def _drazin_norm(L: Liouvillian, lu) -> float:
@@ -773,9 +788,9 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     The operator is P B^-1 E P: E zeroes entry 0, B^-1 is the bordered
     solve and P projects out the trace.  Its adjoint P E B^-T P is the
     transposed solve on the same factors.  Power iteration on their
-    product runs in the plan's band order, where E zeroes entry plan.zero
-    and P subtracts the mean of the populations at plan.pops, from the
-    plan's fixed seeded start vector; every step is recomputed from the
+    product runs in the band order, where E zeroes entry layout.zero and
+    P subtracts the mean of the populations at layout.pops, from the
+    layout's fixed seeded start vector; every step is recomputed from the
     call's factors.  Row 0 of B is the trace functional, so B^-1 E x is
     traceless up to rounding and the P between the solves is left out.  A
     step solves in place in one vector: E, the two solves, E and P, and
@@ -791,11 +806,11 @@ def _drazin_norm(L: Liouvillian, lu) -> float:
     vector of norm c stays in range from s = 1e-150 to 1e280.
     """
     d = L.dim
-    ab, piv, plan = lu
-    kl, ku, zero, pops = plan.kl, plan.ku, plan.zero, plan.pops
+    ab, piv, layout = lu
+    kl, ku, zero, pops = layout.kl, layout.ku, layout.zero, layout.pops
     root = math.ldexp(1.0, (math.frexp(L.norm_1)[1] - 1) // 2)
     scale = root * root
-    x = plan.start * scale
+    x = layout.start * scale
     est = 0.0
     for _ in range(_DRAZIN_STEPS):
         x[zero] = 0.0

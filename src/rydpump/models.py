@@ -205,9 +205,9 @@ class SystemModel:
 
     def state(self, name: str) -> np.ndarray:
         """Named unit ket.  Also accepts the scheme's target names (with '-'
-        for '_'), each naming its target state, and ground-ff."""
+        for '_'), each naming its target state."""
         target = self.variant.record.targets.get(name.replace("-", "_"))
-        key = target[0] if target else ("ff" if name == "ground-ff" else name)
+        key = target[0] if target else name
         try:
             return self.named_states[key]
         except KeyError:

@@ -108,16 +108,17 @@ def bordered_real_form(L):
     return mat
 
 
-def gathered_band(L, plan):
+def gathered_band(L, layout):
     """dgbtrf's band array, (2 kl + ku + 1, n) Fortran-ordered, of the dense
-    bordered_real_form(L) in the plan's order, gathered entry by entry; it
-    asserts first that perm is a permutation and that every nonzero of the
-    permuted form lies within the plan's kl and ku (oracle for the band
-    assembly, which sums the terms straight into band storage)."""
+    bordered_real_form(L) in the band layout's order, gathered entry by
+    entry; it asserts first that perm = argsort(inv) is a permutation and
+    that every nonzero of the permuted form lies within the layout's kl and
+    ku (oracle for the band assembly, which sums the terms straight into
+    band storage)."""
     n = L.dim**2
-    perm, kl, ku = plan.perm, plan.kl, plan.ku
+    perm, kl, ku = np.argsort(layout.inv), layout.kl, layout.ku
     assert np.array_equal(np.sort(perm), np.arange(n))
-    assert np.array_equal(plan.inv[perm], np.arange(n))
+    assert np.array_equal(layout.inv[perm], np.arange(n))
     dense = bordered_real_form(L)[np.ix_(perm, perm)]
     i, j = np.nonzero(dense)
     assert np.all(j - i <= ku) and np.all(i - j <= kl)
@@ -130,14 +131,16 @@ def gathered_band(L, plan):
 
 def loop_drazin_norm(L, lu):
     """The power loop _drazin_norm replaced: in the original coordinates,
-    a fresh vector from each of scipy's band solves, which the band plan's
+    a fresh vector from each of scipy's band solves, which the band layout's
     order is applied to and undone around explicitly, the trace projected
     out after both solves, and the vector scaled at the top of each step.
     Returns its estimate times the margin and its number of steps (oracle
     for the in-place loop in the band order, equal to it up to rounding)."""
     d = L.dim
-    ab, piv, plan = lu
-    kl, ku, perm, inv = plan.kl, plan.ku, plan.perm, plan.inv
+    ab, piv, layout = lu
+    kl, ku, inv = layout.kl, layout.ku, layout.inv
+    perm = np.argsort(inv)
+    assert np.array_equal(inv[perm], np.arange(d * d))
     x = np.random.default_rng(0).standard_normal(d * d)
     x[:d] -= x[:d].sum() / d
     est = 0.0

@@ -768,6 +768,23 @@ def test_workers_option_is_gone(tmp_path, capsys):
         rydpump.sweep(BELL_CAPTION, BELL, [("urr-mhz", 2.0, 6.0, 2)], "fidelity", workers=2)
 
 
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    # Keys compare normalised, so rabi-mhz and rabi_mhz are one key.  A
+    # flag name beside a field name for the same value stays allowed.
+    cfg = tmp_path / "twice.cfg"
+    for text, key in (("preset = fig2\npreset = fig6-point\n", "preset"),
+                      ("preset = fig2\nrabi-mhz = 0.05\nrabi_mhz = 0.036\n", "rabi_mhz"),
+                      ("scheme = bell\ngamma = 1\nGamma = 2\n", "Gamma")):
+        cfg.write_text(text)
+        assert run(["steady", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: config key {key!r} is given twice in {cfg}\n")
+    assert not (tmp_path / "o").exists()
+    cfg.write_text("scheme = bell\ndetuning = 3.0\ndelta-mhz = 3.435\n")
+    assert _load_config(str(cfg), {"scheme": None, "delta_mhz": None}) == \
+        {"scheme": "bell", "delta_mhz": 3.435}
+
+
 def test_config_invalid_values(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = foo\n")

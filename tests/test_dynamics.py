@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -611,6 +612,43 @@ def test_steady_state_and_real_form_read_one_plan():
     assert real.tobytes() == index_path_real(L).tobytes()
 
 
+def test_band_layout_is_built_only_by_a_factorisation():
+    # evolve and liouvillian_gap read the real-form terms alone: from an
+    # empty plan cache neither runs Cuthill-McKee or a band solve, and
+    # evolve makes one expm per distinct step (a preset's grid is uniform,
+    # so one).  The first steady state of a pattern builds the layout once
+    # and keeps it on the plan, so a second call does not build it again.
+    calls = collections.Counter()
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    names = ("_cuthill_mckee", "_gbtrf", "_gbtrs")
+    with mock.patch.multiple(dynamics, **{n: counting(n, getattr(dynamics, n)) for n in names}), \
+            mock.patch.object(dynamics.sla, "expm", counting("expm", expm)):
+        for name in ("fig3", "fig5-inset"):
+            _real_plan.cache_clear()
+            calls.clear()
+            fig, pre = find_figure(name), figure_preset(name)
+            m = build_model(pre.params, pre.variant)
+            t = np.linspace(0.0, fig.t_max_ms * 1e-3, fig.samples)
+            evolve(build_liouvillian(m), m.initial_density(fig.initial), t)
+            assert calls == {"expm": 1}, name
+        _real_plan.cache_clear()
+        calls.clear()
+        pre = figure_preset("fig8a")
+        L = build_liouvillian(build_model(pre.params, pre.variant))
+        liouvillian_gap(L)
+        assert calls["_cuthill_mckee"] == 0
+        for _ in range(2):
+            steady_state(L)
+            assert calls["_cuthill_mckee"] == 1
+    assert _real_plan.cache_info().misses == 1
+
+
 def generator_plan(model):
     """build_liouvillian's plan of a model: its arrays, then its count of
     H_eff entries and its empty CSR matrix."""
@@ -654,11 +692,13 @@ def test_plan_arrays_are_read_only():
     pre = figure_preset("fig2")
     m = build_model(pre.params, pre.variant)
     L = build_liouvillian(m)
-    plan = _bordered_lu(L)[2]
-    assert plan is real_plan(L)
-    plans = [generator_plan(m)[:-2], [a for a in plan if isinstance(a, np.ndarray)],
+    plan = real_plan(L)
+    layout = _bordered_lu(L)[2]
+    assert layout is plan.layout
+    plans = [generator_plan(m)[:-2],
+             [a for a in (*vars(plan).values(), *layout) if isinstance(a, np.ndarray)],
              _hermitian_rows(m.dim)]
-    assert len(plans[1]) == 10
+    assert len(plans[1]) == 9
     for plan in plans:
         for a in plan:
             assert not a.flags.writeable
@@ -1497,7 +1537,7 @@ def test_sweep_path_skips_the_gap(monkeypatch):
 def test_bordered_lu_matches_lu_factor_of_real_form(name):
     # The band array summed from the generator and factored in place gives
     # scipy's dgbtrf factors and pivots of the dense bordered L.real
-    # gathered into band storage in the plan's order, byte for byte.
+    # gathered into band storage in the band layout's order, byte for byte.
     if name == "random":
         rng = np.random.default_rng(5)
         models = [random_model(rng, n_lindblads=n) for n in (0, 1, 4, 7)]
@@ -1506,11 +1546,11 @@ def test_bordered_lu_matches_lu_factor_of_real_form(name):
         models = [build_model(pre.params, pre.variant)]
     for m in models:
         L = build_liouvillian(m)
-        lu, piv, plan = _bordered_lu(L)
-        want_lu, want_piv, info = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
+        lu, piv, layout = _bordered_lu(L)
+        want_lu, want_piv, info = dgbtrf(gathered_band(L, layout), layout.kl, layout.ku)
         assert info == 0
         assert lu.flags["F_CONTIGUOUS"] and lu.dtype == np.float64
-        assert lu.shape == (plan.ldab, L.dim**2) == want_lu.shape
+        assert lu.shape == (layout.ldab, L.dim**2) == want_lu.shape
         assert lu.tobytes(order="F") == want_lu.tobytes(order="F")
         assert piv.dtype == want_piv.dtype and piv.tobytes() == want_piv.tobytes()
 
@@ -1529,7 +1569,8 @@ def test_bordered_lu_raises_on_illegal_lapack_argument(monkeypatch):
 
 
 def real_plan(L):
-    """The real-form plan of a generator, which L.real and _bordered_lu read."""
+    """The real-form plan of a generator, which L.real and _bordered_lu read;
+    its band layout is built on the first read of plan.layout."""
     s = L.superop
     return _real_plan(L.dim, s.indices.dtype.char, s.indptr.tobytes(), s.indices.tobytes(),
                       (s.data.view(float) != 0).tobytes())
@@ -1540,7 +1581,7 @@ def real_plan(L):
        dims=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]), real=st.booleans())
 def test_band_plan_holds_every_nonzero_of_random_patterns(seed, dims, real):
     # A synthetic model with a random sparsity pattern and complex or real
-    # amplitudes: the plan's order is a permutation, every nonzero of the
+    # amplitudes: the layout's order is a permutation, every nonzero of the
     # bordered real form lies inside its band (gathered_band checks both),
     # and the band LU is the gathered band's, or fails on its zero pivots.
     rng = np.random.default_rng(seed)
@@ -1553,11 +1594,11 @@ def test_band_plan_holds_every_nonzero_of_random_patterns(seed, dims, real):
         m = dataclasses.replace(m, hamiltonian=m.hamiltonian.real.astype(complex),
                                 lindblads=tuple(op.real.astype(complex) for op in m.lindblads))
     L = build_liouvillian(m)
-    plan = real_plan(L)
-    want_lu, want_piv, _ = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
-    if np.all(want_lu[plan.kl + plan.ku] != 0.0):
+    layout = real_plan(L).layout
+    want_lu, want_piv, _ = dgbtrf(gathered_band(L, layout), layout.kl, layout.ku)
+    if np.all(want_lu[layout.kl + layout.ku] != 0.0):
         lu, piv, got = _bordered_lu(L)
-        assert got is plan
+        assert got is layout
         assert lu.tobytes(order="F") == want_lu.tobytes(order="F")
         assert piv.tobytes() == want_piv.tobytes()
     else:
@@ -1579,15 +1620,15 @@ def test_band_plan_is_keyed_on_the_nonzero_parts():
     parts[parts == 0] = 1.0
     full = Liouvillian(L.dim, sp.csr_matrix((parts.view(complex), s.indices, s.indptr),
                                             shape=s.shape), L.decay)
-    plan, wide = real_plan(L), real_plan(full)
-    assert (plan.kl, plan.ku) == (27, 27)
-    assert wide.kl > plan.kl and wide.ku > plan.ku
-    gathered_band(L, plan)
+    layout, wide = real_plan(L).layout, real_plan(full).layout
+    assert (layout.kl, layout.ku) == (27, 27)
+    assert wide.kl > layout.kl and wide.ku > layout.ku
+    gathered_band(L, layout)
     gathered_band(full, wide)
 
 
 def test_steady_state_of_one_level():
-    # d = 1 has no traceless vector: the band plan's start is zero, so
+    # d = 1 has no traceless vector: the band layout's start is zero, so
     # ||L^D||_2 on the traceless subspace comes out 0, with no warning, and
     # the one state is certified.
     m = edge_models()["d = 1"]
@@ -1613,7 +1654,7 @@ def reproduced_models(figure, tmp_path):
 
 @pytest.mark.parametrize("figure", ["fig5", "fig6", "fig8a", "fig9c"])
 def test_band_lu_state_matches_refined_oracle_on_grids(figure, tmp_path):
-    # The band LU's state, solved in the plan's order, read at most 1.8e-14
+    # The band LU's state, solved in the layout's order, read at most 1.8e-14
     # off the refined dense solve on these grids (fig9c); the dense LU in
     # the original order read 1.0e-14 (fig6).
     models = reproduced_models(figure, tmp_path)
@@ -1744,9 +1785,9 @@ def test_bordered_lu_reports_exact_zero_pivots(case):
     scheme, caption = DEGENERATE[case]
     target = "singlet" if scheme == "bell" else "phi"
     L = build_liouvillian(build_model(caption_params(**caption), SchemeVariant(scheme, target)))
-    plan = real_plan(L)
-    lu, _, info = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
-    zeros = int(np.sum(lu[plan.kl + plan.ku] == 0.0))
+    layout = real_plan(L).layout
+    lu, _, info = dgbtrf(gathered_band(L, layout), layout.kl, layout.ku)
+    zeros = int(np.sum(lu[layout.kl + layout.ku] == 0.0))
     assert zeros >= 1 and info > 0
     with pytest.raises(NonUniqueSteadyStateError, match=f"{zeros} exactly zero pivot"):
         steady_state(L)

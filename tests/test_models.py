@@ -270,9 +270,15 @@ def test_initial_density_mixtures():
 def test_state_aliases():
     m = build_model(bell_params(), BELL)
     assert np.array_equal(m.state("singlet"), m.state("S"))
-    assert np.array_equal(m.state("ground-ff"), m.state("ff"))
     with pytest.raises(KeyError, match="unknown state"):
         m.state("nope")
+
+
+def test_ground_ff_is_not_a_state_name():
+    # The basis label ff names the ground product state; no other spelling does.
+    m = build_model(bell_params(), BELL)
+    with pytest.raises(KeyError, match=r"unknown state 'ground-ff'; known: \["):
+        m.state("ground-ff")
 
 
 # ------------------------------------------------------- params and variants

@@ -154,12 +154,12 @@ def test_certified_state_within_its_bound_beyond_the_figures(scheme, p):
 @SETTINGS
 @given(p=WIDE, target=st.sampled_from([0, 1]))
 def test_band_plan_holds_every_nonzero_beyond_the_figures(scheme, p, target):
-    # The plan's order is a permutation and every nonzero of the bordered
+    # The layout's order is a permutation and every nonzero of the bordered
     # real form lies inside its band (gathered_band checks both), and the
     # band factors are those of the gathered dense form.
     L = build_liouvillian(_model(scheme, PARTNER[scheme][target], p))
-    lu, piv, plan = _bordered_lu(L)
-    want_lu, want_piv, info = dgbtrf(gathered_band(L, plan), plan.kl, plan.ku)
+    lu, piv, layout = _bordered_lu(L)
+    want_lu, want_piv, info = dgbtrf(gathered_band(L, layout), layout.kl, layout.ku)
     assert info == 0
     assert lu.tobytes(order="F") == want_lu.tobytes(order="F")
     assert piv.tobytes() == want_piv.tobytes()

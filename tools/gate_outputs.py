@@ -2,7 +2,7 @@
 
     python3 tools/gate_outputs.py --base REV
 
-regenerates 111 gated outputs twice, from the source of git revision REV
+regenerates 112 gated outputs twice, from the source of git revision REV
 and from the working tree, and compares the two byte for byte.  REV's
 source is extracted with `git archive` into a temporary directory, so the
 repository itself is not touched.  Every output comes from a fresh
@@ -68,8 +68,9 @@ The gated outputs are:
   no initial state, an `evolve` at fig3 over -1 ms and a sweep with three
   axes; of a `steady` at fig2 with `--delta-mhz 1e50 --urr-mhz 0`, whose
   ||L^D||_2 is not finite; of a sweep whose STEPS of 1e23 exceeds the
-  grid cap; and of a `steady --config FILE` run whose file holds
-  `preset = fig2` and `samples = 7`, a key that only `evolve` reads.
+  grid cap; of a `steady --config FILE` run whose file holds
+  `preset = fig2` and `samples = 7`, a key that only `evolve` reads; and
+  of one whose file gives `rabi-mhz` and then `rabi_mhz`, one key twice.
 
 For each output that differs it prints the largest difference between
 corresponding numbers, or where the text first differs when the numbers
@@ -136,7 +137,9 @@ FIELDS_CONFIG = ("fields.cfg", "scheme = bell\nrabi_optical = 0.036\n"
 # A key of another subcommand: steady has no --samples, so its config
 # file may not set it either.
 IGNORED_CONFIG = ("samples.cfg", "preset = fig2\nsamples = 7\n")
-CONFIGS = (ANGULAR_CONFIG, FIELDS_CONFIG, IGNORED_CONFIG)
+# One key twice, in two spellings that normalise alike.
+REPEATED_CONFIG = ("repeated.cfg", "preset = fig2\nrabi-mhz = 0.05\nrabi_mhz = 0.036\n")
+CONFIGS = (ANGULAR_CONFIG, FIELDS_CONFIG, IGNORED_CONFIG, REPEATED_CONFIG)
 # fig2 with Omega, Delta and gamma scaled by 1e-80 and by 1e180.
 RESCALED = (("fig2-rescaled-1e-80", ["--rabi-mhz", "3.6e-82", "--delta-mhz", "3.435e-80",
                                      "--gamma-khz", "1.673e-80"]),
@@ -177,7 +180,9 @@ INVALID = (("steady-outputs-bogus", ["steady", "--preset", "fig2", "--outputs", 
                                               "1e50", "--urr-mhz", "0"]),
            ("sweep-grid-over-cap", ["sweep", "--preset", "fig2", "--axis", "rabi-mhz", "0", "1",
                                     "99999999999999999999999"]),
-           ("steady-config-ignored-key", ["steady", "--config", f"{{out}}/{IGNORED_CONFIG[0]}"]))
+           ("steady-config-ignored-key", ["steady", "--config", f"{{out}}/{IGNORED_CONFIG[0]}"]),
+           ("steady-config-repeated-key", ["steady", "--config",
+                                           f"{{out}}/{REPEATED_CONFIG[0]}"]))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
