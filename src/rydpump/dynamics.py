@@ -848,11 +848,12 @@ def liouvillian_gap(L: Liouvillian) -> float:
     1.4 ms at dim 9 and 50 ms at dim 20, so it is only reported: no
     steady-state backend computes it.  A non-finite generator raises
     ValueError, and a gap at the rounding floor 1e3 * eps * ||L||_1
-    NonUniqueSteadyStateError.
+    NonUniqueSteadyStateError.  A one-level generator has no mode that
+    relaxes, so its gap is inf, the least over an empty set, and 1/gap = 0.
     """
     _require_finite(L)
     lam = np.linalg.eigvals(L.real)
-    gap = float(np.min(-np.delete(lam, np.argmin(np.abs(lam))).real))
+    gap = float(np.min(-np.delete(lam, np.argmin(np.abs(lam))).real, initial=math.inf))
     floor = _GAP_FLOOR * _EPS * L.norm_1
     if gap <= floor:
         raise NonUniqueSteadyStateError(

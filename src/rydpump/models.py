@@ -49,6 +49,8 @@ import numpy as np
 from .linalg import BipartiteDims
 
 TWO_PI = 2.0 * math.pi
+# The types ModelParams takes for a real parameter (bool is an int).
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def angular_mhz(value_mhz: float) -> float:
@@ -85,7 +87,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("detuning", "rydberg_U", "gamma"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
+            if not (isinstance(v, _REAL_TYPES) and math.isfinite(v)) or v < 0:
                 raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
         for name in ("rabi_optical", "rabi_microwave_1", "rabi_microwave_2"):
             v = complex(getattr(self, name))

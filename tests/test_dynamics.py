@@ -1793,6 +1793,15 @@ def test_bordered_lu_reports_exact_zero_pivots(case):
         steady_state(L)
 
 
+def test_liouvillian_gap_of_one_level_is_inf():
+    # One level has no mode that relaxes: the gap is inf, so 1/gap = 0,
+    # as the steady state's drazin_norm is.
+    L = Liouvillian(1, sp.csr_matrix((1, 1), dtype=complex), np.zeros((1, 1)))
+    assert liouvillian_gap(L) == math.inf
+    rho, info = steady_state(L, return_info=True)
+    assert rho.tolist() == [[1.0]] and info["drazin_norm"] == 0.0
+
+
 def precessing_qubit(kappa):
     """A qubit, dims (2, 1), precessing at 2 pi x 5 MHz and decaying at
     kappa: its coherence is a nearly undamped oscillating mode (rate

@@ -292,6 +292,16 @@ def test_params_validation():
         bell_params(rabi_optical=float("nan"))
 
 
+def test_params_accept_numpy_reals():
+    # numpy integer and floating scalars are finite nonnegative reals too;
+    # a numpy nan or negative value fails with the same message as a float.
+    for v in (np.int64(2), np.float32(2.0)):
+        assert bell_params(detuning=v).detuning == 2
+    for v in (np.float64("nan"), np.float32("nan"), np.int64(-1), np.float32(-0.5)):
+        with pytest.raises(ValueError, match=r"^detuning must be a finite nonnegative real, got "):
+            bell_params(detuning=v)
+
+
 def test_variant_validation():
     with pytest.raises(ValueError, match="scheme"):
         SchemeVariant("ladder", "singlet")
