@@ -62,11 +62,14 @@ def test_short_bell_evolve(capsys):
     assert len(rows[1].split()[2:]) == len(rows[2].split()[2:]) == 2
 
 
-def test_rejected_run_sets_the_status(capsys):
+def test_rejected_evolve_sets_the_status():
     # --samples 1 over a nonzero time span is an invalid spec: exit status 2.
     r = point_costs.measure(["evolve", "--preset", "fig3", "--t-max-ms", "1", "--samples", "1"],
                             calls=1)
     assert r["status"] == 2
+
+
+def test_rejected_run_sets_the_status(capsys):
     # A repeated axis is an invalid spec: exit status 2, no point solved,
     # and the CLI's error line on stderr.
     argv = ["sweep", "--preset", "fig8a", "--axis", "rabi-mhz", "0.02", "0.1", "2",
